@@ -12,7 +12,6 @@ from .channel import (PilotAssignment, PowerProfile, ChannelRealization,
                       mmse_estimate)
 from .receivers import (CancellationSets, RateCoeffs, FeasibilityError,
                         DegenerateSpanError, select_cancellation, pzf_filter,
-                        instantaneous_sinr_cell, instantaneous_sinr_d2d,
                         cell_sinr_terms, d2d_sinr_terms, rate_coeffs,
                         rate_lower_bounds, bound_sinrs, sigma_c_of, sigma_d_of)
 from .pilot_scheduling import (interference_metric, sum_mse, sum_mse_objective,

@@ -10,6 +10,14 @@ Pilot indexing is 1-based to match the system description: CU n uses
 pilot n (n = 1..N), D2D pairs reuse pilots N+1..tau.  The pilot basis is
 the tau x tau identity, which is unitary; nothing downstream depends on
 the particular choice.
+
+Pilot groups have one representation, the binary reuse matrix
+O = PilotAssignment.to_matrix() of shape (tau - N, K), and every function
+works on all links at once: the pilot phase sums each group's signals into
+its pilot column with one product against O, group_powers gives the
+received power of every group at the BS and every D2D-Rx, and the MMSE
+estimate of a D2D link is its pilot's observation column scaled by a
+per-link coefficient, so same-pilot estimates are exactly collinear.
 """
 from __future__ import annotations
 
@@ -179,27 +187,40 @@ def draw_fast_fading(config, rng=None):
     )
 
 
+def group_powers(ls, pa, p_p):
+    """Received pilot power of every D2D pilot group, noise excluded:
+    O @ (p_p * u_d), shape (tau - N,), at the BS and O @ (p_p * v_d),
+    shape (tau - N, K), at every D2D-Rx; empty pilots give exact zeros.
+    Groups of one size are summed in one stacked reduction, which adds each
+    group's terms in the order a sum over that group alone does: 1 - delta
+    and 1 - mu of strong links would amplify a last-bit change in the sums
+    by up to the link's pilot SNR."""
+    o = pa.to_matrix()
+    sizes = o.sum(axis=1)
+    members = np.argsort(1 - o, axis=1, kind="stable")   # members[t, :sizes[t]]
+    den_bs = np.zeros(o.shape[0])
+    den_rx = np.zeros(o.shape)
+    for size in set(sizes.tolist()) - {0}:
+        rows = np.flatnonzero(sizes == size)
+        mem = members[rows, :size]
+        den_bs[rows] = np.sum(p_p[mem] * ls.u_d[mem], axis=1)
+        den_rx[rows] = (p_p[mem][:, None, :] @ ls.v_d[mem])[:, 0]
+    return den_bs, den_rx
+
+
 def estimation_coeffs(ls, pa, pp, n0):
     """Closed-form estimate/error variances for every estimated link."""
     for a in (ls.u_c, ls.u_d, ls.v_c, ls.v_d):
         if not np.all(np.isfinite(a)):
             raise ValueError("large-scale gains must be finite")
-    n, k = ls.u_c.size, ls.u_d.size
 
     sc = pp.q_p * ls.u_c
     delta_c = sc / (sc + n0)
 
-    pilots = pa.d2d_pilots()
-    # received pilot-group power at the BS, per pilot
-    den_bs = {t: float(np.sum(pp.p_p[pa.members(t)] * ls.u_d[pa.members(t)])) + n0 for t in pilots}
-    delta_d = np.array([pp.p_p[i] * ls.u_d[i] / den_bs[pa.pilot_of[i]] for i in range(k)])
-
-    # received pilot-group power at each Rx, per pilot: den_rx[t][k]
-    mu_d = np.zeros((k, k))
-    for t in pilots:
-        mem = pa.members(t)
-        den = pp.p_p[mem] @ ls.v_d[mem, :] + n0          # (K,) over receivers
-        mu_d[mem, :] = (pp.p_p[mem, None] * ls.v_d[mem, :]) / den[None, :]
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    group = pa.pilot_of - pa.n_cu - 1
+    delta_d = pp.p_p * ls.u_d / (den_bs[group] + n0)
+    mu_d = (pp.p_p[:, None] * ls.v_d) / (den_rx[group] + n0)
 
     scd = pp.q_p[:, None] * ls.v_c
     mu_c = scd / (scd + n0)
@@ -215,27 +236,26 @@ def estimation_coeffs(ls, pa, pp, n0):
 def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     """Received pilot matrices at the BS and every D2D-Rx.
 
-    Uses the identity pilot basis; noise entries are i.i.d. CN(0, N0).
+    Uses the identity pilot basis, so CU n lands in column n-1 and each
+    D2D pilot column is the reuse-matrix sum of its group's signals; noise
+    entries are i.i.d. CN(0, N0).
     """
     if rng is None:
         rng = substream(config.rng_seed, NOISE)
     b, m = config.bs_antennas, config.d2drx_antennas
     n, k, tau = config.n_cu, config.n_d2d, config.pilot_len
     n0 = config.noise_power
+    o_t = pa.to_matrix().T
 
-    y_bs = np.zeros((b, tau), dtype=complex)
-    for a in range(n):
-        y_bs[:, a] += np.sqrt(pp.q_p[a] * ls.u_c[a]) * real.h_c[:, a]
-    for i in range(k):
-        y_bs[:, pa.pilot_of[i] - 1] += np.sqrt(pp.p_p[i] * ls.u_d[i]) * real.h_d[:, i]
+    y_bs = np.empty((b, tau), dtype=complex)
+    y_bs[:, :n] = np.sqrt(pp.q_p * ls.u_c) * real.h_c
+    y_bs[:, n:] = (np.sqrt(pp.p_p * ls.u_d) * real.h_d) @ o_t
     y_bs += np.sqrt(n0) * _cn(rng, (b, tau))
 
-    y_rx = np.zeros((k, m, tau), dtype=complex)
-    for r in range(k):
-        for a in range(n):
-            y_rx[r, :, a] += np.sqrt(pp.q_p[a] * ls.v_c[a, r]) * real.g_c[r, :, a]
-        for i in range(k):
-            y_rx[r, :, pa.pilot_of[i] - 1] += np.sqrt(pp.p_p[i] * ls.v_d[i, r]) * real.g_d[r, :, i]
+    # real.g_c[r, :, a] and real.g_d[r, :, i] scaled by their Rx-r gains
+    y_rx = np.empty((k, m, tau), dtype=complex)
+    y_rx[:, :, :n] = np.sqrt(pp.q_p[:, None] * ls.v_c).T[:, None, :] * real.g_c
+    y_rx[:, :, n:] = (np.sqrt(pp.p_p[:, None] * ls.v_d).T[:, None, :] * real.g_d) @ o_t
     y_rx += np.sqrt(n0) * _cn(rng, (k, m, tau))
 
     return PilotObservation(y_bs=y_bs, y_rx=y_rx)
@@ -244,31 +264,24 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
 def mmse_estimate(obs, ls, pa, pp, config):
     """Linear MMSE estimates of every channel from the pilot observations.
 
-    Estimates of same-pilot D2D channels at the BS are scaled versions of
-    one observation column, hence exactly collinear.
+    Each D2D estimate is its pilot's observation column scaled by a
+    per-link coefficient, so estimates of same-pilot channels at a common
+    receiver are exactly collinear.
     """
-    n, k = config.n_cu, config.n_d2d
+    n = config.n_cu
     n0 = config.noise_power
-    pilots = pa.d2d_pilots()
 
     sc = pp.q_p * ls.u_c
     h_c = (np.sqrt(sc) / (sc + n0))[None, :] * obs.y_bs[:, :n]
+    scd = pp.q_p[:, None] * ls.v_c
+    g_c = (np.sqrt(scd) / (scd + n0)).T[:, None, :] * obs.y_rx[:, :, :n]
 
-    den_bs = {t: float(np.sum(pp.p_p[pa.members(t)] * ls.u_d[pa.members(t)])) + n0 for t in pilots}
-    h_d = np.zeros((config.bs_antennas, k), dtype=complex)
-    for i in range(k):
-        t = pa.pilot_of[i]
-        h_d[:, i] = np.sqrt(pp.p_p[i] * ls.u_d[i]) / den_bs[t] * obs.y_bs[:, t - 1]
-
-    g_d = np.zeros((k, config.d2drx_antennas, k), dtype=complex)
-    g_c = np.zeros((k, config.d2drx_antennas, n), dtype=complex)
-    for r in range(k):
-        for t in pilots:
-            mem = pa.members(t)
-            den = float(np.sum(pp.p_p[mem] * ls.v_d[mem, r])) + n0
-            for i in mem:
-                g_d[r, :, i] = np.sqrt(pp.p_p[i] * ls.v_d[i, r]) / den * obs.y_rx[r, :, t - 1]
-        scd = pp.q_p * ls.v_c[:, r]
-        g_c[r] = (np.sqrt(scd) / (scd + n0))[None, :] * obs.y_rx[r, :, :n]
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    group = pa.pilot_of - n - 1
+    col = pa.pilot_of - 1
+    h_d = (np.sqrt(pp.p_p * ls.u_d) / (den_bs[group] + n0)) * obs.y_bs[:, col]
+    # coef[i, r] scales Rx r's observation column of pair i's pilot
+    coef = np.sqrt(pp.p_p[:, None] * ls.v_d) / (den_rx[group] + n0)
+    g_d = coef.T[:, None, :] * obs.y_rx[:, :, col]
 
     return EstimatedChannels(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)

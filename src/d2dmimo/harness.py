@@ -26,6 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ from . import __version__
 from .scenario import SystemConfig, generate_topology, compute_large_scale, substream, trial_seed, FADING, NOISE
 from .channel import PowerProfile, estimation_coeffs, draw_fast_fading, simulate_pilot_phase, mmse_estimate
 from .receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, rate_lower_bounds,
-                        bound_sinrs, instantaneous_sinr_cell, instantaneous_sinr_d2d)
+                        bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
 from .pilot_scheduling import psa, random_assignment, exhaustive_search, sum_mse_objective
 from .power_control import jdpc, dpcc, dpcd
 
@@ -214,13 +215,11 @@ def _mc_rates(cfg, ls, pa, pp, coeffs, sets, want_cell, want_d2d):
         try:
             out = {}
             if want_cell:
-                etas = [instantaneous_sinr_cell(n, est, coeffs, ls, pa, pp, sets, cfg)
-                        for n in range(cfg.n_cu)]
-                out["sum_se_cell"] = prefactor * float(np.sum(np.log2(1.0 + np.array(etas))))
+                etas = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+                out["sum_se_cell"] = prefactor * float(np.sum(np.log2(1.0 + etas)))
             if want_d2d:
-                etas = [instantaneous_sinr_d2d(k, est, coeffs, ls, pa, pp, sets, cfg)
-                        for k in range(cfg.n_d2d)]
-                out["sum_se_d2d"] = prefactor * float(np.sum(np.log2(1.0 + np.array(etas))))
+                etas = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+                out["sum_se_d2d"] = prefactor * float(np.sum(np.log2(1.0 + etas)))
             return out
         except DegenerateSpanError:
             continue
@@ -304,18 +303,18 @@ def run_experiment(spec, workers=1):
     seeds = [trial_seed(root, t) for t in range(spec.trials)]
 
     rows = []
-    for value in spec.sweep_values:
-        cfg_v = apply_sweep(spec.config, spec.sweep_variable, value)
-        tasks = [(cfg_v.to_dict(), kind, tuple(metrics), s) for s in seeds]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for value in spec.sweep_values:
+            cfg_v = apply_sweep(spec.config, spec.sweep_variable, value)
+            tasks = [(cfg_v.to_dict(), kind, tuple(metrics), s) for s in seeds]
+            if pool is not None:
                 results = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-        else:
-            results = [_run_one(t) for t in tasks]
-        for metric in metrics:
-            vals = [r[metric] for r in results if metric in r]
-            mean, ci = _aggregate(vals)
-            rows.append(ResultRow(sweep=value, metric=metric, mean=mean, ci95=ci, trials=len(vals)))
+            else:
+                results = [_run_one(t) for t in tasks]
+            for metric in metrics:
+                vals = [r[metric] for r in results if metric in r]
+                mean, ci = _aggregate(vals)
+                rows.append(ResultRow(sweep=value, metric=metric, mean=mean, ci95=ci, trials=len(vals)))
 
     manifest = {
         "experiment": spec.experiment,

@@ -43,8 +43,13 @@ def oracle_dpcc_linear_solve(seed=0):
     return ok, f"max relative error {worst:.2e} over 100 random instances (bound 1e-06)"
 
 
+def _leakage(beta, cancelled):
+    """Largest |beta^H c| / |c| over the columns c of cancelled."""
+    return max((abs(beta.conj() @ c) / np.linalg.norm(c) for c in cancelled.T), default=0.0)
+
+
 def oracle_pzf_zeros(seed=0):
-    """Filter zeros on cancelled estimates, vs explicit Gram-Schmidt."""
+    """Filter zeros on cancelled estimates, BS side and every D2D-Rx."""
     worst = 0.0
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
@@ -52,15 +57,16 @@ def oracle_pzf_zeros(seed=0):
         real = draw_fast_fading(cfg)
         obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
         est = mmse_estimate(obs, ls, pa, pp, cfg)
+        beta_cu = pzf_filter(est, sets, pa, "cu")
+        bs_groups = np.isin(pa.pilot_of, sets.bs_cancel_groups)
         for n in range(cfg.n_cu):
-            beta = pzf_filter(est, sets, pa, ("cu", n))
-            for a in sets.bs_cancel_cu[n]:
-                h = est.h_c[:, a]
-                worst = max(worst, abs(beta.conj() @ h) / np.linalg.norm(h))
-            for t in sets.bs_cancel_groups:
-                for i in pa.members(t):
-                    h = est.h_d[:, i]
-                    worst = max(worst, abs(beta.conj() @ h) / np.linalg.norm(h))
+            worst = max(worst, _leakage(beta_cu[n], est.h_c[:, sets.bs_cancel_cu[n]]),
+                        _leakage(beta_cu[n], est.h_d[:, bs_groups]))
+        beta_d2d = pzf_filter(est, sets, pa, "d2d")
+        for k in range(cfg.n_d2d):
+            rx_groups = np.isin(pa.pilot_of, sets.rx_cancel_groups[k])
+            worst = max(worst, _leakage(beta_d2d[k], est.g_c[k][:, sets.rx_cancel_cu[k]]),
+                        _leakage(beta_d2d[k], est.g_d[k][:, rx_groups]))
     ok = worst <= 1e-10
     return ok, f"max relative cancelled-estimate leakage {worst:.2e} (bound 1e-10)"
 
@@ -122,9 +128,8 @@ def _synthetic_rc(phi_d, psi_d, sigma_d, varphi_d, zeta):
     sigma_d = np.asarray(sigma_d, dtype=float)
     return RateCoeffs(
         phi_c=np.array([zeta + n0]), varphi_c=np.zeros((1, 1)),
-        varphi_d=np.asarray(varphi_d, dtype=float), sigma_c=n0,
+        varphi_d=np.asarray(varphi_d, dtype=float),
         phi_d=np.asarray(phi_d, dtype=float), psi_d=np.asarray(psi_d, dtype=float),
-        sigma_d=sigma_d,
         cu_to_rx_weight=(sigma_d - n0)[None, :],
         noise_power=n0,
     )

@@ -14,8 +14,8 @@ from itertools import product
 
 import numpy as np
 
-from .channel import PilotAssignment, PowerProfile, estimation_coeffs
-from .scenario import substream
+from .channel import PilotAssignment
+from .scenario import substream, RANDOM_PILOTS
 
 
 class InstanceTooLargeError(ValueError):
@@ -45,15 +45,13 @@ def sum_mse(pa, coeffs, m_antennas):
     return float(m_antennas * np.sum(np.diag(coeffs.eps_dd)))
 
 
-def _direct_link_mse_total(pilot_of, p_p, v_d, n0, m_antennas):
-    """sum_mse evaluated directly from an assignment vector (fast path)."""
-    k = pilot_of.size
-    total = 0.0
-    for i in range(k):
-        mem = pilot_of == pilot_of[i]
-        den = float(p_p[mem] @ v_d[mem, i]) + n0
-        total += 1.0 - p_p[i] * v_d[i, i] / den
-    return m_antennas * total
+def _direct_link_mse_total(pa, p_p, v_d, n0, m_antennas):
+    """sum_mse evaluated directly from an assignment (fast path: one
+    product with the reuse matrix, as exhaustive_search calls it for
+    every assignment)."""
+    group_rx = (pa.to_matrix() * p_p) @ v_d       # pilot-group power at every Rx
+    own_group = group_rx[pa.pilot_of - pa.n_cu - 1, np.arange(pa.n_d2d)]
+    return float(m_antennas * np.sum(1.0 - p_p * np.diag(v_d) / (own_group + n0)))
 
 
 def sum_mse_objective(ls, config, p_p=None):
@@ -66,8 +64,7 @@ def sum_mse_objective(ls, config, p_p=None):
     p_p = np.asarray(p_p, dtype=float)
 
     def objective(pa):
-        return _direct_link_mse_total(pa.pilot_of, p_p, ls.v_d, config.noise_power,
-                                      config.d2drx_antennas)
+        return _direct_link_mse_total(pa, p_p, ls.v_d, config.noise_power, config.d2drx_antennas)
 
     return objective
 
@@ -80,18 +77,19 @@ def psa(ls, config):
     least (an empty pilot scores zero).  Ties break to the lowest index.
     """
     k = config.n_d2d
-    pilots = np.arange(config.n_cu + 1, config.pilot_len + 1)
     chi = interference_metric(ls)
     involvement = chi.sum(axis=0)
 
     pilot_of = np.zeros(k, dtype=int)
     assigned = np.zeros(k, dtype=bool)
+    # group_chi[t, j]: summed interference of pilot t's current assignees with pair j
+    group_chi = np.zeros((config.pilot_len - config.n_cu, k))
     for _ in range(k):
         cand = np.flatnonzero(~assigned)
         kk = cand[np.argmax(involvement[cand])]   # argmax keeps first (lowest) on ties
-        scores = np.array([chi[pilot_of == t, kk].sum() for t in pilots])
-        tt = pilots[np.argmin(scores)]
-        pilot_of[kk] = tt
+        t = np.argmin(group_chi[:, kk])            # argmin keeps the lowest pilot on ties
+        group_chi[t] += chi[kk]
+        pilot_of[kk] = config.n_cu + 1 + t
         assigned[kk] = True
     return PilotAssignment(pilot_of=pilot_of, n_cu=config.n_cu, pilot_len=config.pilot_len)
 
@@ -99,7 +97,7 @@ def psa(ls, config):
 def random_assignment(config, rng=None):
     """Uniform i.i.d. pilot choice per pair."""
     if rng is None:
-        rng = substream(config.rng_seed, 5)
+        rng = substream(config.rng_seed, RANDOM_PILOTS)
     pilot_of = rng.integers(config.n_cu + 1, config.pilot_len + 1, size=config.n_d2d)
     return PilotAssignment(pilot_of=pilot_of, n_cu=config.n_cu, pilot_len=config.pilot_len)
 
@@ -185,16 +183,3 @@ def pilot_power_parametric(pa, ls, config, max_iter=500):
     raise NonConvergenceError(f"parametric pilot-power solver did not converge in {max_iter} iterations",
                               float(np.max(np.abs(u - xi * vv))))
 
-
-def scheduling_coeffs(ls, pa, config, p_p=None):
-    """Estimation coefficients under a given assignment at max pilot power."""
-    if p_p is None:
-        pp = PowerProfile.max_power(config)
-    else:
-        pp = PowerProfile(
-            q_p=np.full(config.n_cu, config.pilot_len * config.max_power_cu),
-            p_p=p_p,
-            q_s=np.full(config.n_cu, config.max_power_cu),
-            p_s=np.full(config.n_d2d, config.max_power_d2d),
-        )
-    return estimation_coeffs(ls, pa, pp, config.noise_power)

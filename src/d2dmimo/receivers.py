@@ -7,17 +7,22 @@ collinear, so each cancelled pilot group costs exactly one degree of
 freedom regardless of its size; cancellation sets therefore track pilot
 groups, not individual pairs, on the D2D side.
 
-Two rate evaluations are provided: instantaneous post-filter SINRs from a
-concrete channel/estimate draw (Monte Carlo path) and closed-form ergodic
-lower bounds from the estimation-quality coefficients (analytic path).
-The package-level tests verify that Monte Carlo mean rates dominate the
-closed-form bounds.
+Every function works on all links of one kind at once: pzf_filter builds
+the filters of every CU (at the BS) or every pair (at its receiver) with
+one batched QR, and cell_sinr_terms / d2d_sinr_terms return per-link
+arrays.  Two rate evaluations are provided: instantaneous post-filter
+SINRs from a concrete channel/estimate draw (Monte Carlo path) and
+closed-form ergodic lower bounds from the estimation-quality coefficients
+(analytic path).  The package-level tests verify that Monte Carlo mean
+rates dominate the closed-form bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .channel import group_powers
 
 
 class FeasibilityError(ValueError):
@@ -37,6 +42,7 @@ class CancellationSets:
     cancelled at the BS (b_d pilot indices).  rx_cancel_cu[k] and
     rx_cancel_groups[k] are the per-receiver analogues (m_c CUs, m_d
     foreign pilot groups; a receiver never cancels its own group).
+    The kept-masks are indexed [target, source].
     """
 
     bs_cancel_cu: np.ndarray        # (N, b_c) int
@@ -44,23 +50,28 @@ class CancellationSets:
     rx_cancel_cu: np.ndarray        # (K, m_c) int
     rx_cancel_groups: np.ndarray    # (K, m_d) pilot indices
 
-    def bs_kept_cu(self, n, n_cu):
-        """Boolean mask of CUs left uncancelled when detecting CU n (self kept)."""
-        kept = np.ones(n_cu, dtype=bool)
-        kept[self.bs_cancel_cu[n]] = False
-        return kept
+    def bs_kept_cu(self, n_cu):
+        """(N, N) mask: row n marks the CUs left uncancelled when detecting CU n (self kept)."""
+        return _kept(self.bs_cancel_cu, n_cu)
 
     def bs_kept_pairs(self, pa):
         """Boolean mask over pairs whose pilot group survives at the BS."""
         return ~np.isin(pa.pilot_of, self.bs_cancel_groups)
 
-    def rx_kept_cu(self, k, n_cu):
-        kept = np.ones(n_cu, dtype=bool)
-        kept[self.rx_cancel_cu[k]] = False
-        return kept
+    def rx_kept_cu(self, n_cu):
+        """(K, N) mask: row k marks the CUs left uncancelled at D2D-Rx k."""
+        return _kept(self.rx_cancel_cu, n_cu)
 
-    def rx_kept_pairs(self, k, pa):
-        return ~np.isin(pa.pilot_of, self.rx_cancel_groups[k])
+    def rx_kept_pairs(self, pa):
+        """(K, K) mask: row k marks the pairs whose pilot group survives at D2D-Rx k."""
+        return ~np.any(pa.pilot_of[None, :, None] == self.rx_cancel_groups[:, None, :], axis=2)
+
+
+def _kept(cancel, size):
+    """Complement of the per-row index lists in cancel, as a (rows, size) mask."""
+    kept = np.ones((cancel.shape[0], size), dtype=bool)
+    np.put_along_axis(kept, cancel, False, axis=1)
+    return kept
 
 
 @dataclass
@@ -69,19 +80,15 @@ class RateCoeffs:
 
     varphi_c[a, n] weights CU a's data power in CU n's denominator;
     psi_d[i, k] weights pair i's data power in pair k's denominator.
-    sigma_c / sigma_d are the cross-service-plus-noise terms evaluated at
-    the power profile passed to rate_coeffs; they can be refreshed for new
-    data powers via sigma_c_of / sigma_d_of since varphi_d and
-    cu_to_rx_weight capture the structure.
+    The cross-service-plus-noise terms follow from varphi_d and
+    cu_to_rx_weight for any data powers via sigma_c_of / sigma_d_of.
     """
 
     phi_c: np.ndarray            # (N,)
     varphi_c: np.ndarray         # (N, N)
     varphi_d: np.ndarray         # (K,)
-    sigma_c: float
     phi_d: np.ndarray            # (K,)
     psi_d: np.ndarray            # (K, K)
-    sigma_d: np.ndarray          # (K,)
     cu_to_rx_weight: np.ndarray  # (N, K)
     noise_power: float
 
@@ -96,11 +103,11 @@ def sigma_d_of(rc, q_s):
     return np.asarray(q_s) @ rc.cu_to_rx_weight + rc.noise_power
 
 
-def _strongest(values, count, exclude=()):
-    """Indices of the `count` largest values, ties broken by lowest index."""
-    order = np.argsort(-np.asarray(values, dtype=float), kind="stable")
-    order = order[~np.isin(order, exclude)]
-    return np.sort(order[:count])
+def _strongest(values, count):
+    """Per column, row indices of the `count` largest values in ascending
+    order, ties broken by lowest index; -inf entries are never picked."""
+    order = np.argsort(-values, axis=0, kind="stable")
+    return np.sort(order[:count], axis=0)
 
 
 def select_cancellation(ls, pa, config):
@@ -128,21 +135,18 @@ def select_cancellation(ls, pa, config):
     if m_c + m_d > config.d2drx_antennas - 1:
         raise FeasibilityError(f"m_c+m_d must be <= M-1 (got {m_c + m_d} > {config.d2drx_antennas - 1})")
 
-    pilots = pa.d2d_pilots()
-    group_gain_bs = np.array([ls.u_d[pa.members(t)].sum() for t in pilots])
+    # column a ranks the other CUs for CU a; a CU never cancels itself
+    gain_cu = np.repeat(ls.u_c[:, None], n, axis=1)
+    np.fill_diagonal(gain_cu, -np.inf)
+    bs_cancel_cu = _strongest(gain_cu, b_c).T
+    rx_cancel_cu = _strongest(ls.v_c, m_c).T
 
-    bs_cancel_cu = np.empty((n, b_c), dtype=int)
-    for a in range(n):
-        bs_cancel_cu[a] = _strongest(ls.u_c, b_c, exclude=[a])
-    bs_cancel_groups = pilots[_strongest(group_gain_bs, b_d)]
-
-    rx_cancel_cu = np.empty((k, m_c), dtype=int)
-    rx_cancel_groups = np.empty((k, m_d), dtype=int)
-    for r in range(k):
-        rx_cancel_cu[r] = _strongest(ls.v_c[:, r], m_c)
-        own = np.flatnonzero(pilots == pa.pilot_of[r])
-        group_gain_rx = np.array([ls.v_d[pa.members(t), r].sum() for t in pilots])
-        rx_cancel_groups[r] = pilots[_strongest(group_gain_rx, m_d, exclude=own)]
+    # summed member gains of every pilot group, at the BS and (column r) at
+    # Rx r, where a receiver's own group is excluded
+    gain_bs, gain_rx = group_powers(ls, pa, np.ones(k))
+    gain_rx[pa.pilot_of - n - 1, np.arange(k)] = -np.inf
+    bs_cancel_groups = n + 1 + _strongest(gain_bs, b_d)
+    rx_cancel_groups = n + 1 + _strongest(gain_rx, m_d).T
 
     return CancellationSets(
         bs_cancel_cu=bs_cancel_cu,
@@ -152,105 +156,111 @@ def select_cancellation(ls, pa, config):
     )
 
 
-def _project_out(target, cancelled):
-    """Unit-norm projection of target onto the complement of span(cancelled)."""
-    resid = target.astype(complex)
-    cols = [c for c in cancelled if np.linalg.norm(c) > 0.0]
-    if cols:
-        q, _ = np.linalg.qr(np.column_stack(cols))
-        resid = resid - q @ (q.conj().T @ resid)
-    norm = np.linalg.norm(resid)
-    if norm < 1e-12 * max(1.0, np.linalg.norm(target)):
+def _project_out(targets, cancelled):
+    """Unit-norm projections of targets (L, D) onto the complements of
+    span(cancelled[l]), cancelled (L, D, C).  Zero columns span nothing:
+    they go behind the others for the batched QR and their Q columns,
+    arbitrary directions orthogonal to the rest, are zeroed."""
+    nonzero = cancelled.any(axis=1)
+    if not nonzero.all():
+        order = np.argsort(~nonzero, axis=1, kind="stable")
+        cancelled = np.take_along_axis(cancelled, order[:, None, :], axis=2)
+        nonzero = np.take_along_axis(nonzero, order, axis=1)
+    q = np.linalg.qr(cancelled)[0] * nonzero[:, None, :]
+    coords = targets[:, None, :] @ q.conj()                 # (L, 1, C)
+    resid = targets - (q @ coords.transpose(0, 2, 1))[:, :, 0]
+    norm = np.linalg.norm(resid, axis=1)
+    if np.any(norm < 1e-12 * np.maximum(1.0, np.linalg.norm(targets, axis=1))):
         raise DegenerateSpanError("target estimate is inside the cancelled span")
-    return resid / norm
+    return resid / norm[:, None]
 
 
-def _group_representatives(est_matrix, pa, groups):
-    """One estimate column per nonempty cancelled pilot group (lowest index)."""
-    reps = []
-    for t in groups:
-        mem = pa.members(t)
-        if mem.size:
-            reps.append(est_matrix[:, mem[0]])
-    return reps
+def pzf_filter(est, sets, pa, kind):
+    """Unit-norm PZF receive filters of every link of one kind, one row per link.
 
-
-def pzf_filter(est, sets, pa, target):
-    """Unit-norm PZF receive filter for `target`.
-
-    target is ("cu", n) for BS-side detection of CU n, or ("d2d", k) for
-    detection of pair k at its own receiver.  The filter has exact zeros
-    (up to rounding) on every cancelled estimate; cancelled same-pilot
-    estimates are zeroed through their shared direction.
+    kind "cu" gives the (N, B) BS-side filters, row n detecting CU n;
+    kind "d2d" gives the (K, M) filters, row k detecting pair k at its own
+    receiver.  Each filter has exact zeros (up to rounding) on every
+    cancelled estimate.  A cancelled pilot group is represented by its
+    lowest-index member's estimate, which zeroes the whole (collinear)
+    group; an empty cancelled group spans nothing.  Raises
+    DegenerateSpanError if any target lies in its cancelled span.
     """
-    kind, idx = target
+    n = pa.n_cu
     if kind == "cu":
-        cancelled = [est.h_c[:, a] for a in sets.bs_cancel_cu[idx]]
-        cancelled += _group_representatives(est.h_d, pa, sets.bs_cancel_groups)
-        return _project_out(est.h_c[:, idx], cancelled)
-    if kind == "d2d":
-        cancelled = [est.g_c[idx][:, a] for a in sets.rx_cancel_cu[idx]]
-        cancelled += _group_representatives(est.g_d[idx], pa, sets.rx_cancel_groups[idx])
-        return _project_out(est.g_d[idx][:, idx], cancelled)
-    raise ValueError(f"unknown target kind {kind!r}")
+        # estimate columns [CUs | pairs], shared by every target
+        columns = np.concatenate([est.h_c, est.h_d], axis=1)
+        columns = np.broadcast_to(columns, (n,) + columns.shape)
+        targets, cancel_cu = est.h_c.T, sets.bs_cancel_cu
+        groups = np.broadcast_to(sets.bs_cancel_groups, (n, sets.bs_cancel_groups.size))
+    elif kind == "d2d":
+        columns = np.concatenate([est.g_c, est.g_d], axis=2)
+        targets, cancel_cu = np.diagonal(est.g_d, axis1=0, axis2=2).T, sets.rx_cancel_cu
+        groups = sets.rx_cancel_groups
+    else:
+        raise ValueError(f"unknown target kind {kind!r}")
+    o = pa.to_matrix().astype(bool)
+    first, nonempty = o.argmax(axis=1), o.any(axis=1)
+    groups = groups - n - 1
+    picked = np.concatenate([cancel_cu, n + first[groups]], axis=1)
+    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool), nonempty[groups]], axis=1)
+    cancelled = columns[np.arange(len(targets))[:, None], :, picked] * spans[:, :, None]
+    return _project_out(targets, cancelled.transpose(0, 2, 1))
 
 
 @dataclass
 class SinrTerms:
-    signal: float
-    interf_cell: float
-    interf_d2d: float
-    error_noise: float
+    """Per-link post-filter breakdown; every field is an array over links."""
+
+    signal: np.ndarray
+    interf_cell: np.ndarray
+    interf_d2d: np.ndarray
+    error_noise: np.ndarray
 
     @property
     def sinr(self):
         return self.signal / (self.interf_cell + self.interf_d2d + self.error_noise)
 
 
-def cell_sinr_terms(n, est, coeffs, ls, pa, pp, sets, config):
-    """Post-filter signal/interference breakdown for cellular link n."""
-    beta = pzf_filter(est, sets, pa, ("cu", n))
-    proj_c = np.abs(beta.conj() @ est.h_c) ** 2
+def cell_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
+    """Post-filter signal/interference breakdown of every cellular link."""
+    beta = pzf_filter(est, sets, pa, "cu")
+    proj_c = np.abs(beta.conj() @ est.h_c) ** 2      # [target, source]
     proj_d = np.abs(beta.conj() @ est.h_d) ** 2
 
-    kept_cu = sets.bs_kept_cu(n, config.n_cu)
-    kept_cu[n] = False
+    kept_cu = sets.bs_kept_cu(config.n_cu)
+    np.fill_diagonal(kept_cu, False)
     kept_d = sets.bs_kept_pairs(pa)
 
-    signal = pp.q_s[n] * ls.u_c[n] * proj_c[n]
-    i_cc = float(np.sum(pp.q_s[kept_cu] * ls.u_c[kept_cu] * proj_c[kept_cu]))
-    i_dc = float(np.sum(pp.p_s[kept_d] * ls.u_d[kept_d] * proj_d[kept_d]))
+    w_c = pp.q_s * ls.u_c
+    signal = w_c * np.diagonal(proj_c)
+    i_cc = np.sum(np.where(kept_cu, w_c * proj_c, 0.0), axis=1)
+    i_dc = np.sum(np.where(kept_d, pp.p_s * ls.u_d * proj_d, 0.0), axis=1)
     alpha = float(np.sum(pp.q_s * ls.u_c * coeffs.eps_c)
                   + np.sum(pp.p_s * ls.u_d * coeffs.eps_d)
                   + config.noise_power)
-    return SinrTerms(signal=signal, interf_cell=i_cc, interf_d2d=i_dc, error_noise=alpha)
+    return SinrTerms(signal=signal, interf_cell=i_cc, interf_d2d=i_dc,
+                     error_noise=np.full(config.n_cu, alpha))
 
 
-def d2d_sinr_terms(k, est, coeffs, ls, pa, pp, sets, config):
-    """Post-filter breakdown for D2D link k; same-pilot interference stays."""
-    beta = pzf_filter(est, sets, pa, ("d2d", k))
-    proj_d = np.abs(beta.conj() @ est.g_d[k]) ** 2
-    proj_c = np.abs(beta.conj() @ est.g_c[k]) ** 2
+def d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
+    """Post-filter breakdown of every D2D link; same-pilot interference stays."""
+    beta = pzf_filter(est, sets, pa, "d2d")
+    proj_d = np.abs(np.einsum("km,kmi->ki", beta.conj(), est.g_d)) ** 2   # [rx, tx]
+    proj_c = np.abs(np.einsum("km,kma->ka", beta.conj(), est.g_c)) ** 2
 
-    kept_d = sets.rx_kept_pairs(k, pa)
-    kept_d[k] = False
-    kept_cu = sets.rx_kept_cu(k, config.n_cu)
+    kept_d = sets.rx_kept_pairs(pa)
+    np.fill_diagonal(kept_d, False)
+    kept_cu = sets.rx_kept_cu(config.n_cu)
 
-    signal = pp.p_s[k] * ls.v_d[k, k] * proj_d[k]
-    i_dd = float(np.sum(pp.p_s[kept_d] * ls.v_d[kept_d, k] * proj_d[kept_d]))
-    i_cd = float(np.sum(pp.q_s[kept_cu] * ls.v_c[kept_cu, k] * proj_c[kept_cu]))
-    alpha = float(np.sum(pp.p_s * ls.v_d[:, k] * coeffs.eps_dd[:, k])
-                  + np.sum(pp.q_s * ls.v_c[:, k] * coeffs.eps_cd[:, k])
-                  + config.noise_power)
+    w_d = (pp.p_s[:, None] * ls.v_d).T                 # [rx, tx]
+    signal = np.diagonal(w_d) * np.diagonal(proj_d)
+    i_dd = np.sum(np.where(kept_d, w_d * proj_d, 0.0), axis=1)
+    i_cd = np.sum(np.where(kept_cu, (pp.q_s[:, None] * ls.v_c).T * proj_c, 0.0), axis=1)
+    alpha = (np.sum(pp.p_s[:, None] * ls.v_d * coeffs.eps_dd, axis=0)
+             + np.sum(pp.q_s[:, None] * ls.v_c * coeffs.eps_cd, axis=0)
+             + config.noise_power)
     return SinrTerms(signal=signal, interf_cell=i_cd, interf_d2d=i_dd, error_noise=alpha)
-
-
-def instantaneous_sinr_cell(n, est, coeffs, ls, pa, pp, sets, config):
-    return cell_sinr_terms(n, est, coeffs, ls, pa, pp, sets, config).sinr
-
-
-def instantaneous_sinr_d2d(k, est, coeffs, ls, pa, pp, sets, config):
-    return d2d_sinr_terms(k, est, coeffs, ls, pa, pp, sets, config).sinr
 
 
 def rate_coeffs(ls, pa, coeffs, sets, pp, config):
@@ -259,7 +269,7 @@ def rate_coeffs(ls, pa, coeffs, sets, pp, config):
     Requires strictly positive array-gain factors, i.e. B > b_c+b_d+1 and
     M > m_c+m_d+1.
     """
-    n, k = ls.u_c.size, ls.u_d.size
+    k = ls.u_d.size
     b_c, b_d = config.pzf_bs
     m_c, m_d = config.pzf_d2d
     dof_bs = config.bs_antennas - b_c - b_d - 1
@@ -271,41 +281,28 @@ def rate_coeffs(ls, pa, coeffs, sets, pp, config):
 
     phi_c = dof_bs * ls.u_c * coeffs.delta_c
 
-    varphi_c = np.empty((n, n))
-    for col in range(n):
-        w = ls.u_c.copy()
-        attenuated = ~sets.bs_kept_cu(col, n)   # cancelled CUs
-        attenuated[col] = True                  # self term carries only the error
-        w[attenuated] = ls.u_c[attenuated] * coeffs.eps_c[attenuated]
-        varphi_c[:, col] = w
+    # cancelled CUs and the self term carry only the estimation error
+    attenuated = ~sets.bs_kept_cu(ls.u_c.size).T | np.eye(ls.u_c.size, dtype=bool)
+    varphi_c = np.where(attenuated, (ls.u_c * coeffs.eps_c)[:, None], ls.u_c[:, None])
 
-    kept_d = sets.bs_kept_pairs(pa)
-    varphi_d = np.where(kept_d, ls.u_d, ls.u_d * coeffs.eps_d)
-    sigma_c = float(pp.p_s @ varphi_d + config.noise_power)
+    varphi_d = np.where(sets.bs_kept_pairs(pa), ls.u_d, ls.u_d * coeffs.eps_d)
 
     phi_d = dof_rx * np.diag(ls.v_d) * np.diag(coeffs.mu_d)
 
-    psi_d = np.empty((k, k))
-    for col in range(k):
-        v = ls.v_d[:, col]
-        w = v.copy()                                       # kept foreign groups
-        cancelled = ~sets.rx_kept_pairs(col, pa)
-        w[cancelled] = v[cancelled] * coeffs.eps_dd[cancelled, col]
-        w[col] = v[col] * coeffs.eps_dd[col, col]          # self error
-        same = pa.group_of(col)
-        same = same[same != col]
-        w[same] = dof_rx * v[same] * coeffs.mu_d[same, col] + v[same] * coeffs.eps_dd[same, col]
-        psi_d[:, col] = w
+    # [i, k]: kept foreign groups in full; cancelled groups and the self
+    # term by their error; same-pilot mates also through the estimate
+    v = ls.v_d
+    own = np.eye(k, dtype=bool)
+    same = (pa.pilot_of[:, None] == pa.pilot_of[None, :]) & ~own
+    error = ~sets.rx_kept_pairs(pa).T | own
+    psi_d = np.where(same, dof_rx * v * coeffs.mu_d + v * coeffs.eps_dd,
+                     np.where(error, v * coeffs.eps_dd, v))
 
-    cu_to_rx = np.empty((n, k))
-    for col in range(k):
-        kept = sets.rx_kept_cu(col, n)
-        cu_to_rx[:, col] = np.where(kept, ls.v_c[:, col], ls.v_c[:, col] * coeffs.eps_cd[:, col])
-    sigma_d = pp.q_s @ cu_to_rx + config.noise_power
+    cu_to_rx = np.where(sets.rx_kept_cu(ls.u_c.size).T, ls.v_c, ls.v_c * coeffs.eps_cd)
 
     return RateCoeffs(
-        phi_c=phi_c, varphi_c=varphi_c, varphi_d=varphi_d, sigma_c=sigma_c,
-        phi_d=phi_d, psi_d=psi_d, sigma_d=sigma_d,
+        phi_c=phi_c, varphi_c=varphi_c, varphi_d=varphi_d,
+        phi_d=phi_d, psi_d=psi_d,
         cu_to_rx_weight=cu_to_rx, noise_power=config.noise_power,
     )
 

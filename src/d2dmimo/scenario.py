@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, field, replace
 import numpy as np
 
 # substream purposes
-TOPOLOGY, SHADOWING, FADING, NOISE, TRIAL = 0, 1, 2, 3, 4
+TOPOLOGY, SHADOWING, FADING, NOISE, TRIAL, RANDOM_PILOTS = 0, 1, 2, 3, 4, 5
 
 
 def db_to_lin(db):

@@ -13,8 +13,8 @@ from d2dmimo.scenario import SystemConfig, generate_topology, compute_large_scal
 from d2dmimo.channel import (PilotAssignment, PowerProfile, draw_fast_fading,
                              estimation_coeffs, simulate_pilot_phase, mmse_estimate)
 from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
-                               rate_lower_bounds, pzf_filter,
-                               instantaneous_sinr_cell, instantaneous_sinr_d2d)
+                               rate_lower_bounds, pzf_filter, cell_sinr_terms,
+                               d2d_sinr_terms)
 from d2dmimo.pilot_scheduling import (psa, random_assignment, exhaustive_search,
                                       sum_mse_objective, pilot_power_parametric)
 from d2dmimo.power_control import (cellular_fixed_point, dpcc_iterate, dpcd, jdpc,
@@ -65,12 +65,10 @@ def test_criterion_1_bound_validity():
             real = draw_fast_fading(cfg, rng_f)
             obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_z)
             est = mmse_estimate(obs, ls, pa, pp, cfg)
-            for a in range(n):
-                eta = instantaneous_sinr_cell(a, est, coeffs, ls, pa, pp, sets, cfg)
-                rates_c[t, a] = prefactor * np.log2(1 + eta)
-            for d in range(k):
-                eta = instantaneous_sinr_d2d(d, est, coeffs, ls, pa, pp, sets, cfg)
-                rates_d[t, d] = prefactor * np.log2(1 + eta)
+            eta = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            rates_c[t] = prefactor * np.log2(1 + eta)
+            eta = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            rates_d[t] = prefactor * np.log2(1 + eta)
         for mc, lb in ((rates_c, r_c_lb), (rates_d, r_d_lb)):
             mean = mc.mean(axis=0)
             se = mc.std(axis=0, ddof=1) / np.sqrt(trials)
@@ -111,9 +109,9 @@ def test_criterion_2_mmse_statistics():
         obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_z)
         est = mmse_estimate(obs, ls, pa, pp, cfg)
         var_acc += np.mean(np.abs(est.h_c) ** 2, axis=0)
+        beta = pzf_filter(est, sets, pa, "cu")
         for n in range(3):
-            beta = pzf_filter(est, sets, pa, ("cu", n))
-            inv_s[n] += 1.0 / (pp.q_s[n] * ls.u_c[n] * abs(beta.conj() @ est.h_c[:, n]) ** 2)
+            inv_s[n] += 1.0 / (pp.q_s[n] * ls.u_c[n] * abs(beta[n].conj() @ est.h_c[:, n]) ** 2)
     var_err = np.max(np.abs(var_acc / draws - coeffs.delta_c) / coeffs.delta_c)
     dof = cfg.bs_antennas - sum(cfg.pzf_bs) - 1
     closed = 1.0 / (pp.q_s * ls.u_c * dof * coeffs.delta_c)
@@ -219,8 +217,7 @@ def test_criterion_5_d2d_power_quality():
         varphi_d = rng.uniform(0.05, 0.6, 2)
         zeta = float(rng.uniform(0.25, 1.1) * varphi_d.sum())
         rc = RateCoeffs(phi_c=np.array([zeta + n0]), varphi_c=np.zeros((1, 1)),
-                        varphi_d=varphi_d, sigma_c=n0, phi_d=phi_d, psi_d=psi,
-                        sigma_d=np.ones(1) @ cu_w + n0, cu_to_rx_weight=cu_w,
+                        varphi_d=varphi_d, phi_d=phi_d, psi_d=psi, cu_to_rx_weight=cu_w,
                         noise_power=n0)
         q_s = np.array([1.0])
         assert abs(cellular_power_budget(rc, q_s, 1.0) - zeta) < 1e-12

@@ -35,10 +35,8 @@ def synthetic_rc(phi_c, varphi_c, varphi_d, phi_d, psi_d, cu_to_rx, n0=1e-2):
     varphi_d = np.asarray(varphi_d, dtype=float)
     return RateCoeffs(
         phi_c=phi_c, varphi_c=np.asarray(varphi_c, dtype=float),
-        varphi_d=varphi_d, sigma_c=n0,
+        varphi_d=varphi_d,
         phi_d=np.asarray(phi_d, dtype=float), psi_d=np.asarray(psi_d, dtype=float),
-        sigma_d=np.asarray(cu_to_rx, dtype=float).T @ np.ones(phi_c.size) + n0
-        if np.size(cu_to_rx) else np.zeros(0),
         cu_to_rx_weight=np.asarray(cu_to_rx, dtype=float), noise_power=n0,
     )
 
@@ -150,8 +148,7 @@ class TestDpcd:
             n0 = 1e-2
             zeta_target = budget_scale * float(varphi_d.sum())
             rc = RateCoeffs(phi_c=np.array([zeta_target + n0]), varphi_c=np.zeros((1, 1)),
-                            varphi_d=varphi_d, sigma_c=n0, phi_d=phi_d, psi_d=psi,
-                            sigma_d=np.ones(1) @ cu_to_rx + n0,
+                            varphi_d=varphi_d, phi_d=phi_d, psi_d=psi,
                             cu_to_rx_weight=cu_to_rx, noise_power=n0)
             q_s = np.array([1.0])
             res = dpcd(rc, q_s, gamma=1.0, p_max=1.0, tol_wmmse=1e-9, bisect_rtol=1e-9)
@@ -188,9 +185,9 @@ class TestJdpc:
     def test_no_pairs_reduces_to_single_dpcc(self):
         rc = RateCoeffs(phi_c=np.array([5.0, 4.0]),
                         varphi_c=np.array([[0.1, 0.2], [0.3, 0.1]]),
-                        varphi_d=np.zeros(0), sigma_c=1.0,
+                        varphi_d=np.zeros(0),
                         phi_d=np.zeros(0), psi_d=np.zeros((0, 0)),
-                        sigma_d=np.zeros(0), cu_to_rx_weight=np.zeros((2, 0)),
+                        cu_to_rx_weight=np.zeros((2, 0)),
                         noise_power=1.0)
         res = jdpc(rc, gamma=1.5, q_max=10.0, p_max=np.zeros(0))
         assert res.feasible

@@ -5,11 +5,11 @@ from d2dmimo.scenario import SystemConfig, LargeScale, substream
 from d2dmimo.channel import (PilotAssignment, PowerProfile, EstimatedChannels,
                              EstimationCoeffs, draw_fast_fading, estimation_coeffs,
                              simulate_pilot_phase, mmse_estimate)
+from d2dmimo.pilot_scheduling import random_assignment
 from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, CancellationSets,
                                select_cancellation, pzf_filter, cell_sinr_terms,
-                               d2d_sinr_terms, instantaneous_sinr_cell,
-                               instantaneous_sinr_d2d, rate_coeffs, rate_lower_bounds,
-                               bound_sinrs)
+                               d2d_sinr_terms, rate_coeffs, rate_lower_bounds,
+                               bound_sinrs, sigma_c_of)
 
 
 def small_config(**kw):
@@ -66,11 +66,11 @@ class TestSelectCancellation:
         pa = assignment([4, 4, 5, 5, 6, 6])
         sets = select_cancellation(ls, pa, cfg)
         for n in range(3):
-            assert not np.any(sets.bs_kept_cu(n, 3) & (np.arange(3) != n))
+            assert not np.any(sets.bs_kept_cu(3)[n] & (np.arange(3) != n))
         assert not np.any(sets.bs_kept_pairs(pa))
         for k in range(6):
-            assert not np.any(sets.rx_kept_cu(k, 3))
-            kept = sets.rx_kept_pairs(k, pa)
+            assert not np.any(sets.rx_kept_cu(3)[k])
+            kept = sets.rx_kept_pairs(pa)[k]
             # only the own pilot group survives
             assert np.array_equal(np.flatnonzero(kept), pa.group_of(k))
 
@@ -125,7 +125,7 @@ class TestPzfFilter:
     def test_empty_cancellation_gives_matched_filter(self):
         cfg = small_config(pzf_bs=(0, 0), pzf_d2d=(0, 0))
         ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg)
-        beta = pzf_filter(est, sets, pa, ("cu", 0))
+        beta = pzf_filter(est, sets, pa, "cu")[0]
         h = est.h_c[:, 0]
         assert np.allclose(beta, h / np.linalg.norm(h))
 
@@ -145,14 +145,15 @@ class TestPzfFilter:
             rx_cancel_groups=np.zeros((1, 0), dtype=int),
         )
         pa = PilotAssignment(pilot_of=np.array([3]), n_cu=2, pilot_len=3)
-        beta = pzf_filter(est, sets, pa, ("cu", 0))
+        beta = pzf_filter(est, sets, pa, "cu")[0]
         assert np.allclose(beta, [0, 1, 0, 0])
 
     def test_unit_norm_and_zeros_vs_gram_schmidt(self):
         cfg = small_config(bs_antennas=8, pzf_bs=(1, 2))
         ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg, seed=8)
+        filters = pzf_filter(est, sets, pa, "cu")
         for n in range(cfg.n_cu):
-            beta = pzf_filter(est, sets, pa, ("cu", n))
+            beta = filters[n]
             assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
             cancelled = [est.h_c[:, a] for a in sets.bs_cancel_cu[n]]
             for t in sets.bs_cancel_groups:
@@ -189,7 +190,7 @@ class TestPzfFilter:
         real = draw_fast_fading(cfg)
         obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
         est = mmse_estimate(obs, ls, pa, pp, cfg)
-        beta = pzf_filter(est, sets, pa, ("cu", 0))
+        beta = pzf_filter(est, sets, pa, "cu")[0]
         # all three same-pilot estimates are zeroed through one representative
         for i in (0, 1, 2):
             h = est.h_d[:, i]
@@ -212,7 +213,129 @@ class TestPzfFilter:
         )
         pa = PilotAssignment(pilot_of=np.array([3]), n_cu=2, pilot_len=3)
         with pytest.raises(DegenerateSpanError):
-            pzf_filter(est, sets, pa, ("cu", 0))
+            pzf_filter(est, sets, pa, "cu")
+
+
+def _gs_filter(target, cancelled):
+    """Per-link reference: target minus its projection on the span of the
+    cancelled columns (modified Gram-Schmidt, twice, skipping columns
+    already in the span), normalized."""
+    basis = []
+    for c in cancelled.T:
+        w = c.astype(complex)
+        for _ in range(2):
+            for b_vec in basis:
+                w = w - (b_vec.conj() @ w) * b_vec
+        if np.linalg.norm(w) > 1e-9 * np.linalg.norm(c):
+            basis.append(w / np.linalg.norm(w))
+    r = target.astype(complex)
+    for _ in range(2):
+        for b_vec in basis:
+            r = r - (b_vec.conj() @ r) * b_vec
+    return r / np.linalg.norm(r)
+
+
+def _scalar_cell_terms(n, est, coeffs, ls, pa, pp, sets, cfg):
+    """One cellular link: reference filter and its (signal, I_cell, I_d2d, error+noise)."""
+    groups = np.isin(pa.pilot_of, sets.bs_cancel_groups)
+    beta = _gs_filter(est.h_c[:, n], np.column_stack(
+        [est.h_c[:, sets.bs_cancel_cu[n]], est.h_d[:, groups]]))
+    gain = lambda h: abs(beta.conj() @ h) ** 2
+    signal = pp.q_s[n] * ls.u_c[n] * gain(est.h_c[:, n])
+    i_cc = sum(pp.q_s[a] * ls.u_c[a] * gain(est.h_c[:, a]) for a in range(cfg.n_cu)
+               if a != n and a not in sets.bs_cancel_cu[n])
+    i_dc = sum(pp.p_s[i] * ls.u_d[i] * gain(est.h_d[:, i]) for i in range(cfg.n_d2d) if not groups[i])
+    alpha = (sum(pp.q_s * ls.u_c * coeffs.eps_c) + sum(pp.p_s * ls.u_d * coeffs.eps_d)
+             + cfg.noise_power)
+    return beta, (signal, i_cc, i_dc, alpha)
+
+
+def _scalar_d2d_terms(k, est, coeffs, ls, pa, pp, sets, cfg):
+    """One D2D link: reference filter and its (signal, I_cell, I_d2d, error+noise)."""
+    groups = np.isin(pa.pilot_of, sets.rx_cancel_groups[k])
+    beta = _gs_filter(est.g_d[k, :, k], np.column_stack(
+        [est.g_c[k][:, sets.rx_cancel_cu[k]], est.g_d[k][:, groups]]))
+    gain = lambda g: abs(beta.conj() @ g) ** 2
+    signal = pp.p_s[k] * ls.v_d[k, k] * gain(est.g_d[k, :, k])
+    i_cd = sum(pp.q_s[a] * ls.v_c[a, k] * gain(est.g_c[k, :, a]) for a in range(cfg.n_cu)
+               if a not in sets.rx_cancel_cu[k])
+    i_dd = sum(pp.p_s[i] * ls.v_d[i, k] * gain(est.g_d[k, :, i]) for i in range(cfg.n_d2d)
+               if i != k and not groups[i])
+    alpha = (sum(pp.p_s * ls.v_d[:, k] * coeffs.eps_dd[:, k])
+             + sum(pp.q_s * ls.v_c[:, k] * coeffs.eps_cd[:, k]) + cfg.noise_power)
+    return beta, (signal, i_cd, i_dd, alpha)
+
+
+def _edge_case(name):
+    """A pipeline draw whose cancelled columns include empty sets, empty
+    pilot groups or exact zeros, some of them ahead of nonzero columns."""
+    if name == "empty cancel sets":
+        cfg = small_config(pzf_bs=(0, 0), pzf_d2d=(0, 0))
+        pa = assignment([4, 4, 5, 5, 6, 6])
+    elif name == "empty cancelled groups":
+        cfg = small_config(n_d2d=5, pilot_len=8, d2drx_antennas=8, pzf_bs=(1, 5), pzf_d2d=(2, 4))
+        pa = random_assignment(cfg, substream(1, 0))
+        empty = np.setdiff1d(pa.d2d_pilots(), pa.pilot_of)
+        assert np.any(empty < cfg.pilot_len)   # an empty group ahead of a nonempty one
+    elif name == "single pair":
+        cfg = small_config(n_d2d=1, pilot_len=4, pzf_bs=(2, 1), pzf_d2d=(2, 0))
+        pa = assignment([4], pilot_len=4)
+    else:   # "zero estimate columns"
+        cfg = small_config(pzf_bs=(1, 2), pzf_d2d=(2, 1))
+        pa = assignment([4, 4, 5, 5, 6, 6])
+    rng = np.random.default_rng(31)
+    ls = make_ls(rng, cfg.n_cu, cfg.n_d2d)
+    pp = PowerProfile(q_p=rng.uniform(0.5, 2, cfg.n_cu), p_p=rng.uniform(0.5, 2, cfg.n_d2d),
+                      q_s=rng.uniform(0.2, 1, cfg.n_cu), p_s=rng.uniform(0.2, 1, cfg.n_d2d))
+    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+    sets = select_cancellation(ls, pa, cfg)
+    obs = simulate_pilot_phase(draw_fast_fading(cfg), ls, pa, pp, cfg)
+    est = mmse_estimate(obs, ls, pa, pp, cfg)
+    if name == "zero estimate columns":
+        # the first cancelled BS group and the first cancelled CU at Rx 0
+        est.h_d[:, pa.pilot_of == sets.bs_cancel_groups[0]] = 0.0
+        est.g_c[:, :, sets.rx_cancel_cu[0, 0]] = 0.0
+    return cfg, ls, pa, pp, coeffs, sets, est
+
+
+EDGE_CASES = ["empty cancel sets", "empty cancelled groups", "single pair", "zero estimate columns"]
+
+
+class TestBatchedPzfEdgeCases:
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_matches_per_link_gram_schmidt(self, name):
+        cfg, ls, pa, pp, coeffs, sets, est = _edge_case(name)
+        args = (est, coeffs, ls, pa, pp, sets, cfg)
+        beta_cu = pzf_filter(est, sets, pa, "cu")
+        beta_d2d = pzf_filter(est, sets, pa, "d2d")
+        cell, d2d = cell_sinr_terms(*args), d2d_sinr_terms(*args)
+        for n in range(cfg.n_cu):
+            ref_beta, ref_terms = _scalar_cell_terms(n, *args)
+            assert np.allclose(beta_cu[n], ref_beta, rtol=0.0, atol=1e-12)
+            got = (cell.signal[n], cell.interf_cell[n], cell.interf_d2d[n], cell.error_noise[n])
+            np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
+        for k in range(cfg.n_d2d):
+            ref_beta, ref_terms = _scalar_d2d_terms(k, *args)
+            assert np.allclose(beta_d2d[k], ref_beta, rtol=0.0, atol=1e-12)
+            got = (d2d.signal[k], d2d.interf_cell[k], d2d.interf_d2d[k], d2d.error_noise[k])
+            np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    @pytest.mark.parametrize("kind", ["cu", "d2d"])
+    def test_one_degenerate_target_raises(self, name, kind):
+        cfg, ls, pa, pp, coeffs, sets, est = _edge_case(name)
+        # move the last link's target into its cancelled span (a zero
+        # target when nothing is cancelled); every other link stays regular
+        if kind == "cu":
+            n = cfg.n_cu - 1
+            cancelled = est.h_c[:, sets.bs_cancel_cu[n]].sum(axis=1)
+            est.h_c[:, n] = 2.0 * cancelled
+        else:
+            k = cfg.n_d2d - 1
+            cancelled = est.g_c[k][:, sets.rx_cancel_cu[k]].sum(axis=1)
+            est.g_d[k, :, k] = 2.0 * cancelled
+        with pytest.raises(DegenerateSpanError):
+            pzf_filter(est, sets, pa, kind)
 
 
 class TestInstantaneousSinr:
@@ -236,17 +359,17 @@ class TestInstantaneousSinr:
         pa = PilotAssignment(pilot_of=np.array([2]), n_cu=1, pilot_len=2)
         pp = PowerProfile(q_p=np.ones(1), p_p=np.ones(1), q_s=np.array([0.9]), p_s=np.zeros(1))
         sets = select_cancellation(ls, pa, cfg)
-        eta = instantaneous_sinr_cell(0, est, coeffs, ls, pa, pp, sets, cfg)
+        eta = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr[0]
         expected = 0.9 * 1.7 * np.linalg.norm(h) ** 2 / 0.3
         assert eta == pytest.approx(expected, rel=1e-12)
 
     def test_fully_zf_removes_cochannel_interference(self):
         cfg = small_config(pzf_bs=(2, 3), pzf_d2d=(1, 1))
         ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg, seed=11)
+        terms = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
         for n in range(cfg.n_cu):
-            terms = cell_sinr_terms(n, est, coeffs, ls, pa, pp, sets, cfg)
-            assert terms.interf_cell <= 1e-20 * terms.signal
-            assert terms.interf_d2d <= 1e-20 * terms.signal
+            assert terms.interf_cell[n] <= 1e-20 * terms.signal[n]
+            assert terms.interf_d2d[n] <= 1e-20 * terms.signal[n]
 
     def test_single_d2d_link_closed_form(self):
         cfg = small_config(n_cu=1, n_d2d=1, pilot_len=2, pzf_bs=(0, 0),
@@ -268,7 +391,7 @@ class TestInstantaneousSinr:
         pa = PilotAssignment(pilot_of=np.array([2]), n_cu=1, pilot_len=2)
         pp = PowerProfile(q_p=np.ones(1), p_p=np.ones(1), q_s=np.zeros(1), p_s=np.array([0.5]))
         sets = select_cancellation(ls, pa, cfg)
-        eta = instantaneous_sinr_d2d(0, est, coeffs, ls, pa, pp, sets, cfg)
+        eta = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr[0]
         alpha = 0.5 * 2.0 * (1 - mu) + cfg.noise_power
         expected = 0.5 * 2.0 * np.linalg.norm(g) ** 2 / alpha
         assert eta == pytest.approx(expected, rel=1e-12)
@@ -278,13 +401,13 @@ class TestInstantaneousSinr:
         ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg, seed=13)
         k = 0
         mates = [i for i in pa.group_of(k) if i != k]
-        terms = d2d_sinr_terms(k, est, coeffs, ls, pa, pp, sets, cfg)
-        beta = pzf_filter(est, sets, pa, ("d2d", k))
+        terms = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
+        beta = pzf_filter(est, sets, pa, "d2d")[k]
         contaminated = sum(pp.p_s[i] * ls.v_d[i, k] * abs(beta.conj() @ est.g_d[k][:, i]) ** 2
                            for i in mates)
         expected_ratio = sum(pp.p_s[i] * ls.v_d[i, k] * coeffs.mu_d[i, k] for i in mates) / (
             pp.p_s[k] * ls.v_d[k, k] * coeffs.mu_d[k, k])
-        assert contaminated / terms.signal == pytest.approx(expected_ratio, rel=1e-10)
+        assert contaminated / terms.signal[k] == pytest.approx(expected_ratio, rel=1e-10)
 
 
 class TestRateCoeffs:
@@ -315,7 +438,7 @@ class TestRateCoeffs:
                 assert rc.varphi_d[i] == pytest.approx(ls.u_d[i] * coeffs.eps_d[i], rel=1e-14)
             else:
                 assert rc.varphi_d[i] == pytest.approx(ls.u_d[i], rel=1e-14)
-        assert rc.sigma_c == pytest.approx(float(pp.p_s @ rc.varphi_d) + n0, rel=1e-14)
+        assert sigma_c_of(rc, pp.p_s) == pytest.approx(float(pp.p_s @ rc.varphi_d) + n0, rel=1e-14)
         dof = cfg.d2drx_antennas - m_c - m_d - 1
         for k in range(6):
             assert rc.phi_d[k] == pytest.approx(dof * ls.v_d[k, k] * coeffs.mu_d[k, k], rel=1e-14)
@@ -362,7 +485,7 @@ class TestRateCoeffs:
         rc = rate_coeffs(ls, pa, perfect, sets, pp, cfg)
         assert np.allclose(rc.varphi_c, 0.0)
         assert np.allclose(rc.varphi_d, 0.0)
-        assert rc.sigma_c == pytest.approx(cfg.noise_power)
+        assert sigma_c_of(rc, pp.p_s) == pytest.approx(cfg.noise_power)
 
     def test_insufficient_antennas_rejected(self):
         cfg = small_config()
@@ -443,12 +566,10 @@ class TestRateLowerBounds:
             real = draw_fast_fading(cfg, rng_f)
             obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_n)
             est = mmse_estimate(obs, ls, pa, pp, cfg)
-            for n in range(3):
-                eta = instantaneous_sinr_cell(n, est, coeffs, ls, pa, pp, sets, cfg)
-                rates_c[d, n] = prefactor * np.log2(1 + eta)
-            for k in range(6):
-                eta = instantaneous_sinr_d2d(k, est, coeffs, ls, pa, pp, sets, cfg)
-                rates_d[d, k] = prefactor * np.log2(1 + eta)
+            eta = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            rates_c[d] = prefactor * np.log2(1 + eta)
+            eta = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            rates_d[d] = prefactor * np.log2(1 + eta)
         se_c = rates_c.std(axis=0) / np.sqrt(draws)
         se_d = rates_d.std(axis=0) / np.sqrt(draws)
         assert np.all(rates_c.mean(axis=0) >= r_c_lb - 2.576 * se_c)
