@@ -259,11 +259,17 @@ def _trial_mse(cfg, metrics):
     return {m: out[m] for m in metrics}
 
 
-def _trial_jdpc(cfg, metrics):
-    _, ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfg)
+def _solve_jdpc(cfg):
+    """Rate coefficients of one draw, the pre-log factor and the joint power control."""
+    rc = _scenario_pipeline(cfg)[-1]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
     res = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
+    return rc, prefactor, res
+
+
+def _trial_jdpc(cfg, metrics):
+    rc, prefactor, res = _solve_jdpc(cfg)
     if not res.feasible:
         return {"infeasible_fraction": 1.0}
     out = {"infeasible_fraction": 0.0, "iterations": float(res.outer_iterations)}
@@ -362,12 +368,12 @@ def convergence_traces(cfg, max_draws=50):
     chosen = 0
     for t in range(max_draws):
         cfg_t = SystemConfig.from_dict({**cfg.to_dict(), "rng_seed": trial_seed(root, t)})
-        probe = _trial_jdpc(cfg_t, ("infeasible_fraction",))
-        if probe["infeasible_fraction"] == 0.0:
+        rc, prefactor, joint = _solve_jdpc(cfg_t)
+        if joint.feasible:
             cfg, chosen = cfg_t, t
             break
-    _, ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfg)
-    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
+    else:   # no feasible trial: trace the root draw itself
+        rc, prefactor, joint = _solve_jdpc(cfg)
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     cell = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power, record_trace=True)
     cell_trace = [
@@ -379,8 +385,6 @@ def convergence_traces(cfg, max_draws=50):
                tol_wmmse=cfg.tol_wmmse, bisect_rtol=cfg.tol_power)
     d2d_trace = [{"iteration": i + 1, "objective": prefactor * obj, "residual": None}
                  for i, obj in enumerate(d2d.objective_trace)]
-    joint = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                 tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
     joint_trace = [{"iteration": i + 1, "objective": obj, "residual": None}
                    for i, obj in enumerate(joint.trace)]
     return {"cellular": cell_trace, "d2d": d2d_trace, "joint": joint_trace,

@@ -149,37 +149,28 @@ def pilot_power_parametric(pa, ls, config, max_iter=500):
     p_max = config.pilot_len * config.max_power_d2d
     tol = config.tol_power
 
-    groups = [pa.group_of(i) for i in range(k)]
+    o = pa.to_matrix()
+    v_same = (o.T @ o) * v          # v[i, j] where pairs i and j share a pilot, else 0
     own = np.diag(v)
 
     def ratios(p):
-        u = p * own
-        vv = np.array([float(p[groups[i]] @ v[groups[i], i]) + n0 for i in range(k)])
-        return u, vv
+        return p * own, p @ v_same + n0
 
     p = np.full(k, p_max)
-    xi = np.zeros(k)
-    kappa = np.zeros(k)
+    u, vv = ratios(p)
+    xi = kappa = np.zeros(k)
     for it in range(1, max_iter + 1):
-        u, vv = ratios(p)
         xi_new, kappa_new = u / vv, 1.0 / vv
         # xi is unitless; kappa is a scale parameter, so measure it relatively
         change = max(float(np.max(np.abs(xi_new - xi))),
                      float(np.max(np.abs(kappa_new - kappa) / kappa_new)))
         xi, kappa = xi_new, kappa_new
         # linear-program step: positive reduced profit -> full power
-        gain = np.array([kappa[i] * own[i] - float(kappa[groups[i]] * xi[groups[i]] @ v[i, groups[i]])
-                         for i in range(k)])
+        gain = kappa * own - v_same @ (kappa * xi)
         p = np.where(gain >= 0.0, p_max, 0.0)
+        u, vv = ratios(p)
         if it > 1 and change < tol:
-            u, vv = ratios(p)
-            return ParametricPowerResult(
-                p_p=p, xi=xi, kappa=kappa,
-                bang_bang_flags=(p == 0.0),
-                iterations=it,
-                residual=float(np.max(np.abs(u - xi * vv))),
-            )
-    u, vv = ratios(p)
+            return ParametricPowerResult(p_p=p, xi=xi, kappa=kappa, bang_bang_flags=(p == 0.0),
+                                         iterations=it, residual=float(np.max(np.abs(u - xi * vv))))
     raise NonConvergenceError(f"parametric pilot-power solver did not converge in {max_iter} iterations",
                               float(np.max(np.abs(u - xi * vv))))
-

@@ -111,11 +111,6 @@ class DpcdResult:
     multiplier: float                # final lambda
 
 
-def _d2d_sum_rate(rc, p_sq, sigma_d):
-    interf = p_sq @ rc.psi_d + sigma_d
-    return float(np.sum(np.log2(1.0 + p_sq * rc.phi_d / interf)))
-
-
 def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_000,
          p_init=None):
     """Weighted-MMSE D2D power control for fixed cellular powers.
@@ -126,6 +121,9 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     violate the budget: the multiplier bisection keeps the feasible side.
     Starts from full power unless p_init warm-starts it (the surrogate is
     monotone from any start).
+
+    The loop computes the multiplier-independent terms once per iteration
+    and reuses the objective's products as the next iteration's denominators.
     """
     k = rc.phi_d.size
     p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
@@ -137,52 +135,62 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     f_cap = np.sqrt(p_max)
 
     f = f_cap.copy() if p_init is None else np.sqrt(np.asarray(p_init, dtype=float))
-    w = np.ones(k)
+    p = f * f
+    total = p * rc.phi_d + p @ rc.psi_d + sigma_d
+    log_w = np.zeros(k)
     trace = []
 
-    def f_update(lam, w, nu):
-        num = w * nu * sqrt_phi
-        denom = w * nu ** 2 * rc.phi_d + rc.psi_d @ (w * nu ** 2) + lam * rc.varphi_d
-        # a silent pair (nu = 0) stays silent; avoids 0/0 on degenerate starts
-        return np.where(num > 0.0, np.minimum(f_cap, num / np.maximum(denom, 1e-300)), 0.0)
+    def f_update(denom):
+        """Clipped sqrt powers at this iteration's num, their powers and budget use."""
+        f_new = np.minimum(f_cap, num / np.maximum(denom, 1e-300))
+        if not all_live:   # a silent pair (nu = 0) stays silent
+            f_new = np.where(live, f_new, 0.0)
+        p_new = f_new * f_new
+        return f_new, p_new, float(p_new @ rc.varphi_d)
 
-    def budget_used(f_vec):
-        return float(f_vec ** 2 @ rc.varphi_d)
-
-    it = 0
     for it in range(1, max_iter + 1):
-        w_old = w
-        total = f ** 2 * rc.phi_d + (f ** 2) @ rc.psi_d + sigma_d
         nu = f * sqrt_phi / total
         w = 1.0 / (1.0 - nu * f * sqrt_phi)
+        w_nu2 = w * nu ** 2
+        num = w * nu * sqrt_phi
+        base = w_nu2 * rc.phi_d + rc.psi_d @ w_nu2
+        live = num > 0.0
+        all_live = bool(live.all())
 
         lam = 0.0
-        if budget_used(f_update(0.0, w, nu)) > zeta:
+        f, p, used = f_update(base)
+        if used > zeta:
+            # f, p and used always belong to the current upper end hi
             hi = 1.0
             for _ in range(60):
-                if budget_used(f_update(hi, w, nu)) <= zeta:
+                f, p, used = f_update(base + hi * rc.varphi_d)
+                if used <= zeta:
                     break
                 hi *= 2.0
             else:
                 raise BracketError("could not bracket the budget multiplier after 60 doublings")
             lo = 0.0
             for _ in range(200):
-                if zeta - budget_used(f_update(hi, w, nu)) <= bisect_rtol * zeta + 1e-15:
+                if zeta - used <= bisect_rtol * zeta + 1e-15:
                     break
                 mid = 0.5 * (lo + hi)
-                if budget_used(f_update(mid, w, nu)) > zeta:
+                f_mid, p_mid, used_mid = f_update(base + mid * rc.varphi_d)
+                if used_mid > zeta:
                     lo = mid
                 else:
-                    hi = mid
+                    hi, f, p, used = mid, f_mid, p_mid, used_mid
             lam = hi
-        f = f_update(lam, w, nu)
-        trace.append(_d2d_sum_rate(rc, f ** 2, sigma_d))
-        if float(np.sum(np.abs(np.log(w) - np.log(w_old)))) <= tol_wmmse:
+        rx = p * rc.phi_d
+        cross = p @ rc.psi_d
+        trace.append(float(np.sum(np.log2(1.0 + rx / (cross + sigma_d)))))
+        total = rx + cross + sigma_d
+        log_w_old, log_w = log_w, np.log(w)
+        if float(np.sum(np.abs(log_w - log_w_old))) <= tol_wmmse:
             break
     else:
         raise RuntimeError(f"dpcd did not converge in {max_iter} iterations")
 
-    return DpcdResult(p_s=f ** 2, objective_trace=trace, iterations=it,
+    return DpcdResult(p_s=p, objective_trace=trace, iterations=it,
                       budget=zeta, multiplier=lam)
 
 

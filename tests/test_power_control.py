@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2dmimo.scenario import SystemConfig, generate_topology, compute_large_scale
+from d2dmimo.scenario import SystemConfig, generate_topology, compute_large_scale, trial_seed
 from d2dmimo.channel import PowerProfile, estimation_coeffs
 from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
-                               bound_sinrs, sigma_c_of)
+                               bound_sinrs, sigma_c_of, sigma_d_of)
 from d2dmimo.pilot_scheduling import psa
 from d2dmimo.power_control import (CellularFixedPoint, cellular_fixed_point,
                                    cellular_power_budget, dpcc, dpcc_iterate, dpcd,
-                                   jdpc, InfeasibleBudgetError)
+                                   jdpc, InfeasibleBudgetError, BracketError)
+from d2dmimo.harness import _scenario_pipeline
 
 
 def small_config(**kw):
@@ -179,6 +180,128 @@ class TestDpcd:
         rc = synthetic_rc([1.0], [[0.0]], [0.5], [2.0], [[0.05]], [[0.02]], n0=1e-2)
         with pytest.raises(InfeasibleBudgetError, match="zeta"):
             dpcd(rc, q_s=np.array([1e-6]), gamma=50.0, p_max=4.0)
+
+
+def _d2d_sum_rate(rc, p_sq, sigma_d):
+    interf = p_sq @ rc.psi_d + sigma_d
+    return float(np.sum(np.log2(1.0 + p_sq * rc.phi_d / interf)))
+
+
+def reference_dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_000,
+                   p_init=None):
+    """The WMMSE loop as first written: every bisection step re-evaluates
+    the whole update.  dpcd must reproduce it bit for bit."""
+    k = rc.phi_d.size
+    p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
+    zeta = cellular_power_budget(rc, q_s, gamma)
+    if zeta < 0.0:
+        raise InfeasibleBudgetError(f"cellular QoS leaves no D2D budget (zeta = {zeta:.3e})")
+    sigma_d = sigma_d_of(rc, q_s)
+    sqrt_phi = np.sqrt(rc.phi_d)
+    f_cap = np.sqrt(p_max)
+
+    f = f_cap.copy() if p_init is None else np.sqrt(np.asarray(p_init, dtype=float))
+    w = np.ones(k)
+    trace = []
+
+    def f_update(lam, w, nu):
+        num = w * nu * sqrt_phi
+        denom = w * nu ** 2 * rc.phi_d + rc.psi_d @ (w * nu ** 2) + lam * rc.varphi_d
+        # a silent pair (nu = 0) stays silent; avoids 0/0 on degenerate starts
+        return np.where(num > 0.0, np.minimum(f_cap, num / np.maximum(denom, 1e-300)), 0.0)
+
+    def budget_used(f_vec):
+        return float(f_vec ** 2 @ rc.varphi_d)
+
+    it = 0
+    for it in range(1, max_iter + 1):
+        w_old = w
+        total = f ** 2 * rc.phi_d + (f ** 2) @ rc.psi_d + sigma_d
+        nu = f * sqrt_phi / total
+        w = 1.0 / (1.0 - nu * f * sqrt_phi)
+
+        lam = 0.0
+        if budget_used(f_update(0.0, w, nu)) > zeta:
+            hi = 1.0
+            for _ in range(60):
+                if budget_used(f_update(hi, w, nu)) <= zeta:
+                    break
+                hi *= 2.0
+            else:
+                raise BracketError("could not bracket the budget multiplier after 60 doublings")
+            lo = 0.0
+            for _ in range(200):
+                if zeta - budget_used(f_update(hi, w, nu)) <= bisect_rtol * zeta + 1e-15:
+                    break
+                mid = 0.5 * (lo + hi)
+                if budget_used(f_update(mid, w, nu)) > zeta:
+                    lo = mid
+                else:
+                    hi = mid
+            lam = hi
+        f = f_update(lam, w, nu)
+        trace.append(_d2d_sum_rate(rc, f ** 2, sigma_d))
+        if float(np.sum(np.abs(np.log(w) - np.log(w_old)))) <= tol_wmmse:
+            break
+    else:
+        raise RuntimeError(f"dpcd did not converge in {max_iter} iterations")
+
+    return f ** 2, trace, it, lam
+
+
+def _fig7_instance(n_d2d, gamma, trial):
+    """Rate coefficients of one fig7 trial and its first-round cellular powers.
+
+    Where some CU's power stays capped (QoS infeasible at full D2D power),
+    the budget left for the D2D pairs is tight and the multiplier binds."""
+    cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=trial_seed(777, trial))
+    rc = _scenario_pipeline(cfg)[-1]
+    cell = dpcc(rc, np.full(n_d2d, cfg.max_power_d2d), gamma, cfg.max_power_cu, tol=cfg.tol_power)
+    return cfg, rc, cell.q_s
+
+
+def _dpcd_case(name):
+    """(rc, q_s, gamma, p_max, keyword arguments, expected multiplier sign)."""
+    if name == "binding budget pair":
+        rc = synthetic_rc([10.0], [[0.0]], [0.5], [2.0], [[0.05]], [[0.02]], n0=1e-2)
+        return rc, np.array([0.2]), 1.0, 4.0, dict(tol_wmmse=1e-10, bisect_rtol=1e-9), True
+    if name == "multiplier zero":
+        cfg, rc, q_s = _fig7_instance(10, 0.372, 0)
+        p_init, positive = None, False
+    elif name == "multiplier positive":
+        cfg, rc, q_s = _fig7_instance(10, 1.0, 3)
+        p_init, positive = None, True
+    else:
+        # second jdpc round: cellular powers refreshed for the first round's
+        # D2D powers, which warm-start the WMMSE; the silent pair's draw
+        # also runs the bisection
+        silent = name == "silent pair warm start"
+        cfg, rc, _ = _fig7_instance(10, 0.372, 7 if silent else 4)
+        first = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                     tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1)
+        p_init = first.p_s.copy()
+        q_s = dpcc(rc, p_init, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s
+        if silent:
+            p_init[3] = 0.0
+        positive = silent
+    kw = dict(tol_wmmse=cfg.tol_wmmse, bisect_rtol=cfg.tol_power, p_init=p_init)
+    return rc, q_s, cfg.sinr_target, cfg.max_power_d2d, kw, positive
+
+
+class TestDpcdMatchesReferenceLoop:
+    @pytest.mark.parametrize("name", ["multiplier zero", "multiplier positive", "jdpc warm start",
+                                      "silent pair warm start", "binding budget pair"])
+    def test_bit_identical(self, name):
+        rc, q_s, gamma, p_max, kw, positive = _dpcd_case(name)
+        p_ref, trace_ref, it_ref, lam_ref = reference_dpcd(rc, q_s, gamma, p_max, **kw)
+        res = dpcd(rc, q_s, gamma, p_max, **kw)
+        assert res.p_s.tobytes() == p_ref.tobytes()
+        assert res.objective_trace == trace_ref
+        assert res.iterations == it_ref
+        assert res.multiplier == lam_ref
+        assert (res.multiplier > 0.0) == positive
+        if name == "silent pair warm start":
+            assert res.p_s[3] == 0.0
 
 
 class TestJdpc:
