@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import SystemConfig, LargeScale
-from .channel import draw_fast_fading, simulate_pilot_phase, mmse_estimate
-from .receivers import RateCoeffs, pzf_filter
+from .scenario import SystemConfig, generate_topology, compute_large_scale
+from .channel import PowerProfile, estimation_coeffs
+from .receivers import select_cancellation, rate_coeffs, pzf_filter
 from .pilot_scheduling import psa, pilot_power_parametric
-from .power_control import CellularFixedPoint, dpcc_iterate, dpcd
+from .power_control import CellularFixedPoint, dpcc_iterate, dpcd, cellular_power_budget
 from .harness import _scenario_pipeline
+from .channel import draw_fast_fading, simulate_pilot_phase, mmse_estimate
 
 
 def _small_config(seed, **overrides):
@@ -75,7 +76,11 @@ def oracle_estimation_coeffs(seed=0):
     worst = 0.0
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
-        _, ls, pa, pp, cf, _, _ = _scenario_pipeline(cfg)
+        topo = generate_topology(cfg)
+        ls = compute_large_scale(topo, cfg)
+        pa = psa(ls, cfg)
+        pp = PowerProfile.max_power(cfg)
+        cf = estimation_coeffs(ls, pa, pp, cfg.noise_power)
         n0 = cfg.noise_power
         for k in range(cfg.n_d2d):
             grp = [i for i in range(cfg.n_d2d) if pa.pilot_of[i] == pa.pilot_of[k]]
@@ -118,6 +123,7 @@ def oracle_dpcd_grid(seed=0):
 def _synthetic_rc(phi_d, psi_d, sigma_d, varphi_d, zeta):
     """RateCoeffs stand-in encoding budget zeta and the given sigma_d at
     unit cellular power."""
+    from .receivers import RateCoeffs
     n0 = 1e-3
     sigma_d = np.asarray(sigma_d, dtype=float)
     return RateCoeffs(
@@ -142,6 +148,7 @@ def oracle_parametric_power(seed=0):
         cfg = _small_config(seed * 100 + s, n_d2d=4, pilot_len=5, pzf_bs=(1, 1),
                             noise_power=1.0, max_power_d2d=1.0)
         inst = np.random.default_rng(seed * 100 + s)
+        from .scenario import LargeScale
         v_d = inst.uniform(0.0, 0.05, (4, 4))
         np.fill_diagonal(v_d, inst.uniform(0.5, 2.0, 4))
         ls = LargeScale(u_c=inst.uniform(0.1, 2, 3), u_d=inst.uniform(0.1, 2, 4),

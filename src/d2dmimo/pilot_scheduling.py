@@ -158,7 +158,7 @@ def pilot_power_parametric(pa, ls, config, max_iter=500):
 
     p = np.full(k, p_max)
     u, vv = ratios(p)
-    xi = kappa = np.zeros(k)
+    xi, kappa = np.zeros(k), np.zeros(k)
     for it in range(1, max_iter + 1):
         xi_new, kappa_new = u / vv, 1.0 / vv
         # xi is unitless; kappa is a scale parameter, so measure it relatively

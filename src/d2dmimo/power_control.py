@@ -141,10 +141,8 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     trace = []
 
     def f_update(denom):
-        """Clipped sqrt powers at this iteration's num, their powers and budget use."""
+        # clipped sqrt powers, powers and budget use; a silent pair (num = 0) stays at 0
         f_new = np.minimum(f_cap, num / np.maximum(denom, 1e-300))
-        if not all_live:   # a silent pair (nu = 0) stays silent
-            f_new = np.where(live, f_new, 0.0)
         p_new = f_new * f_new
         return f_new, p_new, float(p_new @ rc.varphi_d)
 
@@ -154,8 +152,6 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
         w_nu2 = w * nu ** 2
         num = w * nu * sqrt_phi
         base = w_nu2 * rc.phi_d + rc.psi_d @ w_nu2
-        live = num > 0.0
-        all_live = bool(live.all())
 
         lam = 0.0
         f, p, used = f_update(base)

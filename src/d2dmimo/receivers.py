@@ -182,7 +182,7 @@ def pzf_filter(est, sets, pa, kind):
     kind "d2d" gives the (K, M) filters, row k detecting pair k at its own
     receiver.  Each filter has exact zeros (up to rounding) on every
     cancelled estimate.  A cancelled pilot group is represented by its
-    lowest-index member with a nonzero estimate at the receiver, which
+    lowest-index member's estimate (at the BS, the first nonzero one), which
     zeroes the whole (collinear) group; a group without one spans nothing.
     Raises DegenerateSpanError if any target lies in its cancelled span.
     """
@@ -191,22 +191,21 @@ def pzf_filter(est, sets, pa, kind):
         # estimate columns [CUs | pairs], shared by every target
         columns = np.concatenate([est.h_c, est.h_d], axis=1)
         columns = np.broadcast_to(columns, (n,) + columns.shape)
-        live = est.h_d.any(axis=0)[None].repeat(n, axis=0)
         targets, cancel_cu = est.h_c.T, sets.bs_cancel_cu
+        o = pa.to_matrix().astype(bool) & est.h_d.any(axis=0)   # pairs sending a pilot
         groups = np.broadcast_to(sets.bs_cancel_groups, (n, sets.bs_cancel_groups.size))
     elif kind == "d2d":
         columns = np.concatenate([est.g_c, est.g_d], axis=2)
-        live = est.g_d.any(axis=1)
         targets, cancel_cu = np.diagonal(est.g_d, axis1=0, axis2=2).T, sets.rx_cancel_cu
         groups = sets.rx_cancel_groups
+        o = pa.to_matrix().astype(bool)   # a silent pair's own target is zero: raises below
     else:
         raise ValueError(f"unknown target kind {kind!r}")
-    live_members = pa.to_matrix().astype(bool) & live[:, None, :]   # [target, group, pair]
-    first, nonempty = live_members.argmax(axis=2), live_members.any(axis=2)
-    rows, groups = np.arange(len(targets))[:, None], groups - n - 1
-    picked = np.concatenate([cancel_cu, n + first[rows, groups]], axis=1)
-    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool), nonempty[rows, groups]], axis=1)
-    cancelled = columns[rows, :, picked] * spans[:, :, None]
+    first, nonempty = o.argmax(axis=1), o.any(axis=1)
+    groups = groups - n - 1
+    picked = np.concatenate([cancel_cu, n + first[groups]], axis=1)
+    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool), nonempty[groups]], axis=1)
+    cancelled = columns[np.arange(len(targets))[:, None], :, picked] * spans[:, :, None]
     return _project_out(targets, cancelled.transpose(0, 2, 1))
 
 
