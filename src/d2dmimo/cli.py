@@ -2,6 +2,7 @@
 
 Subcommands:
   run <spec.json>       execute an experiment spec, write CSV + manifest
+  trace <spec.json>     write the spec config's power-control convergence traces
   validate <spec.json>  check a spec without running it
   oracle <name|all>     run a brute-force oracle suite
   list                  show experiments, metrics, and oracle names
@@ -11,11 +12,12 @@ Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from dataclasses import replace
 
-from .harness import (EXPERIMENTS, _METRICS, SpecError, load_spec,
-                      run_experiment, write_outputs)
+from .harness import EXPERIMENTS, _METRICS, SpecError, convergence_traces, load_spec, run_experiment
 
 
 def _build_parser():
@@ -30,6 +32,11 @@ def _build_parser():
     run_p.add_argument("--out", default=None, help="override the output CSV path")
     run_p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
+    trace_p = sub.add_parser("trace", help="write the convergence traces of a spec's config")
+    trace_p.add_argument("spec", help="path to the experiment spec JSON")
+    trace_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    trace_p.add_argument("--out", default=None, help="trace JSON path (default: <output stem>.trace.json)")
+
     val_p = sub.add_parser("validate", help="validate an experiment spec")
     val_p.add_argument("spec")
 
@@ -43,14 +50,31 @@ def _build_parser():
 
 def _apply_overrides(spec, args):
     if args.seed is not None:
-        spec.config = replace(spec.config, rng_seed=args.seed)
-    if args.trials is not None:
+        try:
+            spec.config = replace(spec.config, rng_seed=args.seed)
+        except ValueError as exc:
+            raise SpecError("seed", str(exc)) from exc
+    if getattr(args, "trials", None) is not None:
         if args.trials < 1:
             raise SpecError("trials", "must be an integer >= 1")
         spec.trials = args.trials
     if args.out is not None:
         spec.output = args.out
     return spec
+
+
+def _write_trace(spec, path):
+    if path is None:
+        if not spec.output:
+            raise SpecError("output", "the spec names no output path; pass --out")
+        path = os.path.splitext(spec.output)[0] + ".trace.json"
+    traces = convergence_traces(spec.config)
+    out_dir = os.path.dirname(path)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(traces, fh, indent=2)
+    print(f"wrote {path} (trial {traces['trial']}, feasible={traces['feasible']})")
 
 
 def main(argv=None):
@@ -94,11 +118,9 @@ def main(argv=None):
 
     try:
         spec = _apply_overrides(spec, args)
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        if args.command == "trace":
+            _write_trace(spec, args.out)
+            return 0
         rows, manifest = run_experiment(spec, workers=args.workers)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

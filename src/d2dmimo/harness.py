@@ -14,7 +14,7 @@ Recipes:
   fig2   D2D sum SE, Monte Carlo vs lower bound (sweep pilot_len)
   fig3   estimation sum MSE per scheduler (sweep pilot_len)
   fig45  power-control convergence statistics
-  fig6..fig9, custom   full pipeline with joint power control
+  fig6..fig9   full pipeline with joint power control
 
 CSV schema: sweep,metric,mean,ci95,trials (one file per experiment),
 plus a deterministic manifest JSON alongside.
@@ -64,7 +64,6 @@ EXPERIMENTS = {
     "fig7": ("jdpc", ["sum_se_d2d", "infeasible_fraction"]),
     "fig8": ("jdpc", ["sum_se_d2d", "infeasible_fraction"]),
     "fig9": ("jdpc", ["sum_se_d2d", "infeasible_fraction"]),
-    "custom": ("jdpc", ["sum_se_cell", "sum_se_d2d", "infeasible_fraction"]),
 }
 
 _ES_GUARD = 250_000   # enumeration budget for the fig3 exhaustive baseline
@@ -155,6 +154,9 @@ def validate_spec(spec):
                                       f"known: {', '.join(sorted(EXPERIMENTS))}")
     if spec.sweep_variable not in SystemConfig.__dataclass_fields__:
         raise SpecError("sweep.variable", f"{spec.sweep_variable!r} is not a SystemConfig field")
+    if spec.sweep_variable == "rng_seed":
+        raise SpecError("sweep.variable", "rng_seed cannot be swept: every trial draws its own "
+                                          "seed from the config's root seed")
     if not spec.sweep_values:
         raise SpecError("sweep.values", "must be a nonempty list")
     if not isinstance(spec.trials, int) or spec.trials < 1:
@@ -363,17 +365,17 @@ def convergence_traces(cfg, max_draws=50):
     convergence figures): inner fixed-point and WMMSE passes of the first
     outer round, plus the outer-loop trace.  Draws trial substreams of
     cfg.rng_seed until a QoS-feasible instance appears (deterministic:
-    the first feasible trial index wins)."""
-    root = cfg.rng_seed
-    chosen = 0
+    the first feasible trial index wins; with none, trial 0 is traced)."""
+    first = None
     for t in range(max_draws):
-        cfg_t = SystemConfig.from_dict({**cfg.to_dict(), "rng_seed": trial_seed(root, t)})
-        rc, prefactor, joint = _solve_jdpc(cfg_t)
-        if joint.feasible:
-            cfg, chosen = cfg_t, t
+        cfg_t = SystemConfig.from_dict({**cfg.to_dict(), "rng_seed": trial_seed(cfg.rng_seed, t)})
+        probe = (t, cfg_t, *_solve_jdpc(cfg_t))
+        first = first or probe
+        if probe[-1].feasible:
             break
-    else:   # no feasible trial: trace the root draw itself
-        rc, prefactor, joint = _solve_jdpc(cfg)
+    else:
+        probe = first
+    chosen, cfg, rc, prefactor, joint = probe
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     cell = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power, record_trace=True)
     cell_trace = [

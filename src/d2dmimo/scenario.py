@@ -108,6 +108,9 @@ class SystemConfig:
                 raise ValueError(f"{name} must be strictly positive")
         if self.tol_power <= 0 or self.tol_wmmse <= 0:
             raise ValueError("tol_power and tol_wmmse must be strictly positive")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer (got {seed!r})")
 
     def to_dict(self):
         d = asdict(self)

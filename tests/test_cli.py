@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from d2dmimo.cli import main
+from d2dmimo.harness import EXPERIMENTS, convergence_traces
 from d2dmimo.scenario import SystemConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -35,8 +36,11 @@ def spec_file(tmp_path):
 
 
 def test_validate_shipped_specs():
-    for name in ("fig1", "fig2", "fig3", "fig45", "fig7"):
-        assert main(["validate", str(REPO_ROOT / "specs" / f"{name}.json")]) == 0
+    paths = sorted((REPO_ROOT / "specs").glob("*.json"))
+    for path in paths:
+        assert main(["validate", str(path)]) == 0
+        assert json.loads(path.read_text())["experiment"] == path.stem
+    assert set(EXPERIMENTS) == {path.stem for path in paths}
 
 
 def test_validate_good_spec(spec_file, capsys):
@@ -78,6 +82,40 @@ def test_unknown_sweep_variable_exits_1(spec_file, capsys):
     assert "sweep.variable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,seed,extra", [
+    ("validate", -3, []), ("run", -3, []),
+    ("validate", 1.5, []), ("run", 1.5, []),
+    ("run", 5, ["--seed", "-1"]),
+])
+def test_bad_seed_exits_1(spec_file, capsys, command, seed, extra):
+    doc = small_spec_doc()
+    doc["config"]["rng_seed"] = seed
+    assert main([command, spec_file(doc), *extra]) == 1
+    assert "rng_seed" in capsys.readouterr().err
+
+
+def test_seed_sweep_exits_1(spec_file, capsys):
+    doc = small_spec_doc(sweep={"variable": "rng_seed", "values": [1, 2]})
+    assert main(["validate", spec_file(doc)]) == 1
+    assert "sweep.variable" in capsys.readouterr().err
+
+
+def test_trace_writes_convergence_traces(spec_file, tmp_path):
+    doc = small_spec_doc(output=str(tmp_path / "res" / "small.csv"))
+    assert main(["trace", spec_file(doc), "--seed", "4"]) == 0
+    cfg = SystemConfig.from_dict({**doc["config"], "rng_seed": 4})
+    written = (tmp_path / "res" / "small.trace.json").read_text()
+    assert written == json.dumps(convergence_traces(cfg), indent=2)
+    assert main(["trace", spec_file(doc), "--seed", "4", "--out", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "t.json").read_text() == written
+
+
+def test_trace_bad_spec_exits_1(spec_file, tmp_path):
+    assert main(["trace", str(tmp_path / "missing.json")]) == 1
+    assert main(["trace", spec_file(small_spec_doc(trials=0))]) == 1
+    assert main(["trace", spec_file(small_spec_doc())]) == 1   # no output path, no --out
+
+
 def test_malformed_json_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -112,5 +150,5 @@ def test_oracle_unknown_name(capsys):
 def test_list_shows_experiments_and_oracles(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for token in ("fig1", "fig45", "custom", "dpcc-linear-solve", "sum_mse"):
+    for token in ("fig1", "fig45", "fig9", "dpcc-linear-solve", "sum_mse"):
         assert token in out

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from d2dmimo.scenario import SystemConfig
+from d2dmimo.scenario import SystemConfig, trial_seed
+from d2dmimo.power_control import dpcc, dpcd
 from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, run_experiment,
-                             spec_from_dict, validate_spec, convergence_traces)
+                             spec_from_dict, validate_spec, convergence_traces, _solve_jdpc)
 
 
 def desk_config(**kw):
@@ -167,3 +168,15 @@ def test_convergence_traces_exportable(tmp_path):
     path = tmp_path / "traces.json"
     path.write_text(json.dumps(traces))
     assert json.loads(path.read_text())["feasible"] is True
+
+
+def test_convergence_traces_fallback_traces_trial_0():
+    cfg = desk_config(sinr_target=50.0)   # no QoS-feasible draw
+    traces = convergence_traces(cfg, max_draws=2)
+    assert not traces["feasible"] and traces["trial"] == 0
+    rc, prefactor, joint = _solve_jdpc(desk_config(sinr_target=50.0, rng_seed=trial_seed(cfg.rng_seed, 0)))
+    assert [t["objective"] for t in traces["joint"]] == joint.trace
+    p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
+    q = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s
+    d2d = dpcd(rc, q, cfg.sinr_target, cfg.max_power_d2d, tol_wmmse=cfg.tol_wmmse, bisect_rtol=cfg.tol_power)
+    assert [t["objective"] for t in traces["d2d"]] == [prefactor * obj for obj in d2d.objective_trace]

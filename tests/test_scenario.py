@@ -113,10 +113,17 @@ def test_all_gains_positive_and_finite():
     ("pzf_d2d", (2, 2), "m_c+m_d"),
     ("noise_power", 0.0, "noise_power"),
     ("sinr_target", -1.0, "sinr_target"),
+    ("rng_seed", -3, "rng_seed"),
+    ("rng_seed", 1.5, "rng_seed"),
+    ("rng_seed", True, "rng_seed"),
 ])
 def test_config_invariants_rejected(field, value, fragment):
     with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
         small_config(**{field: value})
+
+
+def test_largest_trial_seed_is_a_valid_root_seed():
+    assert small_config(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
 
 
 @given(n=st.integers(1, 6), k=st.integers(1, 8), extra=st.integers(1, 8))
