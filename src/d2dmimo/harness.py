@@ -36,8 +36,9 @@ from .scenario import SystemConfig, generate_topology, compute_large_scale, subs
 from .channel import PowerProfile, estimation_coeffs, draw_fast_fading, simulate_pilot_phase, mmse_estimate
 from .receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
-from .pilot_scheduling import psa, random_assignment, exhaustive_search, sum_mse_objective
-from .power_control import jdpc, dpcc, dpcd
+from .pilot_scheduling import (SEARCH_GUARD, psa, random_assignment, exhaustive_search,
+                               search_space, sum_mse_objective)
+from .power_control import SolverError, jdpc_stack, dpcc, dpcd
 
 
 class SpecError(ValueError):
@@ -84,11 +85,14 @@ class ExperimentSpec:
             return list(self.metrics)
         kind, defaults = EXPERIMENTS[self.experiment]
         metrics = list(defaults)
-        if self.experiment == "fig3":
-            k = self.config.n_d2d
-            if all((v - self.config.n_cu) ** k <= _ES_GUARD for v in self.sweep_values):
-                metrics.insert(1, "sum_mse_es")
+        if self.experiment == "fig3" and max(self.search_spaces()) <= _ES_GUARD:
+            metrics.insert(1, "sum_mse_es")
         return metrics
+
+    def search_spaces(self):
+        """Exhaustive-search assignment count at each sweep point."""
+        return [search_space(apply_sweep(self.config, self.sweep_variable, v))
+                for v in self.sweep_values]
 
     def to_dict(self):
         return {
@@ -161,17 +165,21 @@ def validate_spec(spec):
         raise SpecError("sweep.values", "must be a nonempty list")
     if not isinstance(spec.trials, int) or spec.trials < 1:
         raise SpecError("trials", "must be an integer >= 1")
-    kind, _ = EXPERIMENTS[spec.experiment]
-    allowed = set(_METRICS[kind])
-    for m in spec.resolved_metrics():
-        if m not in allowed:
-            raise SpecError("metrics", f"{m!r} is not produced by {spec.experiment!r} "
-                                       f"(allowed: {', '.join(sorted(allowed))})")
     for v in spec.sweep_values:
         try:
             apply_sweep(spec.config, spec.sweep_variable, v)
         except (TypeError, ValueError) as exc:
             raise SpecError("sweep.values", f"value {v!r}: {exc}") from exc
+    kind, _ = EXPERIMENTS[spec.experiment]
+    allowed = set(_METRICS[kind])
+    metrics = spec.resolved_metrics()
+    for m in metrics:
+        if m not in allowed:
+            raise SpecError("metrics", f"{m!r} is not produced by {spec.experiment!r} "
+                                       f"(allowed: {', '.join(sorted(allowed))})")
+    if "sum_mse_es" in metrics and max(spec.search_spaces()) > SEARCH_GUARD:
+        raise SpecError("metrics", f"sum_mse_es enumerates {max(spec.search_spaces())} pilot "
+                                   f"assignments at some sweep point, above the guard {SEARCH_GUARD}")
     return spec
 
 
@@ -261,17 +269,7 @@ def _trial_mse(cfg, metrics):
     return {m: out[m] for m in metrics}
 
 
-def _solve_jdpc(cfg):
-    """Rate coefficients of one draw, the pre-log factor and the joint power control."""
-    rc = _scenario_pipeline(cfg)[-1]
-    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    res = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-               tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
-    return rc, prefactor, res
-
-
-def _trial_jdpc(cfg, metrics):
-    rc, prefactor, res = _solve_jdpc(cfg)
+def _jdpc_metrics(rc, prefactor, res, metrics):
     if not res.feasible:
         return {"infeasible_fraction": 1.0}
     out = {"infeasible_fraction": 0.0, "iterations": float(res.outer_iterations)}
@@ -281,13 +279,45 @@ def _trial_jdpc(cfg, metrics):
     return {m: out[m] for m in metrics if m in out}
 
 
-_TRIALS = {"bounds_mc": _trial_bounds_mc, "mse": _trial_mse, "jdpc": _trial_jdpc}
+def _solve_jdpc(cfgs):
+    """Rate coefficients of each draw, the pre-log factor, and the joint power
+    control of all draws in lockstep (one sweep point: same sizes and targets).
+    A failing solver raises a SolverError naming its rows."""
+    rcs = [_scenario_pipeline(cfg)[-1] for cfg in cfgs]
+    cfg = cfgs[0]
+    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
+    solved = jdpc_stack(rcs, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                        tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
+    return rcs, prefactor, solved
 
 
-def _run_one(task):
-    cfg_dict, kind, metrics, tseed = task
-    cfg = SystemConfig.from_dict({**cfg_dict, "rng_seed": tseed})
-    return _TRIALS[kind](cfg, metrics)
+_TRIALS = {"bounds_mc": _trial_bounds_mc, "mse": _trial_mse}
+
+
+def _run_chunk(task):
+    """Results of a contiguous run of trials at one sweep point, in trial order.
+    A runtime failure is re-raised naming the sweep value, trial index and
+    trial seed, so the draw can be re-run."""
+    cfg_dict, kind, metrics, first, seeds, point = task
+    cfgs = [SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds]
+
+    def failed(rows, message):
+        where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in rows)
+        return RuntimeError(f"{point}, {where}: {message}")
+
+    if kind == "jdpc":
+        try:
+            rcs, prefactor, solved = _solve_jdpc(cfgs)
+        except SolverError as exc:
+            raise failed(exc.rows, exc.args[0]) from exc
+        return [_jdpc_metrics(rc, prefactor, res, metrics) for rc, res in zip(rcs, solved)]
+    results = []
+    for r, cfg in enumerate(cfgs):
+        try:
+            results.append(_TRIALS[kind](cfg, metrics))
+        except RuntimeError as exc:
+            raise failed([r], exc) from exc
+    return results
 
 
 def _aggregate(values):
@@ -314,11 +344,12 @@ def run_experiment(spec, workers=1):
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for value in spec.sweep_values:
             cfg_v = apply_sweep(spec.config, spec.sweep_variable, value)
-            tasks = [(cfg_v.to_dict(), kind, tuple(metrics), s) for s in seeds]
-            if pool is not None:
-                results = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-            else:
-                results = [_run_one(t) for t in tasks]
+            # one chunk per sweep point, or about four per worker
+            size = len(seeds) if pool is None else max(1, len(seeds) // (4 * workers))
+            tasks = [(cfg_v.to_dict(), kind, tuple(metrics), i, seeds[i:i + size],
+                      f"{spec.sweep_variable}={value!r}") for i in range(0, len(seeds), size)]
+            chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+            results = [r for chunk in chunks for r in chunk]
             for metric in metrics:
                 vals = [r[metric] for r in results if metric in r]
                 mean, ci = _aggregate(vals)
@@ -369,7 +400,8 @@ def convergence_traces(cfg, max_draws=50):
     first = None
     for t in range(max_draws):
         cfg_t = SystemConfig.from_dict({**cfg.to_dict(), "rng_seed": trial_seed(cfg.rng_seed, t)})
-        probe = (t, cfg_t, *_solve_jdpc(cfg_t))
+        rcs, prefactor, (joint,) = _solve_jdpc([cfg_t])
+        probe = (t, cfg_t, rcs[0], prefactor, joint)
         first = first or probe
         if probe[-1].feasible:
             break

@@ -102,19 +102,26 @@ def random_assignment(config, rng=None):
     return PilotAssignment(pilot_of=pilot_of, n_cu=config.n_cu, pilot_len=config.pilot_len)
 
 
-def exhaustive_search(ls, config, objective=None, guard=10_000_000):
+SEARCH_GUARD = 10_000_000   # largest assignment space exhaustive_search enumerates
+
+
+def search_space(config):
+    """Number of pilot assignments exhaustive_search enumerates, (tau-N)^K."""
+    return (config.pilot_len - config.n_cu) ** config.n_d2d
+
+
+def exhaustive_search(ls, config, objective=None, guard=SEARCH_GUARD):
     """Globally optimal assignment by enumeration; first minimizer in
     lexicographic assignment order wins ties."""
-    n_pilots = config.pilot_len - config.n_cu
-    k = config.n_d2d
-    if n_pilots ** k > guard:
+    if search_space(config) > guard:
         raise InstanceTooLargeError(
-            f"search space (tau-N)^K = {n_pilots}^{k} exceeds the guard {guard}")
+            f"search space (tau-N)^K = {config.pilot_len - config.n_cu}^{config.n_d2d} "
+            f"exceeds the guard {guard}")
     if objective is None:
         objective = sum_mse_objective(ls, config)
     pilots = range(config.n_cu + 1, config.pilot_len + 1)
     best, best_pa = np.inf, None
-    for combo in product(pilots, repeat=k):
+    for combo in product(pilots, repeat=config.n_d2d):
         pa = PilotAssignment(pilot_of=np.array(combo), n_cu=config.n_cu,
                              pilot_len=config.pilot_len)
         val = objective(pa)

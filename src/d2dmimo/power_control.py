@@ -10,6 +10,13 @@ Three solvers:
   * jdpc  - the outer loop alternating the two until the D2D sum
             spectral efficiency stabilizes.
 
+The WMMSE and joint solvers work on stacks of same-size instances
+(dpcd_stack, jdpc_stack): the power-control recipes hand all trials of a
+sweep point to one call, which pays each numpy call once per iteration
+for the whole stack, and a converged instance leaves the stack.  Each
+instance does the arithmetic it would do alone, in the same order, so its
+bits do not depend on the stack; dpcd and jdpc are stacks of one.
+
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
 """
@@ -26,7 +33,21 @@ class InfeasibleBudgetError(RuntimeError):
     """Cellular QoS cannot be met even with silent D2D transmitters."""
 
 
-class BracketError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solver failed on some rows of the stack it was given, listed in ``rows``."""
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = [int(r) for r in rows]
+
+    def __str__(self):
+        return f"{self.args[0]} (stack rows {self.rows})" if self.rows else str(self.args[0])
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.rows)
+
+
+class BracketError(SolverError):
     """The bisection bracket for the budget multiplier could not be found."""
 
 
@@ -111,83 +132,170 @@ class DpcdResult:
     multiplier: float                # final lambda
 
 
-def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_000,
-         p_init=None):
-    """Weighted-MMSE D2D power control for fixed cellular powers.
+def _matvec(a, x):
+    """Row-wise a[t] @ x[t] for a (T, K, K), x (T, K); each row has the bits of the 1-D call."""
+    return (a @ x[:, :, None])[:, :, 0]
 
-    Maximizes the D2D sum rate subject to per-pair caps and the aggregate
-    budget sum_k p_k varphi_d[k] <= zeta derived from the cellular QoS.
-    Raises InfeasibleBudgetError when zeta < 0.  The returned powers never
-    violate the budget: the multiplier bisection keeps the feasible side.
-    Starts from full power unless p_init warm-starts it (the surrogate is
-    monotone from any start).
 
-    The loop computes the multiplier-independent terms once per iteration
-    and reuses the objective's products as the next iteration's denominators.
+def _vecmat(x, a):
+    """Row-wise x[t] @ a[t] for x (T, K), a (T, K, K); each row has the bits of the 1-D call."""
+    return (x[:, None, :] @ a)[:, 0]
+
+
+def _dot(x, y):
+    """x[t] @ y[t] over the leading (broadcast) axes of x, y (..., K); each
+    entry has the bits of the 1-D call."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3,
+               max_iter=50_000, p_init=None):
+    """Weighted-MMSE D2D power control of T same-size instances in lockstep.
+
+    Row t maximizes the D2D sum rate with coefficients phi_d[t], psi_d[t]
+    and cellular-plus-noise terms sigma_d[t] (all (T, K), psi_d (T, K, K))
+    subject to per-pair caps p_max (broadcast to (T, K)) and the budget
+    sum_k p_k varphi_d[t, k] <= zeta[t] >= 0.  It starts from full power
+    unless p_init[t] warm-starts it (the surrogate is monotone from any
+    start).  The returned powers never violate the budget: the multiplier
+    bisection keeps the feasible side.
+
+    Every row does the same floating-point operations in the same order as
+    it would alone, so its result does not depend on the other rows.  The
+    loop computes the multiplier-independent terms once per iteration and
+    reuses the objective's products as the next iteration's denominators;
+    a row leaves the stack when its stop rule holds.  Returns one
+    DpcdResult per row; a row that does not converge or cannot bracket its
+    multiplier raises a SolverError naming the rows that failed.
     """
-    k = rc.phi_d.size
-    p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
-    zeta = cellular_power_budget(rc, q_s, gamma)
-    if zeta < 0.0:
-        raise InfeasibleBudgetError(f"cellular QoS leaves no D2D budget (zeta = {zeta:.3e})")
-    sigma_d = sigma_d_of(rc, q_s)
-    sqrt_phi = np.sqrt(rc.phi_d)
-    f_cap = np.sqrt(p_max)
+    t, k = phi_d.shape
+    zeta = np.asarray(zeta, dtype=float)
+    sqrt_phi = np.sqrt(phi_d)
+    f_cap = np.sqrt(np.broadcast_to(np.asarray(p_max, dtype=float), (t, k)))
 
     f = f_cap.copy() if p_init is None else np.sqrt(np.asarray(p_init, dtype=float))
     p = f * f
-    total = p * rc.phi_d + p @ rc.psi_d + sigma_d
-    log_w = np.zeros(k)
-    trace = []
+    total = p * phi_d + _vecmat(p, psi_d) + sigma_d
+    log_w = np.zeros((t, k))
+    rows = np.arange(t)              # stack row of each active row
+    traces = [[] for _ in range(t)]
+    objectives = []                  # per iteration since the last compaction, (active,)
+    results = [None] * t
 
-    def f_update(denom):
+    def f_update(denom, num, cap, vd):
         # clipped sqrt powers, powers and budget use; a silent pair (num = 0) stays at 0
-        f_new = np.minimum(f_cap, num / np.maximum(denom, 1e-300))
+        f_new = np.minimum(cap, num / np.maximum(denom, 1e-300))
         p_new = f_new * f_new
-        return f_new, p_new, float(p_new @ rc.varphi_d)
+        return f_new, p_new, _dot(p_new, vd)
+
+    def flush():
+        for r, trace in zip(rows.tolist(), np.array(objectives).T.tolist()):
+            traces[r].extend(trace)
+        objectives.clear()
 
     for it in range(1, max_iter + 1):
         nu = f * sqrt_phi / total
         w = 1.0 / (1.0 - nu * f * sqrt_phi)
         w_nu2 = w * nu ** 2
         num = w * nu * sqrt_phi
-        base = w_nu2 * rc.phi_d + rc.psi_d @ w_nu2
+        base = w_nu2 * phi_d + _matvec(psi_d, w_nu2)
 
-        lam = 0.0
-        f, p, used = f_update(base)
-        if used > zeta:
-            # f, p and used always belong to the current upper end hi
-            hi = 1.0
-            for _ in range(60):
-                f, p, used = f_update(base + hi * rc.varphi_d)
-                if used <= zeta:
-                    break
-                hi *= 2.0
-            else:
-                raise BracketError("could not bracket the budget multiplier after 60 doublings")
-            lo = 0.0
-            for _ in range(200):
-                if zeta - used <= bisect_rtol * zeta + 1e-15:
-                    break
-                mid = 0.5 * (lo + hi)
-                f_mid, p_mid, used_mid = f_update(base + mid * rc.varphi_d)
-                if used_mid > zeta:
-                    lo = mid
-                else:
-                    hi, f, p, used = mid, f_mid, p_mid, used_mid
-            lam = hi
-        rx = p * rc.phi_d
-        cross = p @ rc.psi_d
-        trace.append(float(np.sum(np.log2(1.0 + rx / (cross + sigma_d)))))
+        lam = np.zeros(rows.size)
+        f, p, used = f_update(base, num, f_cap, varphi_d)
+        bind = (used > zeta).nonzero()[0]
+        if bind.size:
+            f[bind], p[bind], lam[bind] = _bisect_multiplier(
+                f_update, base[bind], num[bind], f_cap[bind], varphi_d[bind], zeta[bind],
+                bisect_rtol, rows[bind])
+        rx = p * phi_d
+        cross = _vecmat(p, psi_d)
+        objectives.append(np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=1))
         total = rx + cross + sigma_d
         log_w_old, log_w = log_w, np.log(w)
-        if float(np.sum(np.abs(log_w - log_w_old))) <= tol_wmmse:
+        done = np.abs(log_w - log_w_old).sum(axis=1) <= tol_wmmse
+        finished = done.nonzero()[0]
+        if finished.size:
+            flush()
+            for i in finished:
+                r = rows[i]
+                results[r] = DpcdResult(p_s=p[i].copy(), objective_trace=traces[r], iterations=it,
+                                        budget=float(zeta[i]), multiplier=float(lam[i]))
+            if finished.size == rows.size:
+                return results
+            keep = ~done
+            (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta) = (
+                a[keep] for a in (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d,
+                                  varphi_d, sigma_d, zeta))
+    raise SolverError(f"dpcd did not converge in {max_iter} iterations", rows)
+
+
+def _bisect_multiplier(f_update, base, num, cap, vd, zeta, bisect_rtol, rows):
+    """Budget multiplier of each binding row: the first of 1, 2, 4, ... (60
+    doublings) at which the budget holds, then bisection towards the budget
+    keeping the feasible upper end.  Returns the sqrt powers, powers and
+    multiplier of that upper end.
+
+    The doublings are evaluated eight at a time, and each bisection step
+    works on the rows still searching; the powers are evaluated once more
+    at each row's final upper end, which gives the bits the search saw there."""
+    n = zeta.size
+    lam, used = np.empty(n), np.empty(n)
+    pending = np.arange(n)
+    for first in range(0, 60, 8):
+        hi = np.ldexp(1.0, np.arange(first, min(first + 8, 60)))[:, None]   # exact powers of two
+        v = vd[pending, None, :]
+        u = f_update(base[pending, None, :] + hi * v, num[pending, None, :], cap[pending, None, :],
+                     v)[2]
+        fits = u <= zeta[pending, None]
+        found = fits.any(axis=1)
+        j = fits.argmax(axis=1)[found]
+        lam[pending[found]], used[pending[found]] = hi[j, 0], u[found, j]
+        pending = pending[~found]
+        if not pending.size:
             break
     else:
-        raise RuntimeError(f"dpcd did not converge in {max_iter} iterations")
+        raise BracketError("could not bracket the budget multiplier after 60 doublings", rows[pending])
 
-    return DpcdResult(p_s=p, objective_trace=trace, iterations=it,
-                      budget=zeta, multiplier=lam)
+    # used always belongs to the current upper end hi
+    idx, b, nm, c, v, z = np.arange(n), base, num, cap, vd, zeta
+    tol, lo, hi = bisect_rtol * zeta + 1e-15, np.zeros(n), lam.copy()
+    for _ in range(200):
+        done = z - used <= tol
+        finished = np.count_nonzero(done)
+        if finished:
+            lam[idx[done]] = hi[done]
+            if finished == idx.size:
+                break
+            idx, b, nm, c, v, z, tol, lo, hi, used = (
+                a[~done] for a in (idx, b, nm, c, v, z, tol, lo, hi, used))
+        mid = 0.5 * (lo + hi)
+        used_mid = f_update(b + mid[:, None] * v, nm, c, v)[2]
+        over = used_mid > z
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+        used = np.where(over, used, used_mid)
+    else:
+        lam[idx] = hi
+    f, p, _ = f_update(base + lam[:, None] * vd, num, cap, vd)
+    return f, p, lam
+
+
+def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_000,
+         p_init=None):
+    """Weighted-MMSE D2D power control for fixed cellular powers.
+
+    Maximizes the D2D sum rate subject to per-pair caps and the aggregate
+    budget sum_k p_k varphi_d[k] <= zeta derived from the cellular QoS, as
+    a stack of one in dpcd_stack.  Raises InfeasibleBudgetError when
+    zeta < 0.
+    """
+    zeta = cellular_power_budget(rc, q_s, gamma)
+    if zeta < 0.0:
+        raise InfeasibleBudgetError(f"cellular QoS leaves no D2D budget (zeta = {zeta:.3e})")
+    p_init = None if p_init is None else np.asarray(p_init, dtype=float)[None]
+    return dpcd_stack(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
+                      sigma_d_of(rc, q_s)[None], [zeta], p_max, tol_wmmse=tol_wmmse,
+                      bisect_rtol=bisect_rtol, max_iter=max_iter, p_init=p_init)[0]
 
 
 @dataclass
@@ -199,38 +307,87 @@ class JdpcResult:
     feasible: bool
 
 
+def jdpc_stack(rcs, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
+               outer_cap=10, prefactor=1.0, p_init=None):
+    """Alternate dpcc and dpcd on a stack of same-size instances until each
+    one's D2D sum SE stabilizes; one JdpcResult per instance, in order.
+
+    The D2D powers start at their caps (the inner WMMSE initializer) unless
+    p_init (T, K) warm-starts them; later rounds warm-start the WMMSE from
+    the current powers, which is what makes the sum-SE trace
+    non-decreasing: the refreshed cellular powers can only lower the
+    interference floor at every D2D receiver, and the warm-started
+    surrogate is monotone from there.  Infeasibility of either inner
+    solver (a QoS target unreachable, or no D2D budget left) yields a
+    feasible=False result.
+
+    Each round runs dpcc on every active instance in turn and then one
+    dpcd_stack over those that still have a budget, so every instance gets
+    the bits it would get alone.  A failing inner solver raises a
+    SolverError naming the failing rows of rcs.
+    """
+    t = len(rcs)
+    k = rcs[0].phi_d.size if t else 0
+    p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
+    p = [p_max_vec.copy() if p_init is None else np.asarray(p_init[r], dtype=float).copy()
+         for r in range(t)]
+    q = [None] * t
+    traces = [[] for _ in range(t)]
+    results = [None] * t
+    phi_d, psi_d, varphi_d = (np.array([getattr(rc, name) for rc in rcs])
+                              for name in ("phi_d", "psi_d", "varphi_d"))
+
+    def finish(r, outer, feasible, trace=None):
+        results[r] = JdpcResult(q_s=q[r], p_s=p[r], outer_iterations=outer,
+                                trace=traces[r] if trace is None else trace, feasible=feasible)
+
+    active = list(range(t))
+    for outer in range(1, outer_cap + 1):
+        solve, zetas, sigmas = [], [], []
+        for r in active:
+            try:
+                cell = dpcc(rcs[r], p[r], gamma, q_max, tol=tol_power)
+            except RuntimeError as exc:
+                raise SolverError(str(exc), [r]) from exc
+            q[r] = cell.q_s
+            if not cell.feasible:
+                finish(r, outer, False)
+            elif k == 0:
+                finish(r, outer, True, [0.0])
+            else:
+                zeta = cellular_power_budget(rcs[r], q[r], gamma)
+                if zeta < 0.0:
+                    finish(r, outer, False)
+                else:
+                    solve.append(r)
+                    zetas.append(zeta)
+                    sigmas.append(sigma_d_of(rcs[r], q[r]))
+        if not solve:
+            return results
+        sel = np.array(solve)
+        try:
+            d2d = dpcd_stack(phi_d[sel], psi_d[sel], varphi_d[sel], np.array(sigmas), zetas,
+                             p_max_vec, tol_wmmse=tol_wmmse, bisect_rtol=tol_power,
+                             p_init=np.array([p[r] for r in solve]))
+        except SolverError as exc:
+            raise type(exc)(exc.args[0], sel[exc.rows]) from exc
+        active = []
+        for r, res in zip(solve, d2d):
+            p[r] = res.p_s
+            _, eta_d = bound_sinrs(rcs[r], q[r], p[r])
+            traces[r].append(prefactor * float(np.sum(np.log2(1.0 + eta_d))))
+            if outer >= 2 and abs(traces[r][-1] - traces[r][-2]) < tol_power:
+                finish(r, outer, True)
+            else:
+                active.append(r)
+    for r in active:
+        finish(r, outer_cap, True)
+    return results
+
+
 def jdpc(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
          outer_cap=10, prefactor=1.0, p_init=None):
-    """Alternate dpcc and dpcd until the D2D sum SE stabilizes.
-
-    The D2D powers start at their caps (the inner WMMSE initializer);
-    later rounds warm-start the WMMSE from the current powers, which is
-    what makes the sum-SE trace non-decreasing: the refreshed cellular
-    powers can only lower the interference floor at every D2D receiver,
-    and the warm-started surrogate is monotone from there.  Infeasibility
-    of either inner solver yields a feasible=False result.
-    """
-    k = rc.phi_d.size
-    p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
-    p = p_max_vec.copy() if p_init is None else np.asarray(p_init, dtype=float).copy()
-    q = np.zeros(rc.phi_c.size)
-    trace = []
-
-    for outer in range(1, outer_cap + 1):
-        cell = dpcc(rc, p, gamma, q_max, tol=tol_power)
-        q = cell.q_s
-        if not cell.feasible:
-            return JdpcResult(q_s=q, p_s=p, outer_iterations=outer, trace=trace, feasible=False)
-        if k == 0:
-            return JdpcResult(q_s=q, p_s=p, outer_iterations=outer, trace=[0.0], feasible=True)
-        try:
-            d2d = dpcd(rc, q, gamma, p_max_vec, tol_wmmse=tol_wmmse,
-                       bisect_rtol=tol_power, p_init=p)
-        except InfeasibleBudgetError:
-            return JdpcResult(q_s=q, p_s=p, outer_iterations=outer, trace=trace, feasible=False)
-        p = d2d.p_s
-        _, eta_d = bound_sinrs(rc, q, p)
-        trace.append(prefactor * float(np.sum(np.log2(1.0 + eta_d))))
-        if outer >= 2 and abs(trace[-1] - trace[-2]) < tol_power:
-            break
-    return JdpcResult(q_s=q, p_s=p, outer_iterations=outer, trace=trace, feasible=True)
+    """Joint power control of one instance: jdpc_stack on a stack of one."""
+    p_init = None if p_init is None else [p_init]
+    return jdpc_stack([rc], gamma, q_max, p_max, tol_power=tol_power, tol_wmmse=tol_wmmse,
+                      outer_cap=outer_cap, prefactor=prefactor, p_init=p_init)[0]

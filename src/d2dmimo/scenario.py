@@ -38,6 +38,11 @@ def substream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
 
 
+def _is_int(value):
+    """Python or numpy integer, bools excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def trial_seed(root_seed, trial):
     """64-bit child seed for one Monte Carlo trial, independent of sweep value."""
     ss = np.random.SeedSequence(root_seed, spawn_key=(TRIAL, int(trial)))
@@ -75,11 +80,19 @@ class SystemConfig:
     rng_seed: int = 12345
 
     def __post_init__(self):
+        self.pzf_bs = tuple(self.pzf_bs)
+        self.pzf_d2d = tuple(self.pzf_d2d)
+        self.validate()
         self.pzf_bs = tuple(int(x) for x in self.pzf_bs)
         self.pzf_d2d = tuple(int(x) for x in self.pzf_d2d)
-        self.validate()
 
     def validate(self):
+        for name in ("n_cu", "n_d2d", "bs_antennas", "d2drx_antennas", "pilot_len", "coherence_len"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer (got {getattr(self, name)!r})")
+        for name in ("pzf_bs", "pzf_d2d"):
+            if not all(_is_int(x) for x in getattr(self, name)):
+                raise ValueError(f"{name} entries must be integers (got {list(getattr(self, name))!r})")
         n, k, b, m = self.n_cu, self.n_d2d, self.bs_antennas, self.d2drx_antennas
         tau, t = self.pilot_len, self.coherence_len
         if min(n, k, b, m) < 1:
@@ -109,7 +122,7 @@ class SystemConfig:
         if self.tol_power <= 0 or self.tol_wmmse <= 0:
             raise ValueError("tol_power and tol_wmmse must be strictly positive")
         seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer (got {seed!r})")
 
     def to_dict(self):

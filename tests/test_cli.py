@@ -1,12 +1,14 @@
+import functools
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from d2dmimo import power_control
 from d2dmimo.cli import main
 from d2dmimo.harness import EXPERIMENTS, convergence_traces
-from d2dmimo.scenario import SystemConfig
+from d2dmimo.scenario import SystemConfig, trial_seed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,6 +135,40 @@ def test_bad_config_field_message(spec_file, capsys):
     assert main(["validate", spec_file(doc)]) == 1
     err = capsys.readouterr().err
     assert "config" in err and "pilot_len" in err
+
+
+@pytest.mark.parametrize("config,sweep,fragment", [
+    ({"n_d2d": 6.5}, None, "n_d2d"),
+    ({"pzf_bs": [1.9, 1]}, None, "pzf_bs"),
+    ({}, {"variable": "bs_antennas", "values": [16, 64.5]}, "bs_antennas"),
+])
+def test_non_integer_count_exits_1(spec_file, capsys, config, sweep, fragment):
+    doc = small_spec_doc()
+    doc["config"].update(config)
+    if sweep is not None:
+        doc["sweep"] = sweep
+    for command in ("validate", "run"):
+        assert main([command, spec_file(doc)]) == 1
+        assert fragment in capsys.readouterr().err
+
+
+def test_exhaustive_search_beyond_guard_exits_1(spec_file, capsys):
+    doc = small_spec_doc(experiment="fig3", metrics=["sum_mse_es"],
+                         sweep={"variable": "n_d2d", "values": [6, 24]})   # 3^24 assignments
+    assert main(["validate", spec_file(doc)]) == 1
+    assert "sum_mse_es" in capsys.readouterr().err
+
+
+def test_solver_failure_exits_2_naming_the_trial(spec_file, capsys, monkeypatch):
+    monkeypatch.setattr(power_control, "dpcd_stack",
+                        functools.partial(power_control.dpcd_stack, max_iter=1))
+    doc = small_spec_doc(experiment="fig7", metrics=None, trials=3,
+                         sweep={"variable": "n_d2d", "values": [6]})
+    doc["config"]["sinr_target"] = 0.5
+    assert main(["run", spec_file(doc)]) == 2
+    m = re.fullmatch(r"runtime error: n_d2d=6, trial (\d) \(seed (\d+)\): "
+                     r"dpcd did not converge in 1 iterations\n", capsys.readouterr().err)
+    assert m and int(m.group(2)) == trial_seed(5, int(m.group(1)))
 
 
 def test_oracle_dpcc_linear_solve(capsys):

@@ -1,12 +1,18 @@
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from d2dmimo import power_control
 from d2dmimo.scenario import SystemConfig, trial_seed
 from d2dmimo.power_control import dpcc, dpcd
 from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, run_experiment,
                              spec_from_dict, validate_spec, convergence_traces, _solve_jdpc)
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def desk_config(**kw):
@@ -131,6 +137,21 @@ class TestRunExperiment:
                               config=desk_config(n_d2d=20, pilot_len=10))
         assert "sum_mse_es" not in huge.resolved_metrics()
 
+    def test_fig3_search_space_follows_each_swept_config(self):
+        doc = json.loads((SPECS / "fig3.json").read_text())
+        assert spec_from_dict(doc).resolved_metrics() == [
+            "sum_mse_psa", "sum_mse_es", "sum_mse_rps", "sum_mse_lb"]
+        # 3^6 = 729 assignments at every antenna count
+        antennas = spec_from_dict({**doc, "sweep": {"variable": "bs_antennas", "values": [64, 128]}})
+        assert antennas.search_spaces() == [729, 729]
+        assert "sum_mse_es" in antennas.resolved_metrics()
+        # 5^12 = 244M assignments at K = 12, tau = 10: dropped by default, rejected when asked for
+        pairs = {**doc, "config": {**doc["config"], "pilot_len": 10},
+                 "sweep": {"variable": "n_d2d", "values": [6, 12]}}
+        assert "sum_mse_es" not in spec_from_dict(pairs).resolved_metrics()
+        with pytest.raises(SpecError, match="sum_mse_es"):
+            spec_from_dict({**pairs, "metrics": ["sum_mse_psa", "sum_mse_es"]})
+
     def test_jdpc_recipe_reports_infeasible_fraction(self):
         spec = ExperimentSpec(
             experiment="fig9", sweep_variable="sinr_target", sweep_values=[0.2, 1e9],
@@ -142,6 +163,26 @@ class TestRunExperiment:
         assert 0.0 <= frac[0.2] <= 1.0
         d2d = [r for r in rows if r.metric == "sum_se_d2d" and r.sweep == 1e9]
         assert d2d[0].trials == 0   # no feasible draws contribute
+
+    def test_jdpc_csv_bytes_independent_of_workers(self, tmp_path):
+        # 16 trials: one stack of 16 per sweep point, or chunks of 2 with two workers
+        spec = ExperimentSpec(experiment="fig7", sweep_variable="n_d2d", sweep_values=[10, 15],
+                              trials=16, config=SystemConfig(sinr_target=0.372, rng_seed=5))
+        for workers in (1, 2):
+            spec.output = str(tmp_path / f"w{workers}" / "fig7.csv")
+            run_experiment(spec, workers=workers)
+        assert (tmp_path / "w1" / "fig7.csv").read_bytes() == (tmp_path / "w2" / "fig7.csv").read_bytes()
+
+    def test_solver_failure_names_the_trial(self, monkeypatch):
+        # first-round WMMSE iterations of trials 0-3: 442, QoS-infeasible, 5376, 9
+        monkeypatch.setattr(power_control, "dpcd_stack",
+                            functools.partial(power_control.dpcd_stack, max_iter=1000))
+        spec = ExperimentSpec(experiment="fig7", sweep_variable="n_d2d", sweep_values=[10],
+                              trials=4, config=SystemConfig(sinr_target=0.372, rng_seed=777))
+        with pytest.raises(RuntimeError) as err:
+            run_experiment(spec)
+        assert str(err.value) == (f"n_d2d=10, trial 2 (seed {trial_seed(777, 2)}): "
+                                  "dpcd did not converge in 1000 iterations")
 
     def test_bounds_recipe_with_monte_carlo(self):
         spec = ExperimentSpec(
@@ -174,7 +215,8 @@ def test_convergence_traces_fallback_traces_trial_0():
     cfg = desk_config(sinr_target=50.0)   # no QoS-feasible draw
     traces = convergence_traces(cfg, max_draws=2)
     assert not traces["feasible"] and traces["trial"] == 0
-    rc, prefactor, joint = _solve_jdpc(desk_config(sinr_target=50.0, rng_seed=trial_seed(cfg.rng_seed, 0)))
+    (rc,), prefactor, (joint,) = _solve_jdpc([desk_config(sinr_target=50.0,
+                                                          rng_seed=trial_seed(cfg.rng_seed, 0))])
     assert [t["objective"] for t in traces["joint"]] == joint.trace
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     q = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s

@@ -1,3 +1,6 @@
+import functools
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,11 @@ from d2dmimo.channel import PowerProfile, estimation_coeffs
 from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
                                bound_sinrs, sigma_c_of, sigma_d_of)
 from d2dmimo.pilot_scheduling import psa
+from d2dmimo import power_control
 from d2dmimo.power_control import (CellularFixedPoint, cellular_fixed_point,
-                                   cellular_power_budget, dpcc, dpcc_iterate, dpcd,
-                                   jdpc, InfeasibleBudgetError, BracketError)
+                                   cellular_power_budget, dpcc, dpcc_iterate, dpcd, dpcd_stack,
+                                   jdpc, jdpc_stack, InfeasibleBudgetError, BracketError,
+                                   SolverError)
 from d2dmimo.harness import _scenario_pipeline
 
 
@@ -365,3 +370,123 @@ class TestJdpc:
         rc = synthetic_rc([1.0], [[0.0]], [1.0], [1.0], [[0.1]], [[0.05]], n0=1.0)
         res = jdpc(rc, gamma=100.0, q_max=1.0, p_max=1.0)
         assert not res.feasible
+
+
+def reference_jdpc(rc, gamma, q_max, p_max, tol_power, tol_wmmse, prefactor=1.0, p_init=None):
+    """The joint loop as first written, one instance at a time, on reference_dpcd."""
+    p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (rc.phi_d.size,))
+    p = p_max_vec.copy() if p_init is None else np.asarray(p_init, dtype=float).copy()
+    trace = []
+    for outer in range(1, 11):
+        cell = dpcc(rc, p, gamma, q_max, tol=tol_power)
+        q = cell.q_s
+        if not cell.feasible:
+            return q, p, outer, trace, False
+        try:
+            p = reference_dpcd(rc, q, gamma, p_max_vec, tol_wmmse=tol_wmmse,
+                               bisect_rtol=tol_power, p_init=p)[0]
+        except InfeasibleBudgetError:
+            return q, p, outer, trace, False
+        _, eta_d = bound_sinrs(rc, q, p)
+        trace.append(prefactor * float(np.sum(np.log2(1.0 + eta_d))))
+        if outer >= 2 and abs(trace[-1] - trace[-2]) < tol_power:
+            break
+    return q, p, outer, trace, True
+
+
+def _stack_case():
+    """Ten-pair fig7 draws at gamma = 0.372: trials 0, 4, 8, 9 and 10 stop
+    after 3, 4, 10 (the cap), 5 and 2 outer rounds, trial 1 is QoS-infeasible,
+    and trial 7 is warm-started with pair 3 silent, so its WMMSE bisects."""
+    rcs, warm = [], []
+    for trial in (0, 1, 4, 7, 8, 9, 10):
+        cfg, rc, _ = _fig7_instance(10, 0.372, trial)
+        p_init = np.full(10, cfg.max_power_d2d)
+        if trial == 7:
+            p_init = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                          tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1).p_s.copy()
+            p_init[3] = 0.0
+        rcs.append(rc)
+        warm.append(p_init)
+    kw = dict(tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse)
+    return cfg, rcs, np.array(warm), kw
+
+
+def _same_result(a, b):
+    return (a.q_s.tobytes() == b.q_s.tobytes() and a.p_s.tobytes() == b.p_s.tobytes()
+            and a.trace == b.trace and a.outer_iterations == b.outer_iterations
+            and a.feasible == b.feasible)
+
+
+class TestStackedSolvers:
+    def test_jdpc_rows_match_their_solo_runs_and_the_reference_loop(self, monkeypatch):
+        cfg, rcs, warm, kw = _stack_case()
+        args = (cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
+        multipliers = []
+        stack_dpcd = dpcd_stack
+
+        def spy(*a, **k):
+            out = stack_dpcd(*a, **k)
+            multipliers.append([r.multiplier for r in out])
+            return out
+
+        monkeypatch.setattr(power_control, "dpcd_stack", spy)
+        stacked = jdpc_stack(rcs, *args, p_init=warm, **kw)
+        monkeypatch.undo()
+        assert [r.feasible for r in stacked] == [True, False, True, True, True, True, True]
+        assert [r.outer_iterations for r in stacked] == [3, 1, 4, 2, 10, 5, 2]
+        # row 3 (third in the first dpcd stack: row 1 never reaches it) bisects and stays silent
+        assert multipliers[0][2] > 0.0 and stacked[3].p_s[3] == 0.0
+        assert [len(m) for m in multipliers] == [6, 6, 4, 3, 2, 1, 1, 1, 1, 1]
+        for rc, p_init, res in zip(rcs, warm, stacked):
+            assert _same_result(res, jdpc(rc, *args, p_init=p_init, **kw))
+            q, p, outer, trace, feasible = reference_jdpc(rc, *args, p_init=p_init, **kw)
+            assert (res.q_s.tobytes(), res.p_s.tobytes(), res.outer_iterations, res.trace,
+                    res.feasible) == (q.tobytes(), p.tobytes(), outer, trace, feasible)
+
+    def test_dpcd_rows_bisecting_together_match_the_reference_loop(self):
+        names = ["multiplier zero", "multiplier positive", "jdpc warm start", "silent pair warm start"]
+        cases = [_dpcd_case(name) for name in names]
+        rcs = [case[0] for case in cases]
+        warm = [case[4]["p_init"] for case in cases]
+        p_max = cases[0][3]
+        stacked = dpcd_stack(
+            *(np.array([getattr(rc, f) for rc in rcs]) for f in ("phi_d", "psi_d", "varphi_d")),
+            np.array([sigma_d_of(rc, q_s) for rc, q_s, *_ in cases]),
+            [cellular_power_budget(rc, q_s, gamma) for rc, q_s, gamma, *_ in cases], p_max,
+            p_init=np.array([np.full(10, p_max) if p is None else p for p in warm]))
+        for (rc, q_s, gamma, p_max, kw, positive), res in zip(cases, stacked):
+            p_ref, trace_ref, it_ref, lam_ref = reference_dpcd(rc, q_s, gamma, p_max, **kw)
+            assert (res.p_s.tobytes(), res.objective_trace, res.iterations, res.multiplier) == (
+                p_ref.tobytes(), trace_ref, it_ref, lam_ref)
+            assert (res.multiplier > 0.0) == positive
+
+    def test_dpcd_stack_names_the_row_that_does_not_converge(self):
+        # first-round instances needing 9, 442 and 2 WMMSE iterations
+        rcs, qs = [], []
+        for trial in (3, 0, 10):
+            cfg, rc, q_s = _fig7_instance(10, 0.372, trial)
+            rcs.append(rc)
+            qs.append(q_s)
+        stack = [np.array([getattr(rc, f) for rc in rcs]) for f in ("phi_d", "psi_d", "varphi_d")]
+        sigma_d = np.array([sigma_d_of(rc, q) for rc, q in zip(rcs, qs)])
+        zeta = [cellular_power_budget(rc, q, cfg.sinr_target) for rc, q in zip(rcs, qs)]
+        with pytest.raises(SolverError, match=r"did not converge in 50 iterations \(stack rows \[1\]\)") as err:
+            dpcd_stack(*stack, sigma_d, zeta, cfg.max_power_d2d, max_iter=50)
+        assert err.value.rows == [1]
+        solved = dpcd_stack(*stack, sigma_d, zeta, cfg.max_power_d2d, max_iter=500)
+        assert [r.iterations for r in solved] == [9, 442, 2]
+
+    def test_jdpc_stack_names_failing_rows_in_its_own_order(self, monkeypatch):
+        rcs = [_fig7_instance(10, 0.372, trial)[1] for trial in (1, 3, 0, 10)]
+        cfg = _fig7_instance(10, 0.372, 0)[0]
+        monkeypatch.setattr(power_control, "dpcd_stack",
+                            functools.partial(dpcd_stack, max_iter=50))
+        with pytest.raises(SolverError) as err:
+            jdpc_stack(rcs, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
+        assert err.value.rows == [2]   # trial 1 is QoS-infeasible and never reaches dpcd
+
+    def test_bracket_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(BracketError("no bracket", [4, 7])))
+        assert isinstance(err, BracketError) and err.rows == [4, 7]
+        assert str(err) == "no bracket (stack rows [4, 7])"

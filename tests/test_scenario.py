@@ -116,6 +116,14 @@ def test_all_gains_positive_and_finite():
     ("rng_seed", -3, "rng_seed"),
     ("rng_seed", 1.5, "rng_seed"),
     ("rng_seed", True, "rng_seed"),
+    ("n_d2d", 20.5, "n_d2d"),
+    ("n_cu", 3.0, "n_cu"),
+    ("bs_antennas", 64.5, "bs_antennas"),
+    ("d2drx_antennas", True, "d2drx_antennas"),
+    ("pilot_len", 6.0, "pilot_len"),
+    ("coherence_len", "40", "coherence_len"),
+    ("pzf_bs", (2.9, 1), "pzf_bs"),
+    ("pzf_d2d", (1, False), "pzf_d2d"),
 ])
 def test_config_invariants_rejected(field, value, fragment):
     with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
