@@ -179,7 +179,8 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
     log_w = np.zeros((t, k))
     rows = np.arange(t)              # stack row of each active row
     traces = [[] for _ in range(t)]
-    objectives = []                  # per iteration since the last compaction, (active,)
+    objectives = np.empty((512, t))  # one row per iteration since the last flush into traces
+    n_obj = 0
     results = [None] * t
 
     def f_update(denom, num, cap, vd):
@@ -187,11 +188,6 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
         f_new = np.minimum(cap, num / np.maximum(denom, 1e-300))
         p_new = f_new * f_new
         return f_new, p_new, _dot(p_new, vd)
-
-    def flush():
-        for r, trace in zip(rows.tolist(), np.array(objectives).T.tolist()):
-            traces[r].extend(trace)
-        objectives.clear()
 
     for it in range(1, max_iter + 1):
         nu = f * sqrt_phi / total
@@ -209,13 +205,17 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
                 bisect_rtol, rows[bind])
         rx = p * phi_d
         cross = _vecmat(p, psi_d)
-        objectives.append(np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=1))
+        np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=1, out=objectives[n_obj])
+        n_obj += 1
         total = rx + cross + sigma_d
         log_w_old, log_w = log_w, np.log(w)
         done = np.abs(log_w - log_w_old).sum(axis=1) <= tol_wmmse
         finished = done.nonzero()[0]
+        if finished.size or n_obj == len(objectives):
+            for r, trace in zip(rows.tolist(), objectives[:n_obj].T.tolist()):
+                traces[r].extend(trace)
+            n_obj = 0
         if finished.size:
-            flush()
             for i in finished:
                 r = rows[i]
                 results[r] = DpcdResult(p_s=p[i].copy(), objective_trace=traces[r], iterations=it,
@@ -226,6 +226,7 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
             (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta) = (
                 a[keep] for a in (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d,
                                   varphi_d, sigma_d, zeta))
+            objectives = np.empty((len(objectives), rows.size))
     raise SolverError(f"dpcd did not converge in {max_iter} iterations", rows)
 
 
