@@ -43,9 +43,6 @@ class SolverError(RuntimeError):
     def __str__(self):
         return f"{self.args[0]} (stack rows {self.rows})" if self.rows else str(self.args[0])
 
-    def __reduce__(self):
-        return type(self), (self.args[0], self.rows)
-
 
 class BracketError(SolverError):
     """The bisection bracket for the budget multiplier could not be found."""

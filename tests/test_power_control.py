@@ -1,5 +1,4 @@
 import functools
-import pickle
 
 import numpy as np
 import pytest
@@ -485,8 +484,3 @@ class TestStackedSolvers:
         with pytest.raises(SolverError) as err:
             jdpc_stack(rcs, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
         assert err.value.rows == [2]   # trial 1 is QoS-infeasible and never reaches dpcd
-
-    def test_bracket_error_survives_pickling(self):
-        err = pickle.loads(pickle.dumps(BracketError("no bracket", [4, 7])))
-        assert isinstance(err, BracketError) and err.rows == [4, 7]
-        assert str(err) == "no bracket (stack rows [4, 7])"
