@@ -18,6 +18,12 @@ its pilot column with one product against O, group_powers gives the
 received power of every group at the BS and every D2D-Rx, and the MMSE
 estimate of a D2D link is its pilot's observation column scaled by a
 per-link coefficient, so same-pilot estimates are exactly collinear.
+
+PilotAssignment, PowerProfile and EstimationCoeffs may carry a leading
+trial axis (see scenario.TrialAxis): group_powers and estimation_coeffs
+then serve a whole stack of same-size draws in one call, each draw with
+the bits it gets alone.  The Monte Carlo functions (fast fading, pilot
+phase, MMSE estimate) take one draw, e.g. a stack's slice ls[t].
 """
 from __future__ import annotations
 
@@ -25,15 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import substream, FADING, NOISE
+from .scenario import substream, TrialAxis, FADING, NOISE
 
 
 @dataclass
-class PilotAssignment:
+class PilotAssignment(TrialAxis):
     """Map from D2D pair to pilot index.
 
     pilot_of[k] in {n_cu+1, ..., pilot_len}; pairs sharing a value form a
-    pilot group and contaminate each other's estimates.
+    pilot group and contaminate each other's estimates.  A stack of T
+    assignments has pilot_of of shape (T, K).
     """
 
     pilot_of: np.ndarray
@@ -42,15 +49,15 @@ class PilotAssignment:
 
     def __post_init__(self):
         self.pilot_of = np.asarray(self.pilot_of, dtype=int)
-        if self.pilot_of.ndim != 1:
-            raise ValueError("pilot_of must be a 1-D vector")
+        if self.pilot_of.ndim < 1:
+            raise ValueError("pilot_of must be a vector (or a stack of vectors)")
         lo, hi = self.n_cu + 1, self.pilot_len
         if self.pilot_of.size and (self.pilot_of.min() < lo or self.pilot_of.max() > hi):
             raise ValueError(f"pilot indices must lie in [{lo}, {hi}]")
 
     @property
     def n_d2d(self):
-        return self.pilot_of.size
+        return self.pilot_of.shape[-1]
 
     def d2d_pilots(self):
         """All pilot indices available to D2D pairs."""
@@ -64,17 +71,15 @@ class PilotAssignment:
         return np.flatnonzero(self.pilot_of == pilot)
 
     def to_matrix(self):
-        """Binary reuse-pattern matrix, shape (tau - n_cu, n_d2d)."""
-        o = np.zeros((self.pilot_len - self.n_cu, self.n_d2d), dtype=int)
-        o[self.pilot_of - self.n_cu - 1, np.arange(self.n_d2d)] = 1
-        return o
+        """Binary reuse-pattern matrix, shape (tau - n_cu, n_d2d); (T, ...) for a stack."""
+        return (self.pilot_of[..., None, :] == self.d2d_pilots()[:, None]).astype(int)
 
     def to_json(self):
         return list(int(p) for p in self.pilot_of)
 
 
 @dataclass
-class PowerProfile:
+class PowerProfile(TrialAxis):
     """Pilot and data transmit powers, milliwatts.
 
     Pilot powers are energy budgets over the pilot_len symbols, hence the
@@ -146,7 +151,7 @@ class PilotObservation:
 
 
 @dataclass
-class EstimationCoeffs:
+class EstimationCoeffs(TrialAxis):
     """Estimation-quality coefficients (estimate variance delta/mu, error
     variance eps = 1 - delta).
 
@@ -170,8 +175,12 @@ class EstimationCoeffs:
 
 
 def _cn(rng, shape):
-    """i.i.d. CN(0, 1) samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """i.i.d. CN(0, 1) samples: all real parts, then all imaginary parts."""
+    out = np.empty(shape + (2,))
+    out[..., 0] = rng.standard_normal(shape)
+    out[..., 1] = rng.standard_normal(shape)
+    out *= 1.0 / np.sqrt(2.0)
+    return out.view(complex)[..., 0]
 
 
 def draw_fast_fading(config, rng=None):
@@ -188,23 +197,25 @@ def draw_fast_fading(config, rng=None):
 
 
 def group_powers(ls, pa, p_p):
-    """Received pilot power of every D2D pilot group, noise excluded:
-    O @ (p_p * u_d), shape (tau - N,), at the BS and O @ (p_p * v_d),
-    shape (tau - N, K), at every D2D-Rx; empty pilots give exact zeros.
-    Groups of one size are summed in one stacked reduction, which adds each
-    group's terms in the order a sum over that group alone does: 1 - delta
-    and 1 - mu of strong links would amplify a last-bit change in the sums
-    by up to the link's pilot SNR."""
+    """Received pilot power of every D2D pilot group, noise excluded, for
+    pilot powers p_p shaped like u_d: O @ (p_p * u_d), shape (..., tau - N),
+    at the BS and O @ (p_p * v_d), shape (..., tau - N, K), at every D2D-Rx;
+    empty pilots give exact zeros.
+    Groups of one size, over every draw of a stack, are summed in one
+    stacked reduction, which adds each group's terms in the order a sum over
+    that group alone does: 1 - delta and 1 - mu of strong links would
+    amplify a last-bit change in the sums by up to the link's pilot SNR."""
     o = pa.to_matrix()
-    sizes = o.sum(axis=1)
-    members = np.argsort(1 - o, axis=1, kind="stable")   # members[t, :sizes[t]]
-    den_bs = np.zeros(o.shape[0])
+    sizes = o.sum(axis=-1)
+    members = np.argsort(1 - o, axis=-1, kind="stable")   # members[..., g, :sizes[..., g]]
+    den_bs = np.zeros(o.shape[:-1])
     den_rx = np.zeros(o.shape)
-    for size in set(sizes.tolist()) - {0}:
-        rows = np.flatnonzero(sizes == size)
-        mem = members[rows, :size]
-        den_bs[rows] = np.sum(p_p[mem] * ls.u_d[mem], axis=1)
-        den_rx[rows] = (p_p[mem][:, None, :] @ ls.v_d[mem])[:, 0]
+    for size in set(sizes.ravel().tolist()) - {0}:
+        where = np.nonzero(sizes == size)      # (trial, ..., group) of every such group
+        mem = members[where + (slice(size),)]
+        draw = tuple(i[:, None] for i in where[:-1]) + (mem,)   # the members, in their own draw
+        den_bs[where] = np.sum(p_p[draw] * ls.u_d[draw], axis=1)
+        den_rx[where] = (p_p[draw][:, None, :] @ ls.v_d[draw])[:, 0]
     return den_bs, den_rx
 
 
@@ -219,10 +230,10 @@ def estimation_coeffs(ls, pa, pp, n0):
 
     den_bs, den_rx = group_powers(ls, pa, pp.p_p)
     group = pa.pilot_of - pa.n_cu - 1
-    delta_d = pp.p_p * ls.u_d / (den_bs[group] + n0)
-    mu_d = (pp.p_p[:, None] * ls.v_d) / (den_rx[group] + n0)
+    delta_d = pp.p_p * ls.u_d / (np.take_along_axis(den_bs, group, axis=-1) + n0)
+    mu_d = (pp.p_p[..., :, None] * ls.v_d) / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0)
 
-    scd = pp.q_p[:, None] * ls.v_c
+    scd = pp.q_p[..., :, None] * ls.v_c
     mu_c = scd / (scd + n0)
 
     return EstimationCoeffs(

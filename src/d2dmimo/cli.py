@@ -58,6 +58,8 @@ def _apply_overrides(spec, args):
         if args.trials < 1:
             raise SpecError("trials", "must be an integer >= 1")
         spec.trials = args.trials
+    if getattr(args, "workers", 1) < 1:
+        raise SpecError("workers", "must be an integer >= 1")
     if args.out is not None:
         spec.output = args.out
     return spec

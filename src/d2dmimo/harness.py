@@ -9,6 +9,15 @@ on the sweep value.  Sweep points therefore share common random numbers,
 which keeps sweep curves smooth at desk-scale trial counts, and results
 are independent of sweep order and worker count.
 
+Trials run in chunks of one sweep point.  A chunk draws each trial's
+topology from its own substream, then pushes all its trials through the
+analytic layers (large-scale gains, PSA, estimation coefficients,
+cancellation sets, rate coefficients and bounds) as one stack with a
+leading trial axis, and the power-control recipes solve the chunk in
+lockstep.  The Monte Carlo draws, random assignments and exhaustive
+searches stay per trial, on each trial's slice of the stack.  Every trial
+gets the bits it would get alone, so the outputs do not depend on chunking.
+
 Recipes:
   fig1   cellular sum SE, Monte Carlo vs lower bound (sweep bs_antennas)
   fig2   D2D sum SE, Monte Carlo vs lower bound (sweep pilot_len)
@@ -32,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .scenario import SystemConfig, generate_topology, compute_large_scale, substream, trial_seed, FADING, NOISE
+from .scenario import (SystemConfig, Topology, generate_topology, compute_large_scale, substream,
+                       trial_seed, FADING, NOISE, SHADOWING)
 from .channel import PowerProfile, estimation_coeffs, draw_fast_fading, simulate_pilot_phase, mmse_estimate
 from .receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
@@ -203,15 +213,31 @@ def apply_sweep(config, variable, value):
     return SystemConfig.from_dict(d)
 
 
-def _scenario_pipeline(cfg):
-    topo = generate_topology(cfg)
-    ls = compute_large_scale(topo, cfg)
-    pa = psa(ls, cfg)
-    pp = PowerProfile.max_power(cfg)
+def _draws(cfgs):
+    """Large-scale gains and PSA pilots of a stack of same-size trial configs,
+    each trial drawing from its own substreams.  A topology that cannot be
+    placed raises a SolverError naming its row."""
+    topos = []
+    for r, cfg in enumerate(cfgs):
+        try:
+            topos.append(generate_topology(cfg))
+        except RuntimeError as exc:
+            raise SolverError(str(exc), [r]) from exc
+    ls = compute_large_scale(Topology.stack(topos), cfgs[0],
+                             [substream(cfg.rng_seed, SHADOWING) for cfg in cfgs])
+    return ls, psa(ls, cfgs[0])
+
+
+def _scenario_pipeline(cfgs):
+    """Analytic layers of a stack of same-size trial configs at full power,
+    each result with a leading trial axis: (ls, pa, pp, coeffs, sets, rc)."""
+    cfg = cfgs[0]
+    ls, pa = _draws(cfgs)
+    pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(cfgs))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
     rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
-    return topo, ls, pa, pp, coeffs, sets, rc
+    return ls, pa, pp, coeffs, sets, rc
 
 
 def _mc_rates(cfg, ls, pa, pp, coeffs, sets, want_cell, want_d2d):
@@ -236,37 +262,45 @@ def _mc_rates(cfg, ls, pa, pp, coeffs, sets, want_cell, want_d2d):
     raise RuntimeError("fast-fading draw kept a degenerate PZF span after 5 attempts")
 
 
-def _trial_bounds_mc(cfg, metrics):
-    _, ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfg)
-    out = {}
+def _chunk_bounds_mc(cfgs, metrics):
+    ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs)
+    bounds = {}
     if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
-        r_c, r_d = rate_lower_bounds(rc, pp, cfg)
-        out["sum_se_cell_lb"] = float(r_c.sum())
-        out["sum_se_d2d_lb"] = float(r_d.sum())
+        r_c, r_d = rate_lower_bounds(rc, pp, cfgs[0])
+        bounds = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
     want_cell = "sum_se_cell" in metrics
     want_d2d = "sum_se_d2d" in metrics
-    if want_cell or want_d2d:
-        out.update(_mc_rates(cfg, ls, pa, pp, coeffs, sets, want_cell, want_d2d))
-    return {m: out[m] for m in metrics}
+    results = []
+    for r, cfg in enumerate(cfgs):
+        out = {name: float(sums[r]) for name, sums in bounds.items()}
+        if want_cell or want_d2d:
+            try:
+                out.update(_mc_rates(cfg, ls[r], pa[r], pp[r], coeffs[r], sets[r], want_cell, want_d2d))
+            except RuntimeError as exc:
+                raise SolverError(str(exc), [r]) from exc
+        results.append({m: out[m] for m in metrics})
+    return results
 
 
-def _trial_mse(cfg, metrics):
-    topo = generate_topology(cfg)
-    ls = compute_large_scale(topo, cfg)
-    objective = sum_mse_objective(ls, cfg)
-    out = {}
-    if "sum_mse_psa" in metrics:
-        out["sum_mse_psa"] = objective(psa(ls, cfg))
-    if "sum_mse_rps" in metrics:
-        out["sum_mse_rps"] = objective(random_assignment(cfg))
-    if "sum_mse_es" in metrics:
-        out["sum_mse_es"] = objective(exhaustive_search(ls, cfg, objective))
-    if "sum_mse_lb" in metrics:
-        # contamination-free floor: every pair alone on its pilot
-        p = cfg.pilot_len * cfg.max_power_d2d
-        s = p * np.diag(ls.v_d)
-        out["sum_mse_lb"] = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
-    return {m: out[m] for m in metrics}
+def _chunk_mse(cfgs, metrics):
+    ls, pa = _draws(cfgs)
+    results = []
+    for r, cfg in enumerate(cfgs):
+        objective = sum_mse_objective(ls[r], cfg)
+        out = {}
+        if "sum_mse_psa" in metrics:
+            out["sum_mse_psa"] = objective(pa[r])
+        if "sum_mse_rps" in metrics:
+            out["sum_mse_rps"] = objective(random_assignment(cfg))
+        if "sum_mse_es" in metrics:
+            out["sum_mse_es"] = objective(exhaustive_search(ls[r], cfg, objective))
+        if "sum_mse_lb" in metrics:
+            # contamination-free floor: every pair alone on its pilot
+            p = cfg.pilot_len * cfg.max_power_d2d
+            s = p * np.diag(ls.v_d[r])
+            out["sum_mse_lb"] = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
+        results.append({m: out[m] for m in metrics})
+    return results
 
 
 def _jdpc_metrics(rc, prefactor, res, metrics):
@@ -280,18 +314,23 @@ def _jdpc_metrics(rc, prefactor, res, metrics):
 
 
 def _solve_jdpc(cfgs):
-    """Rate coefficients of each draw, the pre-log factor, and the joint power
-    control of all draws in lockstep (one sweep point: same sizes and targets).
-    A failing solver raises a SolverError naming its rows."""
-    rcs = [_scenario_pipeline(cfg)[-1] for cfg in cfgs]
+    """Stacked rate coefficients of the draws, the pre-log factor, and the
+    joint power control of all draws in lockstep (one sweep point: same sizes
+    and targets).  A failing solver raises a SolverError naming its rows."""
+    rc = _scenario_pipeline(cfgs)[-1]
     cfg = cfgs[0]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    solved = jdpc_stack(rcs, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+    solved = jdpc_stack(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                         tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
-    return rcs, prefactor, solved
+    return rc, prefactor, solved
 
 
-_TRIALS = {"bounds_mc": _trial_bounds_mc, "mse": _trial_mse}
+def _chunk_jdpc(cfgs, metrics):
+    rc, prefactor, solved = _solve_jdpc(cfgs)
+    return [_jdpc_metrics(rc[r], prefactor, res, metrics) for r, res in enumerate(solved)]
+
+
+_CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc}
 
 
 def _run_chunk(task):
@@ -300,24 +339,11 @@ def _run_chunk(task):
     trial seed, so the draw can be re-run."""
     cfg_dict, kind, metrics, first, seeds, point = task
     cfgs = [SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds]
-
-    def failed(rows, message):
-        where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in rows)
-        return RuntimeError(f"{point}, {where}: {message}")
-
-    if kind == "jdpc":
-        try:
-            rcs, prefactor, solved = _solve_jdpc(cfgs)
-        except SolverError as exc:
-            raise failed(exc.rows, exc.args[0]) from exc
-        return [_jdpc_metrics(rc, prefactor, res, metrics) for rc, res in zip(rcs, solved)]
-    results = []
-    for r, cfg in enumerate(cfgs):
-        try:
-            results.append(_TRIALS[kind](cfg, metrics))
-        except RuntimeError as exc:
-            raise failed([r], exc) from exc
-    return results
+    try:
+        return _CHUNKS[kind](cfgs, metrics)
+    except SolverError as exc:
+        where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
+        raise RuntimeError(f"{point}, {where}: {exc.args[0]}") from exc
 
 
 def _aggregate(values):
@@ -400,8 +426,8 @@ def convergence_traces(cfg, max_draws=50):
     first = None
     for t in range(max_draws):
         cfg_t = SystemConfig.from_dict({**cfg.to_dict(), "rng_seed": trial_seed(cfg.rng_seed, t)})
-        rcs, prefactor, (joint,) = _solve_jdpc([cfg_t])
-        probe = (t, cfg_t, rcs[0], prefactor, joint)
+        rc, prefactor, (joint,) = _solve_jdpc([cfg_t])
+        probe = (t, cfg_t, rc[0], prefactor, joint)
         first = first or probe
         if probe[-1].feasible:
             break

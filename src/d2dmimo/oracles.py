@@ -53,7 +53,7 @@ def oracle_pzf_zeros(seed=0):
     worst = 0.0
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
-        _, ls, pa, pp, coeffs, sets, _ = _scenario_pipeline(cfg)
+        ls, pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline([cfg]))
         real = draw_fast_fading(cfg)
         obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
         est = mmse_estimate(obs, ls, pa, pp, cfg)

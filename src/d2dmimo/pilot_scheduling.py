@@ -6,6 +6,11 @@ brackets used to judge it (exhaustive enumeration below, uniform random
 assignment above) and the parametric solver for the pilot-power
 subproblem, a sum-of-linear-ratios program whose per-iteration power
 update is a bang-bang rule.
+
+interference_metric and psa also take large-scale gains with a leading
+trial axis and schedule every draw of the stack in one greedy pass, each
+draw getting the assignment it gets alone; the other schedulers and the
+pilot-power solver take one draw.
 """
 from __future__ import annotations
 
@@ -31,12 +36,14 @@ class NonConvergenceError(RuntimeError):
 def interference_metric(ls):
     """Symmetric pairwise interference strength between D2D pairs.
 
-    chi[i, k] = ln(1 + (v_ik/v_kk)^2 + (v_ki/v_ii)^2), zero diagonal.
+    chi[i, k] = ln(1 + (v_ik/v_kk)^2 + (v_ki/v_ii)^2), zero diagonal;
+    (T, K, K) for a stack of draws.
     """
-    own = np.diag(ls.v_d)
-    ratio = ls.v_d / own[None, :]
-    chi = np.log1p(ratio ** 2 + ratio.T ** 2)
-    np.fill_diagonal(chi, 0.0)
+    own = np.diagonal(ls.v_d, axis1=-2, axis2=-1)
+    ratio = ls.v_d / own[..., None, :]
+    chi = np.log1p(ratio ** 2 + np.swapaxes(ratio, -1, -2) ** 2)
+    k = own.shape[-1]
+    chi[..., np.arange(k), np.arange(k)] = 0.0
     return chi
 
 
@@ -75,23 +82,27 @@ def psa(ls, config):
     Pairs are served in decreasing order of total interference involvement;
     each is given the pilot whose current assignees interfere with it
     least (an empty pilot scores zero).  Ties break to the lowest index.
+    A stack of draws is scheduled in one pass of K steps, one pair of every
+    draw per step.
     """
     k = config.n_d2d
     chi = interference_metric(ls)
-    involvement = chi.sum(axis=0)
-
-    pilot_of = np.zeros(k, dtype=int)
-    assigned = np.zeros(k, dtype=bool)
-    # group_chi[t, j]: summed interference of pilot t's current assignees with pair j
-    group_chi = np.zeros((config.pilot_len - config.n_cu, k))
+    lead = chi.shape[:-2]
+    chi = chi.reshape((-1, k, k))
+    draws = np.arange(chi.shape[0])
+    # served pairs drop to -inf; argmax keeps the first (lowest) on ties
+    involvement = chi.sum(axis=-2)
+    pilot_of = np.zeros((draws.size, k), dtype=int)
+    # group_chi[d, t, j]: summed interference of pilot t's current assignees with pair j
+    group_chi = np.zeros((draws.size, config.pilot_len - config.n_cu, k))
     for _ in range(k):
-        cand = np.flatnonzero(~assigned)
-        kk = cand[np.argmax(involvement[cand])]   # argmax keeps first (lowest) on ties
-        t = np.argmin(group_chi[:, kk])            # argmin keeps the lowest pilot on ties
-        group_chi[t] += chi[kk]
-        pilot_of[kk] = config.n_cu + 1 + t
-        assigned[kk] = True
-    return PilotAssignment(pilot_of=pilot_of, n_cu=config.n_cu, pilot_len=config.pilot_len)
+        kk = np.argmax(involvement, axis=-1)
+        t = np.argmin(group_chi[draws, :, kk], axis=-1)   # argmin keeps the lowest pilot on ties
+        group_chi[draws, t] += chi[draws, kk]
+        pilot_of[draws, kk] = config.n_cu + 1 + t
+        involvement[draws, kk] = -np.inf
+    return PilotAssignment(pilot_of=pilot_of.reshape(lead + (k,)), n_cu=config.n_cu,
+                           pilot_len=config.pilot_len)
 
 
 def random_assignment(config, rng=None):

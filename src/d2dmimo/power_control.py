@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .receivers import bound_sinrs, sigma_c_of, sigma_d_of
+from .receivers import _dot, _vecmat, bound_sinrs, sigma_c_of, sigma_d_of
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -34,7 +34,8 @@ class InfeasibleBudgetError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """A solver failed on some rows of the stack it was given, listed in ``rows``."""
+    """A solver (or another per-trial step of a stacked computation) failed on
+    some rows of the stack it was given, listed in ``rows``."""
 
     def __init__(self, message, rows=()):
         super().__init__(message)
@@ -132,17 +133,6 @@ class DpcdResult:
 def _matvec(a, x):
     """Row-wise a[t] @ x[t] for a (T, K, K), x (T, K); each row has the bits of the 1-D call."""
     return (a @ x[:, :, None])[:, :, 0]
-
-
-def _vecmat(x, a):
-    """Row-wise x[t] @ a[t] for x (T, K), a (T, K, K); each row has the bits of the 1-D call."""
-    return (x[:, None, :] @ a)[:, 0]
-
-
-def _dot(x, y):
-    """x[t] @ y[t] over the leading (broadcast) axes of x, y (..., K); each
-    entry has the bits of the 1-D call."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3,
@@ -305,10 +295,11 @@ class JdpcResult:
     feasible: bool
 
 
-def jdpc_stack(rcs, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
+def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
                outer_cap=10, prefactor=1.0, p_init=None):
-    """Alternate dpcc and dpcd on a stack of same-size instances until each
-    one's D2D sum SE stabilizes; one JdpcResult per instance, in order.
+    """Alternate dpcc and dpcd on a stack of same-size instances, rate
+    coefficients rc with a leading axis of T, until each one's D2D sum SE
+    stabilizes; one JdpcResult per instance, in order.
 
     The D2D powers start at their caps (the inner WMMSE initializer) unless
     p_init (T, K) warm-starts them; later rounds warm-start the WMMSE from
@@ -322,18 +313,17 @@ def jdpc_stack(rcs, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
     Each round runs dpcc on every active instance in turn and then one
     dpcd_stack over those that still have a budget, so every instance gets
     the bits it would get alone.  A failing inner solver raises a
-    SolverError naming the failing rows of rcs.
+    SolverError naming the failing rows of rc.
     """
-    t = len(rcs)
-    k = rcs[0].phi_d.size if t else 0
+    t, k = rc.phi_d.shape
+    rcs = [rc[r] for r in range(t)]
     p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
     p = [p_max_vec.copy() if p_init is None else np.asarray(p_init[r], dtype=float).copy()
          for r in range(t)]
     q = [None] * t
     traces = [[] for _ in range(t)]
     results = [None] * t
-    phi_d, psi_d, varphi_d = (np.array([getattr(rc, name) for rc in rcs])
-                              for name in ("phi_d", "psi_d", "varphi_d"))
+    phi_d, psi_d, varphi_d = rc.phi_d, rc.psi_d, rc.varphi_d
 
     def finish(r, outer, feasible, trace=None):
         results[r] = JdpcResult(q_s=q[r], p_s=p[r], outer_iterations=outer,
@@ -387,5 +377,5 @@ def jdpc(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
          outer_cap=10, prefactor=1.0, p_init=None):
     """Joint power control of one instance: jdpc_stack on a stack of one."""
     p_init = None if p_init is None else [p_init]
-    return jdpc_stack([rc], gamma, q_max, p_max, tol_power=tol_power, tol_wmmse=tol_wmmse,
+    return jdpc_stack(rc[None], gamma, q_max, p_max, tol_power=tol_power, tol_wmmse=tol_wmmse,
                       outer_cap=outer_cap, prefactor=prefactor, p_init=p_init)[0]

@@ -15,6 +15,13 @@ SINRs from a concrete channel/estimate draw (Monte Carlo path) and
 closed-form ergodic lower bounds from the estimation-quality coefficients
 (analytic path).  The package-level tests verify that Monte Carlo mean
 rates dominate the closed-form bounds.
+
+The analytic path (select_cancellation with its kept-masks, rate_coeffs,
+bound_sinrs, rate_lower_bounds) also takes a stack of same-size draws with
+a leading trial axis on every array, and gives each draw the bits it gets
+alone: row-wise products are stacked matmuls (_vecmat, _dot), reductions
+and stable sorts run along the axes they use for one draw.  The Monte
+Carlo path takes one draw.
 """
 from __future__ import annotations
 
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import group_powers
+from .scenario import TrialAxis
 
 
 class FeasibilityError(ValueError):
@@ -34,7 +42,7 @@ class DegenerateSpanError(RuntimeError):
 
 
 @dataclass
-class CancellationSets:
+class CancellationSets(TrialAxis):
     """Which interferers each receiver spends degrees of freedom on.
 
     bs_cancel_cu[n] lists the CUs cancelled when detecting CU n (b_c of
@@ -56,7 +64,7 @@ class CancellationSets:
 
     def bs_kept_pairs(self, pa):
         """Boolean mask over pairs whose pilot group survives at the BS."""
-        return ~np.isin(pa.pilot_of, self.bs_cancel_groups)
+        return ~np.any(pa.pilot_of[..., :, None] == self.bs_cancel_groups[..., None, :], axis=-1)
 
     def rx_kept_cu(self, n_cu):
         """(K, N) mask: row k marks the CUs left uncancelled at D2D-Rx k."""
@@ -64,18 +72,18 @@ class CancellationSets:
 
     def rx_kept_pairs(self, pa):
         """(K, K) mask: row k marks the pairs whose pilot group survives at D2D-Rx k."""
-        return ~np.any(pa.pilot_of[None, :, None] == self.rx_cancel_groups[:, None, :], axis=2)
+        return ~np.any(pa.pilot_of[..., None, :, None] == self.rx_cancel_groups[..., :, None, :], axis=-1)
 
 
 def _kept(cancel, size):
-    """Complement of the per-row index lists in cancel, as a (rows, size) mask."""
-    kept = np.ones((cancel.shape[0], size), dtype=bool)
-    np.put_along_axis(kept, cancel, False, axis=1)
+    """Complement of the per-row index lists in cancel, as a (..., rows, size) mask."""
+    kept = np.ones(cancel.shape[:-1] + (size,), dtype=bool)
+    np.put_along_axis(kept, cancel, False, axis=-1)
     return kept
 
 
 @dataclass
-class RateCoeffs:
+class RateCoeffs(TrialAxis):
     """Aggregated coefficients of the closed-form SINR lower bounds.
 
     varphi_c[a, n] weights CU a's data power in CU n's denominator;
@@ -93,21 +101,32 @@ class RateCoeffs:
     noise_power: float
 
 
+def _vecmat(x, a):
+    """Row-wise x[t] @ a[t] for x (..., K), a (..., K, L); each row has the bits of the 1-D call."""
+    return (x[..., None, :] @ a)[..., 0, :]
+
+
+def _dot(x, y):
+    """x[t] @ y[t] over the leading (broadcast) axes of x, y (..., K); each
+    entry has the bits of the 1-D call."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def sigma_c_of(rc, p_s):
     """Cross-service-plus-noise term of the cellular bound for data powers p_s."""
-    return float(np.asarray(p_s) @ rc.varphi_d + rc.noise_power)
+    return _dot(np.asarray(p_s, dtype=float), rc.varphi_d) + rc.noise_power
 
 
 def sigma_d_of(rc, q_s):
     """Cellular-plus-noise terms of the D2D bounds for data powers q_s."""
-    return np.asarray(q_s) @ rc.cu_to_rx_weight + rc.noise_power
+    return _vecmat(np.asarray(q_s, dtype=float), rc.cu_to_rx_weight) + rc.noise_power
 
 
 def _strongest(values, count):
     """Per column, row indices of the `count` largest values in ascending
     order, ties broken by lowest index; -inf entries are never picked."""
-    order = np.argsort(-values, axis=0, kind="stable")
-    return np.sort(order[:count], axis=0)
+    order = np.argsort(-values, axis=-2, kind="stable")
+    return np.sort(order[..., :count, :], axis=-2)
 
 
 def select_cancellation(ls, pa, config):
@@ -118,7 +137,7 @@ def select_cancellation(ls, pa, config):
     CUs).  Each D2D-Rx cancels its m_c strongest CUs and the m_d strongest
     foreign pilot groups by summed gain at that receiver.
     """
-    n, k = ls.u_c.size, ls.u_d.size
+    n = ls.u_c.shape[-1]
     b_c, b_d = config.pzf_bs
     m_c, m_d = config.pzf_d2d
     tau = config.pilot_len
@@ -136,17 +155,17 @@ def select_cancellation(ls, pa, config):
         raise FeasibilityError(f"m_c+m_d must be <= M-1 (got {m_c + m_d} > {config.d2drx_antennas - 1})")
 
     # column a ranks the other CUs for CU a; a CU never cancels itself
-    gain_cu = np.repeat(ls.u_c[:, None], n, axis=1)
-    np.fill_diagonal(gain_cu, -np.inf)
-    bs_cancel_cu = _strongest(gain_cu, b_c).T
-    rx_cancel_cu = _strongest(ls.v_c, m_c).T
+    gain_cu = np.repeat(ls.u_c[..., :, None], n, axis=-1)
+    gain_cu[..., np.arange(n), np.arange(n)] = -np.inf
+    bs_cancel_cu = np.swapaxes(_strongest(gain_cu, b_c), -1, -2)
+    rx_cancel_cu = np.swapaxes(_strongest(ls.v_c, m_c), -1, -2)
 
     # summed member gains of every pilot group, at the BS and (column r) at
     # Rx r, where a receiver's own group is excluded
-    gain_bs, gain_rx = group_powers(ls, pa, np.ones(k))
-    gain_rx[pa.pilot_of - n - 1, np.arange(k)] = -np.inf
-    bs_cancel_groups = n + 1 + _strongest(gain_bs, b_d)
-    rx_cancel_groups = n + 1 + _strongest(gain_rx, m_d).T
+    gain_bs, gain_rx = group_powers(ls, pa, np.ones(ls.u_d.shape))
+    np.put_along_axis(gain_rx, pa.pilot_of[..., None, :] - n - 1, -np.inf, axis=-2)
+    bs_cancel_groups = n + 1 + _strongest(gain_bs[..., None], b_d)[..., 0]
+    rx_cancel_groups = n + 1 + np.swapaxes(_strongest(gain_rx, m_d), -1, -2)
 
     return CancellationSets(
         bs_cancel_cu=bs_cancel_cu,
@@ -270,7 +289,7 @@ def rate_coeffs(ls, pa, coeffs, sets, pp, config):
     Requires strictly positive array-gain factors, i.e. B > b_c+b_d+1 and
     M > m_c+m_d+1.
     """
-    k = ls.u_d.size
+    n, k = ls.u_c.shape[-1], ls.u_d.shape[-1]
     b_c, b_d = config.pzf_bs
     m_c, m_d = config.pzf_d2d
     dof_bs = config.bs_antennas - b_c - b_d - 1
@@ -283,23 +302,24 @@ def rate_coeffs(ls, pa, coeffs, sets, pp, config):
     phi_c = dof_bs * ls.u_c * coeffs.delta_c
 
     # cancelled CUs and the self term carry only the estimation error
-    attenuated = ~sets.bs_kept_cu(ls.u_c.size).T | np.eye(ls.u_c.size, dtype=bool)
-    varphi_c = np.where(attenuated, (ls.u_c * coeffs.eps_c)[:, None], ls.u_c[:, None])
+    attenuated = ~np.swapaxes(sets.bs_kept_cu(n), -1, -2) | np.eye(n, dtype=bool)
+    varphi_c = np.where(attenuated, (ls.u_c * coeffs.eps_c)[..., :, None], ls.u_c[..., :, None])
 
     varphi_d = np.where(sets.bs_kept_pairs(pa), ls.u_d, ls.u_d * coeffs.eps_d)
 
-    phi_d = dof_rx * np.diag(ls.v_d) * np.diag(coeffs.mu_d)
+    phi_d = (dof_rx * np.diagonal(ls.v_d, axis1=-2, axis2=-1)
+             * np.diagonal(coeffs.mu_d, axis1=-2, axis2=-1))
 
     # [i, k]: kept foreign groups in full; cancelled groups and the self
     # term by their error; same-pilot mates also through the estimate
     v = ls.v_d
     own = np.eye(k, dtype=bool)
-    same = (pa.pilot_of[:, None] == pa.pilot_of[None, :]) & ~own
-    error = ~sets.rx_kept_pairs(pa).T | own
+    same = (pa.pilot_of[..., :, None] == pa.pilot_of[..., None, :]) & ~own
+    error = ~np.swapaxes(sets.rx_kept_pairs(pa), -1, -2) | own
     psi_d = np.where(same, dof_rx * v * coeffs.mu_d + v * coeffs.eps_dd,
                      np.where(error, v * coeffs.eps_dd, v))
 
-    cu_to_rx = np.where(sets.rx_kept_cu(ls.u_c.size).T, ls.v_c, ls.v_c * coeffs.eps_cd)
+    cu_to_rx = np.where(np.swapaxes(sets.rx_kept_cu(n), -1, -2), ls.v_c, ls.v_c * coeffs.eps_cd)
 
     return RateCoeffs(
         phi_c=phi_c, varphi_c=varphi_c, varphi_d=varphi_d,
@@ -314,8 +334,8 @@ def bound_sinrs(rc, q_s, p_s):
     p_s = np.asarray(p_s, dtype=float)
     sigma_c = sigma_c_of(rc, p_s)
     sigma_d = sigma_d_of(rc, q_s)
-    eta_c = q_s * rc.phi_c / (q_s @ rc.varphi_c + sigma_c)
-    eta_d = p_s * rc.phi_d / (p_s @ rc.psi_d + sigma_d)
+    eta_c = q_s * rc.phi_c / (_vecmat(q_s, rc.varphi_c) + sigma_c[..., None])
+    eta_d = p_s * rc.phi_d / (_vecmat(p_s, rc.psi_d) + sigma_d)
     return eta_c, eta_d
 
 

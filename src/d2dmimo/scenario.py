@@ -7,11 +7,21 @@ Conventions used throughout the package:
   * randomness is derived from one root seed via purpose-keyed substreams
     so each stage (topology, shadowing, fading, noise) can be re-run
     independently and deterministically.
+
+The analytic layers (large-scale gains here, then pilot scheduling,
+estimation coefficients, cancellation choice and rate bounds) accept an
+optional leading trial axis: a Topology or LargeScale whose arrays are
+(T, ...) describes T same-size draws, and every layer computes each draw's
+values in the order it would alone, so a stack of one has the bits of the
+unstacked call.  stack[t] is draw t on its own; TrialAxis.stack builds a
+stack from single draws.  Topologies are still drawn one at a time, each
+from its own substream.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field, replace
+import math
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -41,6 +51,16 @@ def substream(seed, *key):
 def _is_int(value):
     """Python or numpy integer, bools excluded."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """Finite Python or numpy real number (as a float), bools excluded."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def trial_seed(root_seed, trial):
@@ -115,12 +135,21 @@ class SystemConfig:
             raise ValueError(f"pzf_d2d[1] must satisfy 0 <= m_d <= tau-N-1 (got m_d={md}, tau-N-1={tau - n - 1})")
         if mc + md > m - 1:
             raise ValueError(f"pzf_d2d must satisfy m_c+m_d <= M-1 (got {mc}+{md} > {m - 1})")
+        for name in ("noise_power", "max_power_cu", "max_power_d2d", "sinr_target", "cell_side",
+                     "d2d_max_dist", "pathloss_exp", "shadow_sigma_db", "min_dist", "tol_power",
+                     "tol_wmmse"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite real number (got {getattr(self, name)!r})")
         for name in ("noise_power", "max_power_cu", "max_power_d2d", "sinr_target",
                      "cell_side", "d2d_max_dist", "min_dist"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.tol_power <= 0 or self.tol_wmmse <= 0:
             raise ValueError("tol_power and tol_wmmse must be strictly positive")
+        if self.shadow_sigma_db < 0:
+            raise ValueError(f"shadow_sigma_db must be >= 0 (got {self.shadow_sigma_db!r})")
+        if self.min_dist > self.d2d_max_dist:
+            raise ValueError(f"min_dist must be <= d2d_max_dist (got {self.min_dist!r} > {self.d2d_max_dist!r})")
         seed = self.rng_seed
         if not _is_int(seed) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer (got {seed!r})")
@@ -140,9 +169,27 @@ class SystemConfig:
         return cls(**d)
 
 
+class TrialAxis:
+    """Mixin of the dataclasses whose array fields may carry a leading trial
+    axis.  stack[t] is trial t alone (stack[None] makes a stack of one) and
+    cls.stack(items) stacks same-size instances; fields that are not arrays
+    are shared by every trial."""
+
+    def __getitem__(self, t):
+        out = object.__new__(type(self))
+        out.__dict__.update((name, value[t] if isinstance(value, np.ndarray) else value)
+                            for name, value in self.__dict__.items())
+        return out
+
+    @classmethod
+    def stack(cls, items):
+        return cls(**{name: np.array([getattr(i, name) for i in items]) if isinstance(value, np.ndarray)
+                      else value for name, value in vars(items[0]).items()})
+
+
 @dataclass
-class Topology:
-    """Positions in meters inside the cell square."""
+class Topology(TrialAxis):
+    """Positions in meters inside the cell square; (T, ...) for a stack."""
 
     bs_pos: np.ndarray       # (2,)
     cu_pos: np.ndarray       # (N, 2)
@@ -158,11 +205,12 @@ class Topology:
 
 
 @dataclass
-class LargeScale:
+class LargeScale(TrialAxis):
     """Large-scale link gains (path loss x shadowing), linear power units.
 
     v_c[n, k] is the gain CU n -> D2D-Rx k; v_d[i, k] is D2D-Tx i -> D2D-Rx k,
-    so the diagonal of v_d holds each pair's own link.
+    so the diagonal of v_d holds each pair's own link.  A stack of T draws
+    has a leading trial axis on every field.
     """
 
     u_c: np.ndarray   # (N,)  CU -> BS
@@ -190,47 +238,69 @@ def generate_topology(config, rng=None):
     Each D2D-Rx is placed at uniform distance in [min_dist, d2d_max_dist]
     and uniform angle from its Tx; placements falling outside the square
     are rejected and redrawn (fresh distance and angle each attempt).
+    Attempts are drawn K at a time as (distance, angle) rows, and each pair
+    takes the first in-cell attempt after the previous pair's, so the draws
+    and positions are those of trying one attempt at a time, pair by pair.
     """
     if rng is None:
         rng = substream(config.rng_seed, TOPOLOGY)
-    side = config.cell_side
+    side, k = config.cell_side, config.n_d2d
     bs = np.array([side / 2.0, side / 2.0])
     cu = rng.uniform(0.0, side, size=(config.n_cu, 2))
-    tx = rng.uniform(0.0, side, size=(config.n_d2d, 2))
+    tx = rng.uniform(0.0, side, size=(k, 2))
     rx = np.empty_like(tx)
-    for k in range(config.n_d2d):
-        for _ in range(10000):
-            d = rng.uniform(config.min_dist, config.d2d_max_dist)
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            cand = tx[k] + d * np.array([np.cos(ang), np.sin(ang)])
-            if 0.0 <= cand[0] <= side and 0.0 <= cand[1] <= side:
-                rx[k] = cand
+    low, high = [config.min_dist, 0.0], [config.d2d_max_dist, 2.0 * np.pi]
+    pair, first, base = 0, 0, 0   # next pair to place, its first attempt, block start
+    while pair < k:
+        d, ang = rng.uniform(low, high, size=(k, 2)).T
+        # cand[a, i]: attempt base + a applied to pair i
+        cand = tx + (d[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1))[:, None, :]
+        inside = np.all((cand >= 0.0) & (cand <= side), axis=2).T.tolist()
+        placed, taken = [], []
+        while pair < k:
+            a, row = max(first - base, 0), inside[pair]
+            while a < k and not row[a]:
+                a += 1
+            if a == k or base + a - first >= 10000:
                 break
-        else:
-            raise RuntimeError(f"could not place D2D-Rx {k} inside the cell after 10000 draws")
+            placed.append(pair)
+            taken.append(a)
+            pair, first = pair + 1, base + a + 1
+        rx[placed] = cand[taken, placed]
+        base += k
+        if pair < k and base - first >= 10000:
+            raise RuntimeError(f"could not place D2D-Rx {pair} inside the cell after 10000 draws")
     return Topology(bs_pos=bs, cu_pos=cu, d2d_tx_pos=tx, d2d_rx_pos=rx)
 
 
-def _gain(dist, config, rng):
-    d = np.maximum(dist, config.min_dist)
-    shadow_db = rng.normal(0.0, config.shadow_sigma_db, size=np.shape(d))
-    return d ** (-config.pathloss_exp) * 10.0 ** (shadow_db / 10.0)
-
-
 def compute_large_scale(topology, config, rng=None):
-    """Path-loss/shadowing gains for every link; shadowing i.i.d. per link."""
+    """Path-loss/shadowing gains for every link; shadowing i.i.d. per link.
+
+    A draw's shadowing is one normal draw over its links in the order
+    u_c, u_d, v_c, v_d (row-major).  A stacked topology takes a list of
+    generators in rng, one per trial, each drawing its trial's shadowing.
+    """
     if rng is None:
         rng = substream(config.rng_seed, SHADOWING)
-    d_cu_bs = np.linalg.norm(topology.cu_pos - topology.bs_pos, axis=1)
-    d_tx_bs = np.linalg.norm(topology.d2d_tx_pos - topology.bs_pos, axis=1)
-    # (N, K): CU n to Rx k; (K, K): Tx i to Rx k
-    d_cu_rx = np.linalg.norm(topology.cu_pos[:, None, :] - topology.d2d_rx_pos[None, :, :], axis=2)
-    d_tx_rx = np.linalg.norm(topology.d2d_tx_pos[:, None, :] - topology.d2d_rx_pos[None, :, :], axis=2)
+    n, k = config.n_cu, config.n_d2d
+    lead = topology.cu_pos.shape[:-2]
+    bs = topology.bs_pos[..., None, :]
+    cu, tx, rx = topology.cu_pos, topology.d2d_tx_pos, topology.d2d_rx_pos
+    # CU n and Tx i to the BS, then (N, K) CU n to Rx k and (K, K) Tx i to Rx k
+    dist = np.concatenate([
+        np.linalg.norm(cu - bs, axis=-1),
+        np.linalg.norm(tx - bs, axis=-1),
+        np.linalg.norm(cu[..., :, None, :] - rx[..., None, :, :], axis=-1).reshape(lead + (n * k,)),
+        np.linalg.norm(tx[..., :, None, :] - rx[..., None, :, :], axis=-1).reshape(lead + (k * k,)),
+    ], axis=-1)
+    shadow_db = np.array([g.normal(0.0, config.shadow_sigma_db, dist.shape[-1])
+                          for g in (rng if lead else [rng])]).reshape(dist.shape)
+    gain = np.maximum(dist, config.min_dist) ** (-config.pathloss_exp) * 10.0 ** (shadow_db / 10.0)
     return LargeScale(
-        u_c=_gain(d_cu_bs, config, rng),
-        u_d=_gain(d_tx_bs, config, rng),
-        v_c=_gain(d_cu_rx, config, rng),
-        v_d=_gain(d_tx_rx, config, rng),
+        u_c=gain[..., :n],
+        u_d=gain[..., n:n + k],
+        v_c=gain[..., n + k:n + k + n * k].reshape(lead + (n, k)),
+        v_d=gain[..., n + k + n * k:].reshape(lead + (k, k)),
     )
 
 

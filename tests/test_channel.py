@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d2dmimo.scenario import SystemConfig, LargeScale, substream
-from d2dmimo.channel import (PilotAssignment, PowerProfile, draw_fast_fading,
+from d2dmimo.channel import (PilotAssignment, PowerProfile, _cn, draw_fast_fading,
                              estimation_coeffs, simulate_pilot_phase, mmse_estimate)
 
 
@@ -67,6 +67,16 @@ class TestFastFading:
         assert h.real.var() == pytest.approx(0.5, abs=0.005)
         assert h.imag.var() == pytest.approx(0.5, abs=0.005)
         assert abs(h.mean()) < 0.01
+
+    @pytest.mark.parametrize("shape", [(0,), (7,), (256, 20), (20, 8, 20), (3, 1, 4, 2)])
+    def test_cn_matches_the_sum_of_parts_form(self, shape):
+        def reference_cn(rng, shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        got = _cn(substream(3, 1), shape)
+        want = reference_cn(substream(3, 1), shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEstimationCoeffs:

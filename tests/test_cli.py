@@ -152,6 +152,22 @@ def test_non_integer_count_exits_1(spec_file, capsys, config, sweep, fragment):
         assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [{"sinr_target": float("nan")}, {"shadow_sigma_db": -3.0},
+                                    {"min_dist": 150.0, "d2d_max_dist": 100.0}])
+def test_ill_formed_float_exits_1(spec_file, capsys, config):
+    doc = small_spec_doc()
+    doc["config"].update(config)
+    for command in ("validate", "run"):
+        assert main([command, spec_file(doc)]) == 1
+        assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exits_1(spec_file, capsys, workers):
+    assert main(["run", spec_file(small_spec_doc()), "--workers", workers]) == 1
+    assert capsys.readouterr().err == "spec error: workers: must be an integer >= 1\n"
+
+
 def test_exhaustive_search_beyond_guard_exits_1(spec_file, capsys):
     doc = small_spec_doc(experiment="fig3", metrics=["sum_mse_es"],
                          sweep={"variable": "n_d2d", "values": [6, 24]})   # 3^24 assignments

@@ -8,7 +8,7 @@ import pytest
 from d2dmimo import power_control
 from d2dmimo.scenario import SystemConfig, trial_seed
 from d2dmimo.power_control import dpcc, dpcd
-from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, run_experiment,
+from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, load_spec, run_experiment,
                              spec_from_dict, validate_spec, convergence_traces, _solve_jdpc)
 
 
@@ -172,6 +172,19 @@ class TestRunExperiment:
             spec.output = str(tmp_path / f"w{workers}" / "fig7.csv")
             run_experiment(spec, workers=workers)
         assert (tmp_path / "w1" / "fig7.csv").read_bytes() == (tmp_path / "w2" / "fig7.csv").read_bytes()
+
+    @pytest.mark.parametrize("name,trials,sweep", [("fig1", 16, None), ("fig2", 16, None),
+                                                   ("fig3", 12, [7, 8])])
+    def test_csv_bytes_independent_of_workers(self, tmp_path, name, trials, sweep):
+        # one stack per sweep point, or chunks of 2 (fig3: 1) with two workers
+        spec = load_spec(SPECS / f"{name}.json")
+        spec.trials = trials
+        if sweep is not None:
+            spec.sweep_values = sweep   # exhaustive search over 2^6 and 3^6 assignments
+        for workers in (1, 2):
+            spec.output = str(tmp_path / f"w{workers}" / f"{name}.csv")
+            run_experiment(spec, workers=workers)
+        assert (tmp_path / "w1" / f"{name}.csv").read_bytes() == (tmp_path / "w2" / f"{name}.csv").read_bytes()
 
     def test_solver_failure_names_the_trial(self, monkeypatch):
         # first-round WMMSE iterations of trials 0-3: 442, QoS-infeasible, 5376, 9

@@ -259,7 +259,7 @@ def _fig7_instance(n_d2d, gamma, trial):
     Where some CU's power stays capped (QoS infeasible at full D2D power),
     the budget left for the D2D pairs is tight and the multiplier binds."""
     cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=trial_seed(777, trial))
-    rc = _scenario_pipeline(cfg)[-1]
+    rc = _scenario_pipeline([cfg])[-1][0]
     cell = dpcc(rc, np.full(n_d2d, cfg.max_power_d2d), gamma, cfg.max_power_cu, tol=cfg.tol_power)
     return cfg, rc, cell.q_s
 
@@ -430,7 +430,7 @@ class TestStackedSolvers:
             return out
 
         monkeypatch.setattr(power_control, "dpcd_stack", spy)
-        stacked = jdpc_stack(rcs, *args, p_init=warm, **kw)
+        stacked = jdpc_stack(RateCoeffs.stack(rcs), *args, p_init=warm, **kw)
         monkeypatch.undo()
         assert [r.feasible for r in stacked] == [True, False, True, True, True, True, True]
         assert [r.outer_iterations for r in stacked] == [3, 1, 4, 2, 10, 5, 2]
@@ -482,5 +482,5 @@ class TestStackedSolvers:
         monkeypatch.setattr(power_control, "dpcd_stack",
                             functools.partial(dpcd_stack, max_iter=50))
         with pytest.raises(SolverError) as err:
-            jdpc_stack(rcs, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
+            jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
         assert err.value.rows == [2]   # trial 1 is QoS-infeasible and never reaches dpcd

@@ -124,6 +124,15 @@ def test_all_gains_positive_and_finite():
     ("coherence_len", "40", "coherence_len"),
     ("pzf_bs", (2.9, 1), "pzf_bs"),
     ("pzf_d2d", (1, False), "pzf_d2d"),
+    ("sinr_target", float("nan"), "sinr_target"),
+    ("noise_power", float("inf"), "noise_power"),
+    ("max_power_cu", float("-inf"), "max_power_cu"),
+    ("pathloss_exp", float("nan"), "pathloss_exp"),
+    ("cell_side", True, "cell_side"),
+    ("cell_side", 10 ** 400, "cell_side"),
+    ("tol_wmmse", "1e-3", "tol_wmmse"),
+    ("shadow_sigma_db", -3.0, "shadow_sigma_db"),
+    ("min_dist", 150.0, "min_dist"),                 # > d2d_max_dist
 ])
 def test_config_invariants_rejected(field, value, fragment):
     with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):

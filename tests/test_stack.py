@@ -1,0 +1,196 @@
+"""The analytic layers on a leading trial axis: every draw of a stack gets
+the bits it gets alone, and the blocked D2D-Rx placement draws what the
+one-attempt-at-a-time loop drew."""
+import numpy as np
+import pytest
+
+from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topology,
+                              compute_large_scale, substream, trial_seed, SHADOWING, TOPOLOGY)
+from d2dmimo.channel import PilotAssignment, PowerProfile, group_powers, estimation_coeffs
+from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment
+from d2dmimo.receivers import (select_cancellation, rate_coeffs, bound_sinrs, rate_lower_bounds,
+                               sigma_c_of, sigma_d_of)
+from d2dmimo.harness import _scenario_pipeline
+
+
+def reference_generate_topology(config, rng=None):
+    """The scalar placement loop the blocked one replaced, verbatim."""
+    if rng is None:
+        rng = substream(config.rng_seed, TOPOLOGY)
+    side = config.cell_side
+    bs = np.array([side / 2.0, side / 2.0])
+    cu = rng.uniform(0.0, side, size=(config.n_cu, 2))
+    tx = rng.uniform(0.0, side, size=(config.n_d2d, 2))
+    rx = np.empty_like(tx)
+    for k in range(config.n_d2d):
+        for _ in range(10000):
+            d = rng.uniform(config.min_dist, config.d2d_max_dist)
+            ang = rng.uniform(0.0, 2.0 * np.pi)
+            cand = tx[k] + d * np.array([np.cos(ang), np.sin(ang)])
+            if 0.0 <= cand[0] <= side and 0.0 <= cand[1] <= side:
+                rx[k] = cand
+                break
+        else:
+            raise RuntimeError(f"could not place D2D-Rx {k} inside the cell after 10000 draws")
+    return Topology(bs_pos=bs, cu_pos=cu, d2d_tx_pos=tx, d2d_rx_pos=rx)
+
+
+class CountingRng:
+    """Generator proxy counting uniform() calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_fields(stacked, alone):
+    return all(same_bits(getattr(stacked, name), value)
+               for name, value in vars(alone).items() if isinstance(value, np.ndarray))
+
+
+# (K=1), (zero PZF budgets, K below the pilot count), (placement with rejections)
+CONFIGS = {
+    "one pair": dict(n_cu=1, n_d2d=1, bs_antennas=8, d2drx_antennas=4, pilot_len=2,
+                     pzf_bs=(0, 1), pzf_d2d=(0, 0)),
+    "zero budgets": dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4, pilot_len=9,
+                         pzf_bs=(0, 0), pzf_d2d=(0, 0)),
+    "rejections": dict(n_cu=5, n_d2d=20, pilot_len=10, d2d_max_dist=600.0),
+}
+
+
+def trial_configs(name, trials=12):
+    return [SystemConfig(**CONFIGS[name], rng_seed=trial_seed(21, t)) for t in range(trials)]
+
+
+def mixed_stack(cfgs):
+    """A stack whose even trials take PSA pilots and odd trials random ones
+    (these leave pilots empty when K is below the pilot count)."""
+    ls, pa = _scenario_pipeline(cfgs)[:2]
+    pa = PilotAssignment.stack([pa[t] if t % 2 == 0 else random_assignment(cfg)
+                                for t, cfg in enumerate(cfgs)])
+    pp = PowerProfile.stack([PowerProfile.max_power(cfg) for cfg in cfgs])
+    return ls, pa, pp
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+class TestStackedLayers:
+    def test_large_scale_and_psa(self, name):
+        cfgs = trial_configs(name)
+        ls, pa = _scenario_pipeline(cfgs)[:2]
+        chi = interference_metric(ls)
+        for t, cfg in enumerate(cfgs):
+            alone = compute_large_scale(generate_topology(cfg), cfg)
+            assert same_fields(ls[t], alone)
+            assert same_bits(chi[t], interference_metric(alone))
+            assert same_bits(pa.pilot_of[t], psa(alone, cfg).pilot_of)
+            assert same_bits(pa.to_matrix()[t], psa(alone, cfg).to_matrix())
+
+    def test_coefficients_cancellation_and_bounds(self, name):
+        cfgs = trial_configs(name)
+        cfg = cfgs[0]
+        ls, pa, pp = mixed_stack(cfgs)
+        if name == "zero budgets":
+            assert (pa.to_matrix().sum(axis=-1) == 0).any()   # some pilot is empty
+        den = group_powers(ls, pa, pp.p_p)
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+        sets = select_cancellation(ls, pa, cfg)
+        rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
+        etas = bound_sinrs(rc, pp.q_s, pp.p_s)
+        rates = rate_lower_bounds(rc, pp, cfg)
+        sums = [r.sum(axis=-1) for r in rates]
+        for t in range(len(cfgs)):
+            ls_t, pa_t, pp_t = ls[t], pa[t], pp[t]
+            alone = {}
+            alone["den"] = group_powers(ls_t, pa_t, pp_t.p_p)
+            alone["coeffs"] = estimation_coeffs(ls_t, pa_t, pp_t, cfg.noise_power)
+            alone["sets"] = select_cancellation(ls_t, pa_t, cfg)
+            alone["rc"] = rate_coeffs(ls_t, pa_t, alone["coeffs"], alone["sets"], pp_t, cfg)
+            assert all(same_bits(a[t], b) for a, b in zip(den, alone["den"]))
+            assert same_fields(coeffs[t], alone["coeffs"])
+            assert same_fields(sets[t], alone["sets"])
+            n = cfg.n_cu
+            for mask, want in ((sets.bs_kept_cu(n), alone["sets"].bs_kept_cu(n)),
+                               (sets.bs_kept_pairs(pa), alone["sets"].bs_kept_pairs(pa_t)),
+                               (sets.rx_kept_cu(n), alone["sets"].rx_kept_cu(n)),
+                               (sets.rx_kept_pairs(pa), alone["sets"].rx_kept_pairs(pa_t))):
+                assert same_bits(mask[t], want)
+            assert same_fields(rc[t], alone["rc"])
+            assert same_bits(sigma_c_of(rc, pp.p_s)[t], sigma_c_of(alone["rc"], pp_t.p_s))
+            assert same_bits(sigma_d_of(rc, pp.q_s)[t], sigma_d_of(alone["rc"], pp_t.q_s))
+            assert all(same_bits(e[t], a) for e, a in zip(etas, bound_sinrs(alone["rc"], pp_t.q_s, pp_t.p_s)))
+            rates_t = rate_lower_bounds(alone["rc"], pp_t, cfg)
+            assert all(same_bits(r[t], a) for r, a in zip(rates, rates_t))
+            assert all(same_bits(s[t], a.sum()) for s, a in zip(sums, rates_t))
+
+    def test_stack_of_one_is_the_unstacked_call(self, name):
+        cfg = trial_configs(name, trials=1)[0]
+        ls = compute_large_scale(generate_topology(cfg), cfg)
+        one = compute_large_scale(generate_topology(cfg)[None], cfg, [substream(cfg.rng_seed, SHADOWING)])
+        assert same_fields(one[0], ls)
+        pa, pp = psa(ls, cfg), PowerProfile.max_power(cfg)
+        assert same_bits(psa(one, cfg).pilot_of[0], pa.pilot_of)
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+        assert same_fields(estimation_coeffs(one, pa[None], pp[None], cfg.noise_power)[0], coeffs)
+        sets = select_cancellation(ls, pa, cfg)
+        assert same_fields(select_cancellation(one, pa[None], cfg)[0], sets)
+        rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
+        assert same_fields(rate_coeffs(one, pa[None], coeffs[None], sets[None], pp[None], cfg)[0], rc)
+
+
+def test_stack_round_trip():
+    cfgs = trial_configs("zero budgets", trials=3)
+    ls = _scenario_pipeline(cfgs)[0]
+    again = LargeScale.stack([ls[t] for t in range(3)])
+    assert same_fields(again, ls) and ls.u_c.shape == (3, 3)
+
+
+@pytest.mark.parametrize("d2d_max_dist", [100.0, 600.0])
+def test_blocked_placement_matches_the_scalar_loop(d2d_max_dist):
+    rejected = 0
+    for seed in range(250):
+        cfg = SystemConfig(n_cu=5, n_d2d=20, pilot_len=10, d2d_max_dist=d2d_max_dist, rng_seed=seed)
+        rng = CountingRng(substream(seed, TOPOLOGY))
+        want = reference_generate_topology(cfg, rng)
+        rejected += (rng.calls - 2) // 2 > cfg.n_d2d   # two draws per attempt after CU and Tx drops
+        assert same_fields(generate_topology(cfg), want)
+    assert rejected > (100 if d2d_max_dist == 600.0 else 0)
+
+
+def outcome(fn, cfg):
+    try:
+        return vars(fn(cfg))
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_unplaceable_config_raises_the_scalar_loops_error():
+    cfg = SystemConfig(n_cu=2, n_d2d=3, bs_antennas=8, d2drx_antennas=4, pilot_len=4,
+                       pzf_bs=(0, 0), pzf_d2d=(0, 0), cell_side=10.0, min_dist=50.0,
+                       d2d_max_dist=60.0)
+    assert (outcome(generate_topology, cfg) == outcome(reference_generate_topology, cfg)
+            == "could not place D2D-Rx 0 inside the cell after 10000 draws")
+
+
+def test_placement_failing_at_a_later_pair():
+    # 90-95 m from a Tx is inside a 100 m cell only from near a corner
+    failed = set()
+    for seed in range(12):
+        cfg = SystemConfig(n_cu=2, n_d2d=4, bs_antennas=8, d2drx_antennas=4, pilot_len=4,
+                           pzf_bs=(0, 0), pzf_d2d=(0, 0), cell_side=100.0, min_dist=90.0,
+                           d2d_max_dist=95.0, rng_seed=seed)
+        want = outcome(reference_generate_topology, cfg)
+        got = outcome(generate_topology, cfg)
+        if isinstance(want, str):
+            assert got == want
+            failed.add(want.split()[4])
+        else:
+            assert all(same_bits(got[name], value) for name, value in want.items())
+    assert failed - {"0"}   # some draw fails after placing pair 0
