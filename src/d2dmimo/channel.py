@@ -19,11 +19,12 @@ received power of every group at the BS and every D2D-Rx, and the MMSE
 estimate of a D2D link is its pilot's observation column scaled by a
 per-link coefficient, so same-pilot estimates are exactly collinear.
 
-PilotAssignment, PowerProfile and EstimationCoeffs may carry a leading
-trial axis (see scenario.TrialAxis): group_powers and estimation_coeffs
-then serve a whole stack of same-size draws in one call, each draw with
-the bits it gets alone.  The Monte Carlo functions (fast fading, pilot
-phase, MMSE estimate) take one draw, e.g. a stack's slice ls[t].
+Every dataclass here may carry a leading trial axis (see
+scenario.TrialAxis), and every function then serves a whole stack of
+same-size draws in one call, each draw with the bits it gets alone.  Random
+numbers stay per trial: given a list of generators, one per trial,
+draw_fast_fading and simulate_pilot_phase fill the stack row by row, each
+row from its own generator in the order a single draw uses.
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ class PowerProfile(TrialAxis):
 
 
 @dataclass
-class ChannelRealization:
+class ChannelRealization(TrialAxis):
     """One block-fading draw; every entry is standard complex normal.
 
     g_d[k, :, i] is the fast-fading vector D2D-Tx i -> D2D-Rx k;
@@ -135,7 +136,7 @@ class ChannelRealization:
 
 
 @dataclass
-class EstimatedChannels:
+class EstimatedChannels(TrialAxis):
     """MMSE estimates, same layout as ChannelRealization."""
 
     h_c: np.ndarray
@@ -145,7 +146,7 @@ class EstimatedChannels:
 
 
 @dataclass
-class PilotObservation:
+class PilotObservation(TrialAxis):
     y_bs: np.ndarray   # (B, tau)
     y_rx: np.ndarray   # (K, M, tau)
 
@@ -175,15 +176,20 @@ class EstimationCoeffs(TrialAxis):
 
 
 def _cn(rng, shape):
-    """i.i.d. CN(0, 1) samples: all real parts, then all imaginary parts."""
-    out = np.empty(shape + (2,))
-    out[..., 0] = rng.standard_normal(shape)
-    out[..., 1] = rng.standard_normal(shape)
+    """i.i.d. CN(0, 1) samples: all real parts, then all imaginary parts.
+    A list of generators gives a (T, *shape) stack, row t from rng[t]."""
+    lead = (len(rng),) if isinstance(rng, list) else ()
+    out = np.empty(lead + shape + (2,))
+    for row, g in zip(out if lead else out[None], rng if lead else [rng]):
+        row[..., 0] = g.standard_normal(shape)
+        row[..., 1] = g.standard_normal(shape)
     out *= 1.0 / np.sqrt(2.0)
     return out.view(complex)[..., 0]
 
 
 def draw_fast_fading(config, rng=None):
+    """One fast-fading draw, or a (T, ...) stack of draws for a list of T
+    generators, one per trial."""
     if rng is None:
         rng = substream(config.rng_seed, FADING)
     b, n = config.bs_antennas, config.n_cu
@@ -249,50 +255,67 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
 
     Uses the identity pilot basis, so CU n lands in column n-1 and each
     D2D pilot column is the reuse-matrix sum of its group's signals; noise
-    entries are i.i.d. CN(0, N0).
+    entries are i.i.d. CN(0, N0).  A stack of draws takes a list of
+    generators, one per trial, each drawing its trial's BS noise, then its
+    D2D-Rx noise.
     """
     if rng is None:
         rng = substream(config.rng_seed, NOISE)
     b, m = config.bs_antennas, config.d2drx_antennas
     n, k, tau = config.n_cu, config.n_d2d, config.pilot_len
     n0 = config.noise_power
-    o_t = pa.to_matrix().T
+    o_t = np.swapaxes(pa.to_matrix(), -1, -2)
+    lead = pa.pilot_of.shape[:-1]
 
-    y_bs = np.empty((b, tau), dtype=complex)
-    y_bs[:, :n] = np.sqrt(pp.q_p * ls.u_c) * real.h_c
-    y_bs[:, n:] = (np.sqrt(pp.p_p * ls.u_d) * real.h_d) @ o_t
+    y_bs = np.empty(lead + (b, tau), dtype=complex)
+    y_bs[..., :n] = np.sqrt(pp.q_p * ls.u_c)[..., None, :] * real.h_c
+    y_bs[..., n:] = (np.sqrt(pp.p_p * ls.u_d)[..., None, :] * real.h_d) @ o_t
     y_bs += np.sqrt(n0) * _cn(rng, (b, tau))
 
     # real.g_c[r, :, a] and real.g_d[r, :, i] scaled by their Rx-r gains
-    y_rx = np.empty((k, m, tau), dtype=complex)
-    y_rx[:, :, :n] = np.sqrt(pp.q_p[:, None] * ls.v_c).T[:, None, :] * real.g_c
-    y_rx[:, :, n:] = (np.sqrt(pp.p_p[:, None] * ls.v_d).T[:, None, :] * real.g_d) @ o_t
+    y_rx = np.empty(lead + (k, m, tau), dtype=complex)
+    y_rx[..., :n] = np.swapaxes(np.sqrt(pp.q_p[..., :, None] * ls.v_c), -1, -2)[..., None, :] * real.g_c
+    y_rx[..., n:] = (np.swapaxes(np.sqrt(pp.p_p[..., :, None] * ls.v_d), -1, -2)[..., None, :]
+                     * real.g_d) @ o_t[..., None, :, :]
     y_rx += np.sqrt(n0) * _cn(rng, (k, m, tau))
 
     return PilotObservation(y_bs=y_bs, y_rx=y_rx)
 
 
-def mmse_estimate(obs, ls, pa, pp, config):
+def _pilot_columns(y, col):
+    """y[..., col] of every draw: the observation column of each pair's
+    pilot, laid out pair-major in memory, as numpy lays out y[:, col] for
+    one draw.  Later stages take their BLAS and einsum loops, and so their
+    last bits, from that layout."""
+    lead = col.ndim - 1   # trial axes
+    picked = np.moveaxis(y, -1, lead)[np.indices(col.shape, sparse=True)[:-1] + (col,)]
+    return np.moveaxis(picked, lead, -1)
+
+
+def mmse_estimate(obs, ls, pa, pp, config, powers=None):
     """Linear MMSE estimates of every channel from the pilot observations.
 
     Each D2D estimate is its pilot's observation column scaled by a
     per-link coefficient, so estimates of same-pilot channels at a common
-    receiver are exactly collinear.
+    receiver are exactly collinear.  powers is group_powers(ls, pa, pp.p_p),
+    computed here unless the caller already has it.
     """
     n = config.n_cu
     n0 = config.noise_power
 
     sc = pp.q_p * ls.u_c
-    h_c = (np.sqrt(sc) / (sc + n0))[None, :] * obs.y_bs[:, :n]
-    scd = pp.q_p[:, None] * ls.v_c
-    g_c = (np.sqrt(scd) / (scd + n0)).T[:, None, :] * obs.y_rx[:, :, :n]
+    h_c = (np.sqrt(sc) / (sc + n0))[..., None, :] * obs.y_bs[..., :n]
+    scd = pp.q_p[..., :, None] * ls.v_c
+    g_c = np.swapaxes(np.sqrt(scd) / (scd + n0), -1, -2)[..., None, :] * obs.y_rx[..., :n]
 
-    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p) if powers is None else powers
     group = pa.pilot_of - n - 1
     col = pa.pilot_of - 1
-    h_d = (np.sqrt(pp.p_p * ls.u_d) / (den_bs[group] + n0)) * obs.y_bs[:, col]
+    h_d = ((np.sqrt(pp.p_p * ls.u_d) / (np.take_along_axis(den_bs, group, axis=-1) + n0))[..., None, :]
+           * _pilot_columns(obs.y_bs, col))
     # coef[i, r] scales Rx r's observation column of pair i's pilot
-    coef = np.sqrt(pp.p_p[:, None] * ls.v_d) / (den_rx[group] + n0)
-    g_d = coef.T[:, None, :] * obs.y_rx[:, :, col]
+    coef = (np.sqrt(pp.p_p[..., :, None] * ls.v_d)
+            / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0))
+    g_d = np.swapaxes(coef, -1, -2)[..., None, :] * _pilot_columns(obs.y_rx, col)
 
     return EstimatedChannels(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)

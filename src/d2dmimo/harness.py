@@ -14,7 +14,9 @@ topology from its own substream, then pushes all its trials through the
 analytic layers (large-scale gains, PSA, estimation coefficients,
 cancellation sets, rate coefficients and bounds) as one stack with a
 leading trial axis, and the power-control recipes solve the chunk in
-lockstep.  The Monte Carlo draws, random assignments and exhaustive
+lockstep.  The Monte Carlo layers (fast fading, pilot phase, MMSE,
+PZF/SINR) run on sub-stacks of the chunk sized by a byte budget, each
+trial drawing from its own substreams.  Random assignments and exhaustive
 searches stay per trial, on each trial's slice of the stack.  Every trial
 gets the bits it would get alone, so the outputs do not depend on chunking.
 
@@ -43,8 +45,9 @@ import numpy as np
 from . import __version__
 from .scenario import (SystemConfig, Topology, generate_topology, compute_large_scale, substream,
                        trial_seed, FADING, NOISE, SHADOWING)
-from .channel import PowerProfile, estimation_coeffs, draw_fast_fading, simulate_pilot_phase, mmse_estimate
-from .receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, rate_lower_bounds,
+from .channel import (PowerProfile, estimation_coeffs, group_powers, draw_fast_fading, simulate_pilot_phase,
+                      mmse_estimate)
+from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
 from .pilot_scheduling import (SEARCH_GUARD, psa, random_assignment, exhaustive_search,
                                search_space, sum_mse_objective)
@@ -78,6 +81,15 @@ EXPERIMENTS = {
 }
 
 _ES_GUARD = 250_000   # enumeration budget for the fig3 exhaustive baseline
+
+# Bytes of channel draws one stack holds at once: the fast fading of a
+# Monte Carlo sub-stack, and the large-scale gains of a bounds_mc or mse
+# chunk.  The working sets run to a few times that: the Monte Carlo path
+# peaks in the BS-side QR batch at under 4.5 times its fading (0.74 MB per
+# trial at B = 256, K = 20, against a 0.166 MB draw), the analytic layers at
+# 6-8 times the gains.  Larger stacks run little faster but raise the
+# resident peak.
+_STACK_BYTES = 400_000
 
 
 @dataclass
@@ -175,12 +187,14 @@ def validate_spec(spec):
         raise SpecError("sweep.values", "must be a nonempty list")
     if not isinstance(spec.trials, int) or spec.trials < 1:
         raise SpecError("trials", "must be an integer >= 1")
+    kind, _ = EXPERIMENTS[spec.experiment]
     for v in spec.sweep_values:
         try:
-            apply_sweep(spec.config, spec.sweep_variable, v)
+            cfg = apply_sweep(spec.config, spec.sweep_variable, v)
+            if kind != "mse":   # the PZF rate bounds need a positive array gain
+                pzf_dof(cfg)
         except (TypeError, ValueError) as exc:
             raise SpecError("sweep.values", f"value {v!r}: {exc}") from exc
-    kind, _ = EXPERIMENTS[spec.experiment]
     allowed = set(_METRICS[kind])
     metrics = spec.resolved_metrics()
     for m in metrics:
@@ -240,46 +254,75 @@ def _scenario_pipeline(cfgs):
     return ls, pa, pp, coeffs, sets, rc
 
 
-def _mc_rates(cfg, ls, pa, pp, coeffs, sets, want_cell, want_d2d):
-    """One fast-fading draw worth of instantaneous rates; degenerate PZF
-    draws (measure zero) are redrawn from follow-up substreams."""
+def _stack_size(cfg, kind):
+    """Trials per stack: as many draws as fit in _STACK_BYTES, at least one.
+    kind "mc" counts a trial's complex fast fading, "analytic" its
+    large-scale gains."""
+    b, n, k, m = cfg.bs_antennas, cfg.n_cu, cfg.n_d2d, cfg.d2drx_antennas
+    draw = 16 * (b * (n + k) + k * m * (k + n)) if kind == "mc" else 8 * (n + k) * (k + 1)
+    return max(1, _STACK_BYTES // draw)
+
+
+def _take(stack, rows):
+    """stack[rows]; a view when the rows are one contiguous run."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return stack[rows[0]:rows[-1] + 1]
+    return stack[rows]
+
+
+def _mc_rates(cfgs, ls, pa, pp, coeffs, sets, metrics):
+    """Monte Carlo sum rates of a stack of same-size trials, one fast-fading
+    draw per trial: {metric: (T,) array}.  Sub-stacks of _stack_size(cfg, "mc")
+    trials run through pilot phase, MMSE and PZF/SINR as one stack, each
+    row drawing from its own trial's substreams.  A row whose draw leaves a
+    degenerate PZF span (measure zero) is redrawn from its next substreams
+    while the other rows keep their draws; after 5 attempts a SolverError
+    names it."""
+    cfg = cfgs[0]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    for attempt in range(5):
-        real = draw_fast_fading(cfg, substream(cfg.rng_seed, FADING, attempt))
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg, substream(cfg.rng_seed, NOISE, attempt))
-        est = mmse_estimate(obs, ls, pa, pp, cfg)
-        try:
-            out = {}
-            if want_cell:
-                etas = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
-                out["sum_se_cell"] = prefactor * float(np.sum(np.log2(1.0 + etas)))
-            if want_d2d:
-                etas = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
-                out["sum_se_d2d"] = prefactor * float(np.sum(np.log2(1.0 + etas)))
-            return out
-        except DegenerateSpanError:
-            continue
-    raise RuntimeError("fast-fading draw kept a degenerate PZF span after 5 attempts")
+    terms = {m: f for m, f in (("sum_se_cell", cell_sinr_terms), ("sum_se_d2d", d2d_sinr_terms))
+             if m in metrics}
+    sums = {m: np.empty(len(cfgs)) for m in terms}
+    powers = group_powers(ls, pa, pp.p_p)
+    size = _stack_size(cfg, "mc")
+    for first in range(0, len(cfgs), size):
+        todo = np.arange(first, min(first + size, len(cfgs)))
+        for attempt in range(5):
+            ls_t, pa_t, pp_t, coeffs_t, sets_t = (_take(x, todo) for x in (ls, pa, pp, coeffs, sets))
+            est = mmse_estimate(simulate_pilot_phase(
+                draw_fast_fading(cfg, [substream(cfgs[r].rng_seed, FADING, attempt) for r in todo]),
+                ls_t, pa_t, pp_t, cfg, [substream(cfgs[r].rng_seed, NOISE, attempt) for r in todo]),
+                ls_t, pa_t, pp_t, cfg, [_take(p, todo) for p in powers])
+            drawn = (est, coeffs_t, ls_t, pa_t, pp_t, sets_t)
+            args, ok = drawn, np.arange(len(todo))   # ok: rows of this draw whose spans are full
+            while ok.size:
+                try:
+                    etas = {m: f(*args, cfg).sinr for m, f in terms.items()}
+                    break
+                except DegenerateSpanError as exc:
+                    ok = np.delete(ok, exc.rows)
+                    args = [x[ok] for x in drawn]
+            else:
+                etas = {}
+            for m, eta in etas.items():
+                sums[m][todo[ok]] = prefactor * np.sum(np.log2(1.0 + eta), axis=-1)
+            todo = np.delete(todo, ok)
+            if not todo.size:
+                break
+        else:
+            raise SolverError("fast-fading draw kept a degenerate PZF span after 5 attempts", todo)
+    return sums
 
 
 def _chunk_bounds_mc(cfgs, metrics):
     ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs)
-    bounds = {}
+    sums = {}
     if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
         r_c, r_d = rate_lower_bounds(rc, pp, cfgs[0])
-        bounds = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
-    want_cell = "sum_se_cell" in metrics
-    want_d2d = "sum_se_d2d" in metrics
-    results = []
-    for r, cfg in enumerate(cfgs):
-        out = {name: float(sums[r]) for name, sums in bounds.items()}
-        if want_cell or want_d2d:
-            try:
-                out.update(_mc_rates(cfg, ls[r], pa[r], pp[r], coeffs[r], sets[r], want_cell, want_d2d))
-            except RuntimeError as exc:
-                raise SolverError(str(exc), [r]) from exc
-        results.append({m: out[m] for m in metrics})
-    return results
+        sums = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
+    if "sum_se_cell" in metrics or "sum_se_d2d" in metrics:
+        sums.update(_mc_rates(cfgs, ls, pa, pp, coeffs, sets, metrics))
+    return [{m: float(sums[m][r]) for m in metrics} for r in range(len(cfgs))]
 
 
 def _chunk_mse(cfgs, metrics):
@@ -370,8 +413,11 @@ def run_experiment(spec, workers=1):
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for value in spec.sweep_values:
             cfg_v = apply_sweep(spec.config, spec.sweep_variable, value)
-            # one chunk per sweep point, or about four per worker
+            # one chunk per sweep point, or about four per worker; power control
+            # solves a whole chunk in lockstep, other chunks are capped in size
             size = len(seeds) if pool is None else max(1, len(seeds) // (4 * workers))
+            if kind != "jdpc":
+                size = min(size, _stack_size(cfg_v, "analytic"))
             tasks = [(cfg_v.to_dict(), kind, tuple(metrics), i, seeds[i:i + size],
                       f"{spec.sweep_variable}={value!r}") for i in range(0, len(seeds), size)]
             chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)

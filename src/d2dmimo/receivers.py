@@ -16,12 +16,11 @@ closed-form ergodic lower bounds from the estimation-quality coefficients
 (analytic path).  The package-level tests verify that Monte Carlo mean
 rates dominate the closed-form bounds.
 
-The analytic path (select_cancellation with its kept-masks, rate_coeffs,
-bound_sinrs, rate_lower_bounds) also takes a stack of same-size draws with
-a leading trial axis on every array, and gives each draw the bits it gets
-alone: row-wise products are stacked matmuls (_vecmat, _dot), reductions
-and stable sorts run along the axes they use for one draw.  The Monte
-Carlo path takes one draw.
+Both paths also take a stack of same-size draws with a leading trial axis
+on every array, and give each draw the bits it gets alone: row-wise
+products are stacked matmuls (_vecmat, _dot), the PZF filters of a stack
+come from one batched QR, and reductions and stable sorts run along the
+axes, and over the memory layouts, they use for one draw.
 """
 from __future__ import annotations
 
@@ -38,7 +37,12 @@ class FeasibilityError(ValueError):
 
 
 class DegenerateSpanError(RuntimeError):
-    """Target estimate lies (numerically) inside the cancelled span."""
+    """Target estimate lies (numerically) inside the cancelled span; rows
+    lists the stack rows where one does (row 0 for a single draw)."""
+
+    def __init__(self, message, rows=()):
+        super().__init__(message)
+        self.rows = [int(r) for r in rows]
 
 
 @dataclass
@@ -176,22 +180,25 @@ def select_cancellation(ls, pa, config):
 
 
 def _project_out(targets, cancelled):
-    """Unit-norm projections of targets (L, D) onto the complements of
-    span(cancelled[l]), cancelled (L, D, C).  Zero columns span nothing:
-    they go behind the others for the batched QR and their Q columns,
-    arbitrary directions orthogonal to the rest, are zeroed."""
-    nonzero = cancelled.any(axis=1)
+    """Unit-norm projections of targets (..., L, D) onto the complements of
+    span(cancelled[..., l, :, :]), cancelled (..., L, D, C).  Zero columns
+    span nothing: they go behind the others for the batched QR and their Q
+    columns, arbitrary directions orthogonal to the rest, are zeroed."""
+    nonzero = cancelled.any(axis=-2)
     if not nonzero.all():
-        order = np.argsort(~nonzero, axis=1, kind="stable")
-        cancelled = np.take_along_axis(cancelled, order[:, None, :], axis=2)
-        nonzero = np.take_along_axis(nonzero, order, axis=1)
-    q = np.linalg.qr(cancelled)[0] * nonzero[:, None, :]
-    coords = targets[:, None, :] @ q.conj()                 # (L, 1, C)
-    resid = targets - (q @ coords.transpose(0, 2, 1))[:, :, 0]
-    norm = np.linalg.norm(resid, axis=1)
-    if np.any(norm < 1e-12 * np.maximum(1.0, np.linalg.norm(targets, axis=1))):
-        raise DegenerateSpanError("target estimate is inside the cancelled span")
-    return resid / norm[:, None]
+        order = np.argsort(~nonzero, axis=-1, kind="stable")
+        cancelled = np.take_along_axis(cancelled, order[..., None, :], axis=-1)
+        nonzero = np.take_along_axis(nonzero, order, axis=-1)
+    q = np.linalg.qr(cancelled)[0]
+    q *= nonzero[..., None, :]
+    coords = targets[..., None, :] @ q.conj()                         # (..., L, 1, C)
+    resid = targets - (q @ np.swapaxes(coords, -1, -2))[..., 0]
+    norm = np.linalg.norm(resid, axis=-1)
+    bad = norm < 1e-12 * np.maximum(1.0, np.linalg.norm(targets, axis=-1))
+    if bad.any():
+        raise DegenerateSpanError("target estimate is inside the cancelled span",
+                                  np.flatnonzero(bad.any(axis=-1)))
+    return resid / norm[..., None]
 
 
 def pzf_filter(est, sets, pa, kind):
@@ -199,37 +206,41 @@ def pzf_filter(est, sets, pa, kind):
 
     kind "cu" gives the (N, B) BS-side filters, row n detecting CU n;
     kind "d2d" gives the (K, M) filters, row k detecting pair k at its own
-    receiver.  Each filter has exact zeros (up to rounding) on every
-    cancelled estimate.  A cancelled pilot group is represented by its
-    lowest-index member's estimate (at the BS, the first nonzero one), which
-    zeroes the whole (collinear) group; a group without one spans nothing.
-    Raises DegenerateSpanError if any target lies in its cancelled span.
+    receiver; a stack gives (T, N, B) or (T, K, M).  Each filter has exact
+    zeros (up to rounding) on every cancelled estimate.  A cancelled pilot
+    group is represented by its lowest-index member's estimate (at the BS,
+    the first nonzero one), which zeroes the whole (collinear) group; a
+    group without one spans nothing.  Raises DegenerateSpanError, naming
+    the stack rows, if any target lies in its cancelled span.
     """
     n = pa.n_cu
     if kind == "cu":
         # estimate columns [CUs | pairs], shared by every target
-        columns = np.concatenate([est.h_c, est.h_d], axis=1)
-        columns = np.broadcast_to(columns, (n,) + columns.shape)
-        targets, cancel_cu = est.h_c.T, sets.bs_cancel_cu
-        o = pa.to_matrix().astype(bool) & est.h_d.any(axis=0)   # pairs sending a pilot
-        groups = np.broadcast_to(sets.bs_cancel_groups, (n, sets.bs_cancel_groups.size))
+        columns = np.concatenate([est.h_c, est.h_d], axis=-1)[..., None, :, :]
+        targets, cancel_cu = np.swapaxes(est.h_c, -1, -2), sets.bs_cancel_cu
+        o = pa.to_matrix().astype(bool) & est.h_d.any(axis=-2)[..., None, :]   # pairs sending a pilot
+        groups = np.broadcast_to(sets.bs_cancel_groups[..., None, :],
+                                  cancel_cu.shape[:-1] + sets.bs_cancel_groups.shape[-1:])
     elif kind == "d2d":
-        columns = np.concatenate([est.g_c, est.g_d], axis=2)
-        targets, cancel_cu = np.diagonal(est.g_d, axis1=0, axis2=2).T, sets.rx_cancel_cu
-        groups = sets.rx_cancel_groups
+        columns = np.concatenate([est.g_c, est.g_d], axis=-1)
+        targets = np.swapaxes(np.diagonal(est.g_d, axis1=-3, axis2=-1), -1, -2)
+        cancel_cu, groups = sets.rx_cancel_cu, sets.rx_cancel_groups
         o = pa.to_matrix().astype(bool)   # a silent pair's own target is zero: raises below
     else:
         raise ValueError(f"unknown target kind {kind!r}")
-    first, nonempty = o.argmax(axis=1), o.any(axis=1)
     groups = groups - n - 1
-    picked = np.concatenate([cancel_cu, n + first[groups]], axis=1)
-    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool), nonempty[groups]], axis=1)
-    cancelled = columns[np.arange(len(targets))[:, None], :, picked] * spans[:, :, None]
-    return _project_out(targets, cancelled.transpose(0, 2, 1))
+    first = np.take_along_axis(o.argmax(axis=-1)[..., None, :], groups, axis=-1)
+    picked = np.concatenate([cancel_cu, n + first], axis=-1)
+    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool),
+                            np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)], axis=-1)
+    cancelled = np.take_along_axis(columns, picked[..., None, :], axis=-1)   # (..., L, D, C)
+    del columns   # the QR batch below is the peak of the Monte Carlo path
+    cancelled *= spans[..., None, :]
+    return _project_out(targets, cancelled)
 
 
 @dataclass
-class SinrTerms:
+class SinrTerms(TrialAxis):
     """Per-link post-filter breakdown; every field is an array over links."""
 
     signal: np.ndarray
@@ -242,45 +253,74 @@ class SinrTerms:
         return self.signal / (self.interf_cell + self.interf_d2d + self.error_noise)
 
 
+def _masked_row_sums(kept, weights):
+    """Row sums of weights where kept, else 0.  The terms are laid out in
+    memory like the mask, so a stack adds each row in the order a single
+    draw does: along the row for a C-ordered mask, left to right across
+    rows (no pairwise sum) for an F-ordered one."""
+    terms = np.zeros_like(kept, dtype=float)
+    np.copyto(terms, weights, where=kept)
+    return np.sum(terms, axis=-1)
+
+
+def _unset_diagonal(mask):
+    """mask with its (last two axes') diagonal cleared in place."""
+    k = mask.shape[-1]
+    mask[..., np.arange(k), np.arange(k)] = False
+    return mask
+
+
 def cell_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
     """Post-filter signal/interference breakdown of every cellular link."""
-    beta = pzf_filter(est, sets, pa, "cu")
-    proj_c = np.abs(beta.conj() @ est.h_c) ** 2      # [target, source]
-    proj_d = np.abs(beta.conj() @ est.h_d) ** 2
+    beta = pzf_filter(est, sets, pa, "cu").conj()
+    proj_c = np.abs(beta @ est.h_c) ** 2      # [target, source]
+    proj_d = np.abs(beta @ est.h_d) ** 2
 
-    kept_cu = sets.bs_kept_cu(config.n_cu)
-    np.fill_diagonal(kept_cu, False)
-    kept_d = sets.bs_kept_pairs(pa)
+    kept_cu = _unset_diagonal(sets.bs_kept_cu(config.n_cu))
+    kept_d = np.repeat(sets.bs_kept_pairs(pa)[..., None, :], config.n_cu, axis=-2)
 
     w_c = pp.q_s * ls.u_c
-    signal = w_c * np.diagonal(proj_c)
-    i_cc = np.sum(np.where(kept_cu, w_c * proj_c, 0.0), axis=1)
-    i_dc = np.sum(np.where(kept_d, pp.p_s * ls.u_d * proj_d, 0.0), axis=1)
-    alpha = float(np.sum(pp.q_s * ls.u_c * coeffs.eps_c)
-                  + np.sum(pp.p_s * ls.u_d * coeffs.eps_d)
-                  + config.noise_power)
+    signal = w_c * np.diagonal(proj_c, axis1=-2, axis2=-1)
+    i_cc = _masked_row_sums(kept_cu, w_c[..., None, :] * proj_c)
+    i_dc = _masked_row_sums(kept_d, (pp.p_s * ls.u_d)[..., None, :] * proj_d)
+    alpha = (np.sum(pp.q_s * ls.u_c * coeffs.eps_c, axis=-1)
+             + np.sum(pp.p_s * ls.u_d * coeffs.eps_d, axis=-1)
+             + config.noise_power)
     return SinrTerms(signal=signal, interf_cell=i_cc, interf_d2d=i_dc,
-                     error_noise=np.full(config.n_cu, alpha))
+                     error_noise=np.repeat(alpha[..., None], config.n_cu, axis=-1))
 
 
 def d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
     """Post-filter breakdown of every D2D link; same-pilot interference stays."""
-    beta = pzf_filter(est, sets, pa, "d2d")
-    proj_d = np.abs(np.einsum("km,kmi->ki", beta.conj(), est.g_d)) ** 2   # [rx, tx]
-    proj_c = np.abs(np.einsum("km,kma->ka", beta.conj(), est.g_c)) ** 2
+    beta = pzf_filter(est, sets, pa, "d2d").conj()
+    proj_d = np.abs(np.einsum("...km,...kmi->...ki", beta, est.g_d)) ** 2   # [rx, tx]
+    proj_c = np.abs(np.einsum("...km,...kma->...ka", beta, est.g_c)) ** 2
 
-    kept_d = sets.rx_kept_pairs(pa)
-    np.fill_diagonal(kept_d, False)
+    kept_d = _unset_diagonal(sets.rx_kept_pairs(pa))
     kept_cu = sets.rx_kept_cu(config.n_cu)
 
-    w_d = (pp.p_s[:, None] * ls.v_d).T                 # [rx, tx]
-    signal = np.diagonal(w_d) * np.diagonal(proj_d)
-    i_dd = np.sum(np.where(kept_d, w_d * proj_d, 0.0), axis=1)
-    i_cd = np.sum(np.where(kept_cu, (pp.q_s[:, None] * ls.v_c).T * proj_c, 0.0), axis=1)
-    alpha = (np.sum(pp.p_s[:, None] * ls.v_d * coeffs.eps_dd, axis=0)
-             + np.sum(pp.q_s[:, None] * ls.v_c * coeffs.eps_cd, axis=0)
+    w_d = np.swapaxes(pp.p_s[..., :, None] * ls.v_d, -1, -2)   # [rx, tx]
+    signal = np.diagonal(w_d, axis1=-2, axis2=-1) * np.diagonal(proj_d, axis1=-2, axis2=-1)
+    i_dd = _masked_row_sums(kept_d, w_d * proj_d)
+    i_cd = _masked_row_sums(kept_cu, np.swapaxes(pp.q_s[..., :, None] * ls.v_c, -1, -2) * proj_c)
+    alpha = (np.sum(pp.p_s[..., :, None] * ls.v_d * coeffs.eps_dd, axis=-2)
+             + np.sum(pp.q_s[..., :, None] * ls.v_c * coeffs.eps_cd, axis=-2)
              + config.noise_power)
     return SinrTerms(signal=signal, interf_cell=i_cd, interf_d2d=i_dd, error_noise=alpha)
+
+
+def pzf_dof(config):
+    """Array-gain factors B-b_c-b_d-1 and M-m_c-m_d-1 of the rate bounds;
+    raises FeasibilityError unless both are positive."""
+    b_c, b_d = config.pzf_bs
+    m_c, m_d = config.pzf_d2d
+    dof_bs = config.bs_antennas - b_c - b_d - 1
+    dof_rx = config.d2drx_antennas - m_c - m_d - 1
+    if dof_bs <= 0:
+        raise FeasibilityError(f"need bs_antennas > b_c+b_d+1 (got B={config.bs_antennas}, b_c+b_d={b_c + b_d})")
+    if dof_rx <= 0:
+        raise FeasibilityError(f"need d2drx_antennas > m_c+m_d+1 (got M={config.d2drx_antennas}, m_c+m_d={m_c + m_d})")
+    return dof_bs, dof_rx
 
 
 def rate_coeffs(ls, pa, coeffs, sets, pp, config):
@@ -290,14 +330,7 @@ def rate_coeffs(ls, pa, coeffs, sets, pp, config):
     M > m_c+m_d+1.
     """
     n, k = ls.u_c.shape[-1], ls.u_d.shape[-1]
-    b_c, b_d = config.pzf_bs
-    m_c, m_d = config.pzf_d2d
-    dof_bs = config.bs_antennas - b_c - b_d - 1
-    dof_rx = config.d2drx_antennas - m_c - m_d - 1
-    if dof_bs <= 0:
-        raise FeasibilityError(f"need bs_antennas > b_c+b_d+1 (got B={config.bs_antennas}, b_c+b_d={b_c + b_d})")
-    if dof_rx <= 0:
-        raise FeasibilityError(f"need d2drx_antennas > m_c+m_d+1 (got M={config.d2drx_antennas}, m_c+m_d={m_c + m_d})")
+    dof_bs, dof_rx = pzf_dof(config)
 
     phi_c = dof_bs * ls.u_c * coeffs.delta_c
 

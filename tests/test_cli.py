@@ -175,6 +175,27 @@ def test_exhaustive_search_beyond_guard_exits_1(spec_file, capsys):
     assert "sum_mse_es" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,config,values,bad,need", [
+    ("fig1", {}, [10], 10, "bs_antennas > b_c+b_d+1"),
+    ("fig1", {}, [64, 8], 8, "bs_antennas > b_c+b_d+1"),   # clamped to b_c+b_d = B-1 at B = 8
+    ("fig7", {"d2drx_antennas": 4}, [10, 15], 10, "d2drx_antennas > m_c+m_d+1"),
+])
+def test_sweep_value_without_array_gain_exits_1(spec_file, capsys, name, config, values, bad, need):
+    doc = json.loads((REPO_ROOT / "specs" / f"{name}.json").read_text())
+    doc["config"].update(config)
+    doc["sweep"]["values"] = values
+    for command in ("validate", "run"):
+        assert main([command, spec_file(doc)]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep.values: value {bad}: need {need}" in err
+
+
+def test_estimation_recipe_needs_no_array_gain(spec_file):
+    doc = json.loads((REPO_ROOT / "specs" / "fig3.json").read_text())
+    doc["config"].update(bs_antennas=8, pzf_bs=[4, 3])   # b_c+b_d = B-1: no PZF in fig3
+    assert main(["validate", spec_file(doc)]) == 0
+
+
 def test_solver_failure_exits_2_naming_the_trial(spec_file, capsys, monkeypatch):
     monkeypatch.setattr(power_control, "dpcd_stack",
                         functools.partial(power_control.dpcd_stack, max_iter=1))

@@ -47,6 +47,18 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="sweep.values"):
             validate_spec(tiny_spec(sweep_values=[5, 200]))   # tau > N + K
 
+    @pytest.mark.parametrize("experiment", ["fig2", "fig7"])
+    def test_swept_config_needs_positive_array_gain(self, experiment):
+        # at M = 3, pilot_len 4 leaves (m_c, m_d) = (1, 0) and pilot_len 6 leaves (1, 1)
+        spec = tiny_spec(experiment=experiment, metrics=None, sweep_values=[4, 6],
+                         config=desk_config(d2drx_antennas=3))
+        with pytest.raises(SpecError, match=r"sweep.values: value 6: need d2drx_antennas > m_c\+m_d\+1"):
+            validate_spec(spec)
+        validate_spec(tiny_spec(experiment=experiment, metrics=None, sweep_values=[4],
+                                config=desk_config(d2drx_antennas=3)))
+        validate_spec(tiny_spec(experiment="fig3", metrics=None, sweep_values=[4, 6],
+                                config=desk_config(d2drx_antennas=3)))
+
     def test_metrics_must_match_pipeline(self):
         with pytest.raises(SpecError, match="metrics"):
             validate_spec(tiny_spec(metrics=["sum_mse_psa"]))

@@ -1,16 +1,23 @@
-"""The analytic layers on a leading trial axis: every draw of a stack gets
-the bits it gets alone, and the blocked D2D-Rx placement draws what the
-one-attempt-at-a-time loop drew."""
+"""The analytic and Monte Carlo layers on a leading trial axis: every draw
+of a stack gets the bits it gets alone, and the blocked D2D-Rx placement
+draws what the one-attempt-at-a-time loop drew."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from d2dmimo import harness
 from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topology,
-                              compute_large_scale, substream, trial_seed, SHADOWING, TOPOLOGY)
-from d2dmimo.channel import PilotAssignment, PowerProfile, group_powers, estimation_coeffs
+                              compute_large_scale, substream, trial_seed, FADING, NOISE, SHADOWING,
+                              TOPOLOGY)
+from d2dmimo.channel import (PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
+                             draw_fast_fading, simulate_pilot_phase, mmse_estimate, _pilot_columns)
 from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment
-from d2dmimo.receivers import (select_cancellation, rate_coeffs, bound_sinrs, rate_lower_bounds,
-                               sigma_c_of, sigma_d_of)
-from d2dmimo.harness import _scenario_pipeline
+from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, bound_sinrs,
+                               rate_lower_bounds, sigma_c_of, sigma_d_of, pzf_filter,
+                               cell_sinr_terms, d2d_sinr_terms)
+from d2dmimo.harness import (ExperimentSpec, _chunk_bounds_mc, _mc_rates, _scenario_pipeline,
+                             _stack_size, run_experiment)
 
 
 def reference_generate_topology(config, rng=None):
@@ -54,6 +61,12 @@ def same_bits(a, b):
 def same_fields(stacked, alone):
     return all(same_bits(getattr(stacked, name), value)
                for name, value in vars(alone).items() if isinstance(value, np.ndarray))
+
+
+def same_layout(stacked, alone):
+    """Same bits and the same memory layout (strides) as alone, field by field."""
+    return same_fields(stacked, alone) and all(
+        getattr(stacked, name).strides == value.strides for name, value in vars(alone).items())
 
 
 # (K=1), (zero PZF budgets, K below the pilot count), (placement with rejections)
@@ -194,3 +207,205 @@ def test_placement_failing_at_a_later_pair():
         else:
             assert all(same_bits(got[name], value) for name, value in want.items())
     assert failed - {"0"}   # some draw fails after placing pair 0
+
+
+# Monte Carlo layers.  "K=40" has F-ordered D2D kept-masks (m_d = 2) and
+# rows long enough that a pairwise sum of i_dd differs from the left-to-right
+# sum a single draw makes; "silent first member" zeroes the pilot power of
+# the first member of a cancelled BS group in every even trial.
+MC_CONFIGS = {**CONFIGS,
+              "K=40": dict(n_cu=5, n_d2d=40, pilot_len=15, bs_antennas=64),
+              "silent first member": dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4,
+                                          pilot_len=6, pzf_bs=(1, 2), pzf_d2d=(1, 1))}
+MC_METRICS = ("sum_se_cell", "sum_se_cell_lb", "sum_se_d2d", "sum_se_d2d_lb")
+
+
+def mc_inputs(name, trials, **overrides):
+    """Configs and mixed PSA / random-pilot stack of the analytic inputs."""
+    cfgs = [SystemConfig(**{**MC_CONFIGS[name], **overrides}, rng_seed=trial_seed(21, t))
+            for t in range(trials)]
+    ls, pa, pp = mixed_stack(cfgs)
+    if name == "silent first member":
+        sets = select_cancellation(ls, pa, cfgs[0])
+        for t in range(0, trials, 2):
+            pp.p_p[t, np.flatnonzero(pa.pilot_of[t] == sets.bs_cancel_groups[t, 0])[0]] = 0.0
+    coeffs = estimation_coeffs(ls, pa, pp, cfgs[0].noise_power)
+    return cfgs, ls, pa, pp, coeffs, select_cancellation(ls, pa, cfgs[0])
+
+
+def streams(cfgs, purpose, attempt=0):
+    return [substream(cfg.rng_seed, purpose, attempt) for cfg in cfgs]
+
+
+def silent_rows(pp):
+    return [t for t in range(len(pp.p_p)) if not pp.p_p[t].all()]
+
+
+@pytest.mark.parametrize("trials", [1, 6])
+@pytest.mark.parametrize("name", sorted(MC_CONFIGS))
+def test_monte_carlo_layers(name, trials):
+    cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, trials)
+    cfg = cfgs[0]
+    real = draw_fast_fading(cfg, streams(cfgs, FADING))
+    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, streams(cfgs, NOISE))
+    est = mmse_estimate(obs, ls, pa, pp, cfg)
+    args = (est, coeffs, ls, pa, pp, sets, cfg)
+    beta_cu, cell = pzf_filter(est, sets, pa, "cu"), cell_sinr_terms(*args)
+    silent = silent_rows(pp)
+    if silent:   # a silent pair's own D2D target is zero
+        with pytest.raises(DegenerateSpanError) as err:
+            pzf_filter(est, sets, pa, "d2d")
+        assert err.value.rows == silent
+    else:
+        beta_d2d, d2d = pzf_filter(est, sets, pa, "d2d"), d2d_sinr_terms(*args)
+    for t, cfg_t in enumerate(cfgs):
+        real_t = draw_fast_fading(cfg_t, substream(cfg_t.rng_seed, FADING, 0))
+        obs_t = simulate_pilot_phase(real_t, ls[t], pa[t], pp[t], cfg_t, substream(cfg_t.rng_seed, NOISE, 0))
+        est_t = mmse_estimate(obs_t, ls[t], pa[t], pp[t], cfg_t)
+        args_t = (est_t, coeffs[t], ls[t], pa[t], pp[t], sets[t], cfg_t)
+        assert same_layout(real[t], real_t)
+        assert same_layout(obs[t], obs_t)
+        assert same_layout(est[t], est_t)
+        assert same_bits(beta_cu[t], pzf_filter(est_t, sets[t], pa[t], "cu"))
+        assert same_fields(cell[t], cell_sinr_terms(*args_t))
+        if t in silent:
+            with pytest.raises(DegenerateSpanError):
+                pzf_filter(est_t, sets[t], pa[t], "d2d")
+        elif not silent:
+            assert same_bits(beta_d2d[t], pzf_filter(est_t, sets[t], pa[t], "d2d"))
+            assert same_fields(d2d[t], d2d_sinr_terms(*args_t))
+
+
+@pytest.mark.parametrize("shape", [(16, 6), (5, 4, 6)])
+@pytest.mark.parametrize("trials", [None, 3])
+def test_pilot_columns_keep_the_layout_of_one_draws_gather(shape, trials):
+    # every draw's estimates must be laid out as y[:, col] lays out one draw:
+    # the PZF stage takes its BLAS and einsum loops from that layout
+    rng = np.random.default_rng(4)
+    lead = () if trials is None else (trials,)
+    y = rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+    col = rng.integers(0, shape[-1], lead + (4,))
+    got = _pilot_columns(y, col)
+    for t in [...] if trials is None else range(trials):
+        want = y[t][..., col[t]]
+        assert same_bits(got[t], want) and got[t].strides == want.strides
+
+
+@pytest.mark.parametrize("m_d", [1, 2])
+def test_d2d_interference_sums_in_the_kept_masks_order(m_d):
+    # one draw's D2D kept-mask is F-ordered when m_d >= 2, and numpy then adds
+    # each row of i_dd left to right, not pairwise; a stack must do the same
+    cfgs, ls, pa, pp, coeffs, sets = mc_inputs("K=40", 6, pzf_d2d=(1, m_d))
+    cfg = cfgs[0]
+    obs = simulate_pilot_phase(draw_fast_fading(cfg, streams(cfgs, FADING)), ls, pa, pp, cfg,
+                               streams(cfgs, NOISE))
+    est = mmse_estimate(obs, ls, pa, pp, cfg)
+    beta = pzf_filter(est, sets, pa, "d2d").conj()
+    kept = sets.rx_kept_pairs(pa)
+    kept[..., np.arange(cfg.n_d2d), np.arange(cfg.n_d2d)] = False
+    proj = np.abs(np.einsum("...km,...kmi->...ki", beta, est.g_d)) ** 2
+    terms = np.where(kept, np.swapaxes(pp.p_s[..., :, None] * ls.v_d, -1, -2) * proj, 0.0)
+    left_to_right = np.array([[sum(row) for row in draw.tolist()] for draw in terms])
+    pairwise = np.sum(np.ascontiguousarray(terms), axis=-1)
+    assert (left_to_right != pairwise).any()
+    got = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).interf_d2d
+    assert same_bits(got, left_to_right if m_d >= 2 else pairwise)
+
+
+def hex_rows(results):
+    return [[float(r[m]).hex() for m in MC_METRICS] for r in results]
+
+
+@pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1])
+@pytest.mark.parametrize("name", ["K=40", "one pair", "rejections", "zero budgets"])
+def test_chunk_bounds_mc_matches_each_trial_alone(monkeypatch, name, budget):
+    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    cfgs = [SystemConfig(**MC_CONFIGS[name], rng_seed=trial_seed(21, t)) for t in range(7)]
+    alone = [_chunk_bounds_mc([cfg], MC_METRICS)[0] for cfg in cfgs]
+    assert hex_rows(_chunk_bounds_mc(cfgs, MC_METRICS)) == hex_rows(alone)
+
+
+def mc_sums_alone(cfg, attempt):
+    """The Monte Carlo sum rates of one trial's draw at one attempt, computed
+    the way a trial-by-trial loop does."""
+    ls, pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline([cfg]))
+    real = draw_fast_fading(cfg, substream(cfg.rng_seed, FADING, attempt))
+    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, substream(cfg.rng_seed, NOISE, attempt))
+    args = (mmse_estimate(obs, ls, pa, pp, cfg), coeffs, ls, pa, pp, sets, cfg)
+    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
+    return {m: prefactor * float(np.sum(np.log2(1.0 + f(*args).sinr)))
+            for m, f in (("sum_se_cell", cell_sinr_terms), ("sum_se_d2d", d2d_sinr_terms))}
+
+
+def degenerate_draws(monkeypatch, seeds, attempts):
+    """Test doubles for the harness's fading draw and MMSE estimate: the
+    trials with the given seeds get, on the given attempts, a zero estimate
+    of CU 0, whose BS-side target then lies in every span."""
+    marked = []
+
+    def draw(config, rng):
+        keys = [(g.bit_generator.seed_seq.entropy, g.bit_generator.seed_seq.spawn_key) for g in rng]
+        marked[:] = [row for row, (seed, (_, attempt)) in enumerate(keys) if seed in seeds and attempt in attempts]
+        return draw_fast_fading(config, rng)
+
+    def estimate(*args, **kwargs):
+        est = mmse_estimate(*args, **kwargs)
+        est.h_c[marked, :, 0] = 0.0
+        return est
+
+    monkeypatch.setattr(harness, "draw_fast_fading", draw)
+    monkeypatch.setattr(harness, "mmse_estimate", estimate)
+
+
+def test_degenerate_row_is_redrawn_alone(monkeypatch):
+    cfgs = [SystemConfig(**MC_CONFIGS["rejections"], rng_seed=trial_seed(21, t)) for t in range(7)]
+    want = [_chunk_bounds_mc([cfg], MC_METRICS)[0] for cfg in cfgs]
+    first, redrawn = mc_sums_alone(cfgs[4], attempt=0), mc_sums_alone(cfgs[4], attempt=1)
+    assert all(want[4][m] == first[m] != redrawn[m] for m in first)
+    assert _stack_size(cfgs[0], "mc") == 3   # trial 4 sits between trials 3 and 5
+    degenerate_draws(monkeypatch, {cfgs[4].rng_seed}, {0})
+    want[4].update(redrawn)
+    assert hex_rows(_chunk_bounds_mc(cfgs, MC_METRICS)) == hex_rows(want)
+
+
+def test_row_degenerate_on_every_attempt_names_its_trial(monkeypatch):
+    spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64],
+                          trials=5, config=SystemConfig(rng_seed=3))
+    seed = trial_seed(3, 2)
+    degenerate_draws(monkeypatch, {seed}, set(range(5)))
+    with pytest.raises(RuntimeError) as err:
+        run_experiment(spec)
+    assert str(err.value) == (f"bs_antennas=64, trial 2 (seed {seed}): "
+                              "fast-fading draw kept a degenerate PZF span after 5 attempts")
+
+
+def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
+    specs = [ExperimentSpec(experiment=e, sweep_variable="pilot_len", sweep_values=[7, 10], trials=5,
+                            config=SystemConfig(n_d2d=6, bs_antennas=32, rng_seed=8), metrics=m)
+             for e, m in (("fig2", list(MC_METRICS)), ("fig3", None))]
+    for budget in (harness._STACK_BYTES, 1):
+        monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+        for spec in specs:
+            spec.output = str(tmp_path / str(budget) / f"{spec.experiment}.csv")
+            run_experiment(spec)
+    for spec in specs:
+        name = f"{spec.experiment}.csv"
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / str(harness._STACK_BYTES) / name).read_bytes()
+
+
+def test_monte_carlo_peak_stays_within_the_stack_budget():
+    # sub-stacks of two trials at B = 256, K = 20, whose working sets peak at
+    # 0.74 MB each in the BS-side QR batch (1.49 MB); a temporary the size of
+    # the QR batch or of the estimate columns kept alive through it exceeds
+    # the bound
+    cfgs = [SystemConfig(bs_antennas=256, rng_seed=trial_seed(3, t)) for t in range(10)]
+    assert _stack_size(cfgs[0], "mc") == 2
+    ls, pa, pp, coeffs, sets, _ = _scenario_pipeline(cfgs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _mc_rates(cfgs, ls, pa, pp, coeffs, sets, MC_METRICS)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * harness._STACK_BYTES
