@@ -286,7 +286,7 @@ def test_pilot_columns_keep_the_layout_of_one_draws_gather(shape, trials):
     y = rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
     col = rng.integers(0, shape[-1], lead + (4,))
     got = _pilot_columns(y, col)
-    for t in [...] if trials is None else range(trials):
+    for t in [...] if trials is None else range(trials):   # x[...] is all of x
         want = y[t][..., col[t]]
         assert same_bits(got[t], want) and got[t].strides == want.strides
 
