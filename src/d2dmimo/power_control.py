@@ -15,7 +15,10 @@ The WMMSE and joint solvers work on stacks of same-size instances
 sweep point to one call, which pays each numpy call once per iteration
 for the whole stack, and a converged instance leaves the stack.  Each
 instance does the arithmetic it would do alone, in the same order, so its
-bits do not depend on the stack; dpcd and jdpc are stacks of one.
+bits do not depend on the stack; dpcd and jdpc are stacks of one.  A
+stack down to one instance drops its trial axis and runs that instance's
+1-D arrays through the same loop.  jdpc records no WMMSE objective trace,
+so its inner loop computes no objective; dpcd records one by default.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -135,8 +138,27 @@ def _matvec(a, x):
     return (a @ x[:, :, None])[:, :, 0]
 
 
+def _f_update(denom, num, cap, vd, dot=_dot):
+    """Clipped sqrt powers, powers and budget use of a WMMSE step; a silent
+    pair (num = 0) stays at 0."""
+    f_new = np.minimum(cap, num / np.maximum(denom, 1e-300))
+    p_new = f_new * f_new
+    return f_new, p_new, dot(p_new, vd)
+
+
+def _active(state, n):
+    """Loop state and row operations (matvec, vecmat, dot, zero multiplier)
+    of n active rows: a lone row drops the trial axis and uses plain matmuls."""
+    if n == 1:
+        return [a[0] for a in state], (np.matmul, np.matmul, np.matmul, 0.0)
+    return state, (_matvec, _vecmat, _dot, np.zeros(n))
+
+
+_TRACE_ROWS = 512    # objective iterations buffered between flushes into the traces
+
+
 def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3,
-               max_iter=50_000, p_init=None):
+               max_iter=50_000, p_init=None, record_trace=True):
     """Weighted-MMSE D2D power control of T same-size instances in lockstep.
 
     Row t maximizes the D2D sum rate with coefficients phi_d[t], psi_d[t]
@@ -151,9 +173,15 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
     it would alone, so its result does not depend on the other rows.  The
     loop computes the multiplier-independent terms once per iteration and
     reuses the objective's products as the next iteration's denominators;
-    a row leaves the stack when its stop rule holds.  Returns one
-    DpcdResult per row; a row that does not converge or cannot bracket its
-    multiplier raises a SolverError naming the rows that failed.
+    a row leaves the stack when its stop rule holds.  Once one row is left,
+    or the stack starts with one, the loop drops the trial axis: the same
+    statements run on that row's 1-D arrays with plain matmuls, whose bits
+    the stacked helpers give every row.  With record_trace (the default)
+    each row's objective_trace holds its D2D sum rate after every
+    iteration; without it the loop computes no objective and the traces
+    are empty.  Returns one DpcdResult per row; a row that does not
+    converge or cannot bracket its multiplier raises a SolverError naming
+    the rows that failed.
     """
     t, k = phi_d.shape
     zeta = np.asarray(zeta, dtype=float)
@@ -163,61 +191,84 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
     f = f_cap.copy() if p_init is None else np.sqrt(np.asarray(p_init, dtype=float))
     p = f * f
     total = p * phi_d + _vecmat(p, psi_d) + sigma_d
-    log_w = np.zeros((t, k))
     rows = np.arange(t)              # stack row of each active row
+    lone = t == 1
+    state, (matvec, vecmat, dot, no_lam) = _active(
+        (f, total, np.zeros((t, k)), sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta), t)
+    f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta = state
     traces = [[] for _ in range(t)]
-    objectives = np.empty((512, t))  # one row per iteration since the last flush into traces
-    n_obj = 0
+    if record_trace:
+        objectives = np.empty((_TRACE_ROWS, *zeta.shape, 1))
+    n_obj = 0                        # objective rows since the last flush into traces
     results = [None] * t
 
-    def f_update(denom, num, cap, vd):
-        # clipped sqrt powers, powers and budget use; a silent pair (num = 0) stays at 0
-        f_new = np.minimum(cap, num / np.maximum(denom, 1e-300))
-        p_new = f_new * f_new
-        return f_new, p_new, _dot(p_new, vd)
+    def flush():
+        nonlocal n_obj
+        for r, trace in zip(rows.tolist(), objectives[:n_obj].reshape(n_obj, -1).T.tolist()):
+            traces[r].extend(trace)
+        n_obj = 0
+
+    def finish(r, p_r, zeta_r, lam_r):
+        results[r] = DpcdResult(p_s=p_r.copy(), objective_trace=traces[r], iterations=it,
+                                budget=float(zeta_r), multiplier=float(lam_r))
 
     for it in range(1, max_iter + 1):
         nu = f * sqrt_phi / total
         w = 1.0 / (1.0 - nu * f * sqrt_phi)
         w_nu2 = w * nu ** 2
         num = w * nu * sqrt_phi
-        base = w_nu2 * phi_d + _matvec(psi_d, w_nu2)
+        base = w_nu2 * phi_d + matvec(psi_d, w_nu2)
 
-        lam = np.zeros(rows.size)
-        f, p, used = f_update(base, num, f_cap, varphi_d)
-        bind = (used > zeta).nonzero()[0]
-        if bind.size:
-            f[bind], p[bind], lam[bind] = _bisect_multiplier(
-                f_update, base[bind], num[bind], f_cap[bind], varphi_d[bind], zeta[bind],
-                bisect_rtol, rows[bind])
+        lam = no_lam
+        f, p, used = _f_update(base, num, f_cap, varphi_d, dot)
+        if lone:
+            if used > zeta:
+                f, p, lam = (a[0] for a in _bisect_multiplier(
+                    base[None], num[None], f_cap[None], varphi_d[None], zeta[None], bisect_rtol,
+                    rows))
+        else:
+            bind = (used > zeta).nonzero()[0]
+            if bind.size:
+                lam = np.zeros(rows.size)
+                f[bind], p[bind], lam[bind] = _bisect_multiplier(
+                    base[bind], num[bind], f_cap[bind], varphi_d[bind], zeta[bind], bisect_rtol,
+                    rows[bind])
         rx = p * phi_d
-        cross = _vecmat(p, psi_d)
-        np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=1, out=objectives[n_obj])
-        n_obj += 1
+        cross = vecmat(p, psi_d)
+        if record_trace:
+            np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=-1, keepdims=True,
+                                                      out=objectives[n_obj])
+            n_obj += 1
         total = rx + cross + sigma_d
         log_w_old, log_w = log_w, np.log(w)
-        done = np.abs(log_w - log_w_old).sum(axis=1) <= tol_wmmse
-        finished = done.nonzero()[0]
-        if finished.size or n_obj == len(objectives):
-            for r, trace in zip(rows.tolist(), objectives[:n_obj].T.tolist()):
-                traces[r].extend(trace)
-            n_obj = 0
-        if finished.size:
-            for i in finished:
-                r = rows[i]
-                results[r] = DpcdResult(p_s=p[i].copy(), objective_trace=traces[r], iterations=it,
-                                        budget=float(zeta[i]), multiplier=float(lam[i]))
-            if finished.size == rows.size:
+        done = np.abs(log_w - log_w_old).sum(axis=-1) <= tol_wmmse
+        if lone:
+            if done:
+                if record_trace:
+                    flush()
+                finish(rows[0], p, zeta, lam)
                 return results
+        elif done.any():
+            if record_trace:
+                flush()
+            for i in done.nonzero()[0]:
+                finish(rows[i], p[i], zeta[i], lam[i])
             keep = ~done
-            (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta) = (
-                a[keep] for a in (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d,
-                                  varphi_d, sigma_d, zeta))
-            objectives = np.empty((len(objectives), rows.size))
+            if not keep.any():
+                return results
+            rows, *state = (a[keep] for a in (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d,
+                                               varphi_d, sigma_d, zeta))
+            lone = rows.size == 1
+            state, (matvec, vecmat, dot, no_lam) = _active(state, rows.size)
+            f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta = state
+            if record_trace:
+                objectives = np.empty((_TRACE_ROWS, *zeta.shape, 1))
+        if record_trace and n_obj == _TRACE_ROWS:
+            flush()
     raise SolverError(f"dpcd did not converge in {max_iter} iterations", rows)
 
 
-def _bisect_multiplier(f_update, base, num, cap, vd, zeta, bisect_rtol, rows):
+def _bisect_multiplier(base, num, cap, vd, zeta, bisect_rtol, rows):
     """Budget multiplier of each binding row: the first of 1, 2, 4, ... (60
     doublings) at which the budget holds, then bisection towards the budget
     keeping the feasible upper end.  Returns the sqrt powers, powers and
@@ -232,8 +283,8 @@ def _bisect_multiplier(f_update, base, num, cap, vd, zeta, bisect_rtol, rows):
     for first in range(0, 60, 8):
         hi = np.ldexp(1.0, np.arange(first, min(first + 8, 60)))[:, None]   # exact powers of two
         v = vd[pending, None, :]
-        u = f_update(base[pending, None, :] + hi * v, num[pending, None, :], cap[pending, None, :],
-                     v)[2]
+        u = _f_update(base[pending, None, :] + hi * v, num[pending, None, :],
+                      cap[pending, None, :], v)[2]
         fits = u <= zeta[pending, None]
         found = fits.any(axis=1)
         j = fits.argmax(axis=1)[found]
@@ -257,25 +308,25 @@ def _bisect_multiplier(f_update, base, num, cap, vd, zeta, bisect_rtol, rows):
             idx, b, nm, c, v, z, tol, lo, hi, used = (
                 a[~done] for a in (idx, b, nm, c, v, z, tol, lo, hi, used))
         mid = 0.5 * (lo + hi)
-        used_mid = f_update(b + mid[:, None] * v, nm, c, v)[2]
+        used_mid = _f_update(b + mid[:, None] * v, nm, c, v)[2]
         over = used_mid > z
         lo = np.where(over, mid, lo)
         hi = np.where(over, hi, mid)
         used = np.where(over, used, used_mid)
     else:
         lam[idx] = hi
-    f, p, _ = f_update(base + lam[:, None] * vd, num, cap, vd)
+    f, p, _ = _f_update(base + lam[:, None] * vd, num, cap, vd)
     return f, p, lam
 
 
 def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_000,
-         p_init=None):
+         p_init=None, record_trace=True):
     """Weighted-MMSE D2D power control for fixed cellular powers.
 
     Maximizes the D2D sum rate subject to per-pair caps and the aggregate
     budget sum_k p_k varphi_d[k] <= zeta derived from the cellular QoS, as
-    a stack of one in dpcd_stack.  Raises InfeasibleBudgetError when
-    zeta < 0.
+    a stack of one in dpcd_stack (record_trace as there).  Raises
+    InfeasibleBudgetError when zeta < 0.
     """
     zeta = cellular_power_budget(rc, q_s, gamma)
     if zeta < 0.0:
@@ -283,7 +334,8 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     p_init = None if p_init is None else np.asarray(p_init, dtype=float)[None]
     return dpcd_stack(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
                       sigma_d_of(rc, q_s)[None], [zeta], p_max, tol_wmmse=tol_wmmse,
-                      bisect_rtol=bisect_rtol, max_iter=max_iter, p_init=p_init)[0]
+                      bisect_rtol=bisect_rtol, max_iter=max_iter, p_init=p_init,
+                      record_trace=record_trace)[0]
 
 
 @dataclass
@@ -356,7 +408,7 @@ def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
         try:
             d2d = dpcd_stack(phi_d[sel], psi_d[sel], varphi_d[sel], np.array(sigmas), zetas,
                              p_max_vec, tol_wmmse=tol_wmmse, bisect_rtol=tol_power,
-                             p_init=np.array([p[r] for r in solve]))
+                             p_init=np.array([p[r] for r in solve]), record_trace=False)
         except SolverError as exc:
             raise type(exc)(exc.args[0], sel[exc.rows]) from exc
         active = []

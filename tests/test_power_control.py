@@ -484,3 +484,129 @@ class TestStackedSolvers:
         with pytest.raises(SolverError) as err:
             jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
         assert err.value.rows == [2]   # trial 1 is QoS-infeasible and never reaches dpcd
+
+
+def _first_round_stack(instances):
+    """dpcd_stack arguments and keywords for first-round fig7 instances given
+    as (n_d2d, gamma, trial), and the (rc, q_s, gamma) of each row."""
+    rows = [_fig7_instance(*inst) for inst in instances]
+    args = [np.array([getattr(rc, f) for _, rc, _ in rows]) for f in ("phi_d", "psi_d", "varphi_d")]
+    args.append(np.array([sigma_d_of(rc, q) for _, rc, q in rows]))
+    args.append([cellular_power_budget(rc, q, cfg.sinr_target) for cfg, rc, q in rows])
+    cfg = rows[0][0]
+    kw = dict(tol_wmmse=cfg.tol_wmmse, bisect_rtol=cfg.tol_power)
+    return (*args, cfg.max_power_d2d), kw, [(rc, q, c.sinr_target) for c, rc, q in rows]
+
+
+def _matches_reference(res, rc, q_s, gamma, p_max, **kw):
+    p_ref, trace_ref, it_ref, lam_ref = reference_dpcd(rc, q_s, gamma, p_max, **kw)
+    return (res.p_s.tobytes(), res.objective_trace, res.iterations,
+            np.float64(res.multiplier).tobytes()) == (
+        p_ref.tobytes(), trace_ref, it_ref, np.float64(lam_ref).tobytes())
+
+
+class TestLoneRow:
+    """Once one row is left, dpcd_stack runs it without the trial axis."""
+
+    def test_stacked_helpers_give_each_row_the_bits_of_the_1d_matmul(self):
+        from d2dmimo.power_control import _matvec
+        from d2dmimo.receivers import _dot, _vecmat
+        rng = np.random.default_rng(11)
+        keep = np.array([True, False, True, True, False, True])
+        for k in (1, 2, 10, 15, 20, 40, 100):
+            # positive terms over ten decades, like the interference gains
+            a = 10.0 ** rng.uniform(-12, -2, (6, k, k))
+            x = 10.0 ** rng.uniform(-3, 1, (6, k))
+            y = 10.0 ** rng.uniform(-12, -2, (6, k))
+            for a_s, x_s, y_s in ((a, x, y), (a[keep], x[keep], y[keep])):
+                mv, vm, d = _matvec(a_s, x_s), _vecmat(x_s, a_s), _dot(x_s, y_s)
+                for t in range(len(x_s)):
+                    assert mv[t].tobytes() == (a_s[t] @ x_s[t]).tobytes(), (k, t)
+                    assert vm[t].tobytes() == (x_s[t] @ a_s[t]).tobytes(), (k, t)
+                    assert d[t].tobytes() == (x_s[t] @ y_s[t]).tobytes(), (k, t)
+
+    def test_row_running_alone_for_thousands_of_iterations(self):
+        # trials 10, 2, 3 and 4 need 2, 5376, 9 and 1000 iterations: two rows
+        # share the stack past the 512-iteration trace buffer, then row 1 runs
+        # 4376 iterations alone
+        args, kw, rows = _first_round_stack([(10, 0.372, t) for t in (10, 2, 3, 4)])
+        stacked = dpcd_stack(*args, **kw)
+        assert [r.iterations for r in stacked] == [2, 5376, 9, 1000]
+        for res, (rc, q_s, gamma) in zip(stacked, rows):
+            assert _matches_reference(res, rc, q_s, gamma, args[-1], **kw)
+
+    def test_lone_row_bisects_its_binding_budget(self, monkeypatch):
+        # fig7 trial 3 at gamma = 1 binds in all its 684 iterations; the other
+        # rows never bind and leave after 2 and 9
+        args, kw, rows = _first_round_stack([(10, 0.372, 10), (10, 1.0, 3), (10, 0.372, 3)])
+        bisected = []
+        bisect = power_control._bisect_multiplier
+
+        def spy(base, *a):
+            bisected.append(list(a[-1]))
+            return bisect(base, *a)
+
+        monkeypatch.setattr(power_control, "_bisect_multiplier", spy)
+        stacked = dpcd_stack(*args, **kw)
+        assert [r.iterations for r in stacked] == [2, 684, 9]
+        assert bisected == [[1]] * 684 and stacked[1].multiplier > 0.0
+        for res, (rc, q_s, gamma) in zip(stacked, rows):
+            assert _matches_reference(res, rc, q_s, gamma, args[-1], **kw)
+
+    @pytest.mark.parametrize("name", ["binding budget pair", "silent pair warm start"])
+    def test_stack_of_one(self, name):
+        rc, q_s, gamma, p_max, kw, positive = _dpcd_case(name)
+        p_init = kw.pop("p_init", None)
+        res, = dpcd_stack(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
+                          sigma_d_of(rc, q_s)[None], [cellular_power_budget(rc, q_s, gamma)], p_max,
+                          p_init=None if p_init is None else p_init[None], **kw)
+        assert _matches_reference(res, rc, q_s, gamma, p_max, p_init=p_init, **kw)
+        assert (res.multiplier > 0.0) == positive
+
+    def test_lone_row_at_max_iter_names_its_stack_row(self, monkeypatch):
+        # trials 3, 10 and 0 need 9, 2 and 442 iterations: row 2 is alone
+        # from iteration 10 and fails at 50
+        args, kw, _ = _first_round_stack([(10, 0.372, t) for t in (3, 10, 0)])
+        with pytest.raises(SolverError) as err:
+            dpcd_stack(*args, max_iter=50, **kw)
+        assert err.value.rows == [2]
+        # trial 1 is QoS-infeasible, so dpcd solves rc rows 1-3 and its row 2 is rc row 3
+        rcs = [_fig7_instance(10, 0.372, trial)[1] for trial in (1, 10, 3, 0)]
+        cfg = _fig7_instance(10, 0.372, 0)[0]
+        monkeypatch.setattr(power_control, "dpcd_stack",
+                            functools.partial(dpcd_stack, max_iter=50))
+        with pytest.raises(SolverError) as err:
+            jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
+        assert err.value.rows == [3]
+
+
+class TestRecordTrace:
+    def test_untraced_run_keeps_every_other_bit(self):
+        args, kw, _ = _first_round_stack([(10, 0.372, 10), (10, 1.0, 3), (10, 0.372, 0),
+                                          (10, 0.372, 4)])
+        traced = dpcd_stack(*args, **kw)
+        bare = dpcd_stack(*args, record_trace=False, **kw)
+        assert [len(r.objective_trace) for r in traced] == [2, 684, 442, 1000]
+        for a, b in zip(traced, bare):
+            assert b.objective_trace == []
+            assert (a.p_s.tobytes(), a.iterations, np.float64(a.multiplier).tobytes()) == (
+                b.p_s.tobytes(), b.iterations, np.float64(b.multiplier).tobytes())
+        rc, q_s, gamma, p_max, kw, _ = _dpcd_case("multiplier positive")
+        a, b = dpcd(rc, q_s, gamma, p_max, **kw), dpcd(rc, q_s, gamma, p_max, record_trace=False, **kw)
+        assert b.objective_trace == [] and a.p_s.tobytes() == b.p_s.tobytes()
+
+    def test_joint_power_control_records_no_wmmse_trace(self, monkeypatch):
+        cfg, rcs, warm, kw = _stack_case()
+        asked = []
+        stack_dpcd = dpcd_stack
+
+        def spy(*a, **k):
+            asked.append(k.get("record_trace", True))
+            out = stack_dpcd(*a, **k)
+            assert all(r.objective_trace == [] for r in out)
+            return out
+
+        monkeypatch.setattr(power_control, "dpcd_stack", spy)
+        jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                   p_init=warm, **kw)
+        assert asked and not any(asked)
