@@ -18,7 +18,7 @@ instance does the arithmetic it would do alone, in the same order, so its
 bits do not depend on the stack; dpcd and jdpc are stacks of one.  A
 stack down to one instance drops its trial axis and runs that instance's
 1-D arrays through the same loop.  jdpc records no WMMSE objective trace,
-so its inner loop computes no objective; dpcd records one by default.
+so its inner loop computes no objective; dpcd always records one.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -138,12 +138,11 @@ def _matvec(a, x):
     return (a @ x[:, :, None])[:, :, 0]
 
 
-def _f_update(denom, num, cap, vd, dot=_dot):
-    """Clipped sqrt powers, powers and budget use of a WMMSE step; a silent
-    pair (num = 0) stays at 0."""
+def _f_update(denom, num, cap):
+    """Clipped sqrt powers and powers of a WMMSE step; a silent pair
+    (num = 0) stays at 0."""
     f_new = np.minimum(cap, num / np.maximum(denom, 1e-300))
-    p_new = f_new * f_new
-    return f_new, p_new, dot(p_new, vd)
+    return f_new, f_new * f_new
 
 
 def _active(state, n):
@@ -220,7 +219,8 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
         base = w_nu2 * phi_d + matvec(psi_d, w_nu2)
 
         lam = no_lam
-        f, p, used = _f_update(base, num, f_cap, varphi_d, dot)
+        f, p = _f_update(base, num, f_cap)
+        used = dot(p, varphi_d)
         if lone:
             if used > zeta:
                 f, p, lam = (a[0] for a in _bisect_multiplier(
@@ -283,8 +283,8 @@ def _bisect_multiplier(base, num, cap, vd, zeta, bisect_rtol, rows):
     for first in range(0, 60, 8):
         hi = np.ldexp(1.0, np.arange(first, min(first + 8, 60)))[:, None]   # exact powers of two
         v = vd[pending, None, :]
-        u = _f_update(base[pending, None, :] + hi * v, num[pending, None, :],
-                      cap[pending, None, :], v)[2]
+        u = _dot(_f_update(base[pending, None, :] + hi * v, num[pending, None, :],
+                           cap[pending, None, :])[1], v)
         fits = u <= zeta[pending, None]
         found = fits.any(axis=1)
         j = fits.argmax(axis=1)[found]
@@ -308,24 +308,24 @@ def _bisect_multiplier(base, num, cap, vd, zeta, bisect_rtol, rows):
             idx, b, nm, c, v, z, tol, lo, hi, used = (
                 a[~done] for a in (idx, b, nm, c, v, z, tol, lo, hi, used))
         mid = 0.5 * (lo + hi)
-        used_mid = _f_update(b + mid[:, None] * v, nm, c, v)[2]
+        used_mid = _dot(_f_update(b + mid[:, None] * v, nm, c)[1], v)
         over = used_mid > z
         lo = np.where(over, mid, lo)
         hi = np.where(over, hi, mid)
         used = np.where(over, used, used_mid)
     else:
         lam[idx] = hi
-    f, p, _ = _f_update(base + lam[:, None] * vd, num, cap, vd)
+    f, p = _f_update(base + lam[:, None] * vd, num, cap)
     return f, p, lam
 
 
 def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_000,
-         p_init=None, record_trace=True):
+         p_init=None):
     """Weighted-MMSE D2D power control for fixed cellular powers.
 
     Maximizes the D2D sum rate subject to per-pair caps and the aggregate
     budget sum_k p_k varphi_d[k] <= zeta derived from the cellular QoS, as
-    a stack of one in dpcd_stack (record_trace as there).  Raises
+    a stack of one in dpcd_stack that records the objective trace.  Raises
     InfeasibleBudgetError when zeta < 0.
     """
     zeta = cellular_power_budget(rc, q_s, gamma)
@@ -334,8 +334,7 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     p_init = None if p_init is None else np.asarray(p_init, dtype=float)[None]
     return dpcd_stack(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
                       sigma_d_of(rc, q_s)[None], [zeta], p_max, tol_wmmse=tol_wmmse,
-                      bisect_rtol=bisect_rtol, max_iter=max_iter, p_init=p_init,
-                      record_trace=record_trace)[0]
+                      bisect_rtol=bisect_rtol, max_iter=max_iter, p_init=p_init)[0]
 
 
 @dataclass

@@ -591,9 +591,6 @@ class TestRecordTrace:
             assert b.objective_trace == []
             assert (a.p_s.tobytes(), a.iterations, np.float64(a.multiplier).tobytes()) == (
                 b.p_s.tobytes(), b.iterations, np.float64(b.multiplier).tobytes())
-        rc, q_s, gamma, p_max, kw, _ = _dpcd_case("multiplier positive")
-        a, b = dpcd(rc, q_s, gamma, p_max, **kw), dpcd(rc, q_s, gamma, p_max, record_trace=False, **kw)
-        assert b.objective_trace == [] and a.p_s.tobytes() == b.p_s.tobytes()
 
     def test_joint_power_control_records_no_wmmse_trace(self, monkeypatch):
         cfg, rcs, warm, kw = _stack_case()
