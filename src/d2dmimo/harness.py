@@ -85,10 +85,10 @@ _ES_GUARD = 250_000   # enumeration budget for the fig3 exhaustive baseline
 # Bytes of channel draws one stack holds at once: the fast fading of a
 # Monte Carlo sub-stack, and the large-scale gains of a bounds_mc or mse
 # chunk.  The working sets run to a few times that: the Monte Carlo path
-# peaks in the BS-side QR batch at under 4.5 times its fading (0.74 MB per
-# trial at B = 256, K = 20, against a 0.166 MB draw), the analytic layers at
-# 6-8 times the gains.  Larger stacks run little faster but raise the
-# resident peak.
+# peaks while the MMSE estimates are formed, at 3.1-3.5 times its fading
+# (1.04 MB for two trials at B = 256, K = 20, against 0.166 MB a draw), the
+# analytic layers at 6-8 times the gains.  Larger stacks run little faster
+# but raise the resident peak.
 _STACK_BYTES = 400_000
 
 

@@ -8,18 +8,19 @@ freedom regardless of its size; cancellation sets therefore track pilot
 groups, not individual pairs, on the D2D side.
 
 Every function works on all links of one kind at once: pzf_filter builds
-the filters of every CU (at the BS) or every pair (at its receiver) with
-one batched QR, and cell_sinr_terms / d2d_sinr_terms return per-link
-arrays.  Two rate evaluations are provided: instantaneous post-filter
-SINRs from a concrete channel/estimate draw (Monte Carlo path) and
-closed-form ergodic lower bounds from the estimation-quality coefficients
-(analytic path).  The package-level tests verify that Monte Carlo mean
-rates dominate the closed-form bounds.
+the filters of every CU from one QR of a basis the BS shares among them,
+and those of every pair at its own receiver with one batched QR, and
+cell_sinr_terms / d2d_sinr_terms return per-link arrays.  Two rate
+evaluations are provided: instantaneous post-filter SINRs from a concrete
+channel/estimate draw (Monte Carlo path) and closed-form ergodic lower
+bounds from the estimation-quality coefficients (analytic path).  The
+package-level tests verify that Monte Carlo mean rates dominate the
+closed-form bounds.
 
 Both paths also take a stack of same-size draws with a leading trial axis
 on every array, and give each draw the bits it gets alone: row-wise
 products are stacked matmuls (_vecmat, _dot), the PZF filters of a stack
-come from one batched QR, and reductions and stable sorts run along the
+come from batched QRs, and reductions and stable sorts run along the
 axes, and over the memory layouts, they use for one draw.
 """
 from __future__ import annotations
@@ -212,30 +213,39 @@ def pzf_filter(est, sets, pa, kind):
     the first nonzero one), which zeroes the whole (collinear) group; a
     group without one spans nothing.  Raises DegenerateSpanError, naming
     the stack rows, if any target lies in its cancelled span.
+
+    At the BS every target and every cancelled column lies in the span of
+    the N CU estimates and the b_d group representatives.  One QR of that
+    basis per draw gives all of them as coordinates (the columns of R, at
+    most N+b_d of them); the projections run in those coordinates, and Q,
+    whose columns are orthonormal, takes the unit-norm results back to the
+    B antennas.
     """
     n = pa.n_cu
     if kind == "cu":
-        # estimate columns [CUs | pairs], shared by every target
-        columns = np.concatenate([est.h_c, est.h_d], axis=-1)[..., None, :, :]
-        targets, cancel_cu = np.swapaxes(est.h_c, -1, -2), sets.bs_cancel_cu
         o = pa.to_matrix().astype(bool) & est.h_d.any(axis=-2)[..., None, :]   # pairs sending a pilot
-        groups = np.broadcast_to(sets.bs_cancel_groups[..., None, :],
-                                  cancel_cu.shape[:-1] + sets.bs_cancel_groups.shape[-1:])
+        groups = sets.bs_cancel_groups[..., None, :] - n - 1
     elif kind == "d2d":
-        columns = np.concatenate([est.g_c, est.g_d], axis=-1)
-        targets = np.swapaxes(np.diagonal(est.g_d, axis1=-3, axis2=-1), -1, -2)
-        cancel_cu, groups = sets.rx_cancel_cu, sets.rx_cancel_groups
         o = pa.to_matrix().astype(bool)   # a silent pair's own target is zero: raises below
+        groups = sets.rx_cancel_groups - n - 1
     else:
         raise ValueError(f"unknown target kind {kind!r}")
-    groups = groups - n - 1
     first = np.take_along_axis(o.argmax(axis=-1)[..., None, :], groups, axis=-1)
-    picked = np.concatenate([cancel_cu, n + first], axis=-1)
-    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool),
-                            np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)], axis=-1)
-    cancelled = np.take_along_axis(columns, picked[..., None, :], axis=-1)   # (..., L, D, C)
-    del columns   # the QR batch below is the peak of the Monte Carlo path
-    cancelled *= spans[..., None, :]
+    spans = np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)
+    if kind == "cu":
+        reps = np.take_along_axis(est.h_d, first, axis=-1) * spans
+        q, r = np.linalg.qr(np.concatenate([est.h_c, reps], axis=-1))   # (..., B, D), (..., D, N+b_d)
+        cancel_cu = sets.bs_cancel_cu
+        picked = np.concatenate([cancel_cu, np.broadcast_to(
+            n + np.arange(reps.shape[-1]), cancel_cu.shape[:-1] + reps.shape[-1:])], axis=-1)
+        cancelled = np.take_along_axis(r[..., None, :, :], picked[..., None, :], axis=-1)
+        return _project_out(np.swapaxes(r[..., :n], -1, -2), cancelled) @ np.swapaxes(q, -1, -2)
+    columns = np.concatenate([est.g_c, est.g_d], axis=-1)
+    targets = np.swapaxes(np.diagonal(est.g_d, axis1=-3, axis2=-1), -1, -2)
+    picked = np.concatenate([sets.rx_cancel_cu, n + first], axis=-1)
+    cancelled = np.take_along_axis(columns, picked[..., None, :], axis=-1)   # (..., K, M, C)
+    del columns   # the QR batch below is the peak of the D2D filters
+    cancelled[..., sets.rx_cancel_cu.shape[-1]:] *= spans[..., None, :]
     return _project_out(targets, cancelled)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from d2dmimo.scenario import SystemConfig, LargeScale, substream
+from d2dmimo import receivers
+from d2dmimo.scenario import SystemConfig, LargeScale, substream, trial_seed, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, EstimatedChannels,
                              EstimationCoeffs, draw_fast_fading, estimation_coeffs,
                              simulate_pilot_phase, mmse_estimate)
@@ -9,7 +11,8 @@ from d2dmimo.pilot_scheduling import random_assignment
 from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, CancellationSets,
                                select_cancellation, pzf_filter, cell_sinr_terms,
                                d2d_sinr_terms, rate_coeffs, rate_lower_bounds,
-                               bound_sinrs, sigma_c_of)
+                               bound_sinrs, sigma_c_of, _project_out)
+from d2dmimo.harness import _scenario_pipeline
 
 
 def small_config(**kw):
@@ -355,6 +358,139 @@ class TestBatchedPzfEdgeCases:
         beta = pzf_filter(est, sets, pa, "cu")
         h = est.h_d[:, live]
         assert np.max(np.abs(beta.conj() @ h)) <= 1e-10 * np.linalg.norm(h)
+
+
+# BS-side configs whose shared basis [CU estimates | cancelled group
+# representatives] is not the plain one of the default config
+SHARED_BASIS_CASES = {
+    # b_c < N-1: the CUs cancel different CU sets
+    "partial CU cancellation": dict(n_cu=5, n_d2d=8, pilot_len=9, pzf_bs=(2, 3)),
+    # B = b_c+b_d+2 = 8 below N+b_d = 9 columns
+    "basis wider than the array": dict(n_cu=5, n_d2d=8, bs_antennas=8, pilot_len=9, pzf_bs=(2, 4)),
+    "no cancelled groups": dict(pzf_bs=(2, 0)),
+}
+
+
+def _shared_basis_draws(name, seeds):
+    """Analytic inputs of one draw per seed, stacked, and the cancellation
+    sets and estimates of the stack, drawn from each seed's substreams."""
+    cfg = small_config(**SHARED_BASIS_CASES[name])
+    ls, pa, pp = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        ls.append(make_ls(rng, cfg.n_cu, cfg.n_d2d))
+        pa.append(random_assignment(cfg, substream(seed, 0)))
+        pp.append(PowerProfile(q_p=rng.uniform(0.5, 2, cfg.n_cu), p_p=rng.uniform(0.5, 2, cfg.n_d2d),
+                               q_s=rng.uniform(0.2, 1, cfg.n_cu), p_s=rng.uniform(0.2, 1, cfg.n_d2d)))
+    ls, pa, pp = LargeScale.stack(ls), PilotAssignment.stack(pa), PowerProfile.stack(pp)
+    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+    sets = select_cancellation(ls, pa, cfg)
+    real = draw_fast_fading(cfg, [substream(seed, FADING) for seed in seeds])
+    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, [substream(seed, NOISE) for seed in seeds])
+    return cfg, ls, pa, pp, coeffs, sets, mmse_estimate(obs, ls, pa, pp, cfg)
+
+
+def _alone(name, seed):
+    """The single draw of one seed, as _shared_basis_draws draws it."""
+    cfg, *stacked = _shared_basis_draws(name, [seed])
+    return (cfg, *(x[0] for x in stacked))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_BASIS_CASES))
+class TestSharedBasisPzf:
+    def test_matches_per_link_gram_schmidt(self, name):
+        cfg, ls, pa, pp, coeffs, sets, est = _alone(name, 41)
+        args = (est, coeffs, ls, pa, pp, sets, cfg)
+        beta = pzf_filter(est, sets, pa, "cu")
+        cell = cell_sinr_terms(*args)
+        for n in range(cfg.n_cu):
+            ref_beta, ref_terms = _scalar_cell_terms(n, *args)
+            assert np.allclose(beta[n], ref_beta, rtol=0.0, atol=1e-12)
+            got = (cell.signal[n], cell.interf_cell[n], cell.interf_d2d[n], cell.error_noise[n])
+            np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
+
+    def test_stack_rows_have_their_single_draw_bits(self, name):
+        seeds = [41, 42, 43]
+        cfg, ls, pa, pp, coeffs, sets, est = _shared_basis_draws(name, seeds)
+        beta = pzf_filter(est, sets, pa, "cu")
+        cell = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
+        for t, seed in enumerate(seeds):
+            cfg_t, *args_t = _alone(name, seed)
+            ls_t, pa_t, pp_t, coeffs_t, sets_t, est_t = args_t
+            alone = cell_sinr_terms(est_t, coeffs_t, ls_t, pa_t, pp_t, sets_t, cfg_t)
+            assert beta[t].tobytes() == pzf_filter(est_t, sets_t, pa_t, "cu").tobytes()
+            for field in ("signal", "interf_cell", "interf_d2d", "error_noise"):
+                assert getattr(cell, field)[t].tobytes() == getattr(alone, field).tobytes()
+
+
+def _per_cu_pzf_filter(est, sets, pa, kind):
+    """BS-side filters with a B-dimensional QR of every CU's own cancelled
+    columns, gathered per CU (the d2d kind is pzf_filter's)."""
+    if kind != "cu":
+        return pzf_filter(est, sets, pa, kind)
+    n = pa.n_cu
+    columns = np.concatenate([est.h_c, est.h_d], axis=-1)[..., None, :, :]
+    cancel_cu = sets.bs_cancel_cu
+    o = pa.to_matrix().astype(bool) & est.h_d.any(axis=-2)[..., None, :]
+    groups = np.broadcast_to(sets.bs_cancel_groups[..., None, :],
+                             cancel_cu.shape[:-1] + sets.bs_cancel_groups.shape[-1:]) - n - 1
+    first = np.take_along_axis(o.argmax(axis=-1)[..., None, :], groups, axis=-1)
+    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool),
+                            np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)], axis=-1)
+    picked = np.concatenate([cancel_cu, n + first], axis=-1)
+    cancelled = np.take_along_axis(columns, picked[..., None, :], axis=-1) * spans[..., None, :]
+    return _project_out(np.swapaxes(est.h_c, -1, -2), cancelled)
+
+
+@pytest.mark.parametrize("b", [32, 64, 256])
+def test_shared_basis_keeps_the_per_cu_precision(monkeypatch, b):
+    # the BS filters come from the coordinates of one QR per draw; the SINRs
+    # must stay within 1e-13 of filters built in the B-dimensional space
+    cfgs = [SystemConfig(bs_antennas=b, rng_seed=trial_seed(777, t)) for t in range(30)]
+    cfg = cfgs[0]
+    ls, pa, pp, coeffs, sets, _ = _scenario_pipeline(cfgs)
+    real = draw_fast_fading(cfg, [substream(c.rng_seed, FADING) for c in cfgs])
+    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, [substream(c.rng_seed, NOISE) for c in cfgs])
+    args = (mmse_estimate(obs, ls, pa, pp, cfg), coeffs, ls, pa, pp, sets, cfg)
+    sinr = cell_sinr_terms(*args).sinr
+    monkeypatch.setattr(receivers, "pzf_filter", _per_cu_pzf_filter)
+    np.testing.assert_allclose(sinr, cell_sinr_terms(*args).sinr, rtol=1e-13, atol=0.0)
+
+
+@given(n=st.integers(1, 6), b_c=st.integers(0, 5), b_d=st.integers(0, 1), silent=st.booleans(),
+       collapse=st.booleans(), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bs_filter_at_the_validate_limits(n, b_c, b_d, silent, collapse, seed):
+    # B = b_c+b_d+2 (the least array that leaves the bounds a gain), K = 1
+    # and tau = N+1: the filters match the Gram-Schmidt reference, or a
+    # target put into its cancelled span raises DegenerateSpanError
+    b_c = min(b_c, n - 1)
+    cfg = small_config(n_cu=n, n_d2d=1, pilot_len=n + 1, bs_antennas=b_c + b_d + 2,
+                       pzf_bs=(b_c, b_d), pzf_d2d=(0, 0), rng_seed=seed)
+    cfg.validate()
+    rng = np.random.default_rng(seed)
+    ls = make_ls(rng, n, 1)
+    pa = assignment([n + 1], n_cu=n, pilot_len=n + 1)
+    pp = PowerProfile(q_p=rng.uniform(0.5, 2, n), p_p=np.array([0.0 if silent else 1.0]),
+                      q_s=rng.uniform(0.2, 1, n), p_s=rng.uniform(0.2, 1, 1))
+    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+    sets = select_cancellation(ls, pa, cfg)
+    est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), ls, pa, pp, cfg), ls, pa, pp, cfg)
+    if collapse:
+        est.h_c[:, n - 1] = 2.0 * est.h_c[:, sets.bs_cancel_cu[n - 1]].sum(axis=1)
+        with pytest.raises(DegenerateSpanError) as err:
+            pzf_filter(est, sets, pa, "cu")
+        assert err.value.rows == [0]
+        return
+    args = (est, coeffs, ls, pa, pp, sets, cfg)
+    beta = pzf_filter(est, sets, pa, "cu")
+    cell = cell_sinr_terms(*args)
+    for link in range(n):
+        ref_beta, ref_terms = _scalar_cell_terms(link, *args)
+        assert np.allclose(beta[link], ref_beta, rtol=0.0, atol=1e-12)
+        got = (cell.signal[link], cell.interf_cell[link], cell.interf_d2d[link], cell.error_noise[link])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
 
 
 class TestInstantaneousSinr:

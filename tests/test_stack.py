@@ -395,9 +395,9 @@ def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
 
 def test_monte_carlo_peak_stays_within_the_stack_budget():
     # sub-stacks of two trials at B = 256, K = 20, whose working sets peak at
-    # 0.74 MB each in the BS-side QR batch (1.49 MB); a temporary the size of
-    # the QR batch or of the estimate columns kept alive through it exceeds
-    # the bound
+    # 0.52 MB a trial while the MMSE estimates are formed (1.04 MB); a further
+    # 0.56 MB kept alive through that step, 1.7 times the sub-stack's fading,
+    # exceeds the bound
     cfgs = [SystemConfig(bs_antennas=256, rng_seed=trial_seed(3, t)) for t in range(10)]
     assert _stack_size(cfgs[0], "mc") == 2
     ls, pa, pp, coeffs, sets, _ = _scenario_pipeline(cfgs)
