@@ -396,18 +396,24 @@ def _alone(name, seed):
     return (cfg, *(x[0] for x in stacked))
 
 
+def _assert_cell_matches_gram_schmidt(cfg, ls, pa, pp, coeffs, sets, est):
+    """Every BS filter and finite cellular SINR term of one draw against
+    the per-link Gram-Schmidt reference."""
+    args = (est, coeffs, ls, pa, pp, sets, cfg)
+    beta = pzf_filter(est, sets, pa, "cu")
+    cell = cell_sinr_terms(*args)
+    for n in range(cfg.n_cu):
+        ref_beta, ref_terms = _scalar_cell_terms(n, *args)
+        assert np.allclose(beta[n], ref_beta, rtol=0.0, atol=1e-12)
+        got = (cell.signal[n], cell.interf_cell[n], cell.interf_d2d[n], cell.error_noise[n])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("name", sorted(SHARED_BASIS_CASES))
 class TestSharedBasisPzf:
     def test_matches_per_link_gram_schmidt(self, name):
-        cfg, ls, pa, pp, coeffs, sets, est = _alone(name, 41)
-        args = (est, coeffs, ls, pa, pp, sets, cfg)
-        beta = pzf_filter(est, sets, pa, "cu")
-        cell = cell_sinr_terms(*args)
-        for n in range(cfg.n_cu):
-            ref_beta, ref_terms = _scalar_cell_terms(n, *args)
-            assert np.allclose(beta[n], ref_beta, rtol=0.0, atol=1e-12)
-            got = (cell.signal[n], cell.interf_cell[n], cell.interf_d2d[n], cell.error_noise[n])
-            np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
+        _assert_cell_matches_gram_schmidt(*_alone(name, 41))
 
     def test_stack_rows_have_their_single_draw_bits(self, name):
         seeds = [41, 42, 43]
@@ -415,8 +421,7 @@ class TestSharedBasisPzf:
         beta = pzf_filter(est, sets, pa, "cu")
         cell = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
         for t, seed in enumerate(seeds):
-            cfg_t, *args_t = _alone(name, seed)
-            ls_t, pa_t, pp_t, coeffs_t, sets_t, est_t = args_t
+            cfg_t, ls_t, pa_t, pp_t, coeffs_t, sets_t, est_t = _alone(name, seed)
             alone = cell_sinr_terms(est_t, coeffs_t, ls_t, pa_t, pp_t, sets_t, cfg_t)
             assert beta[t].tobytes() == pzf_filter(est_t, sets_t, pa_t, "cu").tobytes()
             for field in ("signal", "interf_cell", "interf_d2d", "error_noise"):
@@ -481,16 +486,8 @@ def test_bs_filter_at_the_validate_limits(n, b_c, b_d, silent, collapse, seed):
         with pytest.raises(DegenerateSpanError) as err:
             pzf_filter(est, sets, pa, "cu")
         assert err.value.rows == [0]
-        return
-    args = (est, coeffs, ls, pa, pp, sets, cfg)
-    beta = pzf_filter(est, sets, pa, "cu")
-    cell = cell_sinr_terms(*args)
-    for link in range(n):
-        ref_beta, ref_terms = _scalar_cell_terms(link, *args)
-        assert np.allclose(beta[link], ref_beta, rtol=0.0, atol=1e-12)
-        got = (cell.signal[link], cell.interf_cell[link], cell.interf_d2d[link], cell.error_noise[link])
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, ref_terms, rtol=1e-12, atol=0.0)
+    else:
+        _assert_cell_matches_gram_schmidt(cfg, ls, pa, pp, coeffs, sets, est)
 
 
 class TestInstantaneousSinr:
