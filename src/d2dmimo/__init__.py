@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .scenario import (SystemConfig, Topology, LargeScale, generate_topology,
                        compute_large_scale, substream, trial_seed, db_to_lin,
-                       dbm_to_mw, mw_to_dbm, save_scenario, load_scenario)
+                       dbm_to_mw)
 from .channel import (PilotAssignment, PowerProfile, ChannelRealization,
                       EstimatedChannels, EstimationCoeffs, PilotObservation,
                       draw_fast_fading, estimation_coeffs, simulate_pilot_phase,
@@ -14,7 +14,7 @@ from .receivers import (CancellationSets, RateCoeffs, FeasibilityError,
                         DegenerateSpanError, select_cancellation, pzf_filter,
                         cell_sinr_terms, d2d_sinr_terms, rate_coeffs,
                         rate_lower_bounds, bound_sinrs, sigma_c_of, sigma_d_of)
-from .pilot_scheduling import (interference_metric, sum_mse, sum_mse_objective,
+from .pilot_scheduling import (interference_metric, sum_mse_objective,
                                psa, random_assignment, exhaustive_search,
                                pilot_power_parametric, InstanceTooLargeError,
                                NonConvergenceError, ParametricPowerResult)

@@ -68,15 +68,9 @@ class PilotAssignment(TrialAxis):
         """X_k: indices of all pairs sharing pair k's pilot (includes k)."""
         return np.flatnonzero(self.pilot_of == self.pilot_of[k])
 
-    def members(self, pilot):
-        return np.flatnonzero(self.pilot_of == pilot)
-
     def to_matrix(self):
         """Binary reuse-pattern matrix, shape (tau - n_cu, n_d2d); (T, ...) for a stack."""
         return (self.pilot_of[..., None, :] == self.d2d_pilots()[:, None]).astype(int)
-
-    def to_json(self):
-        return list(int(p) for p in self.pilot_of)
 
 
 @dataclass
@@ -108,17 +102,6 @@ class PowerProfile(TrialAxis):
             q_s=np.full(config.n_cu, config.max_power_cu),
             p_s=np.full(config.n_d2d, config.max_power_d2d),
         )
-
-    def validate_caps(self, config):
-        tau = config.pilot_len
-        if np.any(self.q_s > config.max_power_cu * (1 + 1e-12)):
-            raise ValueError("q_s exceeds max_power_cu")
-        if np.any(self.p_s > config.max_power_d2d * (1 + 1e-12)):
-            raise ValueError("p_s exceeds max_power_d2d")
-        if np.any(self.q_p > tau * config.max_power_cu * (1 + 1e-12)):
-            raise ValueError("q_p exceeds pilot energy budget tau * max_power_cu")
-        if np.any(self.p_p > tau * config.max_power_d2d * (1 + 1e-12)):
-            raise ValueError("p_p exceeds pilot energy budget tau * max_power_d2d")
 
 
 @dataclass
@@ -170,10 +153,6 @@ class EstimationCoeffs(TrialAxis):
     mu_c: np.ndarray      # (N, K)
     eps_cd: np.ndarray
 
-    def to_json(self):
-        return {k: np.asarray(getattr(self, k)).tolist() for k in
-                ("delta_c", "eps_c", "delta_d", "eps_d", "mu_d", "eps_dd", "mu_c", "eps_cd")}
-
 
 def _cn(rng, shape):
     """i.i.d. CN(0, 1) samples: all real parts, then all imaginary parts.
@@ -210,7 +189,10 @@ def group_powers(ls, pa, p_p):
     Groups of one size, over every draw of a stack, are summed in one
     stacked reduction, which adds each group's terms in the order a sum over
     that group alone does: 1 - delta and 1 - mu of strong links would
-    amplify a last-bit change in the sums by up to the link's pilot SNR."""
+    amplify a last-bit change in the sums by up to the link's pilot SNR.
+    This is the one reduction left that keeps the last bits of the
+    pre-stacking layout.  Plain O @ (p_p * v) moves the bounds' last bits,
+    so it waits until the benchmark reference is re-recorded."""
     o = pa.to_matrix()
     sizes = o.sum(axis=-1)
     members = np.argsort(1 - o, axis=-1, kind="stable")   # members[..., g, :sizes[..., g]]
@@ -282,16 +264,6 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     return PilotObservation(y_bs=y_bs, y_rx=y_rx)
 
 
-def _pilot_columns(y, col):
-    """y[..., col] of every draw: the observation column of each pair's
-    pilot, laid out pair-major in memory, as numpy lays out y[:, col] for
-    one draw.  Later stages take their BLAS and einsum loops, and so their
-    last bits, from that layout."""
-    lead = col.ndim - 1   # trial axes
-    picked = np.moveaxis(y, -1, lead)[np.indices(col.shape, sparse=True)[:-1] + (col,)]
-    return np.moveaxis(picked, lead, -1)
-
-
 def mmse_estimate(obs, ls, pa, pp, config, powers=None):
     """Linear MMSE estimates of every channel from the pilot observations.
 
@@ -312,10 +284,11 @@ def mmse_estimate(obs, ls, pa, pp, config, powers=None):
     group = pa.pilot_of - n - 1
     col = pa.pilot_of - 1
     h_d = ((np.sqrt(pp.p_p * ls.u_d) / (np.take_along_axis(den_bs, group, axis=-1) + n0))[..., None, :]
-           * _pilot_columns(obs.y_bs, col))
+           * np.take_along_axis(obs.y_bs, col[..., None, :], axis=-1))
     # coef[i, r] scales Rx r's observation column of pair i's pilot
     coef = (np.sqrt(pp.p_p[..., :, None] * ls.v_d)
             / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0))
-    g_d = np.swapaxes(coef, -1, -2)[..., None, :] * _pilot_columns(obs.y_rx, col)
+    g_d = (np.swapaxes(coef, -1, -2)[..., None, :]
+           * np.take_along_axis(obs.y_rx, col[..., None, None, :], axis=-1))
 
     return EstimatedChannels(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)

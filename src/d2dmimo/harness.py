@@ -50,7 +50,7 @@ from .channel import (PowerProfile, estimation_coeffs, group_powers, draw_fast_f
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
 from .pilot_scheduling import (SEARCH_GUARD, psa, random_assignment, exhaustive_search,
-                               search_space, sum_mse_objective)
+                               search_space, sum_mse_objective, direct_link_mse)
 from .power_control import SolverError, jdpc_stack, dpcc, dpcd
 
 
@@ -341,7 +341,7 @@ def _chunk_mse(cfgs, metrics):
             # contamination-free floor: every pair alone on its pilot
             p = cfg.pilot_len * cfg.max_power_d2d
             s = p * np.diag(ls.v_d[r])
-            out["sum_mse_lb"] = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
+            out["sum_mse_lb"] = direct_link_mse(s, s, cfg.noise_power, cfg.d2drx_antennas)
         results.append({m: out[m] for m in metrics})
     return results
 

@@ -47,31 +47,29 @@ def interference_metric(ls):
     return chi
 
 
-def sum_mse(pa, coeffs, m_antennas):
-    """Total estimation MSE of the D2D direct links: M * sum_k eps_kk."""
-    return float(m_antennas * np.sum(np.diag(coeffs.eps_dd)))
-
-
-def _direct_link_mse_total(pa, p_p, v_d, n0, m_antennas):
-    """sum_mse evaluated directly from an assignment (fast path: one
-    product with the reuse matrix, as exhaustive_search calls it for
-    every assignment)."""
-    group_rx = (pa.to_matrix() * p_p) @ v_d       # pilot-group power at every Rx
-    own_group = group_rx[pa.pilot_of - pa.n_cu - 1, np.arange(pa.n_d2d)]
-    return float(m_antennas * np.sum(1.0 - p_p * np.diag(v_d) / (own_group + n0)))
+def direct_link_mse(own, group, n0, m_antennas):
+    """Total estimation MSE of the D2D direct links, M * sum_k eps_kk with
+    eps_kk = 1 - own_k / (group_k + N0): own_k is pair k's received pilot
+    power at its own Rx, group_k that of its whole pilot group there."""
+    return float(m_antennas * np.sum(1.0 - own / (group + n0)))
 
 
 def sum_mse_objective(ls, config, p_p=None):
-    """Closure mapping a PilotAssignment to its sum MSE at fixed pilot power.
+    """Closure mapping a PilotAssignment to its sum MSE at fixed pilot power
+    (one product with the reuse matrix per assignment, as exhaustive_search
+    calls it for every assignment).
 
     Defaults to the maximum pilot energy tau * max_power_d2d per pair.
     """
     if p_p is None:
         p_p = np.full(config.n_d2d, config.pilot_len * config.max_power_d2d)
     p_p = np.asarray(p_p, dtype=float)
+    own = p_p * np.diag(ls.v_d)
 
     def objective(pa):
-        return _direct_link_mse_total(pa, p_p, ls.v_d, config.noise_power, config.d2drx_antennas)
+        group_rx = (pa.to_matrix() * p_p) @ ls.v_d       # pilot-group power at every Rx
+        group = group_rx[pa.pilot_of - pa.n_cu - 1, np.arange(pa.n_d2d)]
+        return direct_link_mse(own, group, config.noise_power, config.d2drx_antennas)
 
     return objective
 

@@ -20,8 +20,10 @@ closed-form bounds.
 Both paths also take a stack of same-size draws with a leading trial axis
 on every array, and give each draw the bits it gets alone: row-wise
 products are stacked matmuls (_vecmat, _dot), the PZF filters of a stack
-come from batched QRs, and reductions and stable sorts run along the
-axes, and over the memory layouts, they use for one draw.
+come from batched QRs, and reductions and stable sorts run along the axes
+they use for one draw.  The order in which a reduction adds its terms is
+numpy's choice for the arrays' memory layout and is not held to that of
+earlier versions, so a change of layout may move last bits.
 """
 from __future__ import annotations
 
@@ -263,16 +265,6 @@ class SinrTerms(TrialAxis):
         return self.signal / (self.interf_cell + self.interf_d2d + self.error_noise)
 
 
-def _masked_row_sums(kept, weights):
-    """Row sums of weights where kept, else 0.  The terms are laid out in
-    memory like the mask, so a stack adds each row in the order a single
-    draw does: along the row for a C-ordered mask, left to right across
-    rows (no pairwise sum) for an F-ordered one."""
-    terms = np.zeros_like(kept, dtype=float)
-    np.copyto(terms, weights, where=kept)
-    return np.sum(terms, axis=-1)
-
-
 def _unset_diagonal(mask):
     """mask with its (last two axes') diagonal cleared in place."""
     k = mask.shape[-1]
@@ -291,8 +283,8 @@ def cell_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
 
     w_c = pp.q_s * ls.u_c
     signal = w_c * np.diagonal(proj_c, axis1=-2, axis2=-1)
-    i_cc = _masked_row_sums(kept_cu, w_c[..., None, :] * proj_c)
-    i_dc = _masked_row_sums(kept_d, (pp.p_s * ls.u_d)[..., None, :] * proj_d)
+    i_cc = np.where(kept_cu, w_c[..., None, :] * proj_c, 0.0).sum(axis=-1)
+    i_dc = np.where(kept_d, (pp.p_s * ls.u_d)[..., None, :] * proj_d, 0.0).sum(axis=-1)
     alpha = (np.sum(pp.q_s * ls.u_c * coeffs.eps_c, axis=-1)
              + np.sum(pp.p_s * ls.u_d * coeffs.eps_d, axis=-1)
              + config.noise_power)
@@ -311,8 +303,9 @@ def d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
 
     w_d = np.swapaxes(pp.p_s[..., :, None] * ls.v_d, -1, -2)   # [rx, tx]
     signal = np.diagonal(w_d, axis1=-2, axis2=-1) * np.diagonal(proj_d, axis1=-2, axis2=-1)
-    i_dd = _masked_row_sums(kept_d, w_d * proj_d)
-    i_cd = _masked_row_sums(kept_cu, np.swapaxes(pp.q_s[..., :, None] * ls.v_c, -1, -2) * proj_c)
+    i_dd = np.where(kept_d, w_d * proj_d, 0.0).sum(axis=-1)
+    w_c = np.swapaxes(pp.q_s[..., :, None] * ls.v_c, -1, -2)   # [rx, cu]
+    i_cd = np.where(kept_cu, w_c * proj_c, 0.0).sum(axis=-1)
     alpha = (np.sum(pp.p_s[..., :, None] * ls.v_d * coeffs.eps_dd, axis=-2)
              + np.sum(pp.q_s[..., :, None] * ls.v_c * coeffs.eps_cd, axis=-2)
              + config.noise_power)

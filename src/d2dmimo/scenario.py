@@ -19,7 +19,6 @@ from its own substream.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -37,10 +36,6 @@ def db_to_lin(db):
 def dbm_to_mw(dbm):
     """dBm -> milliwatts."""
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
-
-
-def mw_to_dbm(mw):
-    return 10.0 * np.log10(np.asarray(mw, dtype=float))
 
 
 def substream(seed, *key):
@@ -196,13 +191,6 @@ class Topology(TrialAxis):
     d2d_tx_pos: np.ndarray   # (K, 2)
     d2d_rx_pos: np.ndarray   # (K, 2)
 
-    def to_dict(self):
-        return {k: np.asarray(v).tolist() for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{k: np.asarray(v, dtype=float) for k, v in d.items()})
-
 
 @dataclass
 class LargeScale(TrialAxis):
@@ -223,13 +211,6 @@ class LargeScale(TrialAxis):
             a = getattr(self, name)
             if not np.all(np.isfinite(a)) or np.any(a <= 0):
                 raise ValueError(f"{name} entries must be strictly positive and finite")
-
-    def to_dict(self):
-        return {k: np.asarray(v).tolist() for k, v in asdict(self).items()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{k: np.asarray(v, dtype=float) for k, v in d.items()})
 
 
 def generate_topology(config, rng=None):
@@ -302,27 +283,3 @@ def compute_large_scale(topology, config, rng=None):
         v_c=gain[..., n + k:n + k + n * k].reshape(lead + (n, k)),
         v_d=gain[..., n + k + n * k:].reshape(lead + (k, k)),
     )
-
-
-def pair_distances(topology):
-    return np.linalg.norm(topology.d2d_tx_pos - topology.d2d_rx_pos, axis=1)
-
-
-def save_scenario(path, config, topology=None, large_scale=None):
-    """Write a scenario (config plus optional realization) as one JSON document."""
-    doc = {"config": config.to_dict()}
-    if topology is not None:
-        doc["topology"] = topology.to_dict()
-    if large_scale is not None:
-        doc["large_scale"] = large_scale.to_dict()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-
-
-def load_scenario(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    config = SystemConfig.from_dict(doc["config"])
-    topology = Topology.from_dict(doc["topology"]) if "topology" in doc else None
-    large_scale = LargeScale.from_dict(doc["large_scale"]) if "large_scale" in doc else None
-    return config, topology, large_scale

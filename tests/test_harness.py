@@ -1,13 +1,14 @@
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from d2dmimo import power_control
+from d2dmimo import harness, power_control
 from d2dmimo.scenario import SystemConfig, trial_seed
-from d2dmimo.power_control import dpcc, dpcd
+from d2dmimo.power_control import SolverError, dpcc, dpcd
 from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, load_spec, run_experiment,
                              spec_from_dict, validate_spec, convergence_traces, _solve_jdpc)
 
@@ -222,6 +223,41 @@ class TestRunExperiment:
         # array gain: both simulated and bound grow with antennas
         assert table[(32, "sum_se_cell_lb")] > table[(16, "sum_se_cell_lb")]
         assert table[(32, "sum_se_cell")] > table[(16, "sum_se_cell")]
+
+
+# configs at the limits SystemConfig.validate allows, as changes to desk_config
+VALIDATE_LIMITS = {
+    "K=1, tau=N+1, m_d=0": dict(n_d2d=1, pilot_len=4, pzf_d2d=(1, 0)),
+    "B=b_c+b_d+2, M=m_c+m_d+2": dict(bs_antennas=5, d2drx_antennas=4),
+    "min_dist=d2d_max_dist": dict(min_dist=100.0, d2d_max_dist=100.0),
+    "0 dB shadowing": dict(shadow_sigma_db=0.0),
+    "20 dB shadowing": dict(shadow_sigma_db=20.0),
+}
+# recipe -> (swept field, run at the config's own value; metrics)
+LIMIT_RECIPES = {"fig1": ("bs_antennas", list(harness._METRICS["bounds_mc"])),
+                 "fig3": ("pilot_len", None), "fig7": ("n_d2d", None)}
+
+
+@pytest.mark.parametrize("recipe", sorted(LIMIT_RECIPES))
+@pytest.mark.parametrize("limit", sorted(VALIDATE_LIMITS))
+def test_recipes_at_the_validate_limits(limit, recipe):
+    # every row is finite, or NaN where no trial was feasible; a failure
+    # must be one of the documented ones (exit 1 or 2 from the CLI)
+    cfg = desk_config(**VALIDATE_LIMITS[limit])
+    variable, metrics = LIMIT_RECIPES[recipe]
+    spec = ExperimentSpec(experiment=recipe, sweep_variable=variable,
+                          sweep_values=[getattr(cfg, variable)], trials=6, config=cfg, metrics=metrics)
+    try:
+        rows, _ = run_experiment(spec)
+    except (SpecError, RuntimeError) as exc:
+        assert isinstance(exc, SpecError) or isinstance(exc.__cause__, SolverError)
+        return
+    assert rows
+    for r in rows:
+        if r.trials == 0:
+            assert math.isnan(r.mean) and math.isnan(r.ci95)
+        else:
+            assert math.isfinite(r.mean) and math.isfinite(r.ci95), r
 
 
 def test_convergence_traces_exportable(tmp_path):

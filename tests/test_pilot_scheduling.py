@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from d2dmimo.scenario import SystemConfig, LargeScale, substream
 from d2dmimo.channel import PilotAssignment, PowerProfile, estimation_coeffs
-from d2dmimo.pilot_scheduling import (interference_metric, sum_mse, sum_mse_objective,
+from d2dmimo.pilot_scheduling import (interference_metric, sum_mse_objective,
                                       psa, random_assignment, exhaustive_search,
                                       pilot_power_parametric, InstanceTooLargeError)
 
@@ -83,7 +83,7 @@ class TestSumMse:
         p_p = n0 / np.diag(ls.v_d)
         pp = PowerProfile(q_p=np.ones(3), p_p=p_p, q_s=np.ones(3), p_s=np.ones(6))
         coeffs = estimation_coeffs(ls, pa, pp, n0)
-        assert sum_mse(pa, coeffs, cfg.d2drx_antennas) == pytest.approx(6 * 4 * 0.5, rel=1e-12)
+        assert cfg.d2drx_antennas * np.trace(coeffs.eps_dd) == pytest.approx(6 * 4 * 0.5, rel=1e-12)
 
     def test_perfect_pilots_zero(self):
         rng = np.random.default_rng(6)
@@ -91,7 +91,7 @@ class TestSumMse:
         pa = PilotAssignment(pilot_of=np.arange(4, 10), n_cu=3, pilot_len=9)
         pp = PowerProfile(q_p=np.ones(3), p_p=np.ones(6), q_s=np.ones(3), p_s=np.ones(6))
         coeffs = estimation_coeffs(ls, pa, pp, 0.0)
-        assert sum_mse(pa, coeffs, 4) == 0.0
+        assert 4 * np.trace(coeffs.eps_dd) == 0.0
 
     def test_matches_scalar_transcription(self):
         cfg = small_config(n_d2d=4, pilot_len=5)
@@ -105,7 +105,7 @@ class TestSumMse:
             grp = [j for j in range(4) if pa.pilot_of[j] == pa.pilot_of[k]]
             den = sum(pp.p_p[j] * ls.v_d[j, k] for j in grp) + cfg.noise_power
             total += cfg.d2drx_antennas * (1.0 - pp.p_p[k] * ls.v_d[k, k] / den)
-        assert sum_mse(pa, coeffs, cfg.d2drx_antennas) == pytest.approx(total, rel=1e-12)
+        assert cfg.d2drx_antennas * np.trace(coeffs.eps_dd) == pytest.approx(total, rel=1e-12)
         objective = sum_mse_objective(ls, cfg)
         assert objective(pa) == pytest.approx(total, rel=1e-12)
 

@@ -160,7 +160,7 @@ class TestPzfFilter:
             assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
             cancelled = [est.h_c[:, a] for a in sets.bs_cancel_cu[n]]
             for t in sets.bs_cancel_groups:
-                for i in pa.members(t):
+                for i in np.flatnonzero(pa.pilot_of == t):
                     cancelled.append(est.h_d[:, i])
             for c in cancelled:
                 assert abs(beta.conj() @ c) <= 1e-10 * np.linalg.norm(c)
@@ -271,7 +271,8 @@ def _scalar_d2d_terms(k, est, coeffs, ls, pa, pp, sets, cfg):
 
 def _edge_case(name):
     """A pipeline draw whose cancelled columns include empty sets, empty
-    pilot groups or exact zeros, some of them ahead of nonzero columns."""
+    pilot groups or exact zeros, some of them ahead of nonzero columns, or
+    whose D2D interference sums run over long rows (K = 40)."""
     if name == "empty cancel sets":
         cfg = small_config(pzf_bs=(0, 0), pzf_d2d=(0, 0))
         pa = assignment([4, 4, 5, 5, 6, 6])
@@ -283,6 +284,10 @@ def _edge_case(name):
     elif name == "single pair":
         cfg = small_config(n_d2d=1, pilot_len=4, pzf_bs=(2, 1), pzf_d2d=(2, 0))
         pa = assignment([4], pilot_len=4)
+    elif name.startswith("K=40"):   # test_stack's "K=40" config, m_d as named
+        cfg = SystemConfig(n_cu=5, n_d2d=40, pilot_len=15, bs_antennas=64,
+                           pzf_d2d=(1, int(name[-1])), rng_seed=7)
+        pa = random_assignment(cfg, substream(1, 0))
     else:   # "zero estimate columns"
         cfg = small_config(pzf_bs=(1, 2), pzf_d2d=(2, 1))
         pa = assignment([4, 4, 5, 5, 6, 6])
@@ -302,10 +307,11 @@ def _edge_case(name):
 
 
 EDGE_CASES = ["empty cancel sets", "empty cancelled groups", "single pair", "zero estimate columns"]
+LONG_ROWS = ["K=40, m_d=1", "K=40, m_d=2"]
 
 
 class TestBatchedPzfEdgeCases:
-    @pytest.mark.parametrize("name", EDGE_CASES)
+    @pytest.mark.parametrize("name", EDGE_CASES + LONG_ROWS)
     def test_matches_per_link_gram_schmidt(self, name):
         cfg, ls, pa, pp, coeffs, sets, est = _edge_case(name)
         args = (est, coeffs, ls, pa, pp, sets, cfg)
