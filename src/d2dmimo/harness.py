@@ -336,7 +336,7 @@ def _chunk_mse(cfgs, metrics):
         if "sum_mse_rps" in metrics:
             out["sum_mse_rps"] = objective(random_assignment(cfg))
         if "sum_mse_es" in metrics:
-            out["sum_mse_es"] = objective(exhaustive_search(ls[r], cfg, objective))
+            out["sum_mse_es"] = objective(exhaustive_search(ls[r], cfg))
         if "sum_mse_lb" in metrics:
             # contamination-free floor: every pair alone on its pilot
             p = cfg.pilot_len * cfg.max_power_d2d

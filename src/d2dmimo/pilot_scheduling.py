@@ -54,16 +54,12 @@ def direct_link_mse(own, group, n0, m_antennas):
     return float(m_antennas * np.sum(1.0 - own / (group + n0)))
 
 
-def sum_mse_objective(ls, config, p_p=None):
-    """Closure mapping a PilotAssignment to its sum MSE at fixed pilot power
-    (one product with the reuse matrix per assignment, as exhaustive_search
-    calls it for every assignment).
-
-    Defaults to the maximum pilot energy tau * max_power_d2d per pair.
+def sum_mse_objective(ls, config):
+    """Closure mapping a PilotAssignment to its sum MSE at the maximum pilot
+    energy tau * max_power_d2d per pair (one product with the reuse matrix
+    per assignment, as exhaustive_search calls it for every assignment).
     """
-    if p_p is None:
-        p_p = np.full(config.n_d2d, config.pilot_len * config.max_power_d2d)
-    p_p = np.asarray(p_p, dtype=float)
+    p_p = np.full(config.n_d2d, config.pilot_len * config.max_power_d2d)
     own = p_p * np.diag(ls.v_d)
 
     def objective(pa):
@@ -119,15 +115,14 @@ def search_space(config):
     return (config.pilot_len - config.n_cu) ** config.n_d2d
 
 
-def exhaustive_search(ls, config, objective=None, guard=SEARCH_GUARD):
-    """Globally optimal assignment by enumeration; first minimizer in
+def exhaustive_search(ls, config):
+    """Sum-MSE-optimal assignment by enumeration; first minimizer in
     lexicographic assignment order wins ties."""
-    if search_space(config) > guard:
+    if search_space(config) > SEARCH_GUARD:
         raise InstanceTooLargeError(
             f"search space (tau-N)^K = {config.pilot_len - config.n_cu}^{config.n_d2d} "
-            f"exceeds the guard {guard}")
-    if objective is None:
-        objective = sum_mse_objective(ls, config)
+            f"exceeds the guard {SEARCH_GUARD}")
+    objective = sum_mse_objective(ls, config)
     pilots = range(config.n_cu + 1, config.pilot_len + 1)
     best, best_pa = np.inf, None
     for combo in product(pilots, repeat=config.n_d2d):

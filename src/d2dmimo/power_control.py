@@ -13,12 +13,15 @@ Three solvers:
 The WMMSE and joint solvers work on stacks of same-size instances
 (dpcd_stack, jdpc_stack): the power-control recipes hand all trials of a
 sweep point to one call, which pays each numpy call once per iteration
-for the whole stack, and a converged instance leaves the stack.  Each
+for the whole stack, and a converged instance leaves the stack.  A joint
+stack keeps its powers in arrays and computes each quantity of a round
+but the cellular step (dpcc, per instance) with one stacked call.  Each
 instance does the arithmetic it would do alone, in the same order, so its
 bits do not depend on the stack; dpcd and jdpc are stacks of one.  A
-stack down to one instance drops its trial axis and runs that instance's
-1-D arrays through the same loop.  jdpc records no WMMSE objective trace,
-so its inner loop computes no objective; dpcd always records one.
+WMMSE stack down to one instance drops its trial axis and runs that
+instance's 1-D arrays through the same loop.  jdpc records no WMMSE
+objective trace, so its inner loop computes no objective; dpcd always
+records one.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -29,11 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .receivers import _dot, _vecmat, bound_sinrs, sigma_c_of, sigma_d_of
+from .receivers import _dot, _matvec, _vecmat, bound_sinrs, sigma_c_of, sigma_d_of
 
 
 class InfeasibleBudgetError(RuntimeError):
-    """Cellular QoS cannot be met even with silent D2D transmitters."""
+    """The cellular powers leave the D2D pairs no budget (zeta < 0)."""
 
 
 class SolverError(RuntimeError):
@@ -85,17 +88,18 @@ class DpccResult:
     trace: list = field(default_factory=list)
 
 
-def dpcc_iterate(fp, tol=1e-3, max_iter=200_000, record_trace=False):
+def dpcc_iterate(fp, tol=1e-3, record_trace=False):
     """Capped fixed-point iteration q <- min(caps, F q + theta) from q = 0.
 
-    Converges for any spectral radius because of the caps; the feasible
-    flag reports whether every target holds (equivalently, no cap binds)
-    within 10*tol relative at the fixed point.
+    Converges for any spectral radius because of the caps (200,000 steps
+    without convergence raise); the feasible flag reports whether every
+    target holds (equivalently, no cap binds) within 10*tol relative at
+    the fixed point.
     """
     q = np.zeros_like(fp.theta)
     trace = [q.copy()] if record_trace else []
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, 200_001):
         q_next = np.minimum(fp.caps, fp.interference(q))
         residual = float(np.max(np.abs(q_next - q))) if q.size else 0.0
         q = q_next
@@ -104,24 +108,23 @@ def dpcc_iterate(fp, tol=1e-3, max_iter=200_000, record_trace=False):
         if residual < tol:
             break
     else:
-        raise RuntimeError(f"dpcc did not converge in {max_iter} iterations (residual {residual:.3e})")
+        raise RuntimeError(f"dpcc did not converge in {it} iterations (residual {residual:.3e})")
     delta = fp.interference(q)
     feasible = bool(np.all(delta <= q + 10.0 * tol * np.maximum(delta, 1e-300)))
     return DpccResult(q_s=q, iterations=it, feasible=feasible, residual=residual, trace=trace)
 
 
-def dpcc(rc, p_s, gamma, q_max, tol=1e-3, max_iter=200_000, record_trace=False):
+def dpcc(rc, p_s, gamma, q_max, tol=1e-3, record_trace=False):
     """Minimum-power cellular control for fixed D2D data powers."""
     fp = cellular_fixed_point(rc, p_s, gamma, q_max)
-    return dpcc_iterate(fp, tol=tol, max_iter=max_iter, record_trace=record_trace)
+    return dpcc_iterate(fp, tol=tol, record_trace=record_trace)
 
 
 def cellular_power_budget(rc, q_s, gamma):
-    """Largest D2D interference sum_k p_k varphi_d[k] every CU can absorb."""
-    n = rc.phi_c.size
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (n,))
-    zetas = q_s * rc.phi_c / gamma - q_s @ rc.varphi_c - rc.noise_power
-    return float(np.min(zetas)) if n else np.inf
+    """Largest D2D interference sum_k p_k varphi_d[k] every CU can absorb
+    (inf without CUs); one per row for a stack, q_s (T, N)."""
+    zetas = q_s * rc.phi_c / gamma - _vecmat(q_s, rc.varphi_c) - rc.noise_power
+    return zetas.min(axis=-1, initial=np.inf)
 
 
 @dataclass
@@ -129,13 +132,7 @@ class DpcdResult:
     p_s: np.ndarray
     objective_trace: list            # sum-rate surrogate per iteration, bits/s/Hz
     iterations: int
-    budget: float                    # zeta
     multiplier: float                # final lambda
-
-
-def _matvec(a, x):
-    """Row-wise a[t] @ x[t] for a (T, K, K), x (T, K); each row has the bits of the 1-D call."""
-    return (a @ x[:, :, None])[:, :, 0]
 
 
 def _f_update(denom, num, cap):
@@ -151,9 +148,6 @@ def _active(state, n):
     if n == 1:
         return [a[0] for a in state], (np.matmul, np.matmul, np.matmul, 0.0)
     return state, (_matvec, _vecmat, _dot, np.zeros(n))
-
-
-_TRACE_ROWS = 512    # objective iterations buffered between flushes into the traces
 
 
 def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3,
@@ -196,20 +190,11 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
         (f, total, np.zeros((t, k)), sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta), t)
     f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta = state
     traces = [[] for _ in range(t)]
-    if record_trace:
-        objectives = np.empty((_TRACE_ROWS, *zeta.shape, 1))
-    n_obj = 0                        # objective rows since the last flush into traces
     results = [None] * t
 
-    def flush():
-        nonlocal n_obj
-        for r, trace in zip(rows.tolist(), objectives[:n_obj].reshape(n_obj, -1).T.tolist()):
-            traces[r].extend(trace)
-        n_obj = 0
-
-    def finish(r, p_r, zeta_r, lam_r):
+    def finish(r, p_r, lam_r):
         results[r] = DpcdResult(p_s=p_r.copy(), objective_trace=traces[r], iterations=it,
-                                budget=float(zeta_r), multiplier=float(lam_r))
+                                multiplier=float(lam_r))
 
     for it in range(1, max_iter + 1):
         nu = f * sqrt_phi / total
@@ -236,23 +221,19 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
         rx = p * phi_d
         cross = vecmat(p, psi_d)
         if record_trace:
-            np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=-1, keepdims=True,
-                                                      out=objectives[n_obj])
-            n_obj += 1
+            objective = np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=-1)
+            for r, value in zip(rows.tolist(), np.reshape(objective, -1).tolist()):
+                traces[r].append(value)
         total = rx + cross + sigma_d
         log_w_old, log_w = log_w, np.log(w)
         done = np.abs(log_w - log_w_old).sum(axis=-1) <= tol_wmmse
         if lone:
             if done:
-                if record_trace:
-                    flush()
-                finish(rows[0], p, zeta, lam)
+                finish(rows[0], p, lam)
                 return results
         elif done.any():
-            if record_trace:
-                flush()
             for i in done.nonzero()[0]:
-                finish(rows[i], p[i], zeta[i], lam[i])
+                finish(rows[i], p[i], lam[i])
             keep = ~done
             if not keep.any():
                 return results
@@ -261,10 +242,6 @@ def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bis
             lone = rows.size == 1
             state, (matvec, vecmat, dot, no_lam) = _active(state, rows.size)
             f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta = state
-            if record_trace:
-                objectives = np.empty((_TRACE_ROWS, *zeta.shape, 1))
-        if record_trace and n_obj == _TRACE_ROWS:
-            flush()
     raise SolverError(f"dpcd did not converge in {max_iter} iterations", rows)
 
 
@@ -357,70 +334,67 @@ def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
     the current powers, which is what makes the sum-SE trace
     non-decreasing: the refreshed cellular powers can only lower the
     interference floor at every D2D receiver, and the warm-started
-    surrogate is monotone from there.  Infeasibility of either inner
-    solver (a QoS target unreachable, or no D2D budget left) yields a
-    feasible=False result.
+    surrogate is monotone from there.  An instance ends infeasible
+    (feasible=False) once dpcc at the current D2D powers misses a target
+    or leaves a negative budget zeta; round 1 runs at the starting powers,
+    so full D2D power can end a draw that silent D2D would keep feasible
+    (ROADMAP item 7).
 
-    Each round runs dpcc on every active instance in turn and then one
-    dpcd_stack over those that still have a budget, so every instance gets
-    the bits it would get alone.  A failing inner solver raises a
-    SolverError naming the failing rows of rc.
+    Powers are arrays, q (T, N) and p (T, K).  Each round runs dpcc on each
+    running instance's own coefficients, then the budgets, the D2D
+    interference floors, one dpcd_stack and the sum SEs of the rest as one
+    stacked call each, so every instance gets the bits it would get alone.
+    A failing inner solver raises a SolverError naming the failing rows of rc.
     """
-    t, k = rc.phi_d.shape
-    rcs = [rc[r] for r in range(t)]
+    t, n = rc.phi_c.shape
+    k = rc.phi_d.shape[-1]
     p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
-    p = [p_max_vec.copy() if p_init is None else np.asarray(p_init[r], dtype=float).copy()
-         for r in range(t)]
-    q = [None] * t
-    traces = [[] for _ in range(t)]
+    p = np.tile(p_max_vec, (t, 1)) if p_init is None else np.array(p_init, dtype=float)
+    q = np.zeros((t, n))
+    se = np.zeros((outer_cap, t))    # D2D sum SE of each instance after each round
     results = [None] * t
-    phi_d, psi_d, varphi_d = rc.phi_d, rc.psi_d, rc.varphi_d
 
-    def finish(r, outer, feasible, trace=None):
-        results[r] = JdpcResult(q_s=q[r], p_s=p[r], outer_iterations=outer,
-                                trace=traces[r] if trace is None else trace, feasible=feasible)
+    def finish(rows, outer, feasible):
+        # an instance found infeasible in round outer has no sum SE for it
+        for r in rows.tolist():
+            results[r] = JdpcResult(q_s=q[r].copy(), p_s=p[r].copy(), outer_iterations=outer,
+                                    trace=se[:outer if feasible else outer - 1, r].tolist(),
+                                    feasible=feasible)
 
-    active = list(range(t))
+    active = np.arange(t)            # rows still running
     for outer in range(1, outer_cap + 1):
-        solve, zetas, sigmas = [], [], []
-        for r in active:
+        qos = np.empty(active.size, dtype=bool)
+        for i, r in enumerate(active.tolist()):
             try:
-                cell = dpcc(rcs[r], p[r], gamma, q_max, tol=tol_power)
+                cell = dpcc(rc[r], p[r], gamma, q_max, tol=tol_power)
             except RuntimeError as exc:
                 raise SolverError(str(exc), [r]) from exc
-            q[r] = cell.q_s
-            if not cell.feasible:
-                finish(r, outer, False)
-            elif k == 0:
-                finish(r, outer, True, [0.0])
-            else:
-                zeta = cellular_power_budget(rcs[r], q[r], gamma)
-                if zeta < 0.0:
-                    finish(r, outer, False)
-                else:
-                    solve.append(r)
-                    zetas.append(zeta)
-                    sigmas.append(sigma_d_of(rcs[r], q[r]))
-        if not solve:
+            q[r], qos[i] = cell.q_s, cell.feasible
+        finish(active[~qos], outer, False)
+        active = active[qos]
+        if k == 0:                   # no pairs: the sum SE is 0 and every instance stops
+            finish(active, outer, True)
             return results
-        sel = np.array(solve)
+        sub = rc[active]
+        zeta = cellular_power_budget(sub, q[active], gamma)
+        short = zeta < 0.0
+        finish(active[short], outer, False)
+        active, sub, zeta = active[~short], sub[~short], zeta[~short]
+        if not active.size:
+            return results
         try:
-            d2d = dpcd_stack(phi_d[sel], psi_d[sel], varphi_d[sel], np.array(sigmas), zetas,
+            d2d = dpcd_stack(sub.phi_d, sub.psi_d, sub.varphi_d, sigma_d_of(sub, q[active]), zeta,
                              p_max_vec, tol_wmmse=tol_wmmse, bisect_rtol=tol_power,
-                             p_init=np.array([p[r] for r in solve]), record_trace=False)
+                             p_init=p[active], record_trace=False)
         except SolverError as exc:
-            raise type(exc)(exc.args[0], sel[exc.rows]) from exc
-        active = []
-        for r, res in zip(solve, d2d):
-            p[r] = res.p_s
-            _, eta_d = bound_sinrs(rcs[r], q[r], p[r])
-            traces[r].append(prefactor * float(np.sum(np.log2(1.0 + eta_d))))
-            if outer >= 2 and abs(traces[r][-1] - traces[r][-2]) < tol_power:
-                finish(r, outer, True)
-            else:
-                active.append(r)
-    for r in active:
-        finish(r, outer_cap, True)
+            raise type(exc)(exc.args[0], active[exc.rows]) from exc
+        p[active] = [res.p_s for res in d2d]
+        _, eta_d = bound_sinrs(sub, q[active], p[active])
+        se[outer - 1, active] = prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
+        done = (outer >= 2) & (np.abs(se[outer - 1, active] - se[outer - 2, active]) < tol_power)
+        finish(active[done], outer, True)
+        active = active[~done]
+    finish(active, outer_cap, True)
     return results
 
 

@@ -113,6 +113,11 @@ def _vecmat(x, a):
     return (x[..., None, :] @ a)[..., 0, :]
 
 
+def _matvec(a, x):
+    """Row-wise a[t] @ x[t] for a (..., K, L), x (..., L); each row has the bits of the 1-D call."""
+    return (a @ x[..., None])[..., 0]
+
+
 def _dot(x, y):
     """x[t] @ y[t] over the leading (broadcast) axes of x, y (..., K); each
     entry has the bits of the 1-D call."""

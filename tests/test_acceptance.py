@@ -144,7 +144,7 @@ def test_criterion_3_scheduler_quality():
         objective = sum_mse_objective(ls, cfg)
         greedy = objective(psa(ls, cfg))
         rand = objective(random_assignment(cfg))
-        best = objective(exhaustive_search(ls, cfg, objective))
+        best = objective(exhaustive_search(ls, cfg))
         wins += greedy <= rand + 1e-12
         ratios.append(greedy / best)
     mean_ratio = float(np.mean(ratios))

@@ -8,6 +8,7 @@ import pytest
 from d2dmimo import power_control
 from d2dmimo.cli import main
 from d2dmimo.harness import EXPERIMENTS, convergence_traces
+from d2dmimo.oracles import ORACLES
 from d2dmimo.scenario import SystemConfig, trial_seed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -214,6 +215,13 @@ def test_oracle_dpcc_linear_solve(capsys):
     assert "PASS" in out
     m = re.search(r"max relative error (\S+)", out)
     assert m and float(m.group(1)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_every_oracle_passes(capsys, name):
+    assert main(["oracle", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"[oracle] {name}: PASS - ")
 
 
 def test_oracle_unknown_name(capsys):

@@ -260,6 +260,29 @@ def test_recipes_at_the_validate_limits(limit, recipe):
             assert math.isfinite(r.mean) and math.isfinite(r.ci95), r
 
 
+@pytest.mark.parametrize("n_d2d, gamma", [(10, 0.372), (20, 0.372), (20, 1.3)])
+def test_joint_power_control_runs_one_single_trial_dpcc_per_running_trial_and_round(
+        monkeypatch, n_d2d, gamma):
+    # perfbench's traced run counts QoS-infeasible trials from dpcc's scalar
+    # feasible flag and checks that count against the infeasible rows
+    calls = []
+    solo_dpcc = power_control.dpcc
+
+    def spy(rc, *args, **kwargs):
+        res = solo_dpcc(rc, *args, **kwargs)
+        calls.append((rc.phi_c.ndim, res.feasible))
+        return res
+
+    monkeypatch.setattr(power_control, "dpcc", spy)
+    _, _, solved = _solve_jdpc([SystemConfig(n_d2d=n_d2d, sinr_target=gamma,
+                                             rng_seed=trial_seed(12345, t)) for t in range(30)])
+    infeasible = sum(not res.feasible for res in solved)
+    assert 0 < infeasible < len(solved)
+    assert all(ndim == 1 and type(feasible) is bool for ndim, feasible in calls)
+    assert len(calls) == sum(res.outer_iterations for res in solved) > len(solved)
+    assert sum(not feasible for _, feasible in calls) == infeasible
+
+
 def test_convergence_traces_exportable(tmp_path):
     cfg = desk_config(rng_seed=4)   # QoS-feasible draw
     traces = convergence_traces(cfg)

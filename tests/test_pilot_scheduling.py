@@ -177,7 +177,7 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(12)
         ls = make_ls(rng, 3, 4)
         objective = sum_mse_objective(ls, cfg)
-        pa = exhaustive_search(ls, cfg, objective)
+        pa = exhaustive_search(ls, cfg)
         assert len(set(pa.pilot_of.tolist())) == 4
         p = cfg.pilot_len * cfg.max_power_d2d
         s = p * np.diag(ls.v_d)
@@ -189,7 +189,7 @@ class TestExhaustiveSearch:
         rng = np.random.default_rng(13)
         ls = make_ls(rng, 3, 6)
         objective = sum_mse_objective(ls, cfg)
-        es_val = objective(exhaustive_search(ls, cfg, objective))
+        es_val = objective(exhaustive_search(ls, cfg))
         psa_val = objective(psa(ls, cfg))
         # expectation over the uniform assignment distribution, by enumeration
         from itertools import product

@@ -509,8 +509,7 @@ class TestLoneRow:
     """Once one row is left, dpcd_stack runs it without the trial axis."""
 
     def test_stacked_helpers_give_each_row_the_bits_of_the_1d_matmul(self):
-        from d2dmimo.power_control import _matvec
-        from d2dmimo.receivers import _dot, _vecmat
+        from d2dmimo.receivers import _dot, _matvec, _vecmat
         rng = np.random.default_rng(11)
         keep = np.array([True, False, True, True, False, True])
         for k in (1, 2, 10, 15, 20, 40, 100):
@@ -527,8 +526,7 @@ class TestLoneRow:
 
     def test_row_running_alone_for_thousands_of_iterations(self):
         # trials 10, 2, 3 and 4 need 2, 5376, 9 and 1000 iterations: two rows
-        # share the stack past the 512-iteration trace buffer, then row 1 runs
-        # 4376 iterations alone
+        # share the stack for 1000 iterations, then row 1 runs 4376 alone
         args, kw, rows = _first_round_stack([(10, 0.372, t) for t in (10, 2, 3, 4)])
         stacked = dpcd_stack(*args, **kw)
         assert [r.iterations for r in stacked] == [2, 5376, 9, 1000]

@@ -13,6 +13,7 @@ from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topol
 from d2dmimo.channel import (PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
                              draw_fast_fading, simulate_pilot_phase, mmse_estimate)
 from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment
+from d2dmimo.power_control import cellular_power_budget
 from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, bound_sinrs,
                                rate_lower_bounds, sigma_c_of, sigma_d_of, pzf_filter,
                                cell_sinr_terms, d2d_sinr_terms)
@@ -138,6 +139,8 @@ class TestStackedLayers:
             assert same_fields(rc[t], alone["rc"])
             assert same_bits(sigma_c_of(rc, pp.p_s)[t], sigma_c_of(alone["rc"], pp_t.p_s))
             assert same_bits(sigma_d_of(rc, pp.q_s)[t], sigma_d_of(alone["rc"], pp_t.q_s))
+            assert same_bits(cellular_power_budget(rc, pp.q_s, cfg.sinr_target)[t],
+                             cellular_power_budget(alone["rc"], pp_t.q_s, cfg.sinr_target))
             assert all(same_bits(e[t], a) for e, a in zip(etas, bound_sinrs(alone["rc"], pp_t.q_s, pp_t.p_s)))
             rates_t = rate_lower_bounds(alone["rc"], pp_t, cfg)
             assert all(same_bits(r[t], a) for r, a in zip(rates, rates_t))
