@@ -9,16 +9,22 @@ on the sweep value.  Sweep points therefore share common random numbers,
 which keeps sweep curves smooth at desk-scale trial counts, and results
 are independent of sweep order and worker count.
 
-Trials run in chunks of one sweep point.  A chunk draws each trial's
-topology from its own substream, then pushes all its trials through the
-analytic layers (large-scale gains, PSA, estimation coefficients,
-cancellation sets, rate coefficients and bounds) as one stack with a
-leading trial axis, and the power-control recipes solve the chunk in
-lockstep.  The Monte Carlo layers (fast fading, pilot phase, MMSE,
-PZF/SINR) run on sub-stacks of the chunk sized by a byte budget, each
-trial drawing from its own substreams.  Random assignments and exhaustive
-searches stay per trial, on each trial's slice of the stack.  Every trial
-gets the bits it would get alone, so the outputs do not depend on chunking.
+Sweep points whose configs agree on scenario.DRAW_FIELDS (the fields
+topology placement and large-scale gains read) form one draw group: a
+sweep of bs_antennas, pilot_len, coherence_len or sinr_target is one
+group, a sweep of n_d2d or d2d_max_dist a group per point.  A task runs
+one chunk of trials at every point of a group.  It draws each trial's
+topology from its own substream and the chunk's large-scale gains once,
+then runs the points in sweep order on those gains, each pushing all the
+chunk's trials through the analytic layers from PSA onward (PSA,
+estimation coefficients, cancellation sets, rate coefficients and
+bounds) as one stack with a leading trial axis, and the power-control
+recipes solve each point's stack in lockstep.  The Monte Carlo layers
+(fast fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the
+chunk sized by a byte budget, each trial drawing from its own
+substreams.  Random assignments and exhaustive searches stay per trial,
+on each trial's slice of the stack.  Every trial gets the bits it would
+get alone, so the outputs do not depend on chunking or grouping.
 
 Recipes:
   fig1   cellular sum SE, Monte Carlo vs lower bound (sweep bs_antennas)
@@ -43,8 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .scenario import (SystemConfig, Topology, generate_topology, compute_large_scale, substream,
-                       trial_seed, FADING, NOISE, SHADOWING)
+from .scenario import (DRAW_FIELDS, SystemConfig, Topology, generate_topology, compute_large_scale,
+                       substream, trial_seed, FADING, NOISE, SHADOWING)
 from .channel import (PowerProfile, estimation_coeffs, group_powers, draw_fast_fading, simulate_pilot_phase,
                       mmse_estimate)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
@@ -227,26 +233,28 @@ def apply_sweep(config, variable, value):
     return SystemConfig.from_dict(d)
 
 
-def _draws(cfgs):
-    """Large-scale gains and PSA pilots of a stack of same-size trial configs,
-    each trial drawing from its own substreams.  A topology that cannot be
-    placed raises a SolverError naming its row."""
+def _large_scale(cfgs):
+    """Large-scale gains of a stack of trial configs that agree on every
+    DRAW_FIELDS entry but rng_seed, each trial drawing from its own
+    substreams.  A topology that cannot be placed raises a SolverError
+    naming its row."""
     topos = []
     for r, cfg in enumerate(cfgs):
         try:
             topos.append(generate_topology(cfg))
         except RuntimeError as exc:
             raise SolverError(str(exc), [r]) from exc
-    ls = compute_large_scale(Topology.stack(topos), cfgs[0],
-                             [substream(cfg.rng_seed, SHADOWING) for cfg in cfgs])
-    return ls, psa(ls, cfgs[0])
+    return compute_large_scale(Topology.stack(topos), cfgs[0],
+                               [substream(cfg.rng_seed, SHADOWING) for cfg in cfgs])
 
 
-def _scenario_pipeline(cfgs):
+def _scenario_pipeline(cfgs, ls=None):
     """Analytic layers of a stack of same-size trial configs at full power,
-    each result with a leading trial axis: (ls, pa, pp, coeffs, sets, rc)."""
+    each result with a leading trial axis: (ls, pa, pp, coeffs, sets, rc).
+    ls is the trials' large-scale gains, drawn here when not given."""
     cfg = cfgs[0]
-    ls, pa = _draws(cfgs)
+    ls = _large_scale(cfgs) if ls is None else ls
+    pa = psa(ls, cfg)
     pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(cfgs))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
@@ -314,8 +322,8 @@ def _mc_rates(cfgs, ls, pa, pp, coeffs, sets, metrics):
     return sums
 
 
-def _chunk_bounds_mc(cfgs, metrics):
-    ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs)
+def _chunk_bounds_mc(cfgs, metrics, ls=None):
+    ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs, ls)
     sums = {}
     if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
         r_c, r_d = rate_lower_bounds(rc, pp, cfgs[0])
@@ -325,8 +333,8 @@ def _chunk_bounds_mc(cfgs, metrics):
     return [{m: float(sums[m][r]) for m in metrics} for r in range(len(cfgs))]
 
 
-def _chunk_mse(cfgs, metrics):
-    ls, pa = _draws(cfgs)
+def _chunk_mse(cfgs, metrics, ls):
+    pa = psa(ls, cfgs[0])   # no rate coefficients: a config without PZF degrees of freedom still runs
     results = []
     for r, cfg in enumerate(cfgs):
         objective = sum_mse_objective(ls[r], cfg)
@@ -356,11 +364,12 @@ def _jdpc_metrics(rc, prefactor, res, metrics):
     return {m: out[m] for m in metrics if m in out}
 
 
-def _solve_jdpc(cfgs):
+def _solve_jdpc(cfgs, ls=None):
     """Stacked rate coefficients of the draws, the pre-log factor, and the
     joint power control of all draws in lockstep (one sweep point: same sizes
-    and targets).  A failing solver raises a SolverError naming its rows."""
-    rc = _scenario_pipeline(cfgs)[-1]
+    and targets), on large-scale gains ls as in _scenario_pipeline.  A
+    failing solver raises a SolverError naming its rows."""
+    rc = _scenario_pipeline(cfgs, ls)[-1]
     cfg = cfgs[0]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
     solved = jdpc_stack(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
@@ -368,8 +377,8 @@ def _solve_jdpc(cfgs):
     return rc, prefactor, solved
 
 
-def _chunk_jdpc(cfgs, metrics):
-    rc, prefactor, solved = _solve_jdpc(cfgs)
+def _chunk_jdpc(cfgs, metrics, ls):
+    rc, prefactor, solved = _solve_jdpc(cfgs, ls)
     return [_jdpc_metrics(rc[r], prefactor, res, metrics) for r, res in enumerate(solved)]
 
 
@@ -377,16 +386,24 @@ _CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc
 
 
 def _run_chunk(task):
-    """Results of a contiguous run of trials at one sweep point, in trial order.
-    A runtime failure is re-raised naming the sweep value, trial index and
-    trial seed, so the draw can be re-run."""
-    cfg_dict, kind, metrics, first, seeds, point = task
-    cfgs = [SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds]
+    """Results of a contiguous run of trials at every sweep point of one draw
+    group: per point, {metric: values of the trials that report it, in
+    trial order}.  The trials' large-scale gains are drawn once and every
+    point runs on them, in sweep order, from PSA onward.  A runtime failure
+    is re-raised naming the sweep value (the group's first for the shared
+    draw), trial index and trial seed, so the draw can be re-run."""
+    cfg_dicts, kind, metrics, first, seeds, points = task
+    ls, results = None, []
     try:
-        return _CHUNKS[kind](cfgs, metrics)
+        for cfg_dict, point in zip(cfg_dicts, points):
+            cfgs = [SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds]
+            ls = _large_scale(cfgs) if ls is None else ls
+            trials = _CHUNKS[kind](cfgs, metrics, ls)
+            results.append({m: [r[m] for r in trials if m in r] for m in metrics})
     except SolverError as exc:
         where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
         raise RuntimeError(f"{point}, {where}: {exc.args[0]}") from exc
+    return results
 
 
 def _aggregate(values):
@@ -409,23 +426,36 @@ def run_experiment(spec, workers=1):
     root = spec.config.rng_seed
     seeds = [trial_seed(root, t) for t in range(spec.trials)]
 
-    rows = []
+    # sweep points whose configs agree on DRAW_FIELDS share each trial's draw
+    point_cfgs = [apply_sweep(spec.config, spec.sweep_variable, v) for v in spec.sweep_values]
+    groups = {}
+    for i, cfg in enumerate(point_cfgs):
+        groups.setdefault(tuple(getattr(cfg, f) for f in DRAW_FIELDS), []).append(i)
+    tasks, owners = [], []   # owners[j]: the sweep points task j runs
+    for members in groups.values():
+        # one chunk per group, or about four per worker; power control solves
+        # a whole chunk in lockstep, other chunks are capped in size
+        size = len(seeds) if workers == 1 else max(1, len(seeds) // (4 * workers))
+        if kind != "jdpc":
+            size = min(size, _stack_size(point_cfgs[members[0]], "analytic"))
+        dicts = [point_cfgs[i].to_dict() for i in members]
+        points = [f"{spec.sweep_variable}={spec.sweep_values[i]!r}" for i in members]
+        for first in range(0, len(seeds), size):
+            tasks.append((dicts, kind, tuple(metrics), first, seeds[first:first + size], points))
+            owners.append(members)
+
+    values = [{m: [] for m in metrics} for _ in point_cfgs]   # per sweep point, in trial order
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for value in spec.sweep_values:
-            cfg_v = apply_sweep(spec.config, spec.sweep_variable, value)
-            # one chunk per sweep point, or about four per worker; power control
-            # solves a whole chunk in lockstep, other chunks are capped in size
-            size = len(seeds) if pool is None else max(1, len(seeds) // (4 * workers))
-            if kind != "jdpc":
-                size = min(size, _stack_size(cfg_v, "analytic"))
-            tasks = [(cfg_v.to_dict(), kind, tuple(metrics), i, seeds[i:i + size],
-                      f"{spec.sweep_variable}={value!r}") for i in range(0, len(seeds), size)]
-            chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
-            results = [r for chunk in chunks for r in chunk]
-            for metric in metrics:
-                vals = [r[metric] for r in results if metric in r]
-                mean, ci = _aggregate(vals)
-                rows.append(ResultRow(sweep=value, metric=metric, mean=mean, ci95=ci, trials=len(vals)))
+        chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
+        for members, chunk in zip(owners, chunks):
+            for i, point_values in zip(members, chunk):
+                for m in metrics:
+                    values[i][m] += point_values[m]
+    rows = []
+    for value, point_values in zip(spec.sweep_values, values):
+        for metric, vals in point_values.items():
+            mean, ci = _aggregate(vals)
+            rows.append(ResultRow(sweep=value, metric=metric, mean=mean, ci95=ci, trials=len(vals)))
 
     manifest = {
         "experiment": spec.experiment,

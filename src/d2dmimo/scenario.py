@@ -20,7 +20,7 @@ from its own substream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,7 +150,9 @@ class SystemConfig:
             raise ValueError(f"rng_seed must be a non-negative integer (got {seed!r})")
 
     def to_dict(self):
-        d = asdict(self)
+        # every field is a scalar or a tuple of ints, so a shallow copy is a
+        # plain dict of values, without dataclasses.asdict's deep copies
+        d = dict(vars(self))
         d["pzf_bs"] = list(self.pzf_bs)
         d["pzf_d2d"] = list(self.pzf_d2d)
         return d
@@ -211,6 +213,12 @@ class LargeScale(TrialAxis):
             a = getattr(self, name)
             if not np.all(np.isfinite(a)) or np.any(a <= 0):
                 raise ValueError(f"{name} entries must be strictly positive and finite")
+
+
+# The SystemConfig fields generate_topology and compute_large_scale read:
+# configs that agree on them draw the same Topology and LargeScale.
+DRAW_FIELDS = ("cell_side", "n_cu", "n_d2d", "min_dist", "d2d_max_dist", "shadow_sigma_db",
+               "pathloss_exp", "rng_seed")
 
 
 def generate_topology(config, rng=None):

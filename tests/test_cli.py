@@ -209,6 +209,15 @@ def test_solver_failure_exits_2_naming_the_trial(spec_file, capsys, monkeypatch)
     assert m and int(m.group(2)) == trial_seed(5, int(m.group(1)))
 
 
+def test_failing_shared_draw_exits_2_naming_the_trial(spec_file, capsys):
+    # no D2D-Rx fits 100 m from its Tx inside a 10 m cell
+    doc = small_spec_doc(experiment="fig1", metrics=None, sweep={"variable": "bs_antennas", "values": [64, 128]})
+    doc["config"].update(cell_side=10.0, min_dist=100.0, d2d_max_dist=100.0)
+    assert main(["run", spec_file(doc)]) == 2
+    assert capsys.readouterr().err == (f"runtime error: bs_antennas=64, trial 0 (seed {trial_seed(5, 0)}): "
+                                       "could not place D2D-Rx 0 inside the cell after 10000 draws\n")
+
+
 def test_oracle_dpcc_linear_solve(capsys):
     assert main(["oracle", "dpcc-linear-solve"]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from d2dmimo import harness, power_control
-from d2dmimo.scenario import SystemConfig, trial_seed
+from d2dmimo.receivers import rate_lower_bounds
+from d2dmimo.scenario import DRAW_FIELDS, SystemConfig, trial_seed
 from d2dmimo.power_control import SolverError, dpcc, dpcd
 from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, load_spec, run_experiment,
                              spec_from_dict, validate_spec, convergence_traces, _solve_jdpc)
@@ -177,14 +178,18 @@ class TestRunExperiment:
         d2d = [r for r in rows if r.metric == "sum_se_d2d" and r.sweep == 1e9]
         assert d2d[0].trials == 0   # no feasible draws contribute
 
-    def test_jdpc_csv_bytes_independent_of_workers(self, tmp_path):
-        # 16 trials: one stack of 16 per sweep point, or chunks of 2 with two workers
-        spec = ExperimentSpec(experiment="fig7", sweep_variable="n_d2d", sweep_values=[10, 15],
+    @pytest.mark.parametrize("name,variable,values", [
+        ("fig7", "n_d2d", [10, 15]),                        # a draw per sweep point
+        ("fig9", "sinr_target", [0.1, 0.2, 0.372, 0.7, 1.3]),   # one draw for all points
+    ], ids=["fig7-n_d2d", "fig9-sinr_target"])
+    def test_jdpc_csv_bytes_independent_of_workers(self, tmp_path, name, variable, values):
+        # 16 trials: one stack of 16 per draw group, or chunks of 2 with two workers
+        spec = ExperimentSpec(experiment=name, sweep_variable=variable, sweep_values=values,
                               trials=16, config=SystemConfig(sinr_target=0.372, rng_seed=5))
         for workers in (1, 2):
-            spec.output = str(tmp_path / f"w{workers}" / "fig7.csv")
+            spec.output = str(tmp_path / f"w{workers}" / f"{name}.csv")
             run_experiment(spec, workers=workers)
-        assert (tmp_path / "w1" / "fig7.csv").read_bytes() == (tmp_path / "w2" / "fig7.csv").read_bytes()
+        assert (tmp_path / "w1" / f"{name}.csv").read_bytes() == (tmp_path / "w2" / f"{name}.csv").read_bytes()
 
     @pytest.mark.parametrize("name,trials,sweep", [("fig1", 16, None), ("fig2", 16, None),
                                                    ("fig3", 12, [7, 8])])
@@ -210,6 +215,29 @@ class TestRunExperiment:
         assert str(err.value) == (f"n_d2d=10, trial 2 (seed {trial_seed(777, 2)}): "
                                   "dpcd did not converge in 1000 iterations")
 
+    def test_failing_shared_draw_names_the_first_point_of_its_group(self):
+        # no D2D-Rx fits 100 m from its Tx inside a 10 m cell
+        spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64, 128],
+                              trials=3, config=SystemConfig(cell_side=10.0, min_dist=100.0,
+                                                            d2d_max_dist=100.0, rng_seed=11))
+        with pytest.raises(RuntimeError) as err:
+            run_experiment(spec)
+        assert str(err.value) == (f"bs_antennas=64, trial 0 (seed {trial_seed(11, 0)}): "
+                                  "could not place D2D-Rx 0 inside the cell after 10000 draws")
+
+    def test_failure_at_one_point_of_a_shared_draw_names_that_point(self, monkeypatch):
+        def bounds(rc, pp, cfg):
+            if cfg.bs_antennas == 128:
+                raise SolverError("bound failed", [1])
+            return rate_lower_bounds(rc, pp, cfg)
+
+        monkeypatch.setattr(harness, "rate_lower_bounds", bounds)
+        spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64, 128, 256],
+                              trials=3, config=SystemConfig(rng_seed=11), metrics=["sum_se_cell_lb"])
+        with pytest.raises(RuntimeError) as err:
+            run_experiment(spec)
+        assert str(err.value) == f"bs_antennas=128, trial 1 (seed {trial_seed(11, 1)}): bound failed"
+
     def test_bounds_recipe_with_monte_carlo(self):
         spec = ExperimentSpec(
             experiment="fig1", sweep_variable="bs_antennas", sweep_values=[16, 32],
@@ -223,6 +251,64 @@ class TestRunExperiment:
         # array gain: both simulated and bound grow with antennas
         assert table[(32, "sum_se_cell_lb")] > table[(16, "sum_se_cell_lb")]
         assert table[(32, "sum_se_cell")] > table[(16, "sum_se_cell")]
+
+
+# two valid values of every SystemConfig field but rng_seed on fig2's config
+FIELD_VALUES = {
+    "n_cu": [5, 4], "n_d2d": [20, 15], "bs_antennas": [128, 64], "d2drx_antennas": [8, 6],
+    "pilot_len": [10, 8], "coherence_len": [50, 100], "noise_power": [1e-10, 1e-9],
+    "max_power_cu": [50.0, 20.0], "max_power_d2d": [50.0, 20.0], "sinr_target": [3.2, 1.0],
+    "pzf_bs": [[4, 5], [2, 3]], "pzf_d2d": [[1, 2], [1, 1]], "cell_side": [1000.0, 500.0],
+    "d2d_max_dist": [100.0, 50.0], "pathloss_exp": [3.7, 3.0], "shadow_sigma_db": [8.0, 4.0],
+    "min_dist": [1.0, 5.0], "tol_power": [1e-3, 1e-4], "tol_wmmse": [1e-3, 1e-4],
+}
+
+
+def test_field_values_cover_every_sweepable_field():
+    assert set(FIELD_VALUES) == set(SystemConfig.__dataclass_fields__) - {"rng_seed"}
+
+
+@pytest.mark.parametrize("variable", sorted(FIELD_VALUES))
+def test_sweep_gives_the_rows_of_its_points_run_alone(variable):
+    # points that share a draw must draw the same gains alone: a field
+    # missing from DRAW_FIELDS would hand the second point the first's draw
+    spec = load_spec(SPECS / "fig2.json")
+    spec.sweep_variable, spec.trials, spec.output = variable, 3, None
+    spec.metrics = ["sum_se_cell_lb", "sum_se_d2d_lb"]
+    alone = []
+    for value in FIELD_VALUES[variable]:
+        spec.sweep_values = [value]
+        alone.append(run_experiment(spec)[0])
+    spec.sweep_values = FIELD_VALUES[variable]
+    assert run_experiment(spec)[0] == alone[0] + alone[1]
+    if variable in DRAW_FIELDS:
+        assert [r.mean for r in alone[0]] != [r.mean for r in alone[1]]
+
+
+@pytest.mark.parametrize("budget", [harness._STACK_BYTES, 12_600], ids=["one chunk", "chunks of 3 at K=20"])
+@pytest.mark.parametrize("variable,values,groups", [("bs_antennas", [64, 128, 256], 1),
+                                                    ("n_d2d", [10, 15, 20], 3)])
+def test_each_trial_is_drawn_once_per_draw_group(monkeypatch, budget, variable, values, groups):
+    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    calls = {"generate_topology": 0, "compute_large_scale": 0}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    spec = ExperimentSpec(experiment="fig1", sweep_variable=variable, sweep_values=values, trials=7,
+                          config=SystemConfig(rng_seed=3), metrics=["sum_se_cell_lb"])
+    run_experiment(spec)
+    sizes = [harness._stack_size(apply_sweep(spec.config, variable, v), "analytic") for v in values[:groups]]
+    assert calls == {"generate_topology": 7 * groups,
+                     "compute_large_scale": sum(-(-7 // size) for size in sizes)}
+    assert budget == harness._STACK_BYTES or calls["compute_large_scale"] > groups
 
 
 # configs at the limits SystemConfig.validate allows, as changes to desk_config

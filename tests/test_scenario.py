@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,3 +166,25 @@ def test_dbm_conversion_roundtrip():
 def test_unknown_config_field_rejected():
     with pytest.raises(ValueError, match="unknown config fields"):
         SystemConfig.from_dict({"n_cu": 2, "bogus": 1})
+
+
+# every SystemConfig field off its default
+OFF_DEFAULT = dict(n_cu=3, n_d2d=6, bs_antennas=32, d2drx_antennas=4, pilot_len=6, coherence_len=40,
+                   noise_power=2e-10, max_power_cu=20.0, max_power_d2d=30.0, sinr_target=0.5,
+                   pzf_bs=(2, 1), pzf_d2d=(1, 1), cell_side=500.0, d2d_max_dist=50.0, pathloss_exp=3.0,
+                   shadow_sigma_db=6.0, min_dist=2.0, tol_power=1e-4, tol_wmmse=1e-4, rng_seed=7)
+
+
+@pytest.mark.parametrize("kw", [{}, OFF_DEFAULT], ids=["defaults", "off default"])
+def test_to_dict_is_the_asdict_form(kw):
+    cfg = SystemConfig(**kw)
+    if kw:
+        assert set(kw) == {f.name for f in fields(SystemConfig)}
+        assert all(getattr(cfg, name) != getattr(SystemConfig(), name) for name in kw)
+    want = asdict(cfg)
+    want.update(pzf_bs=list(cfg.pzf_bs), pzf_d2d=list(cfg.pzf_d2d))
+    d = cfg.to_dict()
+    assert d == want and list(d) == list(want)
+    d["n_cu"] = 99   # a copy: callers edit it to build swept configs
+    assert cfg.n_cu == SystemConfig(**kw).n_cu
+    assert SystemConfig.from_dict(cfg.to_dict()) == cfg
