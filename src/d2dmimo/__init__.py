@@ -14,7 +14,7 @@ from .receivers import (CancellationSets, RateCoeffs, FeasibilityError,
                         DegenerateSpanError, select_cancellation, pzf_filter,
                         cell_sinr_terms, d2d_sinr_terms, rate_coeffs,
                         rate_lower_bounds, bound_sinrs, sigma_c_of, sigma_d_of)
-from .pilot_scheduling import (interference_metric, sum_mse_objective,
+from .pilot_scheduling import (interference_metric, sum_mse,
                                psa, random_assignment, exhaustive_search,
                                pilot_power_parametric, InstanceTooLargeError,
                                NonConvergenceError, ParametricPowerResult)

@@ -22,9 +22,11 @@ bounds) as one stack with a leading trial axis, and the power-control
 recipes solve each point's stack in lockstep.  The Monte Carlo layers
 (fast fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the
 chunk sized by a byte budget, each trial drawing from its own
-substreams.  Random assignments and exhaustive searches stay per trial,
-on each trial's slice of the stack.  Every trial gets the bits it would
-get alone, so the outputs do not depend on chunking or grouping.
+substreams.  The estimation recipe scores each scheduler's assignments
+for the whole chunk in one sum_mse call; random assignments are drawn
+and exhaustive searches run per trial, on each trial's slice of the
+stack.  Every trial gets the bits it would get alone, so the outputs do
+not depend on chunking or grouping.
 
 Recipes:
   fig1   cellular sum SE, Monte Carlo vs lower bound (sweep bs_antennas)
@@ -50,13 +52,12 @@ import numpy as np
 
 from . import __version__
 from .scenario import (DRAW_FIELDS, SystemConfig, Topology, generate_topology, compute_large_scale,
-                       substream, trial_seed, FADING, NOISE, SHADOWING)
-from .channel import (PowerProfile, estimation_coeffs, group_powers, draw_fast_fading, simulate_pilot_phase,
-                      mmse_estimate)
+                       substream, trial_seed, _is_int, _is_real, FADING, NOISE, SHADOWING)
+from .channel import (PilotAssignment, PowerProfile, estimation_coeffs, group_powers, draw_fast_fading,
+                      simulate_pilot_phase, mmse_estimate)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
-from .pilot_scheduling import (SEARCH_GUARD, psa, random_assignment, exhaustive_search,
-                               search_space, sum_mse_objective, direct_link_mse)
+from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
 from .power_control import SolverError, jdpc_stack, dpcc, dpcd
 
 
@@ -154,6 +155,10 @@ def spec_from_dict(doc):
     sweep = doc["sweep"]
     if not isinstance(sweep, dict) or "variable" not in sweep or "values" not in sweep:
         raise SpecError("sweep", "must be an object with 'variable' and 'values'")
+    for v in sweep["values"]:
+        # a run writes or prints one number per point in its sweep column
+        if not _is_real(v):
+            raise SpecError("sweep.values", f"value {v!r} is not a finite number")
     try:
         config = SystemConfig.from_dict(doc.get("config", {}))
     except (TypeError, ValueError) as exc:
@@ -191,7 +196,7 @@ def validate_spec(spec):
                                           "seed from the config's root seed")
     if not spec.sweep_values:
         raise SpecError("sweep.values", "must be a nonempty list")
-    if not isinstance(spec.trials, int) or spec.trials < 1:
+    if not _is_int(spec.trials) or spec.trials < 1:
         raise SpecError("trials", "must be an integer >= 1")
     kind, _ = EXPERIMENTS[spec.experiment]
     for v in spec.sweep_values:
@@ -334,24 +339,18 @@ def _chunk_bounds_mc(cfgs, metrics, ls=None):
 
 
 def _chunk_mse(cfgs, metrics, ls):
-    pa = psa(ls, cfgs[0])   # no rate coefficients: a config without PZF degrees of freedom still runs
-    results = []
-    for r, cfg in enumerate(cfgs):
-        objective = sum_mse_objective(ls[r], cfg)
-        out = {}
-        if "sum_mse_psa" in metrics:
-            out["sum_mse_psa"] = objective(pa[r])
-        if "sum_mse_rps" in metrics:
-            out["sum_mse_rps"] = objective(random_assignment(cfg))
-        if "sum_mse_es" in metrics:
-            out["sum_mse_es"] = objective(exhaustive_search(ls[r], cfg))
-        if "sum_mse_lb" in metrics:
-            # contamination-free floor: every pair alone on its pilot
-            p = cfg.pilot_len * cfg.max_power_d2d
-            s = p * np.diag(ls.v_d[r])
-            out["sum_mse_lb"] = direct_link_mse(s, s, cfg.noise_power, cfg.d2drx_antennas)
-        results.append({m: out[m] for m in metrics})
-    return results
+    cfg, t, k = cfgs[0], len(cfgs), cfgs[0].n_d2d
+    schedulers = {
+        # no rate coefficients: a config without PZF degrees of freedom still runs
+        "sum_mse_psa": lambda: psa(ls, cfg),
+        "sum_mse_rps": lambda: PilotAssignment.stack([random_assignment(c) for c in cfgs]),
+        "sum_mse_es": lambda: PilotAssignment.stack([exhaustive_search(ls[r], c) for r, c in enumerate(cfgs)]),
+        # contamination-free floor: every pair alone on its pilot
+        "sum_mse_lb": lambda: PilotAssignment(np.broadcast_to(cfg.n_cu + 1 + np.arange(k), (t, k)),
+                                              n_cu=cfg.n_cu, pilot_len=cfg.n_cu + k),
+    }
+    sums = {m: sum_mse(ls, schedulers[m](), cfg) for m in metrics}
+    return [{m: float(sums[m][r]) for m in metrics} for r in range(t)]
 
 
 def _jdpc_metrics(rc, prefactor, res, metrics):

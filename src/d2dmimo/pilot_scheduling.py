@@ -7,15 +7,17 @@ assignment above) and the parametric solver for the pilot-power
 subproblem, a sum-of-linear-ratios program whose per-iteration power
 update is a bang-bang rule.
 
-interference_metric and psa also take large-scale gains with a leading
-trial axis and schedule every draw of the stack in one greedy pass, each
-draw getting the assignment it gets alone; the other schedulers and the
-pilot-power solver take one draw.
+sum_mse scores a stack of assignments in one call, one value per row: a
+trial axis matching the gains', or candidate assignments of one draw, as
+exhaustive_search scores its enumeration block by block.  interference_metric
+and psa also take large-scale gains with a leading trial axis and schedule
+every draw of the stack in one greedy pass.  Each row gets the bits it gets
+alone.  random_assignment, exhaustive_search and the pilot-power solver take
+one draw.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -47,27 +49,19 @@ def interference_metric(ls):
     return chi
 
 
-def direct_link_mse(own, group, n0, m_antennas):
-    """Total estimation MSE of the D2D direct links, M * sum_k eps_kk with
-    eps_kk = 1 - own_k / (group_k + N0): own_k is pair k's received pilot
-    power at its own Rx, group_k that of its whole pilot group there."""
-    return float(m_antennas * np.sum(1.0 - own / (group + n0)))
-
-
-def sum_mse_objective(ls, config):
-    """Closure mapping a PilotAssignment to its sum MSE at the maximum pilot
-    energy tau * max_power_d2d per pair (one product with the reuse matrix
-    per assignment, as exhaustive_search calls it for every assignment).
+def sum_mse(ls, pa, config):
+    """Total estimation MSE of the D2D direct links at the maximum pilot
+    energy tau * max_power_d2d per pair, M * sum_k (1 - own_k / (group_k + N0)):
+    own_k is pair k's received pilot power at its own Rx, group_k that of its
+    whole pilot group there.  One value per leading index of pa.pilot_of (a
+    trial axis matching ls's, or candidate assignments for one draw), each
+    with the bits of its own call.
     """
     p_p = np.full(config.n_d2d, config.pilot_len * config.max_power_d2d)
-    own = p_p * np.diag(ls.v_d)
-
-    def objective(pa):
-        group_rx = (pa.to_matrix() * p_p) @ ls.v_d       # pilot-group power at every Rx
-        group = group_rx[pa.pilot_of - pa.n_cu - 1, np.arange(pa.n_d2d)]
-        return direct_link_mse(own, group, config.noise_power, config.d2drx_antennas)
-
-    return objective
+    own = p_p * np.diagonal(ls.v_d, axis1=-2, axis2=-1)
+    group_rx = (pa.to_matrix() * p_p) @ ls.v_d       # pilot-group power at every Rx
+    group = np.take_along_axis(group_rx, pa.pilot_of[..., None, :] - pa.n_cu - 1, axis=-2)[..., 0, :]
+    return config.d2drx_antennas * np.sum(1.0 - own / (group + config.noise_power), axis=-1)
 
 
 def psa(ls, config):
@@ -108,6 +102,7 @@ def random_assignment(config, rng=None):
 
 
 SEARCH_GUARD = 10_000_000   # largest assignment space exhaustive_search enumerates
+_ES_BLOCK_BYTES = 262_144   # reuse-matrix bytes of one block of candidate assignments
 
 
 def search_space(config):
@@ -117,20 +112,23 @@ def search_space(config):
 
 def exhaustive_search(ls, config):
     """Sum-MSE-optimal assignment by enumeration; first minimizer in
-    lexicographic assignment order wins ties."""
-    if search_space(config) > SEARCH_GUARD:
+    lexicographic assignment order wins ties.  Assignments are scored in
+    blocks, one sum_mse call per block."""
+    n_pilots, k, space = config.pilot_len - config.n_cu, config.n_d2d, search_space(config)
+    if space > SEARCH_GUARD:
         raise InstanceTooLargeError(
-            f"search space (tau-N)^K = {config.pilot_len - config.n_cu}^{config.n_d2d} "
-            f"exceeds the guard {SEARCH_GUARD}")
-    objective = sum_mse_objective(ls, config)
-    pilots = range(config.n_cu + 1, config.pilot_len + 1)
+            f"search space (tau-N)^K = {n_pilots}^{k} exceeds the guard {SEARCH_GUARD}")
+    size = max(1, _ES_BLOCK_BYTES // (8 * n_pilots * k))
+    place = n_pilots ** np.arange(k - 1, -1, -1)   # pair 0 is the most significant digit
     best, best_pa = np.inf, None
-    for combo in product(pilots, repeat=config.n_d2d):
-        pa = PilotAssignment(pilot_of=np.array(combo), n_cu=config.n_cu,
-                             pilot_len=config.pilot_len)
-        val = objective(pa)
-        if val < best:
-            best, best_pa = val, pa
+    for first in range(0, space, size):
+        index = np.arange(first, min(first + size, space))
+        pa = PilotAssignment(pilot_of=config.n_cu + 1 + index[:, None] // place % n_pilots,
+                             n_cu=config.n_cu, pilot_len=config.pilot_len)
+        vals = sum_mse(ls, pa, config)
+        i = np.argmin(vals)   # argmin keeps the first minimizer of the block
+        if vals[i] < best:
+            best, best_pa = vals[i], pa[i]
     return best_pa
 
 

@@ -16,7 +16,7 @@ from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
                                rate_lower_bounds, pzf_filter, cell_sinr_terms,
                                d2d_sinr_terms)
 from d2dmimo.pilot_scheduling import (psa, random_assignment, exhaustive_search,
-                                      sum_mse_objective, pilot_power_parametric)
+                                      sum_mse, pilot_power_parametric)
 from d2dmimo.power_control import (cellular_fixed_point, dpcc_iterate, dpcd, jdpc,
                                    cellular_power_budget)
 from d2dmimo.harness import ExperimentSpec, run_experiment
@@ -141,10 +141,9 @@ def test_criterion_3_scheduler_quality():
                            max_power_d2d=3e-3, rng_seed=3000 + i)
         topo = generate_topology(cfg)
         ls = compute_large_scale(topo, cfg)
-        objective = sum_mse_objective(ls, cfg)
-        greedy = objective(psa(ls, cfg))
-        rand = objective(random_assignment(cfg))
-        best = objective(exhaustive_search(ls, cfg))
+        greedy = sum_mse(ls, psa(ls, cfg), cfg)
+        rand = sum_mse(ls, random_assignment(cfg), cfg)
+        best = sum_mse(ls, exhaustive_search(ls, cfg), cfg)
         wins += greedy <= rand + 1e-12
         ratios.append(greedy / best)
     mean_ratio = float(np.mean(ratios))

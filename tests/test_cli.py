@@ -97,6 +97,13 @@ def test_bad_seed_exits_1(spec_file, capsys, command, seed, extra):
     assert "rng_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sweep_value_that_is_not_a_number_exits_1(spec_file, capsys, command):
+    doc = small_spec_doc(sweep={"variable": "pzf_bs", "values": [[1, 2], [2, 1]]})
+    assert main([command, spec_file(doc)]) == 1
+    assert capsys.readouterr().err == "spec error: sweep.values: value [1, 2] is not a finite number\n"
+
+
 def test_seed_sweep_exits_1(spec_file, capsys):
     doc = small_spec_doc(sweep={"variable": "rng_seed", "values": [1, 2]})
     assert main(["validate", spec_file(doc)]) == 1

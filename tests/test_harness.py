@@ -42,8 +42,9 @@ class TestSpecValidation:
             validate_spec(tiny_spec(sweep_variable="bogus_field"))
 
     def test_bad_trials(self):
-        with pytest.raises(SpecError, match="trials"):
-            validate_spec(tiny_spec(trials=0))
+        for trials in (0, True):
+            with pytest.raises(SpecError, match="trials"):
+                validate_spec(tiny_spec(trials=trials))
 
     def test_invalid_sweep_value(self):
         with pytest.raises(SpecError, match="sweep.values"):
@@ -192,13 +193,13 @@ class TestRunExperiment:
         assert (tmp_path / "w1" / f"{name}.csv").read_bytes() == (tmp_path / "w2" / f"{name}.csv").read_bytes()
 
     @pytest.mark.parametrize("name,trials,sweep", [("fig1", 16, None), ("fig2", 16, None),
-                                                   ("fig3", 12, [7, 8])])
+                                                   ("fig3", 12, [7, 8, 9, 10, 11])])
     def test_csv_bytes_independent_of_workers(self, tmp_path, name, trials, sweep):
         # one stack per sweep point, or chunks of 2 (fig3: 1) with two workers
         spec = load_spec(SPECS / f"{name}.json")
         spec.trials = trials
         if sweep is not None:
-            spec.sweep_values = sweep   # exhaustive search over 2^6 and 3^6 assignments
+            spec.sweep_values = sweep   # fig3's full sweep: exhaustive search over up to 6^6 assignments
         for workers in (1, 2):
             spec.output = str(tmp_path / f"w{workers}" / f"{name}.csv")
             run_experiment(spec, workers=workers)

@@ -1,12 +1,16 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from d2dmimo.scenario import SystemConfig, LargeScale, substream
 from d2dmimo.channel import PilotAssignment, PowerProfile, estimation_coeffs
-from d2dmimo.pilot_scheduling import (interference_metric, sum_mse_objective,
+from d2dmimo.pilot_scheduling import (interference_metric, sum_mse,
                                       psa, random_assignment, exhaustive_search,
-                                      pilot_power_parametric, InstanceTooLargeError)
+                                      pilot_power_parametric, search_space, InstanceTooLargeError,
+                                      _ES_BLOCK_BYTES)
 
 
 def small_config(**kw):
@@ -106,17 +110,15 @@ class TestSumMse:
             den = sum(pp.p_p[j] * ls.v_d[j, k] for j in grp) + cfg.noise_power
             total += cfg.d2drx_antennas * (1.0 - pp.p_p[k] * ls.v_d[k, k] / den)
         assert cfg.d2drx_antennas * np.trace(coeffs.eps_dd) == pytest.approx(total, rel=1e-12)
-        objective = sum_mse_objective(ls, cfg)
-        assert objective(pa) == pytest.approx(total, rel=1e-12)
+        assert sum_mse(ls, pa, cfg) == pytest.approx(total, rel=1e-12)
 
     def test_moving_to_empty_pilot_strictly_improves(self):
         cfg = small_config(n_d2d=4, pilot_len=6)
         rng = np.random.default_rng(8)
         ls = make_ls(rng, 3, 4)
-        objective = sum_mse_objective(ls, cfg)
         shared = PilotAssignment(pilot_of=np.array([4, 4, 5, 5]), n_cu=3, pilot_len=6)
         moved = PilotAssignment(pilot_of=np.array([4, 6, 5, 5]), n_cu=3, pilot_len=6)
-        assert objective(moved) < objective(shared)
+        assert sum_mse(ls, moved, cfg) < sum_mse(ls, shared, cfg)
 
 
 class TestPsa:
@@ -164,6 +166,21 @@ class TestPsa:
         assert np.all(pa.to_matrix().sum(axis=0) == 1)
 
 
+def reference_exhaustive_search(ls, config):
+    """The enumeration the blocked search replaced: one sum_mse call per
+    assignment in lexicographic order, keeping the first minimizer.  Also
+    returns how many assignments attain the minimum."""
+    pilots = range(config.n_cu + 1, config.pilot_len + 1)
+    best, best_pa, ties = np.inf, None, 0
+    for combo in product(pilots, repeat=config.n_d2d):
+        pa = PilotAssignment(pilot_of=np.array(combo), n_cu=config.n_cu, pilot_len=config.pilot_len)
+        val = sum_mse(ls, pa, config)
+        if val < best:
+            best, best_pa, ties = val, pa, 0
+        ties += val == best
+    return best_pa, ties
+
+
 class TestExhaustiveSearch:
     def test_single_pilot_forced_sharing(self):
         cfg = small_config(n_d2d=4, pilot_len=4, pzf_bs=(1, 1), pzf_d2d=(0, 0))   # tau - N = 1
@@ -176,28 +193,41 @@ class TestExhaustiveSearch:
         cfg = small_config(n_d2d=4, pilot_len=7)
         rng = np.random.default_rng(12)
         ls = make_ls(rng, 3, 4)
-        objective = sum_mse_objective(ls, cfg)
         pa = exhaustive_search(ls, cfg)
         assert len(set(pa.pilot_of.tolist())) == 4
         p = cfg.pilot_len * cfg.max_power_d2d
         s = p * np.diag(ls.v_d)
         floor = cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power))
-        assert objective(pa) == pytest.approx(floor, rel=1e-12)
+        assert sum_mse(ls, pa, cfg) == pytest.approx(floor, rel=1e-12)
 
     def test_ordering_es_psa_random_expectation(self):
         cfg = small_config(n_d2d=6, pilot_len=5)   # 2^6 assignments
         rng = np.random.default_rng(13)
         ls = make_ls(rng, 3, 6)
-        objective = sum_mse_objective(ls, cfg)
-        es_val = objective(exhaustive_search(ls, cfg))
-        psa_val = objective(psa(ls, cfg))
+        es_val = sum_mse(ls, exhaustive_search(ls, cfg), cfg)
+        psa_val = sum_mse(ls, psa(ls, cfg), cfg)
         # expectation over the uniform assignment distribution, by enumeration
-        from itertools import product
-        vals = [objective(PilotAssignment(pilot_of=np.array(c), n_cu=3, pilot_len=5))
+        vals = [sum_mse(ls, PilotAssignment(pilot_of=np.array(c), n_cu=3, pilot_len=5), cfg)
                 for c in product((4, 5), repeat=6)]
         rps_mean = float(np.mean(vals))
         assert es_val <= psa_val + 1e-12
         assert psa_val <= rps_mean + 1e-12
+
+    @pytest.mark.parametrize("n_pilots,k", [(4, 7), (3, 8)])
+    @pytest.mark.parametrize("gains", ["random", "identical pairs"])
+    def test_blocks_choose_what_the_one_at_a_time_loop_chose(self, n_pilots, k, gains):
+        cfg = small_config(n_d2d=k, pilot_len=3 + n_pilots, pzf_bs=(1, 1), pzf_d2d=(0, 0),
+                           max_power_d2d=1.0)
+        assert search_space(cfg) > 4 * _ES_BLOCK_BYTES // (8 * n_pilots * k)   # several blocks
+        for seed in range(3 if gains == "random" else 1):
+            ls = make_ls(np.random.default_rng(seed), 3, k)
+            if gains == "identical pairs":   # partitions with the same group sizes tie too
+                ls.v_d = np.full((k, k), 0.5)
+                np.fill_diagonal(ls.v_d, 1.0)
+            want, ties = reference_exhaustive_search(ls, cfg)
+            # every labelling of the optimal partition ties
+            assert ties > (math.factorial(n_pilots) if gains == "identical pairs" else 1)
+            assert np.array_equal(exhaustive_search(ls, cfg).pilot_of, want.pilot_of)
 
     def test_guard_rejects_large_instances(self):
         cfg = small_config(n_d2d=20, pilot_len=8)

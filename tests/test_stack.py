@@ -12,7 +12,7 @@ from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topol
                               TOPOLOGY)
 from d2dmimo.channel import (PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
                              draw_fast_fading, simulate_pilot_phase, mmse_estimate)
-from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment
+from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment, sum_mse
 from d2dmimo.power_control import cellular_power_budget
 from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, bound_sinrs,
                                rate_lower_bounds, sigma_c_of, sigma_d_of, pzf_filter,
@@ -159,6 +159,31 @@ class TestStackedLayers:
         assert same_fields(select_cancellation(one, pa[None], cfg)[0], sets)
         rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
         assert same_fields(rate_coeffs(one, pa[None], coeffs[None], sets[None], pp[None], cfg)[0], rc)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sum_mse_rows_are_single_calls(name):
+    cfgs = trial_configs(name)
+    cfg = cfgs[0]
+    ls, pa, _ = mixed_stack(cfgs)
+    trials = sum_mse(ls, pa, cfg)
+    # candidate assignments of trial 0's draw: the trials' random ones
+    candidates = PilotAssignment.stack([random_assignment(c) for c in cfgs])
+    scores = sum_mse(ls[0], candidates, cfg)
+    for t in range(len(cfgs)):
+        assert same_bits(trials[t], sum_mse(ls[t], pa[t], cfg))
+        assert same_bits(scores[t], sum_mse(ls[0], candidates[t], cfg))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_mse_floor_is_the_contamination_free_formula(name):
+    cfgs = trial_configs(name)
+    cfg = cfgs[0]
+    ls = harness._large_scale(cfgs)
+    for t, row in enumerate(harness._chunk_mse(cfgs, ["sum_mse_lb"], ls)):
+        s = cfg.pilot_len * cfg.max_power_d2d * np.diag(ls.v_d[t])
+        want = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
+        assert row["sum_mse_lb"].hex() == want.hex()
 
 
 def test_stack_round_trip():
