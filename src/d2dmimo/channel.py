@@ -22,12 +22,18 @@ per-link coefficient, so same-pilot estimates are exactly collinear.
 Every dataclass here may carry a leading trial axis (see
 scenario.TrialAxis), and every function then serves a whole stack of
 same-size draws in one call, each draw with the bits it gets alone.  Random
-numbers stay per trial: given a list of generators, one per trial,
-draw_fast_fading and simulate_pilot_phase fill the stack row by row, each
-row from its own generator in the order a single draw uses.
+numbers stay per trial.  draw_fast_fading and simulate_pilot_phase read
+standard normals in one order: a generator gives one draw, a list of
+generators, one per trial, gives a stack whose row t reads rng[t], and a
+(T, L) array of normals (see normals) gives a stack whose row t reads row
+t.  A draw reads a prefix of its normals: fading_normals(config) for the
+fading, noise_normals(config) for the pilot noise.  A generator's normals
+do not depend on how its calls are split, so one row drawn at the largest
+count a set of configs needs holds each config's own draw as its prefix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,31 +160,68 @@ class EstimationCoeffs(TrialAxis):
     eps_cd: np.ndarray
 
 
-def _cn(rng, shape):
-    """i.i.d. CN(0, 1) samples: all real parts, then all imaginary parts.
-    A list of generators gives a (T, *shape) stack, row t from rng[t]."""
-    lead = (len(rng),) if isinstance(rng, list) else ()
-    out = np.empty(lead + shape + (2,))
-    for row, g in zip(out if lead else out[None], rng if lead else [rng]):
-        row[..., 0] = g.standard_normal(shape)
-        row[..., 1] = g.standard_normal(shape)
-    out *= 1.0 / np.sqrt(2.0)
-    return out.view(complex)[..., 0]
+def fading_normals(config):
+    """Standard normals one fast-fading draw reads: the real, then the
+    imaginary parts of h_c, then of h_d, g_d and g_c."""
+    b, n = config.bs_antennas, config.n_cu
+    k, m = config.n_d2d, config.d2drx_antennas
+    return 2 * (b * (n + k) + k * m * (k + n))
+
+
+def noise_normals(config):
+    """Standard normals one pilot phase reads: the BS noise, then the
+    D2D-Rx noise."""
+    return 2 * config.pilot_len * (config.bs_antennas + config.n_d2d * config.d2drx_antennas)
+
+
+def normals(rng, count):
+    """The first count standard normals of a generator, shape (count,), or a
+    (T, count) stack of them for a list of T generators, row t from rng[t]."""
+    if not isinstance(rng, list):
+        return rng.standard_normal(count)
+    out = np.empty((len(rng), count))
+    for row, g in zip(out, rng):
+        g.standard_normal(out=row)
+    return out
+
+
+def _cn(src, at, shape):
+    """i.i.d. CN(0, 1) samples, all real parts, then all imaginary parts:
+    read at offset at from normals src of shape (..., L), or drawn next from
+    a generator, or from each of a list of generators (row t from src[t]).
+    Returns the (..., *shape) samples and the offset after them.  Drawing
+    part by part keeps a lone draw's working set to its output; draws that
+    share their normals read them from one array."""
+    size, scale = math.prod(shape), 1.0 / np.sqrt(2.0)
+    if isinstance(src, np.ndarray):
+        if src.shape[-1] < at + 2 * size:
+            raise ValueError(f"need {at + 2 * size} normals a draw, got {src.shape[-1]}")
+        lead = src.shape[:-1]
+        out = np.empty(lead + shape, dtype=complex)
+        np.multiply(src[..., at:at + size].reshape(lead + shape), scale, out=out.real)
+        np.multiply(src[..., at + size:at + 2 * size].reshape(lead + shape), scale, out=out.imag)
+        return out, at + 2 * size
+    gens = src if isinstance(src, list) else [src]
+    out = np.empty((len(gens),) + shape, dtype=complex)
+    for row, g in zip(out, gens):
+        np.multiply(g.standard_normal(shape), scale, out=row.real)
+        np.multiply(g.standard_normal(shape), scale, out=row.imag)
+    return out if isinstance(src, list) else out[0], at + 2 * size
 
 
 def draw_fast_fading(config, rng=None):
     """One fast-fading draw, or a (T, ...) stack of draws for a list of T
-    generators, one per trial."""
+    generators, one per trial, or for (T, L) normals whose rows hold at
+    least fading_normals(config) each."""
     if rng is None:
         rng = substream(config.rng_seed, FADING)
     b, n = config.bs_antennas, config.n_cu
     k, m = config.n_d2d, config.d2drx_antennas
-    return ChannelRealization(
-        h_c=_cn(rng, (b, n)),
-        h_d=_cn(rng, (b, k)),
-        g_d=_cn(rng, (k, m, k)),
-        g_c=_cn(rng, (k, m, n)),
-    )
+    h_c, at = _cn(rng, 0, (b, n))
+    h_d, at = _cn(rng, at, (b, k))
+    g_d, at = _cn(rng, at, (k, m, k))
+    g_c, _ = _cn(rng, at, (k, m, n))
+    return ChannelRealization(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)
 
 
 def group_powers(ls, pa, p_p):
@@ -238,7 +281,8 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     Uses the identity pilot basis, so CU n lands in column n-1 and each
     D2D pilot column is the reuse-matrix sum of its group's signals; noise
     entries are i.i.d. CN(0, N0).  A stack of draws takes a list of
-    generators, one per trial, each drawing its trial's BS noise, then its
+    generators, one per trial, or (T, L) normals whose rows hold at least
+    noise_normals(config) each; a row holds its trial's BS noise, then its
     D2D-Rx noise.
     """
     if rng is None:
@@ -252,14 +296,15 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     y_bs = np.empty(lead + (b, tau), dtype=complex)
     y_bs[..., :n] = np.sqrt(pp.q_p * ls.u_c)[..., None, :] * real.h_c
     y_bs[..., n:] = (np.sqrt(pp.p_p * ls.u_d)[..., None, :] * real.h_d) @ o_t
-    y_bs += np.sqrt(n0) * _cn(rng, (b, tau))
+    noise, at = _cn(rng, 0, (b, tau))
+    y_bs += np.sqrt(n0) * noise
 
     # real.g_c[r, :, a] and real.g_d[r, :, i] scaled by their Rx-r gains
     y_rx = np.empty(lead + (k, m, tau), dtype=complex)
     y_rx[..., :n] = np.swapaxes(np.sqrt(pp.q_p[..., :, None] * ls.v_c), -1, -2)[..., None, :] * real.g_c
     y_rx[..., n:] = (np.swapaxes(np.sqrt(pp.p_p[..., :, None] * ls.v_d), -1, -2)[..., None, :]
                      * real.g_d) @ o_t[..., None, :, :]
-    y_rx += np.sqrt(n0) * _cn(rng, (k, m, tau))
+    y_rx += np.sqrt(n0) * _cn(rng, at, (k, m, tau))[0]
 
     return PilotObservation(y_bs=y_bs, y_rx=y_rx)
 

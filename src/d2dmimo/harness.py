@@ -21,12 +21,15 @@ estimation coefficients, cancellation sets, rate coefficients and
 bounds) as one stack with a leading trial axis, and the power-control
 recipes solve each point's stack in lockstep.  The Monte Carlo layers
 (fast fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the
-chunk sized by a byte budget, each trial drawing from its own
-substreams.  The estimation recipe scores each scheduler's assignments
-for the whole chunk in one sum_mse call; random assignments are drawn
-and exhaustive searches run per trial, on each trial's slice of the
-stack.  Every trial gets the bits it would get alone, so the outputs do
-not depend on chunking or grouping.
+chunk sized by a byte budget.  A trial's fading and pilot-noise normals
+depend on its seed, not on the sweep value, and a point of a smaller size
+reads a prefix of them, so each sub-stack draws every trial's normals
+once, from the trial's own substreams, at the group's largest counts, and
+the points read their prefixes in sweep order.  The estimation recipe
+scores each scheduler's assignments for the whole chunk in one sum_mse
+call; random assignments are drawn and exhaustive searches run per
+trial, on each trial's slice of the stack.  Every trial gets the bits it
+would get alone, so the outputs do not depend on chunking or grouping.
 
 Recipes:
   fig1   cellular sum SE, Monte Carlo vs lower bound (sweep bs_antennas)
@@ -45,7 +48,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +57,7 @@ from . import __version__
 from .scenario import (DRAW_FIELDS, SystemConfig, Topology, generate_topology, compute_large_scale,
                        substream, trial_seed, _is_int, _is_real, FADING, NOISE, SHADOWING)
 from .channel import (PilotAssignment, PowerProfile, estimation_coeffs, group_powers, draw_fast_fading,
-                      simulate_pilot_phase, mmse_estimate)
+                      simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals, normals)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
 from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
@@ -200,6 +203,8 @@ def validate_spec(spec):
         raise SpecError("trials", "must be an integer >= 1")
     kind, _ = EXPERIMENTS[spec.experiment]
     for v in spec.sweep_values:
+        if spec.output and not _is_real(v):   # the CSV's sweep column holds one number per point
+            raise SpecError("sweep.values", f"value {v!r} is not a finite number")
         try:
             cfg = apply_sweep(spec.config, spec.sweep_variable, v)
             if kind != "mse":   # the PZF rate bounds need a positive array gain
@@ -269,10 +274,10 @@ def _scenario_pipeline(cfgs, ls=None):
 
 def _stack_size(cfg, kind):
     """Trials per stack: as many draws as fit in _STACK_BYTES, at least one.
-    kind "mc" counts a trial's complex fast fading, "analytic" its
-    large-scale gains."""
-    b, n, k, m = cfg.bs_antennas, cfg.n_cu, cfg.n_d2d, cfg.d2drx_antennas
-    draw = 16 * (b * (n + k) + k * m * (k + n)) if kind == "mc" else 8 * (n + k) * (k + 1)
+    kind "mc" counts a trial's fast-fading normals (the bytes of its complex
+    fading), "analytic" its large-scale gains."""
+    n, k = cfg.n_cu, cfg.n_d2d
+    draw = 8 * fading_normals(cfg) if kind == "mc" else 8 * (n + k) * (k + 1)
     return max(1, _STACK_BYTES // draw)
 
 
@@ -283,59 +288,111 @@ def _take(stack, rows):
     return stack[rows]
 
 
-def _mc_rates(cfgs, ls, pa, pp, coeffs, sets, metrics):
-    """Monte Carlo sum rates of a stack of same-size trials, one fast-fading
-    draw per trial: {metric: (T,) array}.  Sub-stacks of _stack_size(cfg, "mc")
-    trials run through pilot phase, MMSE and PZF/SINR as one stack, each
-    row drawing from its own trial's substreams.  A row whose draw leaves a
-    degenerate PZF span (measure zero) is redrawn from its next substreams
-    while the other rows keep their draws; after 5 attempts a SolverError
-    names it."""
-    cfg = cfgs[0]
-    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    terms = {m: f for m, f in (("sum_se_cell", cell_sinr_terms), ("sum_se_d2d", d2d_sinr_terms))
-             if m in metrics}
-    sums = {m: np.empty(len(cfgs)) for m in terms}
-    powers = group_powers(ls, pa, pp.p_p)
-    size = _stack_size(cfg, "mc")
+@contextmanager
+def _at_point(i):
+    """Tag a SolverError raised inside with i, the index in its draw group
+    of the sweep point that raised it."""
+    try:
+        yield
+    except SolverError as exc:
+        exc.point = i
+        raise
+
+
+_MC_TERMS = {"sum_se_cell": cell_sinr_terms, "sum_se_d2d": d2d_sinr_terms}
+
+
+def _mc_rates(group, ls, stacks, metrics):
+    """Monte Carlo sum rates of a chunk of trials at every point of a draw
+    group, one fast-fading draw per trial and point: per point, {metric:
+    (T,) array}.  group[i] holds point i's trial configs and stacks[i] its
+    (pa, pp, coeffs, sets) on the trials' large-scale gains ls.  Sub-stacks
+    of as many trials as _stack_size(cfg, "mc") allows at every point draw
+    each row's attempt-0 fading and noise normals once, at the group's
+    largest counts, and each point in sweep order reads its own prefix of
+    them (see _mc_point).  A lone point reads its generators directly,
+    which keeps its working set to its own draw."""
+    cfgs = group[0]
+    size = min(_stack_size(point[0], "mc") for point in group)
+    counts = [max(count(point[0]) for point in group) for count in (fading_normals, noise_normals)]
+    powers = [group_powers(ls, pa, pp.p_p) for pa, pp, _, _ in stacks]
+    sums = [{m: np.empty(len(cfgs)) for m in _MC_TERMS if m in metrics} for _ in group]
     for first in range(0, len(cfgs), size):
-        todo = np.arange(first, min(first + size, len(cfgs)))
-        for attempt in range(5):
-            ls_t, pa_t, pp_t, coeffs_t, sets_t = (_take(x, todo) for x in (ls, pa, pp, coeffs, sets))
-            est = mmse_estimate(simulate_pilot_phase(
-                draw_fast_fading(cfg, [substream(cfgs[r].rng_seed, FADING, attempt) for r in todo]),
-                ls_t, pa_t, pp_t, cfg, [substream(cfgs[r].rng_seed, NOISE, attempt) for r in todo]),
-                ls_t, pa_t, pp_t, cfg, [_take(p, todo) for p in powers])
-            drawn = (est, coeffs_t, ls_t, pa_t, pp_t, sets_t)
-            args, ok = drawn, np.arange(len(todo))   # ok: rows of this draw whose spans are full
-            while ok.size:
-                try:
-                    etas = {m: f(*args, cfg).sinr for m, f in terms.items()}
-                    break
-                except DegenerateSpanError as exc:
-                    ok = np.delete(ok, exc.rows)
-                    args = [x[ok] for x in drawn]
-            else:
-                etas = {}
-            for m, eta in etas.items():
-                sums[m][todo[ok]] = prefactor * np.sum(np.log2(1.0 + eta), axis=-1)
-            todo = np.delete(todo, ok)
-            if not todo.size:
-                break
-        else:
-            raise SolverError("fast-fading draw kept a degenerate PZF span after 5 attempts", todo)
+        rows = np.arange(first, min(first + size, len(cfgs)))
+        drawn = [[substream(cfgs[r].rng_seed, purpose, 0) for r in rows] for purpose in (FADING, NOISE)]
+        if len(group) > 1:   # the points share the normals: draw them once
+            drawn = [normals(gens, count) for gens, count in zip(drawn, counts)]
+        for i, point in enumerate(group):
+            with _at_point(i):
+                # the last estimates stay alive until the next are formed:
+                # freed first, their pages went back to the system and
+                # faulted back in at the next draw (4 times the page faults
+                # of a 3-point K=20 group, 1.6 times at K=100)
+                held = _mc_point(point, rows, drawn, ls, stacks[i], powers[i], sums[i])
     return sums
 
 
-def _chunk_bounds_mc(cfgs, metrics, ls=None):
-    ls, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs, ls)
-    sums = {}
-    if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
-        r_c, r_d = rate_lower_bounds(rc, pp, cfgs[0])
-        sums = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
-    if "sum_se_cell" in metrics or "sum_se_d2d" in metrics:
-        sums.update(_mc_rates(cfgs, ls, pa, pp, coeffs, sets, metrics))
-    return [{m: float(sums[m][r]) for m in metrics} for r in range(len(cfgs))]
+def _mc_point(cfgs, rows, drawn, ls, stack, powers, sums):
+    """Monte Carlo sum rates of the trials rows at one sweep point, written
+    into sums, from drawn: the rows' attempt-0 (fading, noise) normals, or
+    their generators.  The rows run through pilot phase, MMSE and PZF/SINR
+    as one stack.  A row whose draw leaves a degenerate PZF span (measure
+    zero) is redrawn, at this point alone, from its trial's next substreams
+    while the other rows keep their draws; after 5 attempts a SolverError
+    names it.  Returns the last draw's MMSE estimates."""
+    cfg = cfgs[0]
+    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
+    pa, pp, coeffs, sets = stack
+    todo = rows
+    for attempt in range(5):
+        if attempt:
+            drawn = [[substream(cfgs[r].rng_seed, purpose, attempt) for r in todo] for purpose in (FADING, NOISE)]
+        ls_t, pa_t, pp_t, coeffs_t, sets_t = (_take(x, todo) for x in (ls, pa, pp, coeffs, sets))
+        est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg, drawn[0]), ls_t, pa_t, pp_t, cfg, drawn[1]),
+                            ls_t, pa_t, pp_t, cfg, [_take(p, todo) for p in powers])
+        inputs = (est, coeffs_t, ls_t, pa_t, pp_t, sets_t)
+        args, ok = inputs, np.arange(len(todo))   # ok: rows of this draw whose spans are full
+        while ok.size:
+            try:
+                etas = {m: _MC_TERMS[m](*args, cfg).sinr for m in sums}
+                break
+            except DegenerateSpanError as exc:
+                ok = np.delete(ok, exc.rows)
+                args = [x[ok] for x in inputs]
+        else:
+            etas = {}
+        for m, eta in etas.items():
+            sums[m][todo[ok]] = prefactor * np.sum(np.log2(1.0 + eta), axis=-1)
+        todo = np.delete(todo, ok)
+        if not todo.size:
+            return est
+    raise SolverError("fast-fading draw kept a degenerate PZF span after 5 attempts", todo)
+
+
+def _chunk_bounds_mc(group, metrics, ls=None):
+    """Rate bounds and Monte Carlo sum rates of a chunk of trials at every
+    point of a draw group (group[i]: point i's trial configs) on the trials'
+    large-scale gains ls, drawn here when not given: per point, one
+    {metric: value} per trial.  Each point runs its analytic stack in sweep
+    order; the Monte Carlo layers then run every point on each sub-stack."""
+    ls = _large_scale(group[0]) if ls is None else ls
+    mc = any(m in _MC_TERMS for m in metrics)
+    sums, stacks = [], []
+    for i, cfgs in enumerate(group):
+        with _at_point(i):
+            _, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs, ls)
+            point = {}
+            if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
+                r_c, r_d = rate_lower_bounds(rc, pp, cfgs[0])
+                point = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
+        sums.append(point)
+        if mc:
+            stacks.append((pa, pp, coeffs, sets))
+    if mc:
+        for point, rates in zip(sums, _mc_rates(group, ls, stacks, metrics)):
+            point.update(rates)
+    return [[{m: float(point[m][r]) for m in metrics} for r in range(len(cfgs))]
+            for point, cfgs in zip(sums, group)]
 
 
 def _chunk_mse(cfgs, metrics, ls):
@@ -381,28 +438,36 @@ def _chunk_jdpc(cfgs, metrics, ls):
     return [_jdpc_metrics(rc[r], prefactor, res, metrics) for r, res in enumerate(solved)]
 
 
-_CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc}
+_CHUNKS = {"mse": _chunk_mse, "jdpc": _chunk_jdpc}   # one sweep point at a time
 
 
 def _run_chunk(task):
     """Results of a contiguous run of trials at every sweep point of one draw
     group: per point, {metric: values of the trials that report it, in
     trial order}.  The trials' large-scale gains are drawn once and every
-    point runs on them, in sweep order, from PSA onward.  A runtime failure
-    is re-raised naming the sweep value (the group's first for the shared
-    draw), trial index and trial seed, so the draw can be re-run."""
+    point runs on them, in sweep order, from PSA onward; the bounds recipes
+    also share each trial's Monte Carlo draw.  A runtime failure is
+    re-raised naming the sweep value it was raised at (the group's first
+    for the shared large-scale draw), trial index and trial seed, so the
+    draw can be re-run."""
     cfg_dicts, kind, metrics, first, seeds, points = task
-    ls, results = None, []
+    group = [[SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds] for cfg_dict in cfg_dicts]
+
+    def columns(trials):
+        return {m: [r[m] for r in trials if m in r] for m in metrics}
+
     try:
-        for cfg_dict, point in zip(cfg_dicts, points):
-            cfgs = [SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds]
-            ls = _large_scale(cfgs) if ls is None else ls
-            trials = _CHUNKS[kind](cfgs, metrics, ls)
-            results.append({m: [r[m] for r in trials if m in r] for m in metrics})
+        ls = _large_scale(group[0])
+        if kind == "bounds_mc":
+            return [columns(trials) for trials in _chunk_bounds_mc(group, metrics, ls)]
+        results = []
+        for i, cfgs in enumerate(group):
+            with _at_point(i):
+                results.append(columns(_CHUNKS[kind](cfgs, metrics, ls)))
+        return results
     except SolverError as exc:
         where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
-        raise RuntimeError(f"{point}, {where}: {exc.args[0]}") from exc
-    return results
+        raise RuntimeError(f"{points[getattr(exc, 'point', 0)]}, {where}: {exc.args[0]}") from exc
 
 
 def _aggregate(values):
@@ -433,10 +498,13 @@ def run_experiment(spec, workers=1):
     tasks, owners = [], []   # owners[j]: the sweep points task j runs
     for members in groups.values():
         # one chunk per group, or about four per worker; power control solves
-        # a whole chunk in lockstep, other chunks are capped in size
+        # a whole chunk in lockstep, other chunks are capped in size, and
+        # share the cap among the points when every point's analytic stack
+        # stays alive while the Monte Carlo layers run
         size = len(seeds) if workers == 1 else max(1, len(seeds) // (4 * workers))
         if kind != "jdpc":
-            size = min(size, _stack_size(point_cfgs[members[0]], "analytic"))
+            share = len(members) if any(m in _MC_TERMS for m in metrics) else 1
+            size = min(size, max(1, _stack_size(point_cfgs[members[0]], "analytic") // share))
         dicts = [point_cfgs[i].to_dict() for i in members]
         points = [f"{spec.sweep_variable}={spec.sweep_values[i]!r}" for i in members]
         for first in range(0, len(seeds), size):

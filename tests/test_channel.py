@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2dmimo.scenario import SystemConfig, LargeScale, substream
-from d2dmimo.channel import (PilotAssignment, PowerProfile, _cn, draw_fast_fading,
-                             estimation_coeffs, simulate_pilot_phase, mmse_estimate)
+from d2dmimo.scenario import SystemConfig, LargeScale, substream, FADING, NOISE
+from d2dmimo.channel import (PilotAssignment, PowerProfile, _cn, draw_fast_fading, fading_normals,
+                             noise_normals, normals, estimation_coeffs, simulate_pilot_phase,
+                             mmse_estimate)
 
 
 def small_config(**kw):
@@ -22,6 +23,15 @@ def make_ls(rng, n, k):
         v_c=rng.uniform(0.1, 2.0, (n, k)),
         v_d=rng.uniform(0.1, 2.0, (k, k)),
     )
+
+
+def reference_cn(rng, shape):
+    """CN(0, 1) samples as the sum of their parts, drawn from a generator."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def assignment(pilot_of, n_cu=3, pilot_len=6):
@@ -66,13 +76,30 @@ class TestFastFading:
 
     @pytest.mark.parametrize("shape", [(0,), (7,), (256, 20), (20, 8, 20), (3, 1, 4, 2)])
     def test_cn_matches_the_sum_of_parts_form(self, shape):
-        def reference_cn(rng, shape):
-            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-        got = _cn(substream(3, 1), shape)
+        # drawn from a generator or a list of one, or read at an offset from
+        # one draw's normals or a row of a stack of them
+        count = 2 * int(np.prod(shape))
         want = reference_cn(substream(3, 1), shape)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        drawn = [_cn(substream(3, 1), 5, shape), _cn([substream(3, 1)], 5, shape)]
+        drawn[1] = drawn[1][0][0], drawn[1][1]
+        for z in (normals(substream(3, 1), count), normals([substream(3, 1)], count)[0]):
+            drawn.append(_cn(np.concatenate([np.zeros(5), z, np.zeros(3)]), 5, shape))
+        for got, at in drawn:
+            assert same_bits(got, want) and at == 5 + count
+
+    def test_draw_reads_its_normals_in_the_sum_of_parts_order(self):
+        cfg = small_config()
+        b, n, k, m = cfg.bs_antennas, cfg.n_cu, cfg.n_d2d, cfg.d2drx_antennas
+        rng = substream(3, FADING)
+        parts = [reference_cn(rng, shape) for shape in ((b, n), (b, k), (k, m, k), (k, m, n))]
+        for source in (substream(3, FADING), normals(substream(3, FADING), fading_normals(cfg))):
+            real = draw_fast_fading(cfg, source)
+            assert all(same_bits(got, want) for got, want in zip((real.h_c, real.h_d, real.g_d, real.g_c), parts))
+
+    def test_too_few_normals_raise(self):
+        cfg = small_config()
+        with pytest.raises(ValueError, match="normals"):
+            draw_fast_fading(cfg, np.zeros((2, fading_normals(cfg) - 1)))
 
 
 class TestEstimationCoeffs:
@@ -195,6 +222,26 @@ class TestPilotPhase:
         pp = PowerProfile(q_p=rng.uniform(0.5, 2, cfg.n_cu), p_p=rng.uniform(0.5, 2, cfg.n_d2d),
                           q_s=np.ones(cfg.n_cu), p_s=np.ones(cfg.n_d2d))
         return cfg, ls, pa, pp
+
+    def test_a_draw_is_a_prefix_of_a_larger_configs_normals(self):
+        # a stack read from normals drawn at larger sizes is the stack drawn alone
+        cfg, ls, pa, pp = self._setup()
+        large = small_config(bs_antennas=64, d2drx_antennas=6, pilot_len=9)
+        assert fading_normals(large) > fading_normals(cfg) and noise_normals(large) > noise_normals(cfg)
+        seeds = (4, 9)
+
+        def draws(purpose, count=None):
+            gens = [substream(seed, purpose, 0) for seed in seeds]
+            return gens if count is None else normals(gens, count)
+
+        ls, pa, pp = (type(x).stack([x, x]) for x in (ls, pa, pp))
+        alone = draw_fast_fading(cfg, draws(FADING))
+        shared = draw_fast_fading(cfg, draws(FADING, fading_normals(large)))
+        for name in ("h_c", "h_d", "g_d", "g_c"):
+            assert same_bits(getattr(shared, name), getattr(alone, name))
+        obs_alone = simulate_pilot_phase(alone, ls, pa, pp, cfg, draws(NOISE))
+        obs_shared = simulate_pilot_phase(alone, ls, pa, pp, cfg, draws(NOISE, noise_normals(large)))
+        assert same_bits(obs_shared.y_bs, obs_alone.y_bs) and same_bits(obs_shared.y_rx, obs_alone.y_rx)
 
     def test_pilot_basis_is_unitary(self):
         # identity columns: trivially Omega^H Omega = I

@@ -46,6 +46,16 @@ class TestSpecValidation:
             with pytest.raises(SpecError, match="trials"):
                 validate_spec(tiny_spec(trials=trials))
 
+    def test_written_sweep_values_must_be_numbers(self, tmp_path):
+        # the CSV's sweep column holds one number per point; in memory, a PZF sweep runs
+        spec = tiny_spec(sweep_variable="pzf_bs", sweep_values=[(2, 1), (1, 1)], trials=2)
+        rows, _ = run_experiment(spec)
+        assert [r.sweep for r in rows] == [(2, 1), (1, 1)]
+        spec.output = str(tmp_path / "pzf.csv")
+        with pytest.raises(SpecError, match=r"sweep.values: value \(2, 1\) is not a finite number"):
+            run_experiment(spec)
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_sweep_value(self):
         with pytest.raises(SpecError, match="sweep.values"):
             validate_spec(tiny_spec(sweep_values=[5, 200]))   # tau > N + K

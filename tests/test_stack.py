@@ -11,14 +11,15 @@ from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topol
                               compute_large_scale, substream, trial_seed, FADING, NOISE, SHADOWING,
                               TOPOLOGY)
 from d2dmimo.channel import (PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
-                             draw_fast_fading, simulate_pilot_phase, mmse_estimate)
+                             draw_fast_fading, simulate_pilot_phase, mmse_estimate, fading_normals,
+                             normals)
 from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment, sum_mse
 from d2dmimo.power_control import cellular_power_budget
 from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, bound_sinrs,
                                rate_lower_bounds, sigma_c_of, sigma_d_of, pzf_filter,
                                cell_sinr_terms, d2d_sinr_terms)
 from d2dmimo.harness import (ExperimentSpec, _chunk_bounds_mc, _mc_rates, _scenario_pipeline,
-                             _stack_size, run_experiment)
+                             _stack_size, apply_sweep, run_experiment)
 
 
 def reference_generate_topology(config, rng=None):
@@ -312,8 +313,8 @@ def hex_rows(results):
 def test_chunk_bounds_mc_matches_each_trial_alone(monkeypatch, name, budget):
     monkeypatch.setattr(harness, "_STACK_BYTES", budget)
     cfgs = [SystemConfig(**MC_CONFIGS[name], rng_seed=trial_seed(21, t)) for t in range(7)]
-    alone = [_chunk_bounds_mc([cfg], MC_METRICS)[0] for cfg in cfgs]
-    assert hex_rows(_chunk_bounds_mc(cfgs, MC_METRICS)) == hex_rows(alone)
+    alone = [_chunk_bounds_mc([[cfg]], MC_METRICS)[0][0] for cfg in cfgs]
+    assert hex_rows(_chunk_bounds_mc([cfgs], MC_METRICS)[0]) == hex_rows(alone)
 
 
 def mc_sums_alone(cfg, attempt):
@@ -328,16 +329,18 @@ def mc_sums_alone(cfg, attempt):
             for m, f in (("sum_se_cell", cell_sinr_terms), ("sum_se_d2d", d2d_sinr_terms))}
 
 
-def degenerate_draws(monkeypatch, seeds, attempts):
+def degenerate_draws(monkeypatch, seeds, attempts, at=lambda config: True):
     """Test doubles for the harness's fading draw and MMSE estimate: the
-    trials with the given seeds get, on the given attempts, a zero estimate
-    of CU 0, whose BS-side target then lies in every span."""
+    trials with the given seeds get, on the given attempts and at the sweep
+    points whose config passes at, a zero estimate of CU 0, whose BS-side
+    target then lies in every span.  A row is told by its first normals."""
+    heads = {substream(seed, FADING, a).standard_normal(4).tobytes() for seed in seeds for a in attempts}
     marked = []
 
     def draw(config, rng):
-        keys = [(g.bit_generator.seed_seq.entropy, g.bit_generator.seed_seq.spawn_key) for g in rng]
-        marked[:] = [row for row, (seed, (_, attempt)) in enumerate(keys) if seed in seeds and attempt in attempts]
-        return draw_fast_fading(config, rng)
+        z = rng if isinstance(rng, np.ndarray) else normals(rng, fading_normals(config))
+        marked[:] = [row for row, head in enumerate(z[:, :4]) if at(config) and head.tobytes() in heads]
+        return draw_fast_fading(config, z)
 
     def estimate(*args, **kwargs):
         est = mmse_estimate(*args, **kwargs)
@@ -350,13 +353,50 @@ def degenerate_draws(monkeypatch, seeds, attempts):
 
 def test_degenerate_row_is_redrawn_alone(monkeypatch):
     cfgs = [SystemConfig(**MC_CONFIGS["rejections"], rng_seed=trial_seed(21, t)) for t in range(7)]
-    want = [_chunk_bounds_mc([cfg], MC_METRICS)[0] for cfg in cfgs]
+    want = [_chunk_bounds_mc([[cfg]], MC_METRICS)[0][0] for cfg in cfgs]
     first, redrawn = mc_sums_alone(cfgs[4], attempt=0), mc_sums_alone(cfgs[4], attempt=1)
     assert all(want[4][m] == first[m] != redrawn[m] for m in first)
     assert _stack_size(cfgs[0], "mc") == 3   # trial 4 sits between trials 3 and 5
     degenerate_draws(monkeypatch, {cfgs[4].rng_seed}, {0})
     want[4].update(redrawn)
-    assert hex_rows(_chunk_bounds_mc(cfgs, MC_METRICS)) == hex_rows(want)
+    assert hex_rows(_chunk_bounds_mc([cfgs], MC_METRICS)[0]) == hex_rows(want)
+
+
+GROUPS = {"bs_antennas": [64, 128, 256], "pilot_len": [6, 10, 25]}
+
+
+@pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1])
+@pytest.mark.parametrize("variable", sorted(GROUPS))
+def test_group_rows_match_each_point_alone(monkeypatch, variable, budget):
+    # the points read prefixes of each trial's shared attempt-0 normals; a
+    # row degenerate at the middle point alone is redrawn there alone
+    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    values = GROUPS[variable]
+    group = [[apply_sweep(SystemConfig(rng_seed=trial_seed(21, t)), variable, v) for t in range(7)]
+             for v in values]
+    want = [[_chunk_bounds_mc([[cfg]], MC_METRICS)[0][0] for cfg in cfgs] for cfgs in group]
+    bad = group[1][4]
+    first, redrawn = mc_sums_alone(bad, attempt=0), mc_sums_alone(bad, attempt=1)
+    assert all(want[1][4][m] == first[m] != redrawn[m] for m in first)
+    want[1][4].update(redrawn)
+    degenerate_draws(monkeypatch, {bad.rng_seed}, {0}, at=lambda cfg: getattr(cfg, variable) == values[1])
+    assert [hex_rows(point) for point in _chunk_bounds_mc(group, MC_METRICS)] == [hex_rows(p) for p in want]
+
+
+def test_group_draws_each_trials_normals_once(monkeypatch):
+    keys = []
+
+    def spy(seed, *key):
+        keys.append((seed, *key))
+        return substream(seed, *key)
+
+    monkeypatch.setattr(harness, "substream", spy)
+    spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64, 128, 256],
+                          trials=7, config=SystemConfig(rng_seed=3), metrics=list(MC_METRICS))
+    run_experiment(spec)
+    for purpose in (FADING, NOISE):
+        assert sorted(k for k in keys if k[1] == purpose) == sorted((trial_seed(3, t), purpose, 0)
+                                                                    for t in range(7))
 
 
 def test_row_degenerate_on_every_attempt_names_its_trial(monkeypatch):
@@ -367,6 +407,17 @@ def test_row_degenerate_on_every_attempt_names_its_trial(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         run_experiment(spec)
     assert str(err.value) == (f"bs_antennas=64, trial 2 (seed {seed}): "
+                              "fast-fading draw kept a degenerate PZF span after 5 attempts")
+
+
+def test_row_degenerate_at_one_point_names_that_point(monkeypatch):
+    spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64, 128, 256],
+                          trials=5, config=SystemConfig(rng_seed=3))
+    seed = trial_seed(3, 2)
+    degenerate_draws(monkeypatch, {seed}, set(range(5)), at=lambda cfg: cfg.bs_antennas == 128)
+    with pytest.raises(RuntimeError) as err:
+        run_experiment(spec)
+    assert str(err.value) == (f"bs_antennas=128, trial 2 (seed {seed}): "
                               "fast-fading draw kept a degenerate PZF span after 5 attempts")
 
 
@@ -388,15 +439,19 @@ def test_monte_carlo_peak_stays_within_the_stack_budget():
     # sub-stacks of two trials at B = 256, K = 20, whose working sets peak at
     # 0.52 MB a trial while the MMSE estimates are formed (1.04 MB); a further
     # 0.56 MB kept alive through that step, 1.7 times the sub-stack's fading,
-    # exceeds the bound
-    cfgs = [SystemConfig(bs_antennas=256, rng_seed=trial_seed(3, t)) for t in range(10)]
-    assert _stack_size(cfgs[0], "mc") == 2
-    ls, pa, pp, coeffs, sets, _ = _scenario_pipeline(cfgs)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _mc_rates(cfgs, ls, pa, pp, coeffs, sets, MC_METRICS)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * harness._STACK_BYTES
+    # exceeds the bound.  A group of points also holds the sub-stack's shared
+    # normals, every point's analytic stack and the previous point's
+    # estimates (3.7 times the budget at B = 64, 128 and 256)
+    for antennas in ([256], [64, 128, 256]):
+        group = [[SystemConfig(bs_antennas=b, rng_seed=trial_seed(3, t)) for t in range(10)] for b in antennas]
+        assert min(_stack_size(cfgs[0], "mc") for cfgs in group) == 2
+        ls = _scenario_pipeline(group[0])[0]
+        stacks = [_scenario_pipeline(cfgs, ls)[1:5] for cfgs in group]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _mc_rates(group, ls, stacks, MC_METRICS)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * harness._STACK_BYTES, antennas
