@@ -22,14 +22,15 @@ per-link coefficient, so same-pilot estimates are exactly collinear.
 Every dataclass here may carry a leading trial axis (see
 scenario.TrialAxis), and every function then serves a whole stack of
 same-size draws in one call, each draw with the bits it gets alone.  Random
-numbers stay per trial.  draw_fast_fading and simulate_pilot_phase read
-standard normals in one order: a generator gives one draw, a list of
-generators, one per trial, gives a stack whose row t reads rng[t], and a
-(T, L) array of normals (see normals) gives a stack whose row t reads row
-t.  A draw reads a prefix of its normals: fading_normals(config) for the
-fading, noise_normals(config) for the pilot noise.  A generator's normals
-do not depend on how its calls are split, so one row drawn at the largest
-count a set of configs needs holds each config's own draw as its prefix.
+numbers stay per trial.  draw_fast_fading and simulate_pilot_phase take a
+generator, which gives one draw, a list of generators, one per trial,
+which gives a stack whose row t reads rng[t], or a (T, L) array of normals
+whose row t gives the stack's row t; a generator is read as the array of
+its first normals (see normals), so every draw runs one path.  A draw
+reads a prefix of its normals: fading_normals(config) for the fading,
+noise_normals(config) for the pilot noise.  A generator's normals do not
+depend on how its calls are split, so one row drawn at the largest count a
+set of configs needs holds each config's own draw as its prefix.
 """
 from __future__ import annotations
 
@@ -185,28 +186,18 @@ def normals(rng, count):
     return out
 
 
-def _cn(src, at, shape):
-    """i.i.d. CN(0, 1) samples, all real parts, then all imaginary parts:
-    read at offset at from normals src of shape (..., L), or drawn next from
-    a generator, or from each of a list of generators (row t from src[t]).
-    Returns the (..., *shape) samples and the offset after them.  Drawing
-    part by part keeps a lone draw's working set to its output; draws that
-    share their normals read them from one array."""
-    size, scale = math.prod(shape), 1.0 / np.sqrt(2.0)
-    if isinstance(src, np.ndarray):
-        if src.shape[-1] < at + 2 * size:
-            raise ValueError(f"need {at + 2 * size} normals a draw, got {src.shape[-1]}")
-        lead = src.shape[:-1]
-        out = np.empty(lead + shape, dtype=complex)
-        np.multiply(src[..., at:at + size].reshape(lead + shape), scale, out=out.real)
-        np.multiply(src[..., at + size:at + 2 * size].reshape(lead + shape), scale, out=out.imag)
-        return out, at + 2 * size
-    gens = src if isinstance(src, list) else [src]
-    out = np.empty((len(gens),) + shape, dtype=complex)
-    for row, g in zip(out, gens):
-        np.multiply(g.standard_normal(shape), scale, out=row.real)
-        np.multiply(g.standard_normal(shape), scale, out=row.imag)
-    return out if isinstance(src, list) else out[0], at + 2 * size
+def _cn(z, at, shape):
+    """i.i.d. CN(0, 1) samples read at offset at from normals z of shape
+    (..., L), all real parts, then all imaginary parts.  Returns the
+    (..., *shape) samples and the offset after them."""
+    size = math.prod(shape)
+    if z.shape[-1] < at + 2 * size:
+        raise ValueError(f"need {at + 2 * size} normals a draw, got {z.shape[-1]}")
+    lead, scale = z.shape[:-1], 1.0 / np.sqrt(2.0)
+    out = np.empty(lead + shape, dtype=complex)
+    np.multiply(z[..., at:at + size].reshape(lead + shape), scale, out=out.real)
+    np.multiply(z[..., at + size:at + 2 * size].reshape(lead + shape), scale, out=out.imag)
+    return out, at + 2 * size
 
 
 def draw_fast_fading(config, rng=None):
@@ -215,12 +206,13 @@ def draw_fast_fading(config, rng=None):
     least fading_normals(config) each."""
     if rng is None:
         rng = substream(config.rng_seed, FADING)
+    z = rng if isinstance(rng, np.ndarray) else normals(rng, fading_normals(config))
     b, n = config.bs_antennas, config.n_cu
     k, m = config.n_d2d, config.d2drx_antennas
-    h_c, at = _cn(rng, 0, (b, n))
-    h_d, at = _cn(rng, at, (b, k))
-    g_d, at = _cn(rng, at, (k, m, k))
-    g_c, _ = _cn(rng, at, (k, m, n))
+    h_c, at = _cn(z, 0, (b, n))
+    h_d, at = _cn(z, at, (b, k))
+    g_d, at = _cn(z, at, (k, m, k))
+    g_c, _ = _cn(z, at, (k, m, n))
     return ChannelRealization(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)
 
 
@@ -287,6 +279,7 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     """
     if rng is None:
         rng = substream(config.rng_seed, NOISE)
+    z = rng if isinstance(rng, np.ndarray) else normals(rng, noise_normals(config))
     b, m = config.bs_antennas, config.d2drx_antennas
     n, k, tau = config.n_cu, config.n_d2d, config.pilot_len
     n0 = config.noise_power
@@ -296,7 +289,7 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     y_bs = np.empty(lead + (b, tau), dtype=complex)
     y_bs[..., :n] = np.sqrt(pp.q_p * ls.u_c)[..., None, :] * real.h_c
     y_bs[..., n:] = (np.sqrt(pp.p_p * ls.u_d)[..., None, :] * real.h_d) @ o_t
-    noise, at = _cn(rng, 0, (b, tau))
+    noise, at = _cn(z, 0, (b, tau))
     y_bs += np.sqrt(n0) * noise
 
     # real.g_c[r, :, a] and real.g_d[r, :, i] scaled by their Rx-r gains
@@ -304,7 +297,7 @@ def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
     y_rx[..., :n] = np.swapaxes(np.sqrt(pp.q_p[..., :, None] * ls.v_c), -1, -2)[..., None, :] * real.g_c
     y_rx[..., n:] = (np.swapaxes(np.sqrt(pp.p_p[..., :, None] * ls.v_d), -1, -2)[..., None, :]
                      * real.g_d) @ o_t[..., None, :, :]
-    y_rx += np.sqrt(n0) * _cn(rng, at, (k, m, tau))[0]
+    y_rx += np.sqrt(n0) * _cn(z, at, (k, m, tau))[0]
 
     return PilotObservation(y_bs=y_bs, y_rx=y_rx)
 

@@ -95,10 +95,10 @@ _ES_GUARD = 250_000   # enumeration budget for the fig3 exhaustive baseline
 # Bytes of channel draws one stack holds at once: the fast fading of a
 # Monte Carlo sub-stack, and the large-scale gains of a bounds_mc or mse
 # chunk.  The working sets run to a few times that: the Monte Carlo path
-# peaks while the MMSE estimates are formed, at 3.1-3.5 times its fading
-# (1.04 MB for two trials at B = 256, K = 20, against 0.166 MB a draw), the
-# analytic layers at 6-8 times the gains.  Larger stacks run little faster
-# but raise the resident peak.
+# peaks while the MMSE estimates are formed, with the sub-stack's normals
+# and the last estimates alive (1.59 MB for two trials at B = 256, K = 20,
+# against 0.166 MB of fading a draw), the analytic layers at 6-8 times the
+# gains.  Larger stacks run little faster but raise the resident peak.
 _STACK_BYTES = 400_000
 
 
@@ -158,10 +158,7 @@ def spec_from_dict(doc):
     sweep = doc["sweep"]
     if not isinstance(sweep, dict) or "variable" not in sweep or "values" not in sweep:
         raise SpecError("sweep", "must be an object with 'variable' and 'values'")
-    for v in sweep["values"]:
-        # a run writes or prints one number per point in its sweep column
-        if not _is_real(v):
-            raise SpecError("sweep.values", f"value {v!r} is not a finite number")
+    _check_sweep_numbers(sweep["values"])
     try:
         config = SystemConfig.from_dict(doc.get("config", {}))
     except (TypeError, ValueError) as exc:
@@ -188,6 +185,14 @@ def load_spec(path):
     return spec_from_dict(doc)
 
 
+def _check_sweep_numbers(values):
+    """A run writes or prints one number per point in its sweep column: a
+    spec document, and a spec with an output, sweep finite numbers only."""
+    for v in values:
+        if not _is_real(v):
+            raise SpecError("sweep.values", f"value {v!r} is not a finite number")
+
+
 def validate_spec(spec):
     if spec.experiment not in EXPERIMENTS:
         raise SpecError("experiment", f"unknown experiment {spec.experiment!r}; "
@@ -201,10 +206,10 @@ def validate_spec(spec):
         raise SpecError("sweep.values", "must be a nonempty list")
     if not _is_int(spec.trials) or spec.trials < 1:
         raise SpecError("trials", "must be an integer >= 1")
+    if spec.output:
+        _check_sweep_numbers(spec.sweep_values)
     kind, _ = EXPERIMENTS[spec.experiment]
     for v in spec.sweep_values:
-        if spec.output and not _is_real(v):   # the CSV's sweep column holds one number per point
-            raise SpecError("sweep.values", f"value {v!r} is not a finite number")
         try:
             cfg = apply_sweep(spec.config, spec.sweep_variable, v)
             if kind != "mse":   # the PZF rate bounds need a positive array gain
@@ -310,8 +315,9 @@ def _mc_rates(group, ls, stacks, metrics):
     of as many trials as _stack_size(cfg, "mc") allows at every point draw
     each row's attempt-0 fading and noise normals once, at the group's
     largest counts, and each point in sweep order reads its own prefix of
-    them (see _mc_point).  A lone point reads its generators directly,
-    which keeps its working set to its own draw."""
+    them (see _mc_point).  The sub-stacks are sized by the group's largest
+    point, so the budget holds the shared normals too; a smaller point runs
+    in sub-stacks smaller than its own budget allows."""
     cfgs = group[0]
     size = min(_stack_size(point[0], "mc") for point in group)
     counts = [max(count(point[0]) for point in group) for count in (fading_normals, noise_normals)]
@@ -319,9 +325,8 @@ def _mc_rates(group, ls, stacks, metrics):
     sums = [{m: np.empty(len(cfgs)) for m in _MC_TERMS if m in metrics} for _ in group]
     for first in range(0, len(cfgs), size):
         rows = np.arange(first, min(first + size, len(cfgs)))
-        drawn = [[substream(cfgs[r].rng_seed, purpose, 0) for r in rows] for purpose in (FADING, NOISE)]
-        if len(group) > 1:   # the points share the normals: draw them once
-            drawn = [normals(gens, count) for gens, count in zip(drawn, counts)]
+        drawn = [normals([substream(cfgs[r].rng_seed, purpose, 0) for r in rows], count)
+                 for purpose, count in zip((FADING, NOISE), counts)]
         for i, point in enumerate(group):
             with _at_point(i):
                 # the last estimates stay alive until the next are formed:
@@ -334,12 +339,12 @@ def _mc_rates(group, ls, stacks, metrics):
 
 def _mc_point(cfgs, rows, drawn, ls, stack, powers, sums):
     """Monte Carlo sum rates of the trials rows at one sweep point, written
-    into sums, from drawn: the rows' attempt-0 (fading, noise) normals, or
-    their generators.  The rows run through pilot phase, MMSE and PZF/SINR
-    as one stack.  A row whose draw leaves a degenerate PZF span (measure
-    zero) is redrawn, at this point alone, from its trial's next substreams
-    while the other rows keep their draws; after 5 attempts a SolverError
-    names it.  Returns the last draw's MMSE estimates."""
+    into sums, from drawn: the rows' attempt-0 (fading, noise) normals.  The
+    rows run through pilot phase, MMSE and PZF/SINR as one stack.  A row
+    whose draw leaves a degenerate PZF span (measure zero) is redrawn, at
+    this point alone, from its trial's next substreams while the other rows
+    keep their draws; after 5 attempts a SolverError names it.  Returns the
+    last draw's MMSE estimates."""
     cfg = cfgs[0]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
     pa, pp, coeffs, sets = stack
@@ -395,6 +400,20 @@ def _chunk_bounds_mc(group, metrics, ls=None):
             for point, cfgs in zip(sums, group)]
 
 
+def _each_point(chunk):
+    """The draw-group form of chunk(cfgs, metrics, ls), which runs one sweep
+    point: it runs the group's points in sweep order on the shared gains
+    ls, a failure tagged with its point."""
+    def run(group, metrics, ls):
+        results = []
+        for i, cfgs in enumerate(group):
+            with _at_point(i):
+                results.append(chunk(cfgs, metrics, ls))
+        return results
+    return run
+
+
+@_each_point
 def _chunk_mse(cfgs, metrics, ls):
     cfg, t, k = cfgs[0], len(cfgs), cfgs[0].n_d2d
     schedulers = {
@@ -433,12 +452,15 @@ def _solve_jdpc(cfgs, ls=None):
     return rc, prefactor, solved
 
 
+@_each_point
 def _chunk_jdpc(cfgs, metrics, ls):
     rc, prefactor, solved = _solve_jdpc(cfgs, ls)
     return [_jdpc_metrics(rc[r], prefactor, res, metrics) for r, res in enumerate(solved)]
 
 
-_CHUNKS = {"mse": _chunk_mse, "jdpc": _chunk_jdpc}   # one sweep point at a time
+# pipeline kind -> chunk(group, metrics, ls): per point of the draw group,
+# one {metric: value} per trial
+_CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc}
 
 
 def _run_chunk(task):
@@ -457,14 +479,7 @@ def _run_chunk(task):
         return {m: [r[m] for r in trials if m in r] for m in metrics}
 
     try:
-        ls = _large_scale(group[0])
-        if kind == "bounds_mc":
-            return [columns(trials) for trials in _chunk_bounds_mc(group, metrics, ls)]
-        results = []
-        for i, cfgs in enumerate(group):
-            with _at_point(i):
-                results.append(columns(_CHUNKS[kind](cfgs, metrics, ls)))
-        return results
+        return [columns(trials) for trials in _CHUNKS[kind](group, metrics, _large_scale(group[0]))]
     except SolverError as exc:
         where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
         raise RuntimeError(f"{points[getattr(exc, 'point', 0)]}, {where}: {exc.args[0]}") from exc

@@ -76,16 +76,15 @@ class TestFastFading:
 
     @pytest.mark.parametrize("shape", [(0,), (7,), (256, 20), (20, 8, 20), (3, 1, 4, 2)])
     def test_cn_matches_the_sum_of_parts_form(self, shape):
-        # drawn from a generator or a list of one, or read at an offset from
-        # one draw's normals or a row of a stack of them
+        # read at an offset from one draw's normals, a row of a stack of
+        # them, or a whole stack
         count = 2 * int(np.prod(shape))
         want = reference_cn(substream(3, 1), shape)
-        drawn = [_cn(substream(3, 1), 5, shape), _cn([substream(3, 1)], 5, shape)]
-        drawn[1] = drawn[1][0][0], drawn[1][1]
         for z in (normals(substream(3, 1), count), normals([substream(3, 1)], count)[0]):
-            drawn.append(_cn(np.concatenate([np.zeros(5), z, np.zeros(3)]), 5, shape))
-        for got, at in drawn:
+            got, at = _cn(np.concatenate([np.zeros(5), z, np.zeros(3)]), 5, shape)
             assert same_bits(got, want) and at == 5 + count
+        got, at = _cn(normals([substream(4, 1), substream(3, 1)], count + 2), 0, shape)
+        assert same_bits(got[1], want) and at == count
 
     def test_draw_reads_its_normals_in_the_sum_of_parts_order(self):
         cfg = small_config()

@@ -181,7 +181,7 @@ def test_mse_floor_is_the_contamination_free_formula(name):
     cfgs = trial_configs(name)
     cfg = cfgs[0]
     ls = harness._large_scale(cfgs)
-    for t, row in enumerate(harness._chunk_mse(cfgs, ["sum_mse_lb"], ls)):
+    for t, row in enumerate(harness._chunk_mse([cfgs], ["sum_mse_lb"], ls)[0]):
         s = cfg.pilot_len * cfg.max_power_d2d * np.diag(ls.v_d[t])
         want = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
         assert row["sum_mse_lb"].hex() == want.hex()
@@ -436,12 +436,11 @@ def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
 
 
 def test_monte_carlo_peak_stays_within_the_stack_budget():
-    # sub-stacks of two trials at B = 256, K = 20, whose working sets peak at
-    # 0.52 MB a trial while the MMSE estimates are formed (1.04 MB); a further
-    # 0.56 MB kept alive through that step, 1.7 times the sub-stack's fading,
-    # exceeds the bound.  A group of points also holds the sub-stack's shared
-    # normals, every point's analytic stack and the previous point's
-    # estimates (3.7 times the budget at B = 64, 128 and 256)
+    # sub-stacks of two trials at B = 256, K = 20, whose working sets peak
+    # while the MMSE estimates are formed, with the sub-stack's normals
+    # (0.46 MB) and the last estimates alive: 3.96 times the budget alone,
+    # 3.74 times in a group of B = 64, 128 and 256, whose other points'
+    # estimates are smaller but whose analytic stacks all stay alive
     for antennas in ([256], [64, 128, 256]):
         group = [[SystemConfig(bs_antennas=b, rng_seed=trial_seed(3, t)) for t in range(10)] for b in antennas]
         assert min(_stack_size(cfgs[0], "mc") for cfgs in group) == 2
