@@ -13,7 +13,9 @@ Sweep points whose configs agree on scenario.DRAW_FIELDS (the fields
 topology placement and large-scale gains read) form one draw group: a
 sweep of bs_antennas, pilot_len, coherence_len or sinr_target is one
 group, a sweep of n_d2d or d2d_max_dist a group per point.  A task runs
-one chunk of trials at every point of a group.  It draws each trial's
+one chunk of trials at every point of a group.  It carries each point's
+config, built once and keeping the root seed, and the chunk's trial
+seeds, which every draw reads.  It draws each trial's
 topology from its own substream and the chunk's large-scale gains once,
 then runs the points in sweep order on those gains, each pushing all the
 chunk's trials through the analytic layers from PSA onward (PSA,
@@ -55,7 +57,8 @@ import numpy as np
 
 from . import __version__
 from .scenario import (DRAW_FIELDS, SystemConfig, Topology, generate_topology, compute_large_scale,
-                       substream, trial_seed, _is_int, _is_real, FADING, NOISE, SHADOWING)
+                       substream, trial_seed, _is_int, _is_real, TOPOLOGY, SHADOWING, FADING, NOISE,
+                       RANDOM_PILOTS)
 from .channel import (PilotAssignment, PowerProfile, estimation_coeffs, group_powers, draw_fast_fading,
                       simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals, normals)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
@@ -206,8 +209,14 @@ def validate_spec(spec):
         raise SpecError("sweep.values", "must be a nonempty list")
     if not _is_int(spec.trials) or spec.trials < 1:
         raise SpecError("trials", "must be an integer >= 1")
+    if spec.output is not None and not isinstance(spec.output, str):
+        raise SpecError("output", f"must be a path string or null (got {spec.output!r})")
     if spec.output:
         _check_sweep_numbers(spec.sweep_values)
+    names = spec.metrics   # a name given twice would pool its trials twice into one row
+    if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                                  and len(set(names)) == len(names)):
+        raise SpecError("metrics", f"must be a list of distinct metric names or null (got {names!r})")
     kind, _ = EXPERIMENTS[spec.experiment]
     for v in spec.sweep_values:
         try:
@@ -248,33 +257,29 @@ def apply_sweep(config, variable, value):
     return SystemConfig.from_dict(d)
 
 
-def _large_scale(cfgs):
-    """Large-scale gains of a stack of trial configs that agree on every
-    DRAW_FIELDS entry but rng_seed, each trial drawing from its own
-    substreams.  A topology that cannot be placed raises a SolverError
-    naming its row."""
+def _large_scale(cfg, seeds):
+    """Large-scale gains of the trials seeds at config cfg, each trial
+    drawing its topology and shadowing from its own substreams.  A topology
+    that cannot be placed raises a SolverError naming its row."""
     topos = []
-    for r, cfg in enumerate(cfgs):
+    for r, seed in enumerate(seeds):
         try:
-            topos.append(generate_topology(cfg))
+            topos.append(generate_topology(cfg, substream(seed, TOPOLOGY)))
         except RuntimeError as exc:
             raise SolverError(str(exc), [r]) from exc
-    return compute_large_scale(Topology.stack(topos), cfgs[0],
-                               [substream(cfg.rng_seed, SHADOWING) for cfg in cfgs])
+    return compute_large_scale(Topology.stack(topos), cfg, [substream(seed, SHADOWING) for seed in seeds])
 
 
-def _scenario_pipeline(cfgs, ls=None):
-    """Analytic layers of a stack of same-size trial configs at full power,
-    each result with a leading trial axis: (ls, pa, pp, coeffs, sets, rc).
-    ls is the trials' large-scale gains, drawn here when not given."""
-    cfg = cfgs[0]
-    ls = _large_scale(cfgs) if ls is None else ls
+def _scenario_pipeline(cfg, ls):
+    """Analytic layers at config cfg and full power on a stack of trials'
+    large-scale gains ls, each result with a leading trial axis: (pa, pp,
+    coeffs, sets, rc)."""
     pa = psa(ls, cfg)
-    pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(cfgs))
+    pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(ls.u_c))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
     rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
-    return ls, pa, pp, coeffs, sets, rc
+    return pa, pp, coeffs, sets, rc
 
 
 def _stack_size(cfg, kind):
@@ -307,37 +312,36 @@ def _at_point(i):
 _MC_TERMS = {"sum_se_cell": cell_sinr_terms, "sum_se_d2d": d2d_sinr_terms}
 
 
-def _mc_rates(group, ls, stacks, metrics):
-    """Monte Carlo sum rates of a chunk of trials at every point of a draw
+def _mc_rates(group, seeds, ls, stacks, metrics):
+    """Monte Carlo sum rates of the trials seeds at every point of a draw
     group, one fast-fading draw per trial and point: per point, {metric:
-    (T,) array}.  group[i] holds point i's trial configs and stacks[i] its
-    (pa, pp, coeffs, sets) on the trials' large-scale gains ls.  Sub-stacks
-    of as many trials as _stack_size(cfg, "mc") allows at every point draw
-    each row's attempt-0 fading and noise normals once, at the group's
-    largest counts, and each point in sweep order reads its own prefix of
-    them (see _mc_point).  The sub-stacks are sized by the group's largest
-    point, so the budget holds the shared normals too; a smaller point runs
-    in sub-stacks smaller than its own budget allows."""
-    cfgs = group[0]
-    size = min(_stack_size(point[0], "mc") for point in group)
-    counts = [max(count(point[0]) for point in group) for count in (fading_normals, noise_normals)]
+    (T,) array}.  group[i] is point i's config and stacks[i] its (pa, pp,
+    coeffs, sets) on the trials' large-scale gains ls.  Sub-stacks of as
+    many trials as _stack_size(cfg, "mc") allows at every point draw each
+    row's attempt-0 fading and noise normals once, at the group's largest
+    counts, and each point in sweep order reads its own prefix of them (see
+    _mc_point).  The sub-stacks are sized by the group's largest point, so
+    the budget holds the shared normals too; a smaller point runs in
+    sub-stacks smaller than its own budget allows."""
+    size = min(_stack_size(cfg, "mc") for cfg in group)
+    counts = [max(count(cfg) for cfg in group) for count in (fading_normals, noise_normals)]
     powers = [group_powers(ls, pa, pp.p_p) for pa, pp, _, _ in stacks]
-    sums = [{m: np.empty(len(cfgs)) for m in _MC_TERMS if m in metrics} for _ in group]
-    for first in range(0, len(cfgs), size):
-        rows = np.arange(first, min(first + size, len(cfgs)))
-        drawn = [normals([substream(cfgs[r].rng_seed, purpose, 0) for r in rows], count)
+    sums = [{m: np.empty(len(seeds)) for m in _MC_TERMS if m in metrics} for _ in group]
+    for first in range(0, len(seeds), size):
+        rows = np.arange(first, min(first + size, len(seeds)))
+        drawn = [normals([substream(seeds[r], purpose, 0) for r in rows], count)
                  for purpose, count in zip((FADING, NOISE), counts)]
-        for i, point in enumerate(group):
+        for i, cfg in enumerate(group):
             with _at_point(i):
                 # the last estimates stay alive until the next are formed:
                 # freed first, their pages went back to the system and
                 # faulted back in at the next draw (4 times the page faults
                 # of a 3-point K=20 group, 1.6 times at K=100)
-                held = _mc_point(point, rows, drawn, ls, stacks[i], powers[i], sums[i])
+                held = _mc_point(cfg, seeds, rows, drawn, ls, stacks[i], powers[i], sums[i])
     return sums
 
 
-def _mc_point(cfgs, rows, drawn, ls, stack, powers, sums):
+def _mc_point(cfg, seeds, rows, drawn, ls, stack, powers, sums):
     """Monte Carlo sum rates of the trials rows at one sweep point, written
     into sums, from drawn: the rows' attempt-0 (fading, noise) normals.  The
     rows run through pilot phase, MMSE and PZF/SINR as one stack.  A row
@@ -345,13 +349,12 @@ def _mc_point(cfgs, rows, drawn, ls, stack, powers, sums):
     this point alone, from its trial's next substreams while the other rows
     keep their draws; after 5 attempts a SolverError names it.  Returns the
     last draw's MMSE estimates."""
-    cfg = cfgs[0]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
     pa, pp, coeffs, sets = stack
     todo = rows
     for attempt in range(5):
         if attempt:
-            drawn = [[substream(cfgs[r].rng_seed, purpose, attempt) for r in todo] for purpose in (FADING, NOISE)]
+            drawn = [[substream(seeds[r], purpose, attempt) for r in todo] for purpose in (FADING, NOISE)]
         ls_t, pa_t, pp_t, coeffs_t, sets_t = (_take(x, todo) for x in (ls, pa, pp, coeffs, sets))
         est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg, drawn[0]), ls_t, pa_t, pp_t, cfg, drawn[1]),
                             ls_t, pa_t, pp_t, cfg, [_take(p, todo) for p in powers])
@@ -374,53 +377,52 @@ def _mc_point(cfgs, rows, drawn, ls, stack, powers, sums):
     raise SolverError("fast-fading draw kept a degenerate PZF span after 5 attempts", todo)
 
 
-def _chunk_bounds_mc(group, metrics, ls=None):
-    """Rate bounds and Monte Carlo sum rates of a chunk of trials at every
-    point of a draw group (group[i]: point i's trial configs) on the trials'
-    large-scale gains ls, drawn here when not given: per point, one
-    {metric: value} per trial.  Each point runs its analytic stack in sweep
-    order; the Monte Carlo layers then run every point on each sub-stack."""
-    ls = _large_scale(group[0]) if ls is None else ls
+def _chunk_bounds_mc(group, seeds, metrics, ls):
+    """Rate bounds and Monte Carlo sum rates of the trials seeds at every
+    point of a draw group (group[i]: point i's config) on the trials'
+    large-scale gains ls: per point, one {metric: value} per trial.  Each
+    point runs its analytic stack in sweep order; the Monte Carlo layers
+    then run every point on each sub-stack."""
     mc = any(m in _MC_TERMS for m in metrics)
     sums, stacks = [], []
-    for i, cfgs in enumerate(group):
+    for i, cfg in enumerate(group):
         with _at_point(i):
-            _, pa, pp, coeffs, sets, rc = _scenario_pipeline(cfgs, ls)
+            pa, pp, coeffs, sets, rc = _scenario_pipeline(cfg, ls)
             point = {}
             if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
-                r_c, r_d = rate_lower_bounds(rc, pp, cfgs[0])
+                r_c, r_d = rate_lower_bounds(rc, pp, cfg)
                 point = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
         sums.append(point)
         if mc:
             stacks.append((pa, pp, coeffs, sets))
     if mc:
-        for point, rates in zip(sums, _mc_rates(group, ls, stacks, metrics)):
+        for point, rates in zip(sums, _mc_rates(group, seeds, ls, stacks, metrics)):
             point.update(rates)
-    return [[{m: float(point[m][r]) for m in metrics} for r in range(len(cfgs))]
-            for point, cfgs in zip(sums, group)]
+    return [[{m: float(point[m][r]) for m in metrics} for r in range(len(seeds))] for point in sums]
 
 
 def _each_point(chunk):
-    """The draw-group form of chunk(cfgs, metrics, ls), which runs one sweep
-    point: it runs the group's points in sweep order on the shared gains
-    ls, a failure tagged with its point."""
-    def run(group, metrics, ls):
+    """The draw-group form of chunk(cfg, seeds, metrics, ls), which runs one
+    sweep point: it runs the group's points in sweep order on the shared
+    gains ls, a failure tagged with its point."""
+    def run(group, seeds, metrics, ls):
         results = []
-        for i, cfgs in enumerate(group):
+        for i, cfg in enumerate(group):
             with _at_point(i):
-                results.append(chunk(cfgs, metrics, ls))
+                results.append(chunk(cfg, seeds, metrics, ls))
         return results
     return run
 
 
 @_each_point
-def _chunk_mse(cfgs, metrics, ls):
-    cfg, t, k = cfgs[0], len(cfgs), cfgs[0].n_d2d
+def _chunk_mse(cfg, seeds, metrics, ls):
+    t, k = len(seeds), cfg.n_d2d
     schedulers = {
         # no rate coefficients: a config without PZF degrees of freedom still runs
         "sum_mse_psa": lambda: psa(ls, cfg),
-        "sum_mse_rps": lambda: PilotAssignment.stack([random_assignment(c) for c in cfgs]),
-        "sum_mse_es": lambda: PilotAssignment.stack([exhaustive_search(ls[r], c) for r, c in enumerate(cfgs)]),
+        "sum_mse_rps": lambda: PilotAssignment.stack([random_assignment(cfg, substream(s, RANDOM_PILOTS))
+                                                      for s in seeds]),
+        "sum_mse_es": lambda: PilotAssignment.stack([exhaustive_search(ls[r], cfg) for r in range(t)]),
         # contamination-free floor: every pair alone on its pilot
         "sum_mse_lb": lambda: PilotAssignment(np.broadcast_to(cfg.n_cu + 1 + np.arange(k), (t, k)),
                                               n_cu=cfg.n_cu, pilot_len=cfg.n_cu + k),
@@ -439,13 +441,11 @@ def _jdpc_metrics(rc, prefactor, res, metrics):
     return {m: out[m] for m in metrics if m in out}
 
 
-def _solve_jdpc(cfgs, ls=None):
-    """Stacked rate coefficients of the draws, the pre-log factor, and the
-    joint power control of all draws in lockstep (one sweep point: same sizes
-    and targets), on large-scale gains ls as in _scenario_pipeline.  A
+def _solve_jdpc(cfg, ls):
+    """Stacked rate coefficients of the draws ls at config cfg, the pre-log
+    factor, and the joint power control of all draws in lockstep.  A
     failing solver raises a SolverError naming its rows."""
-    rc = _scenario_pipeline(cfgs, ls)[-1]
-    cfg = cfgs[0]
+    rc = _scenario_pipeline(cfg, ls)[-1]
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
     solved = jdpc_stack(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                         tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
@@ -453,13 +453,13 @@ def _solve_jdpc(cfgs, ls=None):
 
 
 @_each_point
-def _chunk_jdpc(cfgs, metrics, ls):
-    rc, prefactor, solved = _solve_jdpc(cfgs, ls)
+def _chunk_jdpc(cfg, seeds, metrics, ls):
+    rc, prefactor, solved = _solve_jdpc(cfg, ls)
     return [_jdpc_metrics(rc[r], prefactor, res, metrics) for r, res in enumerate(solved)]
 
 
-# pipeline kind -> chunk(group, metrics, ls): per point of the draw group,
-# one {metric: value} per trial
+# pipeline kind -> chunk(group, seeds, metrics, ls): per point of the draw
+# group, one {metric: value} per trial
 _CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc}
 
 
@@ -472,14 +472,13 @@ def _run_chunk(task):
     re-raised naming the sweep value it was raised at (the group's first
     for the shared large-scale draw), trial index and trial seed, so the
     draw can be re-run."""
-    cfg_dicts, kind, metrics, first, seeds, points = task
-    group = [[SystemConfig.from_dict({**cfg_dict, "rng_seed": s}) for s in seeds] for cfg_dict in cfg_dicts]
+    group, kind, metrics, first, seeds, points = task
 
     def columns(trials):
         return {m: [r[m] for r in trials if m in r] for m in metrics}
 
     try:
-        return [columns(trials) for trials in _CHUNKS[kind](group, metrics, _large_scale(group[0]))]
+        return [columns(trials) for trials in _CHUNKS[kind](group, seeds, metrics, _large_scale(group[0], seeds))]
     except SolverError as exc:
         where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
         raise RuntimeError(f"{points[getattr(exc, 'point', 0)]}, {where}: {exc.args[0]}") from exc
@@ -520,10 +519,10 @@ def run_experiment(spec, workers=1):
         if kind != "jdpc":
             share = len(members) if any(m in _MC_TERMS for m in metrics) else 1
             size = min(size, max(1, _stack_size(point_cfgs[members[0]], "analytic") // share))
-        dicts = [point_cfgs[i].to_dict() for i in members]
+        group = [point_cfgs[i] for i in members]
         points = [f"{spec.sweep_variable}={spec.sweep_values[i]!r}" for i in members]
         for first in range(0, len(seeds), size):
-            tasks.append((dicts, kind, tuple(metrics), first, seeds[first:first + size], points))
+            tasks.append((group, kind, tuple(metrics), first, seeds[first:first + size], points))
             owners.append(members)
 
     values = [{m: [] for m in metrics} for _ in point_cfgs]   # per sweep point, in trial order
@@ -583,15 +582,14 @@ def convergence_traces(cfg, max_draws=50):
     the first feasible trial index wins; with none, trial 0 is traced)."""
     first = None
     for t in range(max_draws):
-        cfg_t = SystemConfig.from_dict({**cfg.to_dict(), "rng_seed": trial_seed(cfg.rng_seed, t)})
-        rc, prefactor, (joint,) = _solve_jdpc([cfg_t])
-        probe = (t, cfg_t, rc[0], prefactor, joint)
+        rc, prefactor, (joint,) = _solve_jdpc(cfg, _large_scale(cfg, [trial_seed(cfg.rng_seed, t)]))
+        probe = (t, rc[0], prefactor, joint)
         first = first or probe
         if probe[-1].feasible:
             break
     else:
         probe = first
-    chosen, cfg, rc, prefactor, joint = probe
+    chosen, rc, prefactor, joint = probe
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     cell = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power, record_trace=True)
     cell_trace = [

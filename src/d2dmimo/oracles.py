@@ -14,7 +14,7 @@ from .channel import PowerProfile, estimation_coeffs
 from .receivers import select_cancellation, rate_coeffs, pzf_filter
 from .pilot_scheduling import psa, pilot_power_parametric
 from .power_control import CellularFixedPoint, dpcc_iterate, dpcd, cellular_power_budget
-from .harness import _scenario_pipeline
+from .harness import _large_scale, _scenario_pipeline
 from .channel import draw_fast_fading, simulate_pilot_phase, mmse_estimate
 
 
@@ -53,7 +53,8 @@ def oracle_pzf_zeros(seed=0):
     worst = 0.0
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
-        ls, pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline([cfg]))
+        ls = _large_scale(cfg, [cfg.rng_seed])[0]
+        pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline(cfg, ls[None]))
         real = draw_fast_fading(cfg)
         obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
         est = mmse_estimate(obs, ls, pa, pp, cfg)

@@ -76,6 +76,17 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="metrics"):
             validate_spec(tiny_spec(metrics=["sum_mse_psa"]))
 
+    @pytest.mark.parametrize("metrics", [["sum_se_cell_lb", "sum_se_cell_lb"], "sum_se_cell_lb",
+                                         ("sum_se_cell_lb",), ["sum_se_cell_lb", 1]])
+    def test_metrics_must_be_a_list_of_distinct_names(self, metrics):
+        # a repeated name would pool its trials twice into one row
+        with pytest.raises(SpecError, match="metrics"):
+            validate_spec(tiny_spec(metrics=metrics))
+
+    def test_output_must_be_a_path_string(self):
+        with pytest.raises(SpecError, match="output"):
+            spec_from_dict({**tiny_spec().to_dict(), "output": 5})
+
     def test_from_dict_roundtrip_and_field_errors(self):
         doc = tiny_spec().to_dict()
         spec = spec_from_dict(doc)
@@ -264,6 +275,30 @@ class TestRunExperiment:
         assert table[(32, "sum_se_cell")] > table[(16, "sum_se_cell")]
 
 
+def test_no_config_is_built_per_trial(monkeypatch):
+    # a task carries its points' configs, and chunks read the trial seeds
+    built = []
+    init = SystemConfig.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    specs = [ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[16, 32, 64],
+                            trials=3, config=desk_config()),
+             ExperimentSpec(experiment="fig7", sweep_variable="n_d2d", sweep_values=[4, 6],
+                            trials=3, config=desk_config())]
+    monkeypatch.setattr(SystemConfig, "__init__", spy)
+    counts = []
+    for trials in (3, 12):
+        for spec in specs:
+            spec.trials = trials
+            built.clear()
+            run_experiment(spec)
+            counts.append(len(built))
+    assert counts[:2] == counts[2:]
+
+
 # two valid values of every SystemConfig field but rng_seed on fig2's config
 FIELD_VALUES = {
     "n_cu": [5, 4], "n_d2d": [20, 15], "bs_antennas": [128, 64], "d2drx_antennas": [8, 6],
@@ -371,8 +406,8 @@ def test_joint_power_control_runs_one_single_trial_dpcc_per_running_trial_and_ro
         return res
 
     monkeypatch.setattr(power_control, "dpcc", spy)
-    _, _, solved = _solve_jdpc([SystemConfig(n_d2d=n_d2d, sinr_target=gamma,
-                                             rng_seed=trial_seed(12345, t)) for t in range(30)])
+    cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=12345)
+    _, _, solved = _solve_jdpc(cfg, harness._large_scale(cfg, [trial_seed(12345, t) for t in range(30)]))
     infeasible = sum(not res.feasible for res in solved)
     assert 0 < infeasible < len(solved)
     assert all(ndim == 1 and type(feasible) is bool for ndim, feasible in calls)
@@ -396,8 +431,7 @@ def test_convergence_traces_fallback_traces_trial_0():
     cfg = desk_config(sinr_target=50.0)   # no QoS-feasible draw
     traces = convergence_traces(cfg, max_draws=2)
     assert not traces["feasible"] and traces["trial"] == 0
-    (rc,), prefactor, (joint,) = _solve_jdpc([desk_config(sinr_target=50.0,
-                                                          rng_seed=trial_seed(cfg.rng_seed, 0))])
+    (rc,), prefactor, (joint,) = _solve_jdpc(cfg, harness._large_scale(cfg, [trial_seed(cfg.rng_seed, 0)]))
     assert [t["objective"] for t in traces["joint"]] == joint.trace
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     q = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s

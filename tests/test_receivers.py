@@ -12,7 +12,7 @@ from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, Cancellati
                                select_cancellation, pzf_filter, cell_sinr_terms,
                                d2d_sinr_terms, rate_coeffs, rate_lower_bounds,
                                bound_sinrs, sigma_c_of, _project_out)
-from d2dmimo.harness import _scenario_pipeline
+from d2dmimo.harness import _large_scale, _scenario_pipeline
 
 
 def small_config(**kw):
@@ -457,11 +457,11 @@ def _per_cu_pzf_filter(est, sets, pa, kind):
 def test_shared_basis_keeps_the_per_cu_precision(monkeypatch, b):
     # the BS filters come from the coordinates of one QR per draw; the SINRs
     # must stay within 1e-13 of filters built in the B-dimensional space
-    cfgs = [SystemConfig(bs_antennas=b, rng_seed=trial_seed(777, t)) for t in range(30)]
-    cfg = cfgs[0]
-    ls, pa, pp, coeffs, sets, _ = _scenario_pipeline(cfgs)
-    real = draw_fast_fading(cfg, [substream(c.rng_seed, FADING) for c in cfgs])
-    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, [substream(c.rng_seed, NOISE) for c in cfgs])
+    cfg, seeds = SystemConfig(bs_antennas=b, rng_seed=777), [trial_seed(777, t) for t in range(30)]
+    ls = _large_scale(cfg, seeds)
+    pa, pp, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+    real = draw_fast_fading(cfg, [substream(s, FADING) for s in seeds])
+    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, [substream(s, NOISE) for s in seeds])
     args = (mmse_estimate(obs, ls, pa, pp, cfg), coeffs, ls, pa, pp, sets, cfg)
     sinr = cell_sinr_terms(*args).sinr
     monkeypatch.setattr(receivers, "pzf_filter", _per_cu_pzf_filter)

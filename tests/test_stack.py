@@ -2,6 +2,7 @@
 of a stack gets the bits it gets alone, and the blocked D2D-Rx placement
 draws what the one-attempt-at-a-time loop drew."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topol
 from d2dmimo.channel import (PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
                              draw_fast_fading, simulate_pilot_phase, mmse_estimate, fading_normals,
                              normals)
-from d2dmimo.pilot_scheduling import interference_metric, psa, random_assignment, sum_mse
+from d2dmimo.pilot_scheduling import exhaustive_search, interference_metric, psa, random_assignment, sum_mse
 from d2dmimo.power_control import cellular_power_budget
 from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, bound_sinrs,
                                rate_lower_bounds, sigma_c_of, sigma_d_of, pzf_filter,
@@ -81,14 +82,23 @@ CONFIGS = {
 }
 
 
-def trial_configs(name, trials=12):
-    return [SystemConfig(**CONFIGS[name], rng_seed=trial_seed(21, t)) for t in range(trials)]
+def trial_configs(name, trials=12, configs=CONFIGS):
+    """Each trial's own config, carrying its trial seed of root seed 21."""
+    return [SystemConfig(**configs[name], rng_seed=trial_seed(21, t)) for t in range(trials)]
+
+
+def point_stack(cfgs):
+    """The trials cfgs as the harness runs them: one point config carrying
+    the root seed, the trial seeds, and the trials' large-scale gains."""
+    cfg, seeds = replace(cfgs[0], rng_seed=21), [c.rng_seed for c in cfgs]
+    return cfg, seeds, harness._large_scale(cfg, seeds)
 
 
 def mixed_stack(cfgs):
     """A stack whose even trials take PSA pilots and odd trials random ones
     (these leave pilots empty when K is below the pilot count)."""
-    ls, pa = _scenario_pipeline(cfgs)[:2]
+    cfg, _, ls = point_stack(cfgs)
+    pa = psa(ls, cfg)
     pa = PilotAssignment.stack([pa[t] if t % 2 == 0 else random_assignment(cfg)
                                 for t, cfg in enumerate(cfgs)])
     pp = PowerProfile.stack([PowerProfile.max_power(cfg) for cfg in cfgs])
@@ -99,7 +109,8 @@ def mixed_stack(cfgs):
 class TestStackedLayers:
     def test_large_scale_and_psa(self, name):
         cfgs = trial_configs(name)
-        ls, pa = _scenario_pipeline(cfgs)[:2]
+        cfg, _, ls = point_stack(cfgs)
+        pa = _scenario_pipeline(cfg, ls)[0]
         chi = interference_metric(ls)
         for t, cfg in enumerate(cfgs):
             alone = compute_large_scale(generate_topology(cfg), cfg)
@@ -178,18 +189,27 @@ def test_sum_mse_rows_are_single_calls(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mse_floor_is_the_contamination_free_formula(name):
-    cfgs = trial_configs(name)
-    cfg = cfgs[0]
-    ls = harness._large_scale(cfgs)
-    for t, row in enumerate(harness._chunk_mse([cfgs], ["sum_mse_lb"], ls)[0]):
+    cfg, seeds, ls = point_stack(trial_configs(name))
+    for t, row in enumerate(harness._chunk_mse([cfg], seeds, ["sum_mse_lb"], ls)[0]):
         s = cfg.pilot_len * cfg.max_power_d2d * np.diag(ls.v_d[t])
         want = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
         assert row["sum_mse_lb"].hex() == want.hex()
 
 
+def test_chunk_mse_draws_each_trials_schedules_from_its_seed():
+    # the random and exhaustive-search rows of a chunk at the root seed's
+    # point config are those of each trial's own config alone
+    cfgs = trial_configs("silent first member", trials=6, configs=MC_CONFIGS)
+    cfg, seeds, ls = point_stack(cfgs)
+    rows = harness._chunk_mse([cfg], seeds, ["sum_mse_rps", "sum_mse_es"], ls)[0]
+    for row, cfg_t in zip(rows, cfgs):
+        ls_t = compute_large_scale(generate_topology(cfg_t), cfg_t)
+        assert row["sum_mse_rps"].hex() == float(sum_mse(ls_t, random_assignment(cfg_t), cfg_t)).hex()
+        assert row["sum_mse_es"].hex() == float(sum_mse(ls_t, exhaustive_search(ls_t, cfg_t), cfg_t)).hex()
+
+
 def test_stack_round_trip():
-    cfgs = trial_configs("zero budgets", trials=3)
-    ls = _scenario_pipeline(cfgs)[0]
+    ls = point_stack(trial_configs("zero budgets", trials=3))[2]
     again = LargeScale.stack([ls[t] for t in range(3)])
     assert same_fields(again, ls) and ls.u_c.shape == (3, 3)
 
@@ -250,8 +270,7 @@ MC_METRICS = ("sum_se_cell", "sum_se_cell_lb", "sum_se_d2d", "sum_se_d2d_lb")
 
 def mc_inputs(name, trials):
     """Configs and mixed PSA / random-pilot stack of the analytic inputs."""
-    cfgs = [SystemConfig(**MC_CONFIGS[name], rng_seed=trial_seed(21, t))
-            for t in range(trials)]
+    cfgs = trial_configs(name, trials, MC_CONFIGS)
     ls, pa, pp = mixed_stack(cfgs)
     if name == "silent first member":
         sets = select_cancellation(ls, pa, cfgs[0])
@@ -308,19 +327,27 @@ def hex_rows(results):
     return [[float(r[m]).hex() for m in MC_METRICS] for r in results]
 
 
+def bounds_mc_alone(cfg):
+    """One trial's row: a chunk of that trial alone at its own config."""
+    return _chunk_bounds_mc([cfg], [cfg.rng_seed], MC_METRICS, harness._large_scale(cfg, [cfg.rng_seed]))[0][0]
+
+
 @pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1])
 @pytest.mark.parametrize("name", ["K=40", "one pair", "rejections", "zero budgets"])
 def test_chunk_bounds_mc_matches_each_trial_alone(monkeypatch, name, budget):
     monkeypatch.setattr(harness, "_STACK_BYTES", budget)
-    cfgs = [SystemConfig(**MC_CONFIGS[name], rng_seed=trial_seed(21, t)) for t in range(7)]
-    alone = [_chunk_bounds_mc([[cfg]], MC_METRICS)[0][0] for cfg in cfgs]
-    assert hex_rows(_chunk_bounds_mc([cfgs], MC_METRICS)[0]) == hex_rows(alone)
+    cfgs = trial_configs(name, 7, MC_CONFIGS)
+    alone = [bounds_mc_alone(cfg) for cfg in cfgs]
+    cfg, seeds, ls = point_stack(cfgs)
+    assert hex_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0]) == hex_rows(alone)
 
 
 def mc_sums_alone(cfg, attempt):
     """The Monte Carlo sum rates of one trial's draw at one attempt, computed
     the way a trial-by-trial loop does."""
-    ls, pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline([cfg]))
+    ls = harness._large_scale(cfg, [cfg.rng_seed])
+    pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline(cfg, ls))
+    ls = ls[0]
     real = draw_fast_fading(cfg, substream(cfg.rng_seed, FADING, attempt))
     obs = simulate_pilot_phase(real, ls, pa, pp, cfg, substream(cfg.rng_seed, NOISE, attempt))
     args = (mmse_estimate(obs, ls, pa, pp, cfg), coeffs, ls, pa, pp, sets, cfg)
@@ -352,14 +379,15 @@ def degenerate_draws(monkeypatch, seeds, attempts, at=lambda config: True):
 
 
 def test_degenerate_row_is_redrawn_alone(monkeypatch):
-    cfgs = [SystemConfig(**MC_CONFIGS["rejections"], rng_seed=trial_seed(21, t)) for t in range(7)]
-    want = [_chunk_bounds_mc([[cfg]], MC_METRICS)[0][0] for cfg in cfgs]
+    cfgs = trial_configs("rejections", 7, MC_CONFIGS)
+    want = [bounds_mc_alone(cfg) for cfg in cfgs]
     first, redrawn = mc_sums_alone(cfgs[4], attempt=0), mc_sums_alone(cfgs[4], attempt=1)
     assert all(want[4][m] == first[m] != redrawn[m] for m in first)
     assert _stack_size(cfgs[0], "mc") == 3   # trial 4 sits between trials 3 and 5
     degenerate_draws(monkeypatch, {cfgs[4].rng_seed}, {0})
     want[4].update(redrawn)
-    assert hex_rows(_chunk_bounds_mc([cfgs], MC_METRICS)[0]) == hex_rows(want)
+    cfg, seeds, ls = point_stack(cfgs)
+    assert hex_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0]) == hex_rows(want)
 
 
 GROUPS = {"bs_antennas": [64, 128, 256], "pilot_len": [6, 10, 25]}
@@ -372,15 +400,17 @@ def test_group_rows_match_each_point_alone(monkeypatch, variable, budget):
     # row degenerate at the middle point alone is redrawn there alone
     monkeypatch.setattr(harness, "_STACK_BYTES", budget)
     values = GROUPS[variable]
-    group = [[apply_sweep(SystemConfig(rng_seed=trial_seed(21, t)), variable, v) for t in range(7)]
-             for v in values]
-    want = [[_chunk_bounds_mc([[cfg]], MC_METRICS)[0][0] for cfg in cfgs] for cfgs in group]
+    seeds = [trial_seed(21, t) for t in range(7)]
+    group = [[apply_sweep(SystemConfig(rng_seed=s), variable, v) for s in seeds] for v in values]
+    want = [[bounds_mc_alone(cfg) for cfg in cfgs] for cfgs in group]
     bad = group[1][4]
     first, redrawn = mc_sums_alone(bad, attempt=0), mc_sums_alone(bad, attempt=1)
     assert all(want[1][4][m] == first[m] != redrawn[m] for m in first)
     want[1][4].update(redrawn)
     degenerate_draws(monkeypatch, {bad.rng_seed}, {0}, at=lambda cfg: getattr(cfg, variable) == values[1])
-    assert [hex_rows(point) for point in _chunk_bounds_mc(group, MC_METRICS)] == [hex_rows(p) for p in want]
+    points = [apply_sweep(SystemConfig(rng_seed=21), variable, v) for v in values]
+    got = _chunk_bounds_mc(points, seeds, MC_METRICS, harness._large_scale(points[0], seeds))
+    assert [hex_rows(point) for point in got] == [hex_rows(p) for p in want]
 
 
 def test_group_draws_each_trials_normals_once(monkeypatch):
@@ -441,15 +471,16 @@ def test_monte_carlo_peak_stays_within_the_stack_budget():
     # (0.46 MB) and the last estimates alive: 3.96 times the budget alone,
     # 3.74 times in a group of B = 64, 128 and 256, whose other points'
     # estimates are smaller but whose analytic stacks all stay alive
+    seeds = [trial_seed(3, t) for t in range(10)]
     for antennas in ([256], [64, 128, 256]):
-        group = [[SystemConfig(bs_antennas=b, rng_seed=trial_seed(3, t)) for t in range(10)] for b in antennas]
-        assert min(_stack_size(cfgs[0], "mc") for cfgs in group) == 2
-        ls = _scenario_pipeline(group[0])[0]
-        stacks = [_scenario_pipeline(cfgs, ls)[1:5] for cfgs in group]
+        group = [SystemConfig(bs_antennas=b, rng_seed=3) for b in antennas]
+        assert min(_stack_size(cfg, "mc") for cfg in group) == 2
+        ls = harness._large_scale(group[0], seeds)
+        stacks = [_scenario_pipeline(cfg, ls)[:4] for cfg in group]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _mc_rates(group, ls, stacks, MC_METRICS)
+            _mc_rates(group, seeds, ls, stacks, MC_METRICS)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
