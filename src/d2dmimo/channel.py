@@ -19,6 +19,16 @@ received power of every group at the BS and every D2D-Rx, and the MMSE
 estimate of a D2D link is its pilot's observation column scaled by a
 per-link coefficient, so same-pilot estimates are exactly collinear.
 
+The Monte Carlo path reads every term that does not depend on the draw
+from a receivers.MonteCarloPlan, built once per sweep point:
+simulate_pilot_phase takes the pilot amplitudes and the reuse matrix from
+it, mmse_estimate the MMSE scalings and pilot columns, so a draw costs only
+the draw-dependent work.  A plan holds the receiver sides SIDES names that
+some metric reads ("cu": the BS, "d2d": the D2D-Rxs), and each function
+forms only those; the other side's arrays are None.  A side formed alone
+reads the normals it reads when both are formed, the BS side a prefix of
+them, so it gets the same bits.
+
 Every dataclass here may carry a leading trial axis (see
 scenario.TrialAxis), and every function then serves a whole stack of
 same-size draws in one call, each draw with the bits it gets alone.  Random
@@ -27,8 +37,8 @@ generator, which gives one draw, a list of generators, one per trial,
 which gives a stack whose row t reads rng[t], or a (T, L) array of normals
 whose row t gives the stack's row t; a generator is read as the array of
 its first normals (see normals), so every draw runs one path.  A draw
-reads a prefix of its normals: fading_normals(config) for the fading,
-noise_normals(config) for the pilot noise.  A generator's normals do not
+reads a prefix of its normals: fading_normals(config, sides) for the
+fading, noise_normals(config, sides) for the pilot noise.  A generator's normals do not
 depend on how its calls are split, so one row drawn at the largest count a
 set of configs needs holds each config's own draw as its prefix.
 """
@@ -116,7 +126,8 @@ class ChannelRealization(TrialAxis):
     """One block-fading draw; every entry is standard complex normal.
 
     g_d[k, :, i] is the fast-fading vector D2D-Tx i -> D2D-Rx k;
-    g_c[k, :, n] is CU n -> D2D-Rx k.
+    g_c[k, :, n] is CU n -> D2D-Rx k.  The channels of a receiver side not
+    drawn are None (h_c, h_d: the BS; g_d, g_c: the D2D-Rxs).
     """
 
     h_c: np.ndarray   # (B, N)
@@ -127,7 +138,8 @@ class ChannelRealization(TrialAxis):
 
 @dataclass
 class EstimatedChannels(TrialAxis):
-    """MMSE estimates, same layout as ChannelRealization."""
+    """MMSE estimates, same layout as ChannelRealization (None for a side
+    not formed)."""
 
     h_c: np.ndarray
     h_d: np.ndarray
@@ -137,6 +149,8 @@ class EstimatedChannels(TrialAxis):
 
 @dataclass
 class PilotObservation(TrialAxis):
+    """Received pilot matrices; None for a side not formed."""
+
     y_bs: np.ndarray   # (B, tau)
     y_rx: np.ndarray   # (K, M, tau)
 
@@ -161,18 +175,27 @@ class EstimationCoeffs(TrialAxis):
     eps_cd: np.ndarray
 
 
-def fading_normals(config):
-    """Standard normals one fast-fading draw reads: the real, then the
-    imaginary parts of h_c, then of h_d, g_d and g_c."""
+# The receiver sides a Monte Carlo draw can form: "cu" at the BS, "d2d" at
+# every D2D-Rx.
+SIDES = ("cu", "d2d")
+
+
+def fading_normals(config, sides=SIDES):
+    """Standard normals one fast-fading draw reads for the receiver sides
+    sides: the real, then the imaginary parts of h_c, then of h_d (the BS
+    side), g_d and g_c (the D2D-Rx side).  The BS side alone reads the
+    prefix of h_c and h_d."""
     b, n = config.bs_antennas, config.n_cu
     k, m = config.n_d2d, config.d2drx_antennas
-    return 2 * (b * (n + k) + k * m * (k + n))
+    return 2 * (b * (n + k) + (k * m * (k + n) if "d2d" in sides else 0))
 
 
-def noise_normals(config):
-    """Standard normals one pilot phase reads: the BS noise, then the
-    D2D-Rx noise."""
-    return 2 * config.pilot_len * (config.bs_antennas + config.n_d2d * config.d2drx_antennas)
+def noise_normals(config, sides=SIDES):
+    """Standard normals one pilot phase reads for the receiver sides sides:
+    the BS noise, then the D2D-Rx noise.  The BS side alone reads the
+    prefix of the BS noise."""
+    b, m, k = config.bs_antennas, config.d2drx_antennas, config.n_d2d
+    return 2 * config.pilot_len * (b + (k * m if "d2d" in sides else 0))
 
 
 def normals(rng, count):
@@ -200,19 +223,24 @@ def _cn(z, at, shape):
     return out, at + 2 * size
 
 
-def draw_fast_fading(config, rng=None):
+def draw_fast_fading(config, rng=None, sides=SIDES):
     """One fast-fading draw, or a (T, ...) stack of draws for a list of T
     generators, one per trial, or for (T, L) normals whose rows hold at
-    least fading_normals(config) each."""
+    least fading_normals(config, sides) each.  The channels of a receiver
+    side not in sides are None; each side reads the normals it reads when
+    both are drawn."""
     if rng is None:
         rng = substream(config.rng_seed, FADING)
-    z = rng if isinstance(rng, np.ndarray) else normals(rng, fading_normals(config))
+    z = rng if isinstance(rng, np.ndarray) else normals(rng, fading_normals(config, sides))
     b, n = config.bs_antennas, config.n_cu
     k, m = config.n_d2d, config.d2drx_antennas
-    h_c, at = _cn(z, 0, (b, n))
-    h_d, at = _cn(z, at, (b, k))
-    g_d, at = _cn(z, at, (k, m, k))
-    g_c, _ = _cn(z, at, (k, m, n))
+    h_c = h_d = g_d = g_c = None
+    if "cu" in sides:
+        h_c, at = _cn(z, 0, (b, n))
+        h_d, _ = _cn(z, at, (b, k))
+    if "d2d" in sides:
+        g_d, at = _cn(z, 2 * b * (n + k), (k, m, k))
+        g_c, _ = _cn(z, at, (k, m, n))
     return ChannelRealization(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)
 
 
@@ -242,8 +270,10 @@ def group_powers(ls, pa, p_p):
     return den_bs, den_rx
 
 
-def estimation_coeffs(ls, pa, pp, n0):
-    """Closed-form estimate/error variances for every estimated link."""
+def estimation_coeffs(ls, pa, pp, n0, powers=None):
+    """Closed-form estimate/error variances for every estimated link.
+    powers is group_powers(ls, pa, pp.p_p), computed here unless the caller
+    already has it."""
     for a in (ls.u_c, ls.u_d, ls.v_c, ls.v_d):
         if not np.all(np.isfinite(a)):
             raise ValueError("large-scale gains must be finite")
@@ -251,7 +281,7 @@ def estimation_coeffs(ls, pa, pp, n0):
     sc = pp.q_p * ls.u_c
     delta_c = sc / (sc + n0)
 
-    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p) if powers is None else powers
     group = pa.pilot_of - pa.n_cu - 1
     delta_d = pp.p_p * ls.u_d / (np.take_along_axis(den_bs, group, axis=-1) + n0)
     mu_d = (pp.p_p[..., :, None] * ls.v_d) / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0)
@@ -267,66 +297,59 @@ def estimation_coeffs(ls, pa, pp, n0):
     )
 
 
-def simulate_pilot_phase(real, ls, pa, pp, config, rng=None):
-    """Received pilot matrices at the BS and every D2D-Rx.
+def simulate_pilot_phase(real, plan, config, rng=None):
+    """Received pilot matrices at the BS and every D2D-Rx, for the sides of
+    plan (a receivers.MonteCarloPlan); a side it does not form is None.
 
     Uses the identity pilot basis, so CU n lands in column n-1 and each
     D2D pilot column is the reuse-matrix sum of its group's signals; noise
     entries are i.i.d. CN(0, N0).  A stack of draws takes a list of
     generators, one per trial, or (T, L) normals whose rows hold at least
-    noise_normals(config) each; a row holds its trial's BS noise, then its
-    D2D-Rx noise.
+    noise_normals(config, plan.sides) each; a row holds its trial's BS
+    noise, then its D2D-Rx noise.
     """
     if rng is None:
         rng = substream(config.rng_seed, NOISE)
-    z = rng if isinstance(rng, np.ndarray) else normals(rng, noise_normals(config))
+    z = rng if isinstance(rng, np.ndarray) else normals(rng, noise_normals(config, plan.sides))
     b, m = config.bs_antennas, config.d2drx_antennas
     n, k, tau = config.n_cu, config.n_d2d, config.pilot_len
     n0 = config.noise_power
-    o_t = np.swapaxes(pa.to_matrix(), -1, -2)
-    lead = pa.pilot_of.shape[:-1]
+    o_t = np.swapaxes(plan.o, -1, -2)
+    lead = plan.col.shape[:-1]
 
-    y_bs = np.empty(lead + (b, tau), dtype=complex)
-    y_bs[..., :n] = np.sqrt(pp.q_p * ls.u_c)[..., None, :] * real.h_c
-    y_bs[..., n:] = (np.sqrt(pp.p_p * ls.u_d)[..., None, :] * real.h_d) @ o_t
-    noise, at = _cn(z, 0, (b, tau))
-    y_bs += np.sqrt(n0) * noise
-
-    # real.g_c[r, :, a] and real.g_d[r, :, i] scaled by their Rx-r gains
-    y_rx = np.empty(lead + (k, m, tau), dtype=complex)
-    y_rx[..., :n] = np.swapaxes(np.sqrt(pp.q_p[..., :, None] * ls.v_c), -1, -2)[..., None, :] * real.g_c
-    y_rx[..., n:] = (np.swapaxes(np.sqrt(pp.p_p[..., :, None] * ls.v_d), -1, -2)[..., None, :]
-                     * real.g_d) @ o_t[..., None, :, :]
-    y_rx += np.sqrt(n0) * _cn(z, at, (k, m, tau))[0]
+    y_bs = y_rx = None
+    if "cu" in plan.sides:
+        y_bs = np.empty(lead + (b, tau), dtype=complex)
+        y_bs[..., :n] = plan.pilot_c[..., None, :] * real.h_c
+        y_bs[..., n:] = (plan.pilot_d[..., None, :] * real.h_d) @ o_t
+        y_bs += np.sqrt(n0) * _cn(z, 0, (b, tau))[0]
+    if "d2d" in plan.sides:
+        # real.g_c[r, :, a] and real.g_d[r, :, i] scaled by their Rx-r gains
+        y_rx = np.empty(lead + (k, m, tau), dtype=complex)
+        y_rx[..., :n] = np.swapaxes(plan.pilot_rc, -1, -2)[..., None, :] * real.g_c
+        y_rx[..., n:] = (np.swapaxes(plan.pilot_rd, -1, -2)[..., None, :] * real.g_d) @ o_t[..., None, :, :]
+        y_rx += np.sqrt(n0) * _cn(z, 2 * b * tau, (k, m, tau))[0]
 
     return PilotObservation(y_bs=y_bs, y_rx=y_rx)
 
 
-def mmse_estimate(obs, ls, pa, pp, config, powers=None):
-    """Linear MMSE estimates of every channel from the pilot observations.
+def mmse_estimate(obs, plan, config):
+    """Linear MMSE estimates of every channel of plan's sides from the pilot
+    observations; a side it does not form is None.
 
     Each D2D estimate is its pilot's observation column scaled by a
     per-link coefficient, so estimates of same-pilot channels at a common
-    receiver are exactly collinear.  powers is group_powers(ls, pa, pp.p_p),
-    computed here unless the caller already has it.
+    receiver are exactly collinear.
     """
     n = config.n_cu
-    n0 = config.noise_power
-
-    sc = pp.q_p * ls.u_c
-    h_c = (np.sqrt(sc) / (sc + n0))[..., None, :] * obs.y_bs[..., :n]
-    scd = pp.q_p[..., :, None] * ls.v_c
-    g_c = np.swapaxes(np.sqrt(scd) / (scd + n0), -1, -2)[..., None, :] * obs.y_rx[..., :n]
-
-    den_bs, den_rx = group_powers(ls, pa, pp.p_p) if powers is None else powers
-    group = pa.pilot_of - n - 1
-    col = pa.pilot_of - 1
-    h_d = ((np.sqrt(pp.p_p * ls.u_d) / (np.take_along_axis(den_bs, group, axis=-1) + n0))[..., None, :]
-           * np.take_along_axis(obs.y_bs, col[..., None, :], axis=-1))
-    # coef[i, r] scales Rx r's observation column of pair i's pilot
-    coef = (np.sqrt(pp.p_p[..., :, None] * ls.v_d)
-            / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0))
-    g_d = (np.swapaxes(coef, -1, -2)[..., None, :]
-           * np.take_along_axis(obs.y_rx, col[..., None, None, :], axis=-1))
+    h_c = h_d = g_c = g_d = None
+    if "cu" in plan.sides:
+        h_c = plan.mmse_c[..., None, :] * obs.y_bs[..., :n]
+        h_d = plan.mmse_d[..., None, :] * np.take_along_axis(obs.y_bs, plan.col[..., None, :], axis=-1)
+    if "d2d" in plan.sides:
+        g_c = np.swapaxes(plan.mmse_rc, -1, -2)[..., None, :] * obs.y_rx[..., :n]
+        # mmse_rd[i, r] scales Rx r's observation column of pair i's pilot
+        g_d = (np.swapaxes(plan.mmse_rd, -1, -2)[..., None, :]
+               * np.take_along_axis(obs.y_rx, plan.col[..., None, None, :], axis=-1))
 
     return EstimatedChannels(h_c=h_c, h_d=h_d, g_d=g_d, g_c=g_c)

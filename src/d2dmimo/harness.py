@@ -21,13 +21,18 @@ then runs the points in sweep order on those gains, each pushing all the
 chunk's trials through the analytic layers from PSA onward (PSA,
 estimation coefficients, cancellation sets, rate coefficients and
 bounds) as one stack with a leading trial axis, and the power-control
-recipes solve each point's stack in lockstep.  The Monte Carlo layers
-(fast fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the
-chunk sized by a byte budget.  A trial's fading and pilot-noise normals
-depend on its seed, not on the sweep value, and a point of a smaller size
-reads a prefix of them, so each sub-stack draws every trial's normals
-once, from the trial's own substreams, at the group's largest counts, and
-the points read their prefixes in sweep order.  The estimation recipe
+recipes solve each point's stack in lockstep.  A Monte Carlo recipe
+then keeps, of each point's analytic stack, only its MonteCarloPlan: the
+terms of the Monte Carlo layers that do not depend on the fast fading,
+formed once per point for the receiver sides the metrics read (the BS for
+sum_se_cell, the D2D-Rxs for sum_se_d2d).  The Monte Carlo layers (fast
+fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the chunk sized
+by a byte budget, each on its rows of the plan, and do only the
+draw-dependent work of those sides.  A trial's fading and pilot-noise
+normals depend on its seed, not on the sweep value, and a point of a
+smaller size reads a prefix of them, so each sub-stack draws every trial's
+normals once, from the trial's own substreams, at the group's largest
+counts, and the points read their prefixes in sweep order.  The estimation recipe
 scores each scheduler's assignments for the whole chunk in one sum_mse
 call; random assignments are drawn and exhaustive searches run per
 trial, on each trial's slice of the stack.  Every trial gets the bits it
@@ -62,7 +67,7 @@ from .scenario import (DRAW_FIELDS, SystemConfig, Topology, generate_topology, c
 from .channel import (PilotAssignment, PowerProfile, estimation_coeffs, group_powers, draw_fast_fading,
                       simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals, normals)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
-                        bound_sinrs, cell_sinr_terms, d2d_sinr_terms)
+                        bound_sinrs, cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan)
 from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
 from .power_control import SolverError, jdpc_stack, dpcc, dpcd
 
@@ -99,7 +104,7 @@ _ES_GUARD = 250_000   # enumeration budget for the fig3 exhaustive baseline
 # Monte Carlo sub-stack, and the large-scale gains of a bounds_mc or mse
 # chunk.  The working sets run to a few times that: the Monte Carlo path
 # peaks while the MMSE estimates are formed, with the sub-stack's normals
-# and the last estimates alive (1.59 MB for two trials at B = 256, K = 20,
+# and the last estimates alive (1.49 MB for two trials at B = 256, K = 20,
 # against 0.166 MB of fading a draw), the analytic layers at 6-8 times the
 # gains.  Larger stacks run little faster but raise the resident peak.
 _STACK_BYTES = 400_000
@@ -158,9 +163,8 @@ def spec_from_dict(doc):
     unknown = set(doc) - {"experiment", "sweep", "trials", "config", "output", "metrics"}
     if unknown:
         raise SpecError(sorted(unknown)[0], "unknown field")
+    _check_shape(doc)
     sweep = doc["sweep"]
-    if not isinstance(sweep, dict) or "variable" not in sweep or "values" not in sweep:
-        raise SpecError("sweep", "must be an object with 'variable' and 'values'")
     _check_sweep_numbers(sweep["values"])
     try:
         config = SystemConfig.from_dict(doc.get("config", {}))
@@ -177,6 +181,30 @@ def spec_from_dict(doc):
     )
     validate_spec(spec)
     return spec
+
+
+def _check_shape(doc):
+    """The JSON types of a spec document's fields that the other rules
+    assume, checked before them, so that a malformed document fails with a
+    SpecError naming its field."""
+    if not isinstance(doc["experiment"], str):
+        raise SpecError("experiment", f"must be a string (got {doc['experiment']!r})")
+    sweep = doc["sweep"]
+    if not isinstance(sweep, dict) or "variable" not in sweep or "values" not in sweep:
+        raise SpecError("sweep", "must be an object with 'variable' and 'values'")
+    unknown = set(sweep) - {"variable", "values"}
+    if unknown:
+        raise SpecError(f"sweep.{sorted(unknown)[0]}", "unknown field")
+    if not isinstance(sweep["variable"], str):
+        raise SpecError("sweep.variable", f"must be a string (got {sweep['variable']!r})")
+    if not isinstance(sweep["values"], list):
+        raise SpecError("sweep.values", "must be a nonempty list")
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise SpecError("config", f"must be an object (got {config!r})")
+    for name in ("pzf_bs", "pzf_d2d"):
+        if name in config and not (isinstance(config[name], list) and len(config[name]) == 2):
+            raise SpecError("config", f"{name} must be a list of two integers (got {config[name]!r})")
 
 
 def load_spec(path):
@@ -273,13 +301,14 @@ def _large_scale(cfg, seeds):
 def _scenario_pipeline(cfg, ls):
     """Analytic layers at config cfg and full power on a stack of trials'
     large-scale gains ls, each result with a leading trial axis: (pa, pp,
-    coeffs, sets, rc)."""
+    powers, coeffs, sets, rc), powers being group_powers(ls, pa, pp.p_p)."""
     pa = psa(ls, cfg)
     pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(ls.u_c))
-    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+    powers = group_powers(ls, pa, pp.p_p)
+    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
     sets = select_cancellation(ls, pa, cfg)
     rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
-    return pa, pp, coeffs, sets, rc
+    return pa, pp, powers, coeffs, sets, rc
 
 
 def _stack_size(cfg, kind):
@@ -309,23 +338,24 @@ def _at_point(i):
         raise
 
 
-_MC_TERMS = {"sum_se_cell": cell_sinr_terms, "sum_se_d2d": d2d_sinr_terms}
+# Monte Carlo metric -> (receiver side it reads, its SINR terms)
+_MC_TERMS = {"sum_se_cell": ("cu", cell_sinr_terms), "sum_se_d2d": ("d2d", d2d_sinr_terms)}
 
 
-def _mc_rates(group, seeds, ls, stacks, metrics):
+def _mc_rates(group, seeds, plans, metrics):
     """Monte Carlo sum rates of the trials seeds at every point of a draw
     group, one fast-fading draw per trial and point: per point, {metric:
-    (T,) array}.  group[i] is point i's config and stacks[i] its (pa, pp,
-    coeffs, sets) on the trials' large-scale gains ls.  Sub-stacks of as
-    many trials as _stack_size(cfg, "mc") allows at every point draw each
-    row's attempt-0 fading and noise normals once, at the group's largest
-    counts, and each point in sweep order reads its own prefix of them (see
-    _mc_point).  The sub-stacks are sized by the group's largest point, so
-    the budget holds the shared normals too; a smaller point runs in
-    sub-stacks smaller than its own budget allows."""
+    (T,) array}.  group[i] is point i's config and plans[i] its
+    MonteCarloPlan on the trials.  Sub-stacks of as many trials as
+    _stack_size(cfg, "mc") allows at every point draw each row's attempt-0
+    fading and noise normals once, at the group's largest counts for the
+    plans' sides, and each point in sweep order reads its own prefix of
+    them (see _mc_point).  The sub-stacks are sized by the group's largest
+    point, so the budget holds the shared normals too; a smaller point runs
+    in sub-stacks smaller than its own budget allows."""
     size = min(_stack_size(cfg, "mc") for cfg in group)
-    counts = [max(count(cfg) for cfg in group) for count in (fading_normals, noise_normals)]
-    powers = [group_powers(ls, pa, pp.p_p) for pa, pp, _, _ in stacks]
+    sides = plans[0].sides
+    counts = [max(count(cfg, sides) for cfg in group) for count in (fading_normals, noise_normals)]
     sums = [{m: np.empty(len(seeds)) for m in _MC_TERMS if m in metrics} for _ in group]
     for first in range(0, len(seeds), size):
         rows = np.arange(first, min(first + size, len(seeds)))
@@ -337,36 +367,37 @@ def _mc_rates(group, seeds, ls, stacks, metrics):
                 # freed first, their pages went back to the system and
                 # faulted back in at the next draw (4 times the page faults
                 # of a 3-point K=20 group, 1.6 times at K=100)
-                held = _mc_point(cfg, seeds, rows, drawn, ls, stacks[i], powers[i], sums[i])
+                held = _mc_point(cfg, seeds, rows, drawn, plans[i], sums[i])
     return sums
 
 
-def _mc_point(cfg, seeds, rows, drawn, ls, stack, powers, sums):
+def _mc_point(cfg, seeds, rows, drawn, plan, sums):
     """Monte Carlo sum rates of the trials rows at one sweep point, written
-    into sums, from drawn: the rows' attempt-0 (fading, noise) normals.  The
-    rows run through pilot phase, MMSE and PZF/SINR as one stack.  A row
-    whose draw leaves a degenerate PZF span (measure zero) is redrawn, at
-    this point alone, from its trial's next substreams while the other rows
-    keep their draws; after 5 attempts a SolverError names it.  Returns the
-    last draw's MMSE estimates."""
+    into sums, from drawn: the rows' attempt-0 (fading, noise) normals, and
+    plan, the point's MonteCarloPlan on the chunk's trials.  The rows run
+    through pilot phase, MMSE and PZF/SINR as one stack on plan's rows,
+    forming only the receiver sides the plan holds.  A row whose draw
+    leaves a degenerate PZF span (measure zero) is redrawn, at this point
+    alone, from its trial's next substreams while the other rows keep their
+    draws; after 5 attempts a SolverError names it.  Returns the last
+    draw's MMSE estimates."""
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    pa, pp, coeffs, sets = stack
     todo = rows
     for attempt in range(5):
         if attempt:
             drawn = [[substream(seeds[r], purpose, attempt) for r in todo] for purpose in (FADING, NOISE)]
-        ls_t, pa_t, pp_t, coeffs_t, sets_t = (_take(x, todo) for x in (ls, pa, pp, coeffs, sets))
-        est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg, drawn[0]), ls_t, pa_t, pp_t, cfg, drawn[1]),
-                            ls_t, pa_t, pp_t, cfg, [_take(p, todo) for p in powers])
-        inputs = (est, coeffs_t, ls_t, pa_t, pp_t, sets_t)
-        args, ok = inputs, np.arange(len(todo))   # ok: rows of this draw whose spans are full
+        plan_t = _take(plan, todo)
+        # the fading dies once the pilot phase has read it
+        est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg, drawn[0], plan.sides), plan_t, cfg,
+                                                 drawn[1]), plan_t, cfg)
+        args, ok = (est, plan_t), np.arange(len(todo))   # ok: rows of this draw whose spans are full
         while ok.size:
             try:
-                etas = {m: _MC_TERMS[m](*args, cfg).sinr for m in sums}
+                etas = {m: _MC_TERMS[m][1](*args).sinr for m in sums}
                 break
             except DegenerateSpanError as exc:
                 ok = np.delete(ok, exc.rows)
-                args = [x[ok] for x in inputs]
+                args = [x[ok] for x in (est, plan_t)]
         else:
             etas = {}
         for m, eta in etas.items():
@@ -381,22 +412,23 @@ def _chunk_bounds_mc(group, seeds, metrics, ls):
     """Rate bounds and Monte Carlo sum rates of the trials seeds at every
     point of a draw group (group[i]: point i's config) on the trials'
     large-scale gains ls: per point, one {metric: value} per trial.  Each
-    point runs its analytic stack in sweep order; the Monte Carlo layers
-    then run every point on each sub-stack."""
-    mc = any(m in _MC_TERMS for m in metrics)
-    sums, stacks = [], []
+    point runs its analytic stack in sweep order and keeps only its
+    MonteCarloPlan, of the receiver sides the metrics read; the Monte Carlo
+    layers then run every point on each sub-stack."""
+    sides = tuple(side for m, (side, _) in _MC_TERMS.items() if m in metrics)
+    sums, plans = [], []
     for i, cfg in enumerate(group):
         with _at_point(i):
-            pa, pp, coeffs, sets, rc = _scenario_pipeline(cfg, ls)
+            pa, pp, powers, coeffs, sets, rc = _scenario_pipeline(cfg, ls)
             point = {}
             if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
                 r_c, r_d = rate_lower_bounds(rc, pp, cfg)
                 point = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
+            if sides:
+                plans.append(monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power, sides))
         sums.append(point)
-        if mc:
-            stacks.append((pa, pp, coeffs, sets))
-    if mc:
-        for point, rates in zip(sums, _mc_rates(group, seeds, ls, stacks, metrics)):
+    if sides:
+        for point, rates in zip(sums, _mc_rates(group, seeds, plans, metrics)):
             point.update(rates)
     return [[{m: float(point[m][r]) for m in metrics} for r in range(len(seeds))] for point in sums]
 
@@ -513,8 +545,8 @@ def run_experiment(spec, workers=1):
     for members in groups.values():
         # one chunk per group, or about four per worker; power control solves
         # a whole chunk in lockstep, other chunks are capped in size, and
-        # share the cap among the points when every point's analytic stack
-        # stays alive while the Monte Carlo layers run
+        # share the cap among the points when every point's Monte Carlo
+        # plan stays alive while the Monte Carlo layers run
         size = len(seeds) if workers == 1 else max(1, len(seeds) // (4 * workers))
         if kind != "jdpc":
             share = len(members) if any(m in _MC_TERMS for m in metrics) else 1

@@ -11,7 +11,7 @@ import numpy as np
 
 from .scenario import SystemConfig, generate_topology, compute_large_scale
 from .channel import PowerProfile, estimation_coeffs
-from .receivers import select_cancellation, rate_coeffs, pzf_filter
+from .receivers import select_cancellation, rate_coeffs, pzf_filter, monte_carlo_plan
 from .pilot_scheduling import psa, pilot_power_parametric
 from .power_control import CellularFixedPoint, dpcc_iterate, dpcd, cellular_power_budget
 from .harness import _large_scale, _scenario_pipeline
@@ -53,17 +53,19 @@ def oracle_pzf_zeros(seed=0):
     worst = 0.0
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
-        ls = _large_scale(cfg, [cfg.rng_seed])[0]
-        pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline(cfg, ls[None]))
+        ls = _large_scale(cfg, [cfg.rng_seed])
+        pa, pp, powers, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+        plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)[0]
+        pa, sets = pa[0], sets[0]
         real = draw_fast_fading(cfg)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
-        est = mmse_estimate(obs, ls, pa, pp, cfg)
-        beta_cu = pzf_filter(est, sets, pa, "cu")
+        obs = simulate_pilot_phase(real, plan, cfg)
+        est = mmse_estimate(obs, plan, cfg)
+        beta_cu = pzf_filter(est, plan, "cu")
         bs_groups = np.isin(pa.pilot_of, sets.bs_cancel_groups)
         for n in range(cfg.n_cu):
             worst = max(worst, _leakage(beta_cu[n], est.h_c[:, sets.bs_cancel_cu[n]]),
                         _leakage(beta_cu[n], est.h_d[:, bs_groups]))
-        beta_d2d = pzf_filter(est, sets, pa, "d2d")
+        beta_d2d = pzf_filter(est, plan, "d2d")
         for k in range(cfg.n_d2d):
             rx_groups = np.isin(pa.pilot_of, sets.rx_cancel_groups[k])
             worst = max(worst, _leakage(beta_d2d[k], est.g_c[k][:, sets.rx_cancel_cu[k]]),

@@ -17,6 +17,20 @@ bounds from the estimation-quality coefficients (analytic path).  The
 package-level tests verify that Monte Carlo mean rates dominate the
 closed-form bounds.
 
+The Monte Carlo path splits its work at the draw.  monte_carlo_plan forms,
+once per sweep point and for the receiver sides some metric reads, every
+term that does not depend on the fast fading: the pilot amplitudes and
+MMSE scalings the channel module reads, each cancelled group's
+representative and span flag, the columns every filter cancels, the kept
+masks with their diagonals cleared, the interference weights and the
+error-plus-noise floors.  pzf_filter, cell_sinr_terms and d2d_sinr_terms
+then take the estimates of one draw, or a stack, and the plan's rows, and
+do only the work that depends on the draw.  At the BS a cancelled group is
+represented by its first member with a nonzero MMSE coefficient
+(p_p u_d > 0), so a silent member never represents it; this is the first
+member with a nonzero estimate unless a drawn estimate column is exactly
+zero, which has probability zero.  At a D2D-Rx it is the first member.
+
 Both paths also take a stack of same-size draws with a leading trial axis
 on every array, and give each draw the bits it gets alone: row-wise
 products are stacked matmuls (_vecmat, _dot), the PZF filters of a stack
@@ -31,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import group_powers
+from .channel import SIDES, group_powers
 from .scenario import TrialAxis
 
 
@@ -209,17 +223,121 @@ def _project_out(targets, cancelled):
     return resid / norm[..., None]
 
 
-def pzf_filter(est, sets, pa, kind):
+@dataclass
+class MonteCarloPlan(TrialAxis):
+    """The terms of the Monte Carlo layers that do not depend on the fast
+    fading draw, for the receiver sides in sides ("cu": the BS, "d2d": the
+    D2D-Rxs); the fields of a side not in sides are None.  Built once per
+    sweep point by monte_carlo_plan; a (T, ...) plan serves a stack of
+    draws, and plan[rows] serves those rows.  Matrices over Rx and Tx are
+    indexed [source, rx] like LargeScale.v_c and v_d."""
+
+    sides: tuple
+    o: np.ndarray            # (tau - N, K) reuse matrix
+    col: np.ndarray          # (K,) 0-based pilot column of every pair
+    # BS side: pilot amplitudes, MMSE scalings, PZF choice, SINR weights
+    pilot_c: np.ndarray      # (N,) sqrt(q_p u_c)
+    pilot_d: np.ndarray      # (K,) sqrt(p_p u_d)
+    mmse_c: np.ndarray       # (N,) scaling of CU n's pilot column into h_c
+    mmse_d: np.ndarray       # (K,) scaling of pair k's pilot column into h_d
+    bs_first: np.ndarray     # (1, b_d) representative of every cancelled group
+    bs_spans: np.ndarray     # (1, b_d) whether it has one
+    bs_picked: np.ndarray    # (N, b_c+b_d) cancelled columns of [CUs | representatives]
+    bs_kept_cu: np.ndarray   # (N, N) kept CUs of every target, self cleared
+    bs_kept_d: np.ndarray    # (N, K) kept pairs of every target
+    w_c: np.ndarray          # (N,) q_s u_c
+    w_dc: np.ndarray         # (K,) p_s u_d
+    alpha_c: np.ndarray      # (N,) error-plus-noise floor of every CU
+    # D2D-Rx side
+    pilot_rc: np.ndarray     # (N, K) sqrt(q_p v_c)
+    pilot_rd: np.ndarray     # (K, K) sqrt(p_p v_d)
+    mmse_rc: np.ndarray      # (N, K)
+    mmse_rd: np.ndarray      # (K, K)
+    rx_picked: np.ndarray    # (K, m_c+m_d) cancelled columns of [g_c | g_d] at Rx k
+    rx_spans: np.ndarray     # (K, m_d) whether each cancelled group has a member
+    rx_kept_d: np.ndarray    # (K, K) [rx, tx] kept pairs, self cleared
+    rx_kept_cu: np.ndarray   # (K, N) [rx, cu] kept CUs
+    w_rd: np.ndarray         # (K, K) p_s v_d
+    w_rc: np.ndarray         # (N, K) q_s v_c
+    alpha_d: np.ndarray      # (K,) error-plus-noise floor of every pair
+
+
+def _unset_diagonal(mask):
+    """mask with its (last two axes') diagonal cleared in place."""
+    k = mask.shape[-1]
+    mask[..., np.arange(k), np.arange(k)] = False
+    return mask
+
+
+def _first_members(o, groups):
+    """Per pilot group in groups, the lowest-index member marked in the
+    boolean reuse matrix o, and whether the group has one."""
+    first = np.take_along_axis(o.argmax(axis=-1)[..., None, :], groups, axis=-1)
+    spans = np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)
+    return first, spans
+
+
+def monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, n0, sides=SIDES):
+    """The draw-independent Monte Carlo terms of the receiver sides sides
+    (see MonteCarloPlan); powers is group_powers(ls, pa, pp.p_p).  Row t of
+    the plan has the bits of the plan built on row t's inputs alone.
+
+    At the BS a cancelled pilot group is represented by its first member
+    with a nonzero MMSE coefficient (p_p u_d > 0), and a group without one
+    spans nothing; at a D2D-Rx by its first member.
+    """
+    n = pa.n_cu
+    den_bs, den_rx = powers
+    o = pa.to_matrix()
+    group = pa.pilot_of - n - 1
+    terms = dict.fromkeys(MonteCarloPlan.__dataclass_fields__)
+    terms.update(sides=tuple(sides), o=o, col=pa.pilot_of - 1)
+    if "cu" in sides:
+        sc = pp.q_p * ls.u_c
+        pilot_c, pilot_d = np.sqrt(sc), np.sqrt(pp.p_p * ls.u_d)
+        mmse_d = pilot_d / (np.take_along_axis(den_bs, group, axis=-1) + n0)
+        first, spans = _first_members(o.astype(bool) & (mmse_d != 0)[..., None, :],
+                                      sets.bs_cancel_groups[..., None, :] - n - 1)
+        cancel_cu = sets.bs_cancel_cu
+        alpha = (np.sum(pp.q_s * ls.u_c * coeffs.eps_c, axis=-1)
+                 + np.sum(pp.p_s * ls.u_d * coeffs.eps_d, axis=-1)
+                 + n0)
+        terms.update(
+            pilot_c=pilot_c, pilot_d=pilot_d, mmse_c=pilot_c / (sc + n0), mmse_d=mmse_d,
+            bs_first=first, bs_spans=spans,
+            bs_picked=np.concatenate([cancel_cu, np.broadcast_to(
+                n + np.arange(first.shape[-1]), cancel_cu.shape[:-1] + first.shape[-1:])], axis=-1),
+            bs_kept_cu=_unset_diagonal(sets.bs_kept_cu(n)),
+            bs_kept_d=np.repeat(sets.bs_kept_pairs(pa)[..., None, :], n, axis=-2),
+            w_c=pp.q_s * ls.u_c, w_dc=pp.p_s * ls.u_d,
+            alpha_c=np.repeat(alpha[..., None], n, axis=-1))
+    if "d2d" in sides:
+        scd = pp.q_p[..., :, None] * ls.v_c
+        pilot_rc, pilot_rd = np.sqrt(scd), np.sqrt(pp.p_p[..., :, None] * ls.v_d)
+        first, spans = _first_members(o.astype(bool), sets.rx_cancel_groups - n - 1)
+        terms.update(
+            pilot_rc=pilot_rc, pilot_rd=pilot_rd, mmse_rc=pilot_rc / (scd + n0),
+            mmse_rd=pilot_rd / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0),
+            rx_picked=np.concatenate([sets.rx_cancel_cu, n + first], axis=-1), rx_spans=spans,
+            rx_kept_d=_unset_diagonal(sets.rx_kept_pairs(pa)), rx_kept_cu=sets.rx_kept_cu(n),
+            w_rd=pp.p_s[..., :, None] * ls.v_d, w_rc=pp.q_s[..., :, None] * ls.v_c,
+            alpha_d=(np.sum(pp.p_s[..., :, None] * ls.v_d * coeffs.eps_dd, axis=-2)
+                     + np.sum(pp.q_s[..., :, None] * ls.v_c * coeffs.eps_cd, axis=-2)
+                     + n0))
+    return MonteCarloPlan(**terms)
+
+
+def pzf_filter(est, plan, kind):
     """Unit-norm PZF receive filters of every link of one kind, one row per link.
 
     kind "cu" gives the (N, B) BS-side filters, row n detecting CU n;
     kind "d2d" gives the (K, M) filters, row k detecting pair k at its own
     receiver; a stack gives (T, N, B) or (T, K, M).  Each filter has exact
     zeros (up to rounding) on every cancelled estimate.  A cancelled pilot
-    group is represented by its lowest-index member's estimate (at the BS,
-    the first nonzero one), which zeroes the whole (collinear) group; a
-    group without one spans nothing.  Raises DegenerateSpanError, naming
-    the stack rows, if any target lies in its cancelled span.
+    group is represented by the estimate of the member plan picked, which
+    zeroes the whole (collinear) group; a group without one spans nothing.
+    Raises DegenerateSpanError, naming the stack rows, if any target lies
+    in its cancelled span.
 
     At the BS every target and every cancelled column lies in the span of
     the N CU estimates and the b_d group representatives.  One QR of that
@@ -228,31 +346,19 @@ def pzf_filter(est, sets, pa, kind):
     whose columns are orthonormal, takes the unit-norm results back to the
     B antennas.
     """
-    n = pa.n_cu
     if kind == "cu":
-        o = pa.to_matrix().astype(bool) & est.h_d.any(axis=-2)[..., None, :]   # pairs sending a pilot
-        groups = sets.bs_cancel_groups[..., None, :] - n - 1
-    elif kind == "d2d":
-        o = pa.to_matrix().astype(bool)   # a silent pair's own target is zero: raises below
-        groups = sets.rx_cancel_groups - n - 1
-    else:
-        raise ValueError(f"unknown target kind {kind!r}")
-    first = np.take_along_axis(o.argmax(axis=-1)[..., None, :], groups, axis=-1)
-    spans = np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)
-    if kind == "cu":
-        reps = np.take_along_axis(est.h_d, first, axis=-1) * spans
+        n = est.h_c.shape[-1]
+        reps = np.take_along_axis(est.h_d, plan.bs_first, axis=-1) * plan.bs_spans
         q, r = np.linalg.qr(np.concatenate([est.h_c, reps], axis=-1))   # (..., B, D), (..., D, N+b_d)
-        cancel_cu = sets.bs_cancel_cu
-        picked = np.concatenate([cancel_cu, np.broadcast_to(
-            n + np.arange(reps.shape[-1]), cancel_cu.shape[:-1] + reps.shape[-1:])], axis=-1)
-        cancelled = np.take_along_axis(r[..., None, :, :], picked[..., None, :], axis=-1)
+        cancelled = np.take_along_axis(r[..., None, :, :], plan.bs_picked[..., None, :], axis=-1)
         return _project_out(np.swapaxes(r[..., :n], -1, -2), cancelled) @ np.swapaxes(q, -1, -2)
+    if kind != "d2d":
+        raise ValueError(f"unknown target kind {kind!r}")
     columns = np.concatenate([est.g_c, est.g_d], axis=-1)
-    targets = np.swapaxes(np.diagonal(est.g_d, axis1=-3, axis2=-1), -1, -2)
-    picked = np.concatenate([sets.rx_cancel_cu, n + first], axis=-1)
-    cancelled = np.take_along_axis(columns, picked[..., None, :], axis=-1)   # (..., K, M, C)
+    targets = np.swapaxes(np.diagonal(est.g_d, axis1=-3, axis2=-1), -1, -2)   # a silent pair's is zero: raises
+    cancelled = np.take_along_axis(columns, plan.rx_picked[..., None, :], axis=-1)   # (..., K, M, C)
     del columns   # the QR batch below is the peak of the D2D filters
-    cancelled[..., sets.rx_cancel_cu.shape[-1]:] *= spans[..., None, :]
+    cancelled[..., plan.rx_picked.shape[-1] - plan.rx_spans.shape[-1]:] *= plan.rx_spans[..., None, :]
     return _project_out(targets, cancelled)
 
 
@@ -270,51 +376,30 @@ class SinrTerms(TrialAxis):
         return self.signal / (self.interf_cell + self.interf_d2d + self.error_noise)
 
 
-def _unset_diagonal(mask):
-    """mask with its (last two axes') diagonal cleared in place."""
-    k = mask.shape[-1]
-    mask[..., np.arange(k), np.arange(k)] = False
-    return mask
-
-
-def cell_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
+def cell_sinr_terms(est, plan):
     """Post-filter signal/interference breakdown of every cellular link."""
-    beta = pzf_filter(est, sets, pa, "cu").conj()
+    beta = pzf_filter(est, plan, "cu").conj()
     proj_c = np.abs(beta @ est.h_c) ** 2      # [target, source]
     proj_d = np.abs(beta @ est.h_d) ** 2
 
-    kept_cu = _unset_diagonal(sets.bs_kept_cu(config.n_cu))
-    kept_d = np.repeat(sets.bs_kept_pairs(pa)[..., None, :], config.n_cu, axis=-2)
-
-    w_c = pp.q_s * ls.u_c
-    signal = w_c * np.diagonal(proj_c, axis1=-2, axis2=-1)
-    i_cc = np.where(kept_cu, w_c[..., None, :] * proj_c, 0.0).sum(axis=-1)
-    i_dc = np.where(kept_d, (pp.p_s * ls.u_d)[..., None, :] * proj_d, 0.0).sum(axis=-1)
-    alpha = (np.sum(pp.q_s * ls.u_c * coeffs.eps_c, axis=-1)
-             + np.sum(pp.p_s * ls.u_d * coeffs.eps_d, axis=-1)
-             + config.noise_power)
-    return SinrTerms(signal=signal, interf_cell=i_cc, interf_d2d=i_dc,
-                     error_noise=np.repeat(alpha[..., None], config.n_cu, axis=-1))
+    signal = plan.w_c * np.diagonal(proj_c, axis1=-2, axis2=-1)
+    i_cc = np.where(plan.bs_kept_cu, plan.w_c[..., None, :] * proj_c, 0.0).sum(axis=-1)
+    i_dc = np.where(plan.bs_kept_d, plan.w_dc[..., None, :] * proj_d, 0.0).sum(axis=-1)
+    return SinrTerms(signal=signal, interf_cell=i_cc, interf_d2d=i_dc, error_noise=plan.alpha_c)
 
 
-def d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, config):
+def d2d_sinr_terms(est, plan):
     """Post-filter breakdown of every D2D link; same-pilot interference stays."""
-    beta = pzf_filter(est, sets, pa, "d2d").conj()
+    beta = pzf_filter(est, plan, "d2d").conj()
     proj_d = np.abs(np.einsum("...km,...kmi->...ki", beta, est.g_d)) ** 2   # [rx, tx]
     proj_c = np.abs(np.einsum("...km,...kma->...ka", beta, est.g_c)) ** 2
 
-    kept_d = _unset_diagonal(sets.rx_kept_pairs(pa))
-    kept_cu = sets.rx_kept_cu(config.n_cu)
-
-    w_d = np.swapaxes(pp.p_s[..., :, None] * ls.v_d, -1, -2)   # [rx, tx]
+    w_d = np.swapaxes(plan.w_rd, -1, -2)   # [rx, tx]
     signal = np.diagonal(w_d, axis1=-2, axis2=-1) * np.diagonal(proj_d, axis1=-2, axis2=-1)
-    i_dd = np.where(kept_d, w_d * proj_d, 0.0).sum(axis=-1)
-    w_c = np.swapaxes(pp.q_s[..., :, None] * ls.v_c, -1, -2)   # [rx, cu]
-    i_cd = np.where(kept_cu, w_c * proj_c, 0.0).sum(axis=-1)
-    alpha = (np.sum(pp.p_s[..., :, None] * ls.v_d * coeffs.eps_dd, axis=-2)
-             + np.sum(pp.q_s[..., :, None] * ls.v_c * coeffs.eps_cd, axis=-2)
-             + config.noise_power)
-    return SinrTerms(signal=signal, interf_cell=i_cd, interf_d2d=i_dd, error_noise=alpha)
+    i_dd = np.where(plan.rx_kept_d, w_d * proj_d, 0.0).sum(axis=-1)
+    w_c = np.swapaxes(plan.w_rc, -1, -2)   # [rx, cu]
+    i_cd = np.where(plan.rx_kept_cu, w_c * proj_c, 0.0).sum(axis=-1)
+    return SinrTerms(signal=signal, interf_cell=i_cd, interf_d2d=i_dd, error_noise=plan.alpha_d)
 
 
 def pzf_dof(config):

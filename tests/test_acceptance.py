@@ -11,10 +11,10 @@ import numpy as np
 
 from d2dmimo.scenario import SystemConfig, generate_topology, compute_large_scale, substream
 from d2dmimo.channel import (PilotAssignment, PowerProfile, draw_fast_fading,
-                             estimation_coeffs, simulate_pilot_phase, mmse_estimate)
+                             estimation_coeffs, simulate_pilot_phase, mmse_estimate, group_powers)
 from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
                                rate_lower_bounds, pzf_filter, cell_sinr_terms,
-                               d2d_sinr_terms)
+                               d2d_sinr_terms, monte_carlo_plan)
 from d2dmimo.pilot_scheduling import (psa, random_assignment, exhaustive_search,
                                       sum_mse, pilot_power_parametric)
 from d2dmimo.power_control import (cellular_fixed_point, dpcc_iterate, dpcd, jdpc,
@@ -61,13 +61,15 @@ def test_criterion_1_bound_validity():
         rates_d = np.empty((trials, k))
         rng_f = substream(cfg.rng_seed, 50)
         rng_z = substream(cfg.rng_seed, 51)
+        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets,
+                                cfg.noise_power)
         for t in range(trials):
             real = draw_fast_fading(cfg, rng_f)
-            obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_z)
-            est = mmse_estimate(obs, ls, pa, pp, cfg)
-            eta = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            obs = simulate_pilot_phase(real, plan, cfg, rng_z)
+            est = mmse_estimate(obs, plan, cfg)
+            eta = cell_sinr_terms(est, plan).sinr
             rates_c[t] = prefactor * np.log2(1 + eta)
-            eta = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            eta = d2d_sinr_terms(est, plan).sinr
             rates_d[t] = prefactor * np.log2(1 + eta)
         for mc, lb in ((rates_c, r_c_lb), (rates_d, r_d_lb)):
             mean = mc.mean(axis=0)
@@ -104,12 +106,14 @@ def test_criterion_2_mmse_statistics():
     rng_z = substream(11, 1)
     var_acc = np.zeros(3)
     inv_s = np.zeros(3)
+    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets,
+                            cfg.noise_power)
     for _ in range(draws):
         real = draw_fast_fading(cfg, rng_f)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_z)
-        est = mmse_estimate(obs, ls, pa, pp, cfg)
+        obs = simulate_pilot_phase(real, plan, cfg, rng_z)
+        est = mmse_estimate(obs, plan, cfg)
         var_acc += np.mean(np.abs(est.h_c) ** 2, axis=0)
-        beta = pzf_filter(est, sets, pa, "cu")
+        beta = pzf_filter(est, plan, "cu")
         for n in range(3):
             inv_s[n] += 1.0 / (pp.q_s[n] * ls.u_c[n] * abs(beta[n].conj() @ est.h_c[:, n]) ** 2)
     var_err = np.max(np.abs(var_acc / draws - coeffs.delta_c) / coeffs.delta_c)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from d2dmimo.scenario import SystemConfig, LargeScale, substream, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, _cn, draw_fast_fading, fading_normals,
                              noise_normals, normals, estimation_coeffs, simulate_pilot_phase,
-                             mmse_estimate)
+                             mmse_estimate, group_powers)
+from d2dmimo.receivers import monte_carlo_plan, select_cancellation
 
 
 def small_config(**kw):
@@ -23,6 +24,13 @@ def make_ls(rng, n, k):
         v_c=rng.uniform(0.1, 2.0, (n, k)),
         v_d=rng.uniform(0.1, 2.0, (k, k)),
     )
+
+
+def plan_of(ls, pa, pp, cfg):
+    """The Monte Carlo plan of both receiver sides of one draw or a stack."""
+    powers = group_powers(ls, pa, pp.p_p)
+    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
+    return monte_carlo_plan(ls, pa, pp, powers, coeffs, select_cancellation(ls, pa, cfg), cfg.noise_power)
 
 
 def reference_cn(rng, shape):
@@ -238,8 +246,9 @@ class TestPilotPhase:
         shared = draw_fast_fading(cfg, draws(FADING, fading_normals(large)))
         for name in ("h_c", "h_d", "g_d", "g_c"):
             assert same_bits(getattr(shared, name), getattr(alone, name))
-        obs_alone = simulate_pilot_phase(alone, ls, pa, pp, cfg, draws(NOISE))
-        obs_shared = simulate_pilot_phase(alone, ls, pa, pp, cfg, draws(NOISE, noise_normals(large)))
+        plan = plan_of(ls, pa, pp, cfg)
+        obs_alone = simulate_pilot_phase(alone, plan, cfg, draws(NOISE))
+        obs_shared = simulate_pilot_phase(alone, plan, cfg, draws(NOISE, noise_normals(large)))
         assert same_bits(obs_shared.y_bs, obs_alone.y_bs) and same_bits(obs_shared.y_rx, obs_alone.y_rx)
 
     def test_pilot_basis_is_unitary(self):
@@ -252,13 +261,13 @@ class TestPilotPhase:
         cfg, ls, pa, pp = self._setup(noise_power=1e-300)
         pp.q_p[0] = 1.0 / ls.u_c[0]   # unit effective pilot power
         real = draw_fast_fading(cfg)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
+        obs = simulate_pilot_phase(real, plan_of(ls, pa, pp, cfg), cfg)
         assert np.allclose(obs.y_bs[:, 0], real.h_c[:, 0], atol=1e-10)
 
     def test_zero_noise_shared_pilot_superposition(self):
         cfg, ls, pa, pp = self._setup(noise_power=1e-300)
         real = draw_fast_fading(cfg)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
+        obs = simulate_pilot_phase(real, plan_of(ls, pa, pp, cfg), cfg)
         expected = (np.sqrt(pp.p_p[0] * ls.u_d[0]) * real.h_d[:, 0]
                     + np.sqrt(pp.p_p[1] * ls.u_d[1]) * real.h_d[:, 1])
         assert np.allclose(obs.y_bs[:, 3], expected, atol=1e-10)
@@ -269,9 +278,10 @@ class TestPilotPhase:
         ls = make_ls(rng, 3, 3)
         pa = assignment([4, 5, 6], n_cu=3, pilot_len=6)
         pp = PowerProfile(q_p=np.ones(3), p_p=np.ones(3), q_s=np.ones(3), p_s=np.ones(3))
+        plan = plan_of(ls, pa, pp, cfg)
         real = draw_fast_fading(cfg)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
-        est = mmse_estimate(obs, ls, pa, pp, cfg)
+        obs = simulate_pilot_phase(real, plan, cfg)
+        est = mmse_estimate(obs, plan, cfg)
         assert np.allclose(est.h_c, real.h_c, atol=1e-4)
         assert np.allclose(est.h_d, real.h_d, atol=1e-4)
         cf = estimation_coeffs(ls, pa, pp, cfg.noise_power)
@@ -279,9 +289,10 @@ class TestPilotPhase:
 
     def test_same_pilot_estimates_collinear_with_exact_ratio(self):
         cfg, ls, pa, pp = self._setup()
+        plan = plan_of(ls, pa, pp, cfg)
         real = draw_fast_fading(cfg)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
-        est = mmse_estimate(obs, ls, pa, pp, cfg)
+        obs = simulate_pilot_phase(real, plan, cfg)
+        est = mmse_estimate(obs, plan, cfg)
         # pairs 0 and 1 share a pilot
         h0, h1 = est.h_d[:, 0], est.h_d[:, 1]
         ratio = np.sqrt(pp.p_p[0] * ls.u_d[0] / (pp.p_p[1] * ls.u_d[1]))
@@ -303,10 +314,11 @@ class TestPilotPhase:
         rng_n = substream(cfg.rng_seed, 101)
         acc_h = np.zeros(cfg.n_cu)
         acc_g = 0.0
+        plan = plan_of(ls, pa, pp, cfg)
         for _ in range(draws):
             real = draw_fast_fading(cfg, rng_f)
-            obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_n)
-            est = mmse_estimate(obs, ls, pa, pp, cfg)
+            obs = simulate_pilot_phase(real, plan, cfg, rng_n)
+            est = mmse_estimate(obs, plan, cfg)
             acc_h += np.mean(np.abs(est.h_c) ** 2, axis=0)
             acc_g += np.mean(np.abs(est.g_d[0][:, 0]) ** 2)
         var_h = acc_h / draws
@@ -324,10 +336,11 @@ class TestPilotPhase:
         rng_n = substream(cfg.rng_seed, 103)
         draws = 10_000
         cross = 0.0
+        plan = plan_of(ls, pa, pp, cfg)
         for _ in range(draws):
             real = draw_fast_fading(cfg, rng_f)
-            obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_n)
-            est = mmse_estimate(obs, ls, pa, pp, cfg)
+            obs = simulate_pilot_phase(real, plan, cfg, rng_n)
+            est = mmse_estimate(obs, plan, cfg)
             err = real.h_c[:, 0] - est.h_c[:, 0]
             cross += (est.h_c[:, 0].conj() @ err).real / cfg.bs_antennas
         assert abs(cross / draws) < 4.0 / np.sqrt(draws * cfg.bs_antennas)

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import math
@@ -5,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d2dmimo import harness, power_control
+from d2dmimo.cli import main
 from d2dmimo.receivers import rate_lower_bounds
 from d2dmimo.scenario import DRAW_FIELDS, SystemConfig, trial_seed
 from d2dmimo.power_control import SolverError, dpcc, dpcd
@@ -99,6 +102,73 @@ class TestSpecValidation:
                             "config": {"n_cu": -3}})
         with pytest.raises(SpecError, match="bogus"):
             spec_from_dict({**doc, "bogus": 1})
+
+
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SPECS.glob("*.json"))}
+
+# edits of specs/fig1.json: (path of the edited field, its new value, the error)
+MALFORMED = {
+    "values not a list": (("sweep", "values"), 8, "sweep.values: must be a nonempty list"),
+    "values a string": (("sweep", "values"), "64", "sweep.values: must be a nonempty list"),
+    "values an object": (("sweep", "values"), {"a": 1}, "sweep.values: must be a nonempty list"),
+    "experiment a list": (("experiment",), ["fig1"], "experiment: must be a string (got ['fig1'])"),
+    "variable a list": (("sweep", "variable"), ["bs_antennas"],
+                        "sweep.variable: must be a string (got ['bs_antennas'])"),
+    "three PZF degrees": (("config", "pzf_bs"), [1, 2, 3],
+                          "config: pzf_bs must be a list of two integers (got [1, 2, 3])"),
+    "PZF degrees not a list": (("config", "pzf_d2d"), 3, "config: pzf_d2d must be a list of two integers (got 3)"),
+    "unknown sweep field": (("sweep", "step"), 2, "sweep.step: unknown field"),
+    "config not an object": (("config",), [1], "config: must be an object (got [1])"),
+}
+
+
+def edited(doc, path, value):
+    """A deep copy of doc with the field at path (keys and list indices) set to value."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def field_paths(doc, prefix=()):
+    """The paths of every field of a JSON document, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_document_raises_a_spec_error(case, tmp_path, capsys):
+    path, value, message = MALFORMED[case]
+    doc = edited(SHIPPED["fig1"], path, value)
+    with pytest.raises(SpecError) as err:
+        spec_from_dict(doc)
+    assert str(err.value) == message
+    # the CLI prints one line and exits 1
+    file = tmp_path / "spec.json"
+    file.write_text(json.dumps(doc))
+    assert main(["validate", str(file)]) == 1
+    assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-10, 10_000) | st.floats() | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                                max_size=3),
+                    max_leaves=6)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_edit_of_a_shipped_spec_loads_or_raises_a_spec_error(data):
+    doc = SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]
+    doc = edited(doc, data.draw(st.sampled_from(list(field_paths(doc)))), data.draw(JSON))
+    try:
+        spec_from_dict(doc)
+    except SpecError:
+        pass
 
 
 class TestApplySweep:

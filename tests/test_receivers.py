@@ -6,12 +6,12 @@ from d2dmimo import receivers
 from d2dmimo.scenario import SystemConfig, LargeScale, substream, trial_seed, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, EstimatedChannels,
                              EstimationCoeffs, draw_fast_fading, estimation_coeffs,
-                             simulate_pilot_phase, mmse_estimate)
+                             simulate_pilot_phase, mmse_estimate, group_powers)
 from d2dmimo.pilot_scheduling import random_assignment
 from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, CancellationSets,
                                select_cancellation, pzf_filter, cell_sinr_terms,
                                d2d_sinr_terms, rate_coeffs, rate_lower_bounds,
-                               bound_sinrs, sigma_c_of, _project_out)
+                               bound_sinrs, sigma_c_of, _project_out, monte_carlo_plan)
 from d2dmimo.harness import _large_scale, _scenario_pipeline
 
 
@@ -44,10 +44,18 @@ def full_pipeline(cfg, seed=0):
                       q_s=rng.uniform(0.2, 1, cfg.n_cu), p_s=rng.uniform(0.2, 1, cfg.n_d2d))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    real = draw_fast_fading(cfg)
-    obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
-    est = mmse_estimate(obs, ls, pa, pp, cfg)
-    return ls, pa, pp, coeffs, sets, real, est
+    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg), plan, cfg)
+    return ls, pa, pp, coeffs, sets, plan, est
+
+
+def unit_plan(pa, sets):
+    """Plan of unit gains, powers and noise for hand-built estimates."""
+    n, k = pa.n_cu, pa.n_d2d
+    ls = LargeScale(u_c=np.ones(n), u_d=np.ones(k), v_c=np.ones((n, k)), v_d=np.ones((k, k)))
+    pp = PowerProfile(q_p=np.ones(n), p_p=np.ones(k), q_s=np.ones(n), p_s=np.ones(k))
+    powers = group_powers(ls, pa, pp.p_p)
+    return monte_carlo_plan(ls, pa, pp, powers, estimation_coeffs(ls, pa, pp, 1.0, powers), sets, 1.0)
 
 
 class TestSelectCancellation:
@@ -127,8 +135,8 @@ class TestSelectCancellation:
 class TestPzfFilter:
     def test_empty_cancellation_gives_matched_filter(self):
         cfg = small_config(pzf_bs=(0, 0), pzf_d2d=(0, 0))
-        ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg)
-        beta = pzf_filter(est, sets, pa, "cu")[0]
+        ls, pa, pp, coeffs, sets, plan, est = full_pipeline(cfg)
+        beta = pzf_filter(est, plan, "cu")[0]
         h = est.h_c[:, 0]
         assert np.allclose(beta, h / np.linalg.norm(h))
 
@@ -148,13 +156,13 @@ class TestPzfFilter:
             rx_cancel_groups=np.zeros((1, 0), dtype=int),
         )
         pa = PilotAssignment(pilot_of=np.array([3]), n_cu=2, pilot_len=3)
-        beta = pzf_filter(est, sets, pa, "cu")[0]
+        beta = pzf_filter(est, unit_plan(pa, sets), "cu")[0]
         assert np.allclose(beta, [0, 1, 0, 0])
 
     def test_unit_norm_and_zeros_vs_gram_schmidt(self):
         cfg = small_config(bs_antennas=8, pzf_bs=(1, 2))
-        ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg, seed=8)
-        filters = pzf_filter(est, sets, pa, "cu")
+        ls, pa, pp, coeffs, sets, plan, est = full_pipeline(cfg, seed=8)
+        filters = pzf_filter(est, plan, "cu")
         for n in range(cfg.n_cu):
             beta = filters[n]
             assert np.linalg.norm(beta) == pytest.approx(1.0, abs=1e-12)
@@ -190,10 +198,12 @@ class TestPzfFilter:
         pp = PowerProfile(q_p=np.ones(3), p_p=np.ones(4), q_s=np.ones(3), p_s=np.ones(4))
         sets = select_cancellation(ls, pa, cfg)
         assert sets.bs_cancel_groups.tolist() == [4]
-        real = draw_fast_fading(cfg)
-        obs = simulate_pilot_phase(real, ls, pa, pp, cfg)
-        est = mmse_estimate(obs, ls, pa, pp, cfg)
-        beta = pzf_filter(est, sets, pa, "cu")[0]
+        powers = group_powers(ls, pa, pp.p_p)
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
+        plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
+        obs = simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg)
+        est = mmse_estimate(obs, plan, cfg)
+        beta = pzf_filter(est, plan, "cu")[0]
         # all three same-pilot estimates are zeroed through one representative
         for i in (0, 1, 2):
             h = est.h_d[:, i]
@@ -216,7 +226,7 @@ class TestPzfFilter:
         )
         pa = PilotAssignment(pilot_of=np.array([3]), n_cu=2, pilot_len=3)
         with pytest.raises(DegenerateSpanError):
-            pzf_filter(est, sets, pa, "cu")
+            pzf_filter(est, unit_plan(pa, sets), "cu")
 
 
 def _gs_filter(target, cancelled):
@@ -297,13 +307,13 @@ def _edge_case(name):
                       q_s=rng.uniform(0.2, 1, cfg.n_cu), p_s=rng.uniform(0.2, 1, cfg.n_d2d))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    obs = simulate_pilot_phase(draw_fast_fading(cfg), ls, pa, pp, cfg)
-    est = mmse_estimate(obs, ls, pa, pp, cfg)
+    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg), plan, cfg)
     if name == "zero estimate columns":
         # the first cancelled BS group and the first cancelled CU at Rx 0
         est.h_d[:, pa.pilot_of == sets.bs_cancel_groups[0]] = 0.0
         est.g_c[:, :, sets.rx_cancel_cu[0, 0]] = 0.0
-    return cfg, ls, pa, pp, coeffs, sets, est
+    return cfg, ls, pa, pp, coeffs, sets, plan, est
 
 
 EDGE_CASES = ["empty cancel sets", "empty cancelled groups", "single pair", "zero estimate columns"]
@@ -313,11 +323,11 @@ LONG_ROWS = ["K=40, m_d=1", "K=40, m_d=2"]
 class TestBatchedPzfEdgeCases:
     @pytest.mark.parametrize("name", EDGE_CASES + LONG_ROWS)
     def test_matches_per_link_gram_schmidt(self, name):
-        cfg, ls, pa, pp, coeffs, sets, est = _edge_case(name)
+        cfg, ls, pa, pp, coeffs, sets, plan, est = _edge_case(name)
         args = (est, coeffs, ls, pa, pp, sets, cfg)
-        beta_cu = pzf_filter(est, sets, pa, "cu")
-        beta_d2d = pzf_filter(est, sets, pa, "d2d")
-        cell, d2d = cell_sinr_terms(*args), d2d_sinr_terms(*args)
+        beta_cu = pzf_filter(est, plan, "cu")
+        beta_d2d = pzf_filter(est, plan, "d2d")
+        cell, d2d = cell_sinr_terms(est, plan), d2d_sinr_terms(est, plan)
         for n in range(cfg.n_cu):
             ref_beta, ref_terms = _scalar_cell_terms(n, *args)
             assert np.allclose(beta_cu[n], ref_beta, rtol=0.0, atol=1e-12)
@@ -332,7 +342,7 @@ class TestBatchedPzfEdgeCases:
     @pytest.mark.parametrize("name", EDGE_CASES)
     @pytest.mark.parametrize("kind", ["cu", "d2d"])
     def test_one_degenerate_target_raises(self, name, kind):
-        cfg, ls, pa, pp, coeffs, sets, est = _edge_case(name)
+        cfg, ls, pa, pp, coeffs, sets, plan, est = _edge_case(name)
         # move the last link's target into its cancelled span (a zero
         # target when nothing is cancelled); every other link stays regular
         if kind == "cu":
@@ -344,7 +354,7 @@ class TestBatchedPzfEdgeCases:
             cancelled = est.g_c[k][:, sets.rx_cancel_cu[k]].sum(axis=1)
             est.g_d[k, :, k] = 2.0 * cancelled
         with pytest.raises(DegenerateSpanError):
-            pzf_filter(est, sets, pa, kind)
+            pzf_filter(est, plan, kind)
 
     def test_zero_first_member_still_cancels_its_group(self):
         # the lowest-index member of a cancelled group sends no pilot; the
@@ -359,9 +369,12 @@ class TestBatchedPzfEdgeCases:
         first, live = np.flatnonzero(pa.pilot_of == sets.bs_cancel_groups[0])
         pp = PowerProfile.max_power(cfg)
         pp.p_p[first] = 0.0
-        est = mmse_estimate(simulate_pilot_phase(real, ls, pa, pp, cfg), ls, pa, pp, cfg)
+        powers = group_powers(ls, pa, pp.p_p)
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
+        plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
+        est = mmse_estimate(simulate_pilot_phase(real, plan, cfg), plan, cfg)
         assert not est.h_d[:, first].any()
-        beta = pzf_filter(est, sets, pa, "cu")
+        beta = pzf_filter(est, plan, "cu")
         h = est.h_d[:, live]
         assert np.max(np.abs(beta.conj() @ h)) <= 1e-10 * np.linalg.norm(h)
 
@@ -391,9 +404,10 @@ def _shared_basis_draws(name, seeds):
     ls, pa, pp = LargeScale.stack(ls), PilotAssignment.stack(pa), PowerProfile.stack(pp)
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
+    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, [substream(seed, FADING) for seed in seeds])
-    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, [substream(seed, NOISE) for seed in seeds])
-    return cfg, ls, pa, pp, coeffs, sets, mmse_estimate(obs, ls, pa, pp, cfg)
+    obs = simulate_pilot_phase(real, plan, cfg, [substream(seed, NOISE) for seed in seeds])
+    return cfg, ls, pa, pp, coeffs, sets, plan, mmse_estimate(obs, plan, cfg)
 
 
 def _alone(name, seed):
@@ -402,12 +416,12 @@ def _alone(name, seed):
     return (cfg, *(x[0] for x in stacked))
 
 
-def _assert_cell_matches_gram_schmidt(cfg, ls, pa, pp, coeffs, sets, est):
+def _assert_cell_matches_gram_schmidt(cfg, ls, pa, pp, coeffs, sets, plan, est):
     """Every BS filter and finite cellular SINR term of one draw against
     the per-link Gram-Schmidt reference."""
     args = (est, coeffs, ls, pa, pp, sets, cfg)
-    beta = pzf_filter(est, sets, pa, "cu")
-    cell = cell_sinr_terms(*args)
+    beta = pzf_filter(est, plan, "cu")
+    cell = cell_sinr_terms(est, plan)
     for n in range(cfg.n_cu):
         ref_beta, ref_terms = _scalar_cell_terms(n, *args)
         assert np.allclose(beta[n], ref_beta, rtol=0.0, atol=1e-12)
@@ -423,33 +437,25 @@ class TestSharedBasisPzf:
 
     def test_stack_rows_have_their_single_draw_bits(self, name):
         seeds = [41, 42, 43]
-        cfg, ls, pa, pp, coeffs, sets, est = _shared_basis_draws(name, seeds)
-        beta = pzf_filter(est, sets, pa, "cu")
-        cell = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
+        cfg, ls, pa, pp, coeffs, sets, plan, est = _shared_basis_draws(name, seeds)
+        beta = pzf_filter(est, plan, "cu")
+        cell = cell_sinr_terms(est, plan)
         for t, seed in enumerate(seeds):
-            cfg_t, ls_t, pa_t, pp_t, coeffs_t, sets_t, est_t = _alone(name, seed)
-            alone = cell_sinr_terms(est_t, coeffs_t, ls_t, pa_t, pp_t, sets_t, cfg_t)
-            assert beta[t].tobytes() == pzf_filter(est_t, sets_t, pa_t, "cu").tobytes()
+            cfg_t, ls_t, pa_t, pp_t, coeffs_t, sets_t, plan_t, est_t = _alone(name, seed)
+            alone = cell_sinr_terms(est_t, plan_t)
+            assert beta[t].tobytes() == pzf_filter(est_t, plan_t, "cu").tobytes()
             for field in ("signal", "interf_cell", "interf_d2d", "error_noise"):
                 assert getattr(cell, field)[t].tobytes() == getattr(alone, field).tobytes()
 
 
-def _per_cu_pzf_filter(est, sets, pa, kind):
+def _per_cu_pzf_filter(est, plan, kind):
     """BS-side filters with a B-dimensional QR of every CU's own cancelled
     columns, gathered per CU (the d2d kind is pzf_filter's)."""
     if kind != "cu":
-        return pzf_filter(est, sets, pa, kind)
-    n = pa.n_cu
-    columns = np.concatenate([est.h_c, est.h_d], axis=-1)[..., None, :, :]
-    cancel_cu = sets.bs_cancel_cu
-    o = pa.to_matrix().astype(bool) & est.h_d.any(axis=-2)[..., None, :]
-    groups = np.broadcast_to(sets.bs_cancel_groups[..., None, :],
-                             cancel_cu.shape[:-1] + sets.bs_cancel_groups.shape[-1:]) - n - 1
-    first = np.take_along_axis(o.argmax(axis=-1)[..., None, :], groups, axis=-1)
-    spans = np.concatenate([np.ones(cancel_cu.shape, dtype=bool),
-                            np.take_along_axis(o.any(axis=-1)[..., None, :], groups, axis=-1)], axis=-1)
-    picked = np.concatenate([cancel_cu, n + first], axis=-1)
-    cancelled = np.take_along_axis(columns, picked[..., None, :], axis=-1) * spans[..., None, :]
+        return pzf_filter(est, plan, kind)
+    reps = np.take_along_axis(est.h_d, plan.bs_first, axis=-1) * plan.bs_spans
+    columns = np.concatenate([est.h_c, reps], axis=-1)[..., None, :, :]
+    cancelled = np.take_along_axis(columns, plan.bs_picked[..., None, :], axis=-1)
     return _project_out(np.swapaxes(est.h_c, -1, -2), cancelled)
 
 
@@ -459,13 +465,14 @@ def test_shared_basis_keeps_the_per_cu_precision(monkeypatch, b):
     # must stay within 1e-13 of filters built in the B-dimensional space
     cfg, seeds = SystemConfig(bs_antennas=b, rng_seed=777), [trial_seed(777, t) for t in range(30)]
     ls = _large_scale(cfg, seeds)
-    pa, pp, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+    pa, pp, powers, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+    plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, [substream(s, FADING) for s in seeds])
-    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, [substream(s, NOISE) for s in seeds])
-    args = (mmse_estimate(obs, ls, pa, pp, cfg), coeffs, ls, pa, pp, sets, cfg)
-    sinr = cell_sinr_terms(*args).sinr
+    obs = simulate_pilot_phase(real, plan, cfg, [substream(s, NOISE) for s in seeds])
+    est = mmse_estimate(obs, plan, cfg)
+    sinr = cell_sinr_terms(est, plan).sinr
     monkeypatch.setattr(receivers, "pzf_filter", _per_cu_pzf_filter)
-    np.testing.assert_allclose(sinr, cell_sinr_terms(*args).sinr, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(sinr, cell_sinr_terms(est, plan).sinr, rtol=1e-13, atol=0.0)
 
 
 @given(n=st.integers(1, 6), b_c=st.integers(0, 5), b_d=st.integers(0, 1), silent=st.booleans(),
@@ -486,14 +493,15 @@ def test_bs_filter_at_the_validate_limits(n, b_c, b_d, silent, collapse, seed):
                       q_s=rng.uniform(0.2, 1, n), p_s=rng.uniform(0.2, 1, 1))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), ls, pa, pp, cfg), ls, pa, pp, cfg)
+    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg), plan, cfg)
     if collapse:
         est.h_c[:, n - 1] = 2.0 * est.h_c[:, sets.bs_cancel_cu[n - 1]].sum(axis=1)
         with pytest.raises(DegenerateSpanError) as err:
-            pzf_filter(est, sets, pa, "cu")
+            pzf_filter(est, plan, "cu")
         assert err.value.rows == [0]
     else:
-        _assert_cell_matches_gram_schmidt(cfg, ls, pa, pp, coeffs, sets, est)
+        _assert_cell_matches_gram_schmidt(cfg, ls, pa, pp, coeffs, sets, plan, est)
 
 
 class TestInstantaneousSinr:
@@ -517,14 +525,15 @@ class TestInstantaneousSinr:
         pa = PilotAssignment(pilot_of=np.array([2]), n_cu=1, pilot_len=2)
         pp = PowerProfile(q_p=np.ones(1), p_p=np.ones(1), q_s=np.array([0.9]), p_s=np.zeros(1))
         sets = select_cancellation(ls, pa, cfg)
-        eta = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr[0]
+        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+        eta = cell_sinr_terms(est, plan).sinr[0]
         expected = 0.9 * 1.7 * np.linalg.norm(h) ** 2 / 0.3
         assert eta == pytest.approx(expected, rel=1e-12)
 
     def test_fully_zf_removes_cochannel_interference(self):
         cfg = small_config(pzf_bs=(2, 3), pzf_d2d=(1, 1))
-        ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg, seed=11)
-        terms = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
+        ls, pa, pp, coeffs, sets, plan, est = full_pipeline(cfg, seed=11)
+        terms = cell_sinr_terms(est, plan)
         for n in range(cfg.n_cu):
             assert terms.interf_cell[n] <= 1e-20 * terms.signal[n]
             assert terms.interf_d2d[n] <= 1e-20 * terms.signal[n]
@@ -549,18 +558,19 @@ class TestInstantaneousSinr:
         pa = PilotAssignment(pilot_of=np.array([2]), n_cu=1, pilot_len=2)
         pp = PowerProfile(q_p=np.ones(1), p_p=np.ones(1), q_s=np.zeros(1), p_s=np.array([0.5]))
         sets = select_cancellation(ls, pa, cfg)
-        eta = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr[0]
+        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+        eta = d2d_sinr_terms(est, plan).sinr[0]
         alpha = 0.5 * 2.0 * (1 - mu) + cfg.noise_power
         expected = 0.5 * 2.0 * np.linalg.norm(g) ** 2 / alpha
         assert eta == pytest.approx(expected, rel=1e-12)
 
     def test_same_pilot_contamination_ratio_exact(self):
         cfg = small_config()
-        ls, pa, pp, coeffs, sets, real, est = full_pipeline(cfg, seed=13)
+        ls, pa, pp, coeffs, sets, plan, est = full_pipeline(cfg, seed=13)
         k = 0
         mates = [i for i in pa.group_of(k) if i != k]
-        terms = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg)
-        beta = pzf_filter(est, sets, pa, "d2d")[k]
+        terms = d2d_sinr_terms(est, plan)
+        beta = pzf_filter(est, plan, "d2d")[k]
         contaminated = sum(pp.p_s[i] * ls.v_d[i, k] * abs(beta.conj() @ est.g_d[k][:, i]) ** 2
                            for i in mates)
         expected_ratio = sum(pp.p_s[i] * ls.v_d[i, k] * coeffs.mu_d[i, k] for i in mates) / (
@@ -714,6 +724,8 @@ class TestRateLowerBounds:
         sets = select_cancellation(ls, pa, cfg)
         rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
         r_c_lb, r_d_lb = rate_lower_bounds(rc, pp, cfg)
+        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets,
+                                cfg.noise_power)
         prefactor = 1 - cfg.pilot_len / cfg.coherence_len
         draws = 600
         rates_c = np.zeros((draws, 3))
@@ -722,11 +734,11 @@ class TestRateLowerBounds:
         rng_n = substream(1234, 1)
         for d in range(draws):
             real = draw_fast_fading(cfg, rng_f)
-            obs = simulate_pilot_phase(real, ls, pa, pp, cfg, rng_n)
-            est = mmse_estimate(obs, ls, pa, pp, cfg)
-            eta = cell_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            obs = simulate_pilot_phase(real, plan, cfg, rng_n)
+            est = mmse_estimate(obs, plan, cfg)
+            eta = cell_sinr_terms(est, plan).sinr
             rates_c[d] = prefactor * np.log2(1 + eta)
-            eta = d2d_sinr_terms(est, coeffs, ls, pa, pp, sets, cfg).sinr
+            eta = d2d_sinr_terms(est, plan).sinr
             rates_d[d] = prefactor * np.log2(1 + eta)
         se_c = rates_c.std(axis=0) / np.sqrt(draws)
         se_d = rates_d.std(axis=0) / np.sqrt(draws)

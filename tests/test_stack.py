@@ -11,14 +11,14 @@ from d2dmimo import harness
 from d2dmimo.scenario import (SystemConfig, Topology, LargeScale, generate_topology,
                               compute_large_scale, substream, trial_seed, FADING, NOISE, SHADOWING,
                               TOPOLOGY)
-from d2dmimo.channel import (PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
+from d2dmimo.channel import (SIDES, PilotAssignment, PowerProfile, group_powers, estimation_coeffs,
                              draw_fast_fading, simulate_pilot_phase, mmse_estimate, fading_normals,
-                             normals)
+                             noise_normals, normals)
 from d2dmimo.pilot_scheduling import exhaustive_search, interference_metric, psa, random_assignment, sum_mse
 from d2dmimo.power_control import cellular_power_budget
 from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_coeffs, bound_sinrs,
                                rate_lower_bounds, sigma_c_of, sigma_d_of, pzf_filter,
-                               cell_sinr_terms, d2d_sinr_terms)
+                               cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan)
 from d2dmimo.harness import (ExperimentSpec, _chunk_bounds_mc, _mc_rates, _scenario_pipeline,
                              _stack_size, apply_sweep, run_experiment)
 
@@ -68,6 +68,8 @@ def same_fields(stacked, alone):
 
 def same_layout(stacked, alone):
     """Same bits and the same memory layout (strides) as alone, field by field."""
+    if isinstance(alone, np.ndarray):
+        return same_bits(stacked, alone) and stacked.strides == alone.strides
     return same_fields(stacked, alone) and all(
         getattr(stacked, name).strides == value.strides for name, value in vars(alone).items())
 
@@ -280,6 +282,11 @@ def mc_inputs(name, trials):
     return cfgs, ls, pa, pp, coeffs, select_cancellation(ls, pa, cfgs[0])
 
 
+def plan_of(ls, pa, pp, coeffs, sets, n0, sides=SIDES):
+    """The Monte Carlo plan of the analytic inputs, with their group powers."""
+    return monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, n0, sides)
+
+
 def streams(cfgs, purpose, attempt=0):
     return [substream(cfg.rng_seed, purpose, attempt) for cfg in cfgs]
 
@@ -293,34 +300,88 @@ def silent_rows(pp):
 def test_monte_carlo_layers(name, trials):
     cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, trials)
     cfg = cfgs[0]
+    plan = plan_of(ls, pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, streams(cfgs, FADING))
-    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, streams(cfgs, NOISE))
-    est = mmse_estimate(obs, ls, pa, pp, cfg)
-    args = (est, coeffs, ls, pa, pp, sets, cfg)
-    beta_cu, cell = pzf_filter(est, sets, pa, "cu"), cell_sinr_terms(*args)
+    obs = simulate_pilot_phase(real, plan, cfg, streams(cfgs, NOISE))
+    est = mmse_estimate(obs, plan, cfg)
+    beta_cu, cell = pzf_filter(est, plan, "cu"), cell_sinr_terms(est, plan)
     silent = silent_rows(pp)
     if silent:   # a silent pair's own D2D target is zero
         with pytest.raises(DegenerateSpanError) as err:
-            pzf_filter(est, sets, pa, "d2d")
+            pzf_filter(est, plan, "d2d")
         assert err.value.rows == silent
     else:
-        beta_d2d, d2d = pzf_filter(est, sets, pa, "d2d"), d2d_sinr_terms(*args)
+        beta_d2d, d2d = pzf_filter(est, plan, "d2d"), d2d_sinr_terms(est, plan)
     for t, cfg_t in enumerate(cfgs):
+        plan_t = plan_of(ls[t], pa[t], pp[t], coeffs[t], sets[t], cfg_t.noise_power)
         real_t = draw_fast_fading(cfg_t, substream(cfg_t.rng_seed, FADING, 0))
-        obs_t = simulate_pilot_phase(real_t, ls[t], pa[t], pp[t], cfg_t, substream(cfg_t.rng_seed, NOISE, 0))
-        est_t = mmse_estimate(obs_t, ls[t], pa[t], pp[t], cfg_t)
-        args_t = (est_t, coeffs[t], ls[t], pa[t], pp[t], sets[t], cfg_t)
+        obs_t = simulate_pilot_phase(real_t, plan_t, cfg_t, substream(cfg_t.rng_seed, NOISE, 0))
+        est_t = mmse_estimate(obs_t, plan_t, cfg_t)
         assert same_layout(real[t], real_t)
         assert same_layout(obs[t], obs_t)
         assert same_layout(est[t], est_t)
-        assert same_bits(beta_cu[t], pzf_filter(est_t, sets[t], pa[t], "cu"))
-        assert same_fields(cell[t], cell_sinr_terms(*args_t))
+        assert same_bits(beta_cu[t], pzf_filter(est_t, plan_t, "cu"))
+        assert same_fields(cell[t], cell_sinr_terms(est_t, plan_t))
         if t in silent:
             with pytest.raises(DegenerateSpanError):
-                pzf_filter(est_t, sets[t], pa[t], "d2d")
+                pzf_filter(est_t, plan_t, "d2d")
         elif not silent:
-            assert same_bits(beta_d2d[t], pzf_filter(est_t, sets[t], pa[t], "d2d"))
-            assert same_fields(d2d[t], d2d_sinr_terms(*args_t))
+            assert same_bits(beta_d2d[t], pzf_filter(est_t, plan_t, "d2d"))
+            assert same_fields(d2d[t], d2d_sinr_terms(est_t, plan_t))
+
+
+def same_plan(got, want):
+    """Same sides, the same fields left out, and the others with the same
+    bits and, except the integer index arrays, the same memory layout (an
+    index array's layout reaches only the columns it gathers for a QR,
+    which copies them)."""
+    def same(a, b):
+        return same_bits(a, b) if b.dtype.kind == "i" else same_layout(a, b)
+    return got.sides == want.sides and all(
+        value is None if getattr(want, name) is None else same(value, getattr(want, name))
+        for name, value in vars(got).items() if name != "sides")
+
+
+@pytest.mark.parametrize("sides", [("cu", "d2d"), ("cu",), ("d2d",)])
+@pytest.mark.parametrize("name", sorted(MC_CONFIGS))
+def test_plan_rows_are_the_plan_of_those_rows(name, sides):
+    # a contiguous run (a view), scattered rows (a copy) and single rows
+    cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, 6)
+    n0 = cfgs[0].noise_power
+    plan = plan_of(ls, pa, pp, coeffs, sets, n0, sides)
+    # the 11 D2D-Rx terms or the 12 BS terms are left out
+    assert sum(value is None for value in vars(plan).values()) == {("cu",): 11, ("d2d",): 12}.get(sides, 0)
+    for rows in (np.arange(1, 4), np.array([0, 3, 5])):
+        want = plan_of(ls[rows], pa[rows], pp[rows], coeffs[rows], sets[rows], n0, sides)
+        assert same_plan(harness._take(plan, rows), want)
+    for t in range(6):
+        assert same_plan(plan[t], plan_of(ls[t], pa[t], pp[t], coeffs[t], sets[t], n0, sides))
+
+
+@pytest.mark.parametrize("name", sorted(MC_CONFIGS))
+def test_one_side_has_the_bits_of_both(name):
+    # a side formed alone reads a prefix of (the BS) or the same (the
+    # D2D-Rxs) normals as both sides and forms the same observations,
+    # estimates and SINR terms; the other side's arrays are None
+    cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, 6)
+    cfg = cfgs[0]
+    assert fading_normals(cfg, ("cu",)) < fading_normals(cfg, ("d2d",)) == fading_normals(cfg)
+    assert noise_normals(cfg, ("cu",)) < noise_normals(cfg, ("d2d",)) == noise_normals(cfg)
+    both = plan_of(ls, pa, pp, coeffs, sets, cfg.noise_power)
+    obs = simulate_pilot_phase(draw_fast_fading(cfg, streams(cfgs, FADING)), both, cfg, streams(cfgs, NOISE))
+    est = mmse_estimate(obs, both, cfg)
+    for side, (y, y_other), (formed, left), terms in (
+            ("cu", ("y_bs", "y_rx"), (("h_c", "h_d"), ("g_d", "g_c")), cell_sinr_terms),
+            ("d2d", ("y_rx", "y_bs"), (("g_d", "g_c"), ("h_c", "h_d")), d2d_sinr_terms)):
+        plan = plan_of(ls, pa, pp, coeffs, sets, cfg.noise_power, (side,))
+        real = draw_fast_fading(cfg, streams(cfgs, FADING), (side,))
+        obs_side = simulate_pilot_phase(real, plan, cfg, streams(cfgs, NOISE))
+        est_side = mmse_estimate(obs_side, plan, cfg)
+        assert same_bits(getattr(obs_side, y), getattr(obs, y)) and getattr(obs_side, y_other) is None
+        assert all(same_bits(getattr(est_side, f), getattr(est, f)) for f in formed)
+        assert all(getattr(est_side, f) is None for f in left)
+        if side == "cu" or not silent_rows(pp):   # a silent pair's D2D target raises
+            assert same_fields(terms(est_side, plan), terms(est, both))
 
 
 def hex_rows(results):
@@ -346,13 +407,13 @@ def mc_sums_alone(cfg, attempt):
     """The Monte Carlo sum rates of one trial's draw at one attempt, computed
     the way a trial-by-trial loop does."""
     ls = harness._large_scale(cfg, [cfg.rng_seed])
-    pa, pp, coeffs, sets, _ = (x[0] for x in _scenario_pipeline(cfg, ls))
-    ls = ls[0]
+    pa, pp, _, coeffs, sets, _ = (x[0] for x in _scenario_pipeline(cfg, ls))
+    plan = plan_of(ls[0], pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, substream(cfg.rng_seed, FADING, attempt))
-    obs = simulate_pilot_phase(real, ls, pa, pp, cfg, substream(cfg.rng_seed, NOISE, attempt))
-    args = (mmse_estimate(obs, ls, pa, pp, cfg), coeffs, ls, pa, pp, sets, cfg)
+    obs = simulate_pilot_phase(real, plan, cfg, substream(cfg.rng_seed, NOISE, attempt))
+    est = mmse_estimate(obs, plan, cfg)
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    return {m: prefactor * float(np.sum(np.log2(1.0 + f(*args).sinr)))
+    return {m: prefactor * float(np.sum(np.log2(1.0 + f(est, plan).sinr)))
             for m, f in (("sum_se_cell", cell_sinr_terms), ("sum_se_d2d", d2d_sinr_terms))}
 
 
@@ -364,10 +425,10 @@ def degenerate_draws(monkeypatch, seeds, attempts, at=lambda config: True):
     heads = {substream(seed, FADING, a).standard_normal(4).tobytes() for seed in seeds for a in attempts}
     marked = []
 
-    def draw(config, rng):
-        z = rng if isinstance(rng, np.ndarray) else normals(rng, fading_normals(config))
+    def draw(config, rng, sides):
+        z = rng if isinstance(rng, np.ndarray) else normals(rng, fading_normals(config, sides))
         marked[:] = [row for row, head in enumerate(z[:, :4]) if at(config) and head.tobytes() in heads]
-        return draw_fast_fading(config, z)
+        return draw_fast_fading(config, z, sides)
 
     def estimate(*args, **kwargs):
         est = mmse_estimate(*args, **kwargs)
@@ -429,6 +490,26 @@ def test_group_draws_each_trials_normals_once(monkeypatch):
                                                                     for t in range(7))
 
 
+@pytest.mark.parametrize("metrics,sides", [(["sum_se_cell"], ("cu",)),
+                                           (["sum_se_d2d_lb", "sum_se_d2d"], ("d2d",)),
+                                           (list(MC_METRICS), ("cu", "d2d"))])
+def test_a_run_forms_only_the_sides_its_metrics_read(monkeypatch, metrics, sides):
+    seen = set()
+
+    def estimate(obs, plan, config):
+        seen.add(plan.sides)
+        return mmse_estimate(obs, plan, config)
+
+    spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64, 128], trials=4,
+                          config=SystemConfig(rng_seed=3), metrics=list(MC_METRICS))
+    both = {(r.sweep, r.metric): (r.mean, r.ci95, r.trials) for r in run_experiment(spec)[0]}
+    monkeypatch.setattr(harness, "mmse_estimate", estimate)
+    spec.metrics = metrics
+    rows = run_experiment(spec)[0]
+    assert seen == {sides}
+    assert [(r.mean, r.ci95, r.trials) for r in rows] == [both[(r.sweep, r.metric)] for r in rows]
+
+
 def test_row_degenerate_on_every_attempt_names_its_trial(monkeypatch):
     spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64],
                           trials=5, config=SystemConfig(rng_seed=3))
@@ -468,19 +549,22 @@ def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
 def test_monte_carlo_peak_stays_within_the_stack_budget():
     # sub-stacks of two trials at B = 256, K = 20, whose working sets peak
     # while the MMSE estimates are formed, with the sub-stack's normals
-    # (0.46 MB) and the last estimates alive: 3.96 times the budget alone,
-    # 3.74 times in a group of B = 64, 128 and 256, whose other points'
-    # estimates are smaller but whose analytic stacks all stay alive
+    # (0.46 MB) and the last estimates alive: 3.72 times the budget alone,
+    # 3.45 times in a group of B = 64, 128 and 256, whose other points'
+    # estimates are smaller but whose Monte Carlo plans all stay alive
     seeds = [trial_seed(3, t) for t in range(10)]
     for antennas in ([256], [64, 128, 256]):
         group = [SystemConfig(bs_antennas=b, rng_seed=3) for b in antennas]
         assert min(_stack_size(cfg, "mc") for cfg in group) == 2
         ls = harness._large_scale(group[0], seeds)
-        stacks = [_scenario_pipeline(cfg, ls)[:4] for cfg in group]
+        plans = []
+        for cfg in group:
+            pa, pp, powers, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+            plans.append(monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _mc_rates(group, seeds, ls, stacks, MC_METRICS)
+            _mc_rates(group, seeds, plans, MC_METRICS)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
