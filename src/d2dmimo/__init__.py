@@ -19,7 +19,7 @@ from .pilot_scheduling import (interference_metric, sum_mse,
                                pilot_power_parametric, InstanceTooLargeError,
                                NonConvergenceError, ParametricPowerResult)
 from .power_control import (CellularFixedPoint, cellular_fixed_point, dpcc,
-                            dpcc_iterate, dpcd, dpcd_stack, jdpc, jdpc_stack,
+                            dpcc_iterate, dpcd, dpcd_stack, jdpc_stack,
                             cellular_power_budget, DpccResult, DpcdResult, JdpcResult,
                             InfeasibleBudgetError, SolverError, BracketError)
 from .harness import (ExperimentSpec, ResultRow, run_experiment, load_spec,

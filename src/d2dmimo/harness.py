@@ -37,6 +37,9 @@ scores each scheduler's assignments for the whole chunk in one sum_mse
 call; random assignments are drawn and exhaustive searches run per
 trial, on each trial's slice of the stack.  Every trial gets the bits it
 would get alone, so the outputs do not depend on chunking or grouping.
+A chunk returns, per point, {metric: values of the trials that report it,
+in trial order}; a trial the joint power control finds infeasible reports
+only infeasible_fraction, and every other trial every metric.
 
 Recipes:
   fig1   cellular sum SE, Monte Carlo vs lower bound (sweep bs_antennas)
@@ -155,6 +158,30 @@ class ResultRow:
 
 
 def spec_from_dict(doc):
+    _check_shape(doc)
+    sweep = doc["sweep"]
+    try:
+        config = SystemConfig.from_dict(doc.get("config", {}))
+    except (TypeError, ValueError) as exc:
+        raise SpecError("config", str(exc)) from exc
+    spec = ExperimentSpec(
+        experiment=doc["experiment"],
+        sweep_variable=sweep["variable"],
+        sweep_values=sweep["values"],
+        trials=doc["trials"],
+        config=config,
+        output=doc.get("output"),
+        metrics=doc.get("metrics"),
+    )
+    _check_types(spec)   # a non-list sweep is reported as one, not by its first item
+    _check_sweep_numbers(spec.sweep_values)
+    return validate_spec(spec)
+
+
+def _check_shape(doc):
+    """What must hold before a spec can be built from a document: a JSON
+    object with the required fields and no others, a sweep object with
+    exactly 'variable' and 'values', and a config object."""
     if not isinstance(doc, dict):
         raise SpecError("spec", "top-level document must be a JSON object")
     for key in ("experiment", "sweep", "trials"):
@@ -163,48 +190,29 @@ def spec_from_dict(doc):
     unknown = set(doc) - {"experiment", "sweep", "trials", "config", "output", "metrics"}
     if unknown:
         raise SpecError(sorted(unknown)[0], "unknown field")
-    _check_shape(doc)
-    sweep = doc["sweep"]
-    _check_sweep_numbers(sweep["values"])
-    try:
-        config = SystemConfig.from_dict(doc.get("config", {}))
-    except (TypeError, ValueError) as exc:
-        raise SpecError("config", str(exc)) from exc
-    spec = ExperimentSpec(
-        experiment=doc["experiment"],
-        sweep_variable=sweep["variable"],
-        sweep_values=list(sweep["values"]),
-        trials=doc["trials"],
-        config=config,
-        output=doc.get("output"),
-        metrics=doc.get("metrics"),
-    )
-    validate_spec(spec)
-    return spec
-
-
-def _check_shape(doc):
-    """The JSON types of a spec document's fields that the other rules
-    assume, checked before them, so that a malformed document fails with a
-    SpecError naming its field."""
-    if not isinstance(doc["experiment"], str):
-        raise SpecError("experiment", f"must be a string (got {doc['experiment']!r})")
     sweep = doc["sweep"]
     if not isinstance(sweep, dict) or "variable" not in sweep or "values" not in sweep:
         raise SpecError("sweep", "must be an object with 'variable' and 'values'")
     unknown = set(sweep) - {"variable", "values"}
     if unknown:
         raise SpecError(f"sweep.{sorted(unknown)[0]}", "unknown field")
-    if not isinstance(sweep["variable"], str):
-        raise SpecError("sweep.variable", f"must be a string (got {sweep['variable']!r})")
-    if not isinstance(sweep["values"], list):
-        raise SpecError("sweep.values", "must be a nonempty list")
     config = doc.get("config", {})
     if not isinstance(config, dict):
         raise SpecError("config", f"must be an object (got {config!r})")
-    for name in ("pzf_bs", "pzf_d2d"):
-        if name in config and not (isinstance(config[name], list) and len(config[name]) == 2):
-            raise SpecError("config", f"{name} must be a list of two integers (got {config[name]!r})")
+
+
+def _check_types(spec):
+    """The types of a spec's fields that the other rules assume, checked
+    before them, so that a malformed spec fails with a SpecError naming its
+    field."""
+    if not isinstance(spec.experiment, str):
+        raise SpecError("experiment", f"must be a string (got {spec.experiment!r})")
+    if not isinstance(spec.sweep_variable, str):
+        raise SpecError("sweep.variable", f"must be a string (got {spec.sweep_variable!r})")
+    if not isinstance(spec.sweep_values, list) or not spec.sweep_values:
+        raise SpecError("sweep.values", "must be a nonempty list")
+    if not isinstance(spec.config, SystemConfig):
+        raise SpecError("config", f"must be a SystemConfig (got {spec.config!r})")
 
 
 def load_spec(path):
@@ -225,6 +233,7 @@ def _check_sweep_numbers(values):
 
 
 def validate_spec(spec):
+    _check_types(spec)
     if spec.experiment not in EXPERIMENTS:
         raise SpecError("experiment", f"unknown experiment {spec.experiment!r}; "
                                       f"known: {', '.join(sorted(EXPERIMENTS))}")
@@ -233,8 +242,6 @@ def validate_spec(spec):
     if spec.sweep_variable == "rng_seed":
         raise SpecError("sweep.variable", "rng_seed cannot be swept: every trial draws its own "
                                           "seed from the config's root seed")
-    if not spec.sweep_values:
-        raise SpecError("sweep.values", "must be a nonempty list")
     if not _is_int(spec.trials) or spec.trials < 1:
         raise SpecError("trials", "must be an integer >= 1")
     if spec.output is not None and not isinstance(spec.output, str):
@@ -245,6 +252,8 @@ def validate_spec(spec):
     if names is not None and not (isinstance(names, list) and all(isinstance(n, str) for n in names)
                                   and len(set(names)) == len(names)):
         raise SpecError("metrics", f"must be a list of distinct metric names or null (got {names!r})")
+    if names == []:   # a run would solve every point and report nothing
+        raise SpecError("metrics", "must be a nonempty list or null")
     kind, _ = EXPERIMENTS[spec.experiment]
     for v in spec.sweep_values:
         try:
@@ -411,7 +420,7 @@ def _mc_point(cfg, seeds, rows, drawn, plan, sums):
 def _chunk_bounds_mc(group, seeds, metrics, ls):
     """Rate bounds and Monte Carlo sum rates of the trials seeds at every
     point of a draw group (group[i]: point i's config) on the trials'
-    large-scale gains ls: per point, one {metric: value} per trial.  Each
+    large-scale gains ls: per point, {metric: the trials' values}.  Each
     point runs its analytic stack in sweep order and keeps only its
     MonteCarloPlan, of the receiver sides the metrics read; the Monte Carlo
     layers then run every point on each sub-stack."""
@@ -430,47 +439,28 @@ def _chunk_bounds_mc(group, seeds, metrics, ls):
     if sides:
         for point, rates in zip(sums, _mc_rates(group, seeds, plans, metrics)):
             point.update(rates)
-    return [[{m: float(point[m][r]) for m in metrics} for r in range(len(seeds))] for point in sums]
+    return [{m: point[m].tolist() for m in metrics} for point in sums]
 
 
-def _each_point(chunk):
-    """The draw-group form of chunk(cfg, seeds, metrics, ls), which runs one
-    sweep point: it runs the group's points in sweep order on the shared
-    gains ls, a failure tagged with its point."""
-    def run(group, seeds, metrics, ls):
-        results = []
-        for i, cfg in enumerate(group):
-            with _at_point(i):
-                results.append(chunk(cfg, seeds, metrics, ls))
-        return results
-    return run
-
-
-@_each_point
-def _chunk_mse(cfg, seeds, metrics, ls):
-    t, k = len(seeds), cfg.n_d2d
-    schedulers = {
-        # no rate coefficients: a config without PZF degrees of freedom still runs
-        "sum_mse_psa": lambda: psa(ls, cfg),
-        "sum_mse_rps": lambda: PilotAssignment.stack([random_assignment(cfg, substream(s, RANDOM_PILOTS))
-                                                      for s in seeds]),
-        "sum_mse_es": lambda: PilotAssignment.stack([exhaustive_search(ls[r], cfg) for r in range(t)]),
-        # contamination-free floor: every pair alone on its pilot
-        "sum_mse_lb": lambda: PilotAssignment(np.broadcast_to(cfg.n_cu + 1 + np.arange(k), (t, k)),
-                                              n_cu=cfg.n_cu, pilot_len=cfg.n_cu + k),
-    }
-    sums = {m: sum_mse(ls, schedulers[m](), cfg) for m in metrics}
-    return [{m: float(sums[m][r]) for m in metrics} for r in range(t)]
-
-
-def _jdpc_metrics(rc, prefactor, res, metrics):
-    if not res.feasible:
-        return {"infeasible_fraction": 1.0}
-    out = {"infeasible_fraction": 0.0, "iterations": float(res.outer_iterations)}
-    eta_c, eta_d = bound_sinrs(rc, res.q_s, res.p_s)
-    out["sum_se_cell"] = prefactor * float(np.sum(np.log2(1.0 + eta_c)))
-    out["sum_se_d2d"] = prefactor * float(np.sum(np.log2(1.0 + eta_d)))
-    return {m: out[m] for m in metrics if m in out}
+def _chunk_mse(group, seeds, metrics, ls):
+    """Estimation sum MSE of each scheduler's assignments, like _chunk_bounds_mc."""
+    t = len(seeds)
+    columns = []
+    for i, cfg in enumerate(group):
+        k = cfg.n_d2d
+        schedulers = {
+            # no rate coefficients: a config without PZF degrees of freedom still runs
+            "sum_mse_psa": lambda: psa(ls, cfg),
+            "sum_mse_rps": lambda: PilotAssignment.stack([random_assignment(cfg, substream(s, RANDOM_PILOTS))
+                                                          for s in seeds]),
+            "sum_mse_es": lambda: PilotAssignment.stack([exhaustive_search(ls[r], cfg) for r in range(t)]),
+            # contamination-free floor: every pair alone on its pilot
+            "sum_mse_lb": lambda: PilotAssignment(np.broadcast_to(cfg.n_cu + 1 + np.arange(k), (t, k)),
+                                                  n_cu=cfg.n_cu, pilot_len=cfg.n_cu + k),
+        }
+        with _at_point(i):
+            columns.append({m: sum_mse(ls, schedulers[m](), cfg).tolist() for m in metrics})
+    return columns
 
 
 def _solve_jdpc(cfg, ls):
@@ -484,14 +474,25 @@ def _solve_jdpc(cfg, ls):
     return rc, prefactor, solved
 
 
-@_each_point
-def _chunk_jdpc(cfg, seeds, metrics, ls):
-    rc, prefactor, solved = _solve_jdpc(cfg, ls)
-    return [_jdpc_metrics(rc[r], prefactor, res, metrics) for r, res in enumerate(solved)]
+def _chunk_jdpc(group, seeds, metrics, ls):
+    """Joint power control, like _chunk_bounds_mc; only the feasible trials
+    report their outer rounds and sum SEs at their final powers."""
+    columns = []
+    for i, cfg in enumerate(group):
+        with _at_point(i):
+            rc, prefactor, res = _solve_jdpc(cfg, ls)
+        ok = res.feasible
+        eta_c, eta_d = bound_sinrs(rc[ok], res.q_s[ok], res.p_s[ok])
+        point = {"infeasible_fraction": (~ok).astype(float),
+                 "iterations": res.outer_iterations[ok].astype(float),
+                 "sum_se_cell": prefactor * np.log2(1.0 + eta_c).sum(axis=-1),
+                 "sum_se_d2d": prefactor * np.log2(1.0 + eta_d).sum(axis=-1)}
+        columns.append({m: point[m].tolist() for m in metrics})
+    return columns
 
 
 # pipeline kind -> chunk(group, seeds, metrics, ls): per point of the draw
-# group, one {metric: value} per trial
+# group, {metric: values of the trials that report it, in trial order}
 _CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc}
 
 
@@ -505,12 +506,8 @@ def _run_chunk(task):
     for the shared large-scale draw), trial index and trial seed, so the
     draw can be re-run."""
     group, kind, metrics, first, seeds, points = task
-
-    def columns(trials):
-        return {m: [r[m] for r in trials if m in r] for m in metrics}
-
     try:
-        return [columns(trials) for trials in _CHUNKS[kind](group, seeds, metrics, _large_scale(group[0], seeds))]
+        return _CHUNKS[kind](group, seeds, metrics, _large_scale(group[0], seeds))
     except SolverError as exc:
         where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
         raise RuntimeError(f"{points[getattr(exc, 'point', 0)]}, {where}: {exc.args[0]}") from exc
@@ -614,8 +611,8 @@ def convergence_traces(cfg, max_draws=50):
     the first feasible trial index wins; with none, trial 0 is traced)."""
     first = None
     for t in range(max_draws):
-        rc, prefactor, (joint,) = _solve_jdpc(cfg, _large_scale(cfg, [trial_seed(cfg.rng_seed, t)]))
-        probe = (t, rc[0], prefactor, joint)
+        rc, prefactor, joint = _solve_jdpc(cfg, _large_scale(cfg, [trial_seed(cfg.rng_seed, t)]))
+        probe = (t, rc[0], prefactor, joint[0])
         first = first or probe
         if probe[-1].feasible:
             break
@@ -636,4 +633,4 @@ def convergence_traces(cfg, max_draws=50):
     joint_trace = [{"iteration": i + 1, "objective": obj, "residual": None}
                    for i, obj in enumerate(joint.trace)]
     return {"cellular": cell_trace, "d2d": d2d_trace, "joint": joint_trace,
-            "feasible": joint.feasible, "trial": chosen}
+            "feasible": bool(joint.feasible), "trial": chosen}

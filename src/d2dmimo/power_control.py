@@ -7,21 +7,21 @@ Three solvers:
   * dpcd  - D2D powers p maximizing the D2D sum rate under the cellular
             QoS budget, via alternating weighted-MMSE updates with a
             bisected multiplier for the budget constraint;
-  * jdpc  - the outer loop alternating the two until the D2D sum
+  * jdpc_stack - the outer loop alternating the two until the D2D sum
             spectral efficiency stabilizes.
 
 The WMMSE and joint solvers work on stacks of same-size instances
 (dpcd_stack, jdpc_stack): the power-control recipes hand all trials of a
 sweep point to one call, which pays each numpy call once per iteration
 for the whole stack, and a converged instance leaves the stack.  A joint
-stack keeps its powers in arrays and computes each quantity of a round
-but the cellular step (dpcc, per instance) with one stacked call.  Each
-instance does the arithmetic it would do alone, in the same order, so its
-bits do not depend on the stack; dpcd and jdpc are stacks of one.  A
-WMMSE stack down to one instance drops its trial axis and runs that
-instance's 1-D arrays through the same loop.  jdpc records no WMMSE
-objective trace, so its inner loop computes no objective; dpcd always
-records one.
+stack keeps its powers and results in arrays and computes each quantity
+of a round but the cellular step (dpcc, per instance) with one stacked
+call.  Each instance does the arithmetic it would do alone, in the same
+order, so its bits do not depend on the stack; dpcd is a stack of one, and
+so is jdpc_stack(rc[None], ...)[0].  A WMMSE stack down to one instance
+drops its trial axis and runs that instance's 1-D arrays through the same
+loop.  jdpc_stack records no WMMSE objective trace, so its inner loop
+computes no objective; dpcd always records one.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .receivers import _dot, _matvec, _vecmat, bound_sinrs, sigma_c_of, sigma_d_of
+from .scenario import TrialAxis
 
 
 class InfeasibleBudgetError(RuntimeError):
@@ -315,19 +316,26 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
 
 
 @dataclass
-class JdpcResult:
-    q_s: np.ndarray
-    p_s: np.ndarray
-    outer_iterations: int
-    trace: list                      # D2D sum SE after each outer round
-    feasible: bool
+class JdpcResult(TrialAxis):
+    """Joint power control of a stack; result[t] is instance t."""
+
+    q_s: np.ndarray                  # (T, N)
+    p_s: np.ndarray                  # (T, K)
+    outer_iterations: np.ndarray     # (T,) int, outer rounds run
+    feasible: np.ndarray             # (T,) bool
+    se: np.ndarray                   # (T, outer_cap), D2D sum SE after each round, 0 after the last
+
+    @property
+    def trace(self):
+        """An instance's sum SEs as a list; one found infeasible in round r has none for r."""
+        return self.se[:self.outer_iterations - (not self.feasible)].tolist()
 
 
 def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
                outer_cap=10, prefactor=1.0, p_init=None):
     """Alternate dpcc and dpcd on a stack of same-size instances, rate
     coefficients rc with a leading axis of T, until each one's D2D sum SE
-    stabilizes; one JdpcResult per instance, in order.
+    stabilizes; returns one JdpcResult stack, row t for instance t.
 
     The D2D powers start at their caps (the inner WMMSE initializer) unless
     p_init (T, K) warm-starts them; later rounds warm-start the WMMSE from
@@ -351,15 +359,12 @@ def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
     p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
     p = np.tile(p_max_vec, (t, 1)) if p_init is None else np.array(p_init, dtype=float)
     q = np.zeros((t, n))
-    se = np.zeros((outer_cap, t))    # D2D sum SE of each instance after each round
-    results = [None] * t
+    res = JdpcResult(q_s=q, p_s=p, outer_iterations=np.zeros(t, dtype=int),
+                     feasible=np.ones(t, dtype=bool), se=np.zeros((t, outer_cap)))
 
     def finish(rows, outer, feasible):
-        # an instance found infeasible in round outer has no sum SE for it
-        for r in rows.tolist():
-            results[r] = JdpcResult(q_s=q[r].copy(), p_s=p[r].copy(), outer_iterations=outer,
-                                    trace=se[:outer if feasible else outer - 1, r].tolist(),
-                                    feasible=feasible)
+        res.outer_iterations[rows] = outer
+        res.feasible[rows] = feasible
 
     active = np.arange(t)            # rows still running
     for outer in range(1, outer_cap + 1):
@@ -373,34 +378,25 @@ def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
         finish(active[~qos], outer, False)
         active = active[qos]
         if k == 0:                   # no pairs: the sum SE is 0 and every instance stops
-            finish(active, outer, True)
-            return results
+            break
         sub = rc[active]
         zeta = cellular_power_budget(sub, q[active], gamma)
         short = zeta < 0.0
         finish(active[short], outer, False)
         active, sub, zeta = active[~short], sub[~short], zeta[~short]
         if not active.size:
-            return results
+            break
         try:
             d2d = dpcd_stack(sub.phi_d, sub.psi_d, sub.varphi_d, sigma_d_of(sub, q[active]), zeta,
                              p_max_vec, tol_wmmse=tol_wmmse, bisect_rtol=tol_power,
                              p_init=p[active], record_trace=False)
         except SolverError as exc:
             raise type(exc)(exc.args[0], active[exc.rows]) from exc
-        p[active] = [res.p_s for res in d2d]
+        p[active] = [r.p_s for r in d2d]
         _, eta_d = bound_sinrs(sub, q[active], p[active])
-        se[outer - 1, active] = prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
-        done = (outer >= 2) & (np.abs(se[outer - 1, active] - se[outer - 2, active]) < tol_power)
+        se = res.se[active, outer - 1] = prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
+        done = (outer >= 2) & (np.abs(se - res.se[active, outer - 2]) < tol_power)
         finish(active[done], outer, True)
         active = active[~done]
-    finish(active, outer_cap, True)
-    return results
-
-
-def jdpc(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
-         outer_cap=10, prefactor=1.0, p_init=None):
-    """Joint power control of one instance: jdpc_stack on a stack of one."""
-    p_init = None if p_init is None else [p_init]
-    return jdpc_stack(rc[None], gamma, q_max, p_max, tol_power=tol_power, tol_wmmse=tol_wmmse,
-                      outer_cap=outer_cap, prefactor=prefactor, p_init=p_init)[0]
+    finish(active, outer, True)
+    return res

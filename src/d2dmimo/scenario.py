@@ -95,8 +95,10 @@ class SystemConfig:
     rng_seed: int = 12345
 
     def __post_init__(self):
-        self.pzf_bs = tuple(self.pzf_bs)
-        self.pzf_d2d = tuple(self.pzf_d2d)
+        for name in ("pzf_bs", "pzf_d2d"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"{name} must be a list of two integers (got {pair!r})")
         self.validate()
         self.pzf_bs = tuple(int(x) for x in self.pzf_bs)
         self.pzf_d2d = tuple(int(x) for x in self.pzf_d2d)

@@ -2,28 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2dmimo.scenario import SystemConfig, LargeScale, substream, FADING, NOISE
+from d2dmimo.scenario import LargeScale, substream, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, _cn, draw_fast_fading, fading_normals,
                              noise_normals, normals, estimation_coeffs, simulate_pilot_phase,
                              mmse_estimate, group_powers)
 from d2dmimo.receivers import monte_carlo_plan, select_cancellation
-
-
-def small_config(**kw):
-    base = dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4,
-                pilot_len=6, coherence_len=40, pzf_bs=(1, 2), pzf_d2d=(1, 1),
-                rng_seed=7)
-    base.update(kw)
-    return SystemConfig(**base)
-
-
-def make_ls(rng, n, k):
-    return LargeScale(
-        u_c=rng.uniform(0.1, 2.0, n),
-        u_d=rng.uniform(0.1, 2.0, k),
-        v_c=rng.uniform(0.1, 2.0, (n, k)),
-        v_d=rng.uniform(0.1, 2.0, (k, k)),
-    )
+from helpers import assignment, make_ls, same_bits, small_config
 
 
 def plan_of(ls, pa, pp, cfg):
@@ -36,14 +20,6 @@ def plan_of(ls, pa, pp, cfg):
 def reference_cn(rng, shape):
     """CN(0, 1) samples as the sum of their parts, drawn from a generator."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def assignment(pilot_of, n_cu=3, pilot_len=6):
-    return PilotAssignment(pilot_of=np.array(pilot_of), n_cu=n_cu, pilot_len=pilot_len)
 
 
 class TestPilotAssignment:

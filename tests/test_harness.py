@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from d2dmimo import harness, power_control
 from d2dmimo.cli import main
-from d2dmimo.receivers import rate_lower_bounds
+from d2dmimo.receivers import bound_sinrs, rate_lower_bounds
 from d2dmimo.scenario import DRAW_FIELDS, SystemConfig, trial_seed
 from d2dmimo.power_control import SolverError, dpcc, dpcd
 from d2dmimo.harness import (ExperimentSpec, SpecError, apply_sweep, load_spec, run_experiment,
@@ -86,6 +86,14 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="metrics"):
             validate_spec(tiny_spec(metrics=metrics))
 
+    def test_metrics_must_not_be_empty(self):
+        # an empty list would run every point's pipeline and write no rows
+        with pytest.raises(SpecError) as err:
+            validate_spec(tiny_spec(metrics=[]))
+        assert str(err.value) == "metrics: must be a nonempty list or null"
+        with pytest.raises(SpecError, match="metrics: must be a nonempty list"):
+            spec_from_dict({**tiny_spec().to_dict(), "metrics": []})
+
     def test_output_must_be_a_path_string(self):
         with pytest.raises(SpecError, match="output"):
             spec_from_dict({**tiny_spec().to_dict(), "output": 5})
@@ -152,6 +160,38 @@ def test_malformed_spec_document_raises_a_spec_error(case, tmp_path, capsys):
     file.write_text(json.dumps(doc))
     assert main(["validate", str(file)]) == 1
     assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
+# edits of the ExperimentSpec loaded from specs/fig1.json: (field, its new value, the error)
+PYTHON_MALFORMED = {
+    "experiment a list": ("experiment", ["fig1"], "experiment: must be a string (got ['fig1'])"),
+    "variable a list": ("sweep_variable", ["bs_antennas"],
+                        "sweep.variable: must be a string (got ['bs_antennas'])"),
+    "values a number": ("sweep_values", 64, "sweep.values: must be a nonempty list"),
+    "values a string": ("sweep_values", "64", "sweep.values: must be a nonempty list"),
+    "values a dict": ("sweep_values", {"a": 64}, "sweep.values: must be a nonempty list"),
+    "config a dict": ("config", {"n_cu": 5}, "config: must be a SystemConfig (got {'n_cu': 5})"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PYTHON_MALFORMED))
+def test_malformed_python_spec_raises_a_spec_error(case):
+    name, value, message = PYTHON_MALFORMED[case]
+    spec = load_spec(SPECS / "fig1.json")
+    setattr(spec, name, value)
+    spec.output = None
+    for check in (validate_spec, run_experiment):
+        with pytest.raises(SpecError) as err:
+            check(spec)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pair", [5, (1, 2, 3), (1,), [1, 2, 3]], ids=repr)
+@pytest.mark.parametrize("name", ["pzf_bs", "pzf_d2d"])
+def test_pzf_degrees_must_be_a_pair(name, pair):
+    with pytest.raises(ValueError) as err:
+        SystemConfig(**{name: pair})
+    assert str(err.value) == f"{name} must be a list of two integers (got {pair!r})"
 
 
 JSON = st.recursive(st.none() | st.booleans() | st.integers(-10, 10_000) | st.floats() | st.text(max_size=4),
@@ -478,11 +518,45 @@ def test_joint_power_control_runs_one_single_trial_dpcc_per_running_trial_and_ro
     monkeypatch.setattr(power_control, "dpcc", spy)
     cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=12345)
     _, _, solved = _solve_jdpc(cfg, harness._large_scale(cfg, [trial_seed(12345, t) for t in range(30)]))
-    infeasible = sum(not res.feasible for res in solved)
-    assert 0 < infeasible < len(solved)
+    infeasible = np.count_nonzero(~solved.feasible)
+    assert 0 < infeasible < len(solved.feasible)
     assert all(ndim == 1 and type(feasible) is bool for ndim, feasible in calls)
-    assert len(calls) == sum(res.outer_iterations for res in solved) > len(solved)
+    assert len(calls) == solved.outer_iterations.sum() > len(solved.feasible)
     assert sum(not feasible for _, feasible in calls) == infeasible
+
+
+def per_trial_jdpc_columns(rc, prefactor, res, metrics):
+    """A point's columns formed trial by trial: a QoS-infeasible trial
+    reports only infeasible_fraction, a feasible one also its outer rounds
+    and the sum SEs of its own bound SINRs at its final powers."""
+    trials = []
+    for r in range(len(res.feasible)):
+        row = res[r]
+        if not row.feasible:
+            trials.append({"infeasible_fraction": 1.0})
+            continue
+        eta_c, eta_d = bound_sinrs(rc[r], row.q_s, row.p_s)
+        trials.append({"infeasible_fraction": 0.0, "iterations": float(row.outer_iterations),
+                       "sum_se_cell": prefactor * float(np.sum(np.log2(1.0 + eta_c))),
+                       "sum_se_d2d": prefactor * float(np.sum(np.log2(1.0 + eta_d)))})
+    return {m: [t[m] for t in trials if m in t] for m in metrics}
+
+
+@pytest.mark.parametrize("group,feasible", [
+    ([SystemConfig(n_d2d=10, sinr_target=0.372, rng_seed=777)], [6]),   # fig7 draws
+    ([desk_config(), desk_config(sinr_target=50.0)], [4, 0]),           # no feasible trial at 50
+], ids=["fig7", "feasible and none"])
+def test_chunk_jdpc_columns_are_the_per_trial_metrics(group, feasible):
+    seeds = [trial_seed(group[0].rng_seed, t) for t in range(8)]
+    ls = harness._large_scale(group[0], seeds)
+    metrics = harness._METRICS["jdpc"]
+    columns = harness._chunk_jdpc(group, seeds, metrics, ls)
+    assert [len(point["iterations"]) for point in columns] == feasible
+    for cfg, point in zip(group, columns):
+        want = per_trial_jdpc_columns(*_solve_jdpc(cfg, ls), metrics)
+        assert all(type(v) is float for m in metrics for v in point[m])
+        assert {m: [v.hex() for v in point[m]] for m in metrics} == {
+            m: [v.hex() for v in want[m]] for m in metrics}
 
 
 def test_convergence_traces_exportable(tmp_path):

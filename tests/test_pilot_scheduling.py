@@ -5,29 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2dmimo.scenario import SystemConfig, LargeScale, substream
+from d2dmimo.scenario import LargeScale, substream
 from d2dmimo.channel import PilotAssignment, PowerProfile, estimation_coeffs
 from d2dmimo.pilot_scheduling import (interference_metric, sum_mse,
                                       psa, random_assignment, exhaustive_search,
                                       pilot_power_parametric, search_space, InstanceTooLargeError,
                                       _ES_BLOCK_BYTES)
-
-
-def small_config(**kw):
-    base = dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4,
-                pilot_len=6, coherence_len=40, pzf_bs=(1, 2), pzf_d2d=(1, 1),
-                rng_seed=7)
-    base.update(kw)
-    return SystemConfig(**base)
-
-
-def make_ls(rng, n, k):
-    return LargeScale(
-        u_c=rng.uniform(0.1, 2.0, n),
-        u_d=rng.uniform(0.1, 2.0, k),
-        v_c=rng.uniform(0.1, 2.0, (n, k)),
-        v_d=rng.uniform(0.1, 2.0, (k, k)),
-    )
+from helpers import make_ls, small_config
 
 
 def isolated_ls(rng, n, k, cross=1e-12):

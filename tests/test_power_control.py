@@ -12,17 +12,10 @@ from d2dmimo.pilot_scheduling import psa
 from d2dmimo import power_control
 from d2dmimo.power_control import (CellularFixedPoint, cellular_fixed_point,
                                    cellular_power_budget, dpcc, dpcc_iterate, dpcd, dpcd_stack,
-                                   jdpc, jdpc_stack, InfeasibleBudgetError, BracketError,
+                                   jdpc_stack, InfeasibleBudgetError, BracketError,
                                    SolverError)
 from d2dmimo.harness import _large_scale, _scenario_pipeline
-
-
-def small_config(**kw):
-    base = dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4,
-                pilot_len=6, coherence_len=40, pzf_bs=(1, 2), pzf_d2d=(1, 1),
-                sinr_target=2.0, rng_seed=7)
-    base.update(kw)
-    return SystemConfig(**base)
+from helpers import small_config
 
 
 def pipeline_rc(cfg):
@@ -100,7 +93,7 @@ class TestDpcc:
         assert eta_c[0] < 10.0
 
     def test_feasible_point_meets_targets_with_equality(self):
-        cfg = small_config()
+        cfg = small_config(sinr_target=2.0)
         rc = pipeline_rc(cfg)
         p_s = np.full(cfg.n_d2d, cfg.max_power_d2d)
         res = dpcc(rc, p_s, cfg.sinr_target, cfg.max_power_cu, tol=1e-10)
@@ -170,7 +163,7 @@ class TestDpcd:
             assert float(res.p_s @ varphi_d) <= zeta_target * (1 + 1e-12)
 
     def test_surrogate_monotone_per_iteration(self):
-        cfg = small_config()
+        cfg = small_config(sinr_target=2.0)
         rc = pipeline_rc(cfg)
         res_c = dpcc(rc, np.full(cfg.n_d2d, cfg.max_power_d2d), cfg.sinr_target,
                      cfg.max_power_cu, tol=1e-8)
@@ -281,8 +274,8 @@ def _dpcd_case(name):
         # also runs the bisection
         silent = name == "silent pair warm start"
         cfg, rc, _ = _fig7_instance(10, 0.372, 7 if silent else 4)
-        first = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                     tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1)
+        first = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                           tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1)[0]
         p_init = first.p_s.copy()
         q_s = dpcc(rc, p_init, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s
         if silent:
@@ -316,7 +309,7 @@ class TestJdpc:
                         phi_d=np.zeros(0), psi_d=np.zeros((0, 0)),
                         cu_to_rx_weight=np.zeros((2, 0)),
                         noise_power=1.0)
-        res = jdpc(rc, gamma=1.5, q_max=10.0, p_max=np.zeros(0))
+        res = jdpc_stack(rc[None], gamma=1.5, q_max=10.0, p_max=np.zeros(0))[0]
         assert res.feasible
         assert res.outer_iterations == 1
         assert res.trace == [0.0]
@@ -337,7 +330,7 @@ class TestJdpc:
             rc = synthetic_rc([phi_c], [[u_eps]], [varphi_d], [phi_d],
                               [[psi_self]], [[w]], n0=n0)
             gamma, q_max, p_max = 1.8, 6.0, 3.0
-            res = jdpc(rc, gamma, q_max, p_max, tol_power=1e-9, tol_wmmse=1e-9)
+            res = jdpc_stack(rc[None], gamma, q_max, p_max, tol_power=1e-9, tol_wmmse=1e-9)[0]
             assert res.feasible
             qs = np.linspace(1e-6, q_max, 400)
             ps = np.linspace(0, p_max, 400)
@@ -357,9 +350,9 @@ class TestJdpc:
         cfg = SystemConfig(sinr_target=0.372, rng_seed=14)
         rc = pipeline_rc(cfg)
         prefactor = 1 - cfg.pilot_len / cfg.coherence_len
-        res = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                   tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse,
-                   prefactor=prefactor)
+        res = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                         tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse,
+                         prefactor=prefactor)[0]
         assert res.feasible
         assert res.outer_iterations <= 5
         diffs = np.diff(res.trace)
@@ -367,7 +360,7 @@ class TestJdpc:
 
     def test_infeasible_propagates_as_flag(self):
         rc = synthetic_rc([1.0], [[0.0]], [1.0], [1.0], [[0.1]], [[0.05]], n0=1.0)
-        res = jdpc(rc, gamma=100.0, q_max=1.0, p_max=1.0)
+        res = jdpc_stack(rc[None], gamma=100.0, q_max=1.0, p_max=1.0)[0]
         assert not res.feasible
 
 
@@ -402,8 +395,8 @@ def _stack_case():
         cfg, rc, _ = _fig7_instance(10, 0.372, trial)
         p_init = np.full(10, cfg.max_power_d2d)
         if trial == 7:
-            p_init = jdpc(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                          tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1).p_s.copy()
+            p_init = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                                tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1).p_s[0]
             p_init[3] = 0.0
         rcs.append(rc)
         warm.append(p_init)
@@ -413,8 +406,8 @@ def _stack_case():
 
 def _same_result(a, b):
     return (a.q_s.tobytes() == b.q_s.tobytes() and a.p_s.tobytes() == b.p_s.tobytes()
-            and a.trace == b.trace and a.outer_iterations == b.outer_iterations
-            and a.feasible == b.feasible)
+            and a.se.tobytes() == b.se.tobytes() and a.trace == b.trace
+            and a.outer_iterations == b.outer_iterations and a.feasible == b.feasible)
 
 
 class TestStackedSolvers:
@@ -432,16 +425,48 @@ class TestStackedSolvers:
         monkeypatch.setattr(power_control, "dpcd_stack", spy)
         stacked = jdpc_stack(RateCoeffs.stack(rcs), *args, p_init=warm, **kw)
         monkeypatch.undo()
-        assert [r.feasible for r in stacked] == [True, False, True, True, True, True, True]
-        assert [r.outer_iterations for r in stacked] == [3, 1, 4, 2, 10, 5, 2]
+        assert stacked.feasible.tolist() == [True, False, True, True, True, True, True]
+        assert stacked.outer_iterations.tolist() == [3, 1, 4, 2, 10, 5, 2]
         # row 3 (third in the first dpcd stack: row 1 never reaches it) bisects and stays silent
-        assert multipliers[0][2] > 0.0 and stacked[3].p_s[3] == 0.0
+        assert multipliers[0][2] > 0.0 and stacked.p_s[3, 3] == 0.0
         assert [len(m) for m in multipliers] == [6, 6, 4, 3, 2, 1, 1, 1, 1, 1]
-        for rc, p_init, res in zip(rcs, warm, stacked):
-            assert _same_result(res, jdpc(rc, *args, p_init=p_init, **kw))
+        for r, (rc, p_init) in enumerate(zip(rcs, warm)):
+            res = stacked[r]
+            assert _same_result(res, jdpc_stack(rc[None], *args, p_init=p_init[None], **kw)[0])
             q, p, outer, trace, feasible = reference_jdpc(rc, *args, p_init=p_init, **kw)
             assert (res.q_s.tobytes(), res.p_s.tobytes(), res.outer_iterations, res.trace,
                     res.feasible) == (q.tobytes(), p.tobytes(), outer, trace, feasible)
+
+    def test_jdpc_stack_keeps_each_rows_rounds_in_arrays(self):
+        cfg, rcs, warm, kw = _stack_case()
+        res = jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                         p_init=warm, **kw)
+        assert (res.q_s.shape, res.p_s.shape, res.se.shape) == ((7, 5), (7, 10), (7, 10))
+        assert res.outer_iterations.dtype.kind == "i" and res.feasible.dtype == bool
+        # the QoS-infeasible row has no sum SE for its only round
+        assert res[1].trace == [] and not res.se[1].any()
+        for r in range(7):
+            rounds = len(res[r].trace)
+            assert rounds == res.outer_iterations[r] - (not res.feasible[r])
+            assert res.se[r, :rounds].all() and not res.se[r, rounds:].any()
+
+    def test_jdpc_stack_without_pairs(self):
+        # the K = 0 instance of test_no_pairs_reduces_to_single_dpcc, and a
+        # second row with a twice weaker CU 0 link
+        rc = RateCoeffs(phi_c=np.array([[5.0, 4.0], [2.5, 4.0]]),
+                        varphi_c=np.array([[[0.1, 0.2], [0.3, 0.1]]] * 2),
+                        varphi_d=np.zeros((2, 0)),
+                        phi_d=np.zeros((2, 0)), psi_d=np.zeros((2, 0, 0)),
+                        cu_to_rx_weight=np.zeros((2, 2, 0)),
+                        noise_power=1.0)
+        res = jdpc_stack(rc, gamma=1.5, q_max=10.0, p_max=np.zeros(0))
+        assert (res.q_s.shape, res.p_s.shape, res.se.shape) == ((2, 2), (2, 0), (2, 10))
+        assert res.feasible.tolist() == [True, True] and res.outer_iterations.tolist() == [1, 1]
+        for r in range(2):
+            assert _same_result(res[r], jdpc_stack(rc[r][None], gamma=1.5, q_max=10.0, p_max=np.zeros(0))[0])
+            assert res[r].trace == [0.0]
+            eta_c, _ = bound_sinrs(rc[r], res.q_s[r], res.p_s[r])
+            assert np.allclose(eta_c, 1.5, rtol=1e-2)
 
     def test_dpcd_rows_bisecting_together_match_the_reference_loop(self):
         names = ["multiplier zero", "multiplier positive", "jdpc warm start", "silent pair warm start"]

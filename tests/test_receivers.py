@@ -13,27 +13,7 @@ from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, Cancellati
                                d2d_sinr_terms, rate_coeffs, rate_lower_bounds,
                                bound_sinrs, sigma_c_of, _project_out, monte_carlo_plan)
 from d2dmimo.harness import _large_scale, _scenario_pipeline
-
-
-def small_config(**kw):
-    base = dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4,
-                pilot_len=6, coherence_len=40, pzf_bs=(1, 2), pzf_d2d=(1, 1),
-                rng_seed=7)
-    base.update(kw)
-    return SystemConfig(**base)
-
-
-def make_ls(rng, n, k):
-    return LargeScale(
-        u_c=rng.uniform(0.1, 2.0, n),
-        u_d=rng.uniform(0.1, 2.0, k),
-        v_c=rng.uniform(0.1, 2.0, (n, k)),
-        v_d=rng.uniform(0.1, 2.0, (k, k)),
-    )
-
-
-def assignment(pilot_of, n_cu=3, pilot_len=6):
-    return PilotAssignment(pilot_of=np.array(pilot_of), n_cu=n_cu, pilot_len=pilot_len)
+from helpers import assignment, make_ls, small_config
 
 
 def full_pipeline(cfg, seed=0):

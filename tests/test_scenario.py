@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from d2dmimo.scenario import (SystemConfig, Topology, generate_topology,
                               compute_large_scale, substream, dbm_to_mw, SHADOWING)
-
-
-def small_config(**kw):
-    base = dict(n_cu=3, n_d2d=6, bs_antennas=16, d2drx_antennas=4,
-                pilot_len=6, coherence_len=40, pzf_bs=(1, 2), pzf_d2d=(1, 1),
-                rng_seed=7)
-    base.update(kw)
-    return SystemConfig(**base)
+from helpers import small_config
 
 
 def test_same_seed_identical_topology_and_gains():

@@ -21,6 +21,7 @@ from d2dmimo.receivers import (DegenerateSpanError, select_cancellation, rate_co
                                cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan)
 from d2dmimo.harness import (ExperimentSpec, _chunk_bounds_mc, _mc_rates, _scenario_pipeline,
                              _stack_size, apply_sweep, run_experiment)
+from helpers import same_bits
 
 
 def reference_generate_topology(config, rng=None):
@@ -56,9 +57,10 @@ class CountingRng:
         return self.rng.uniform(*args, **kwargs)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def trial_rows(point):
+    """A point's columns, {metric: the trials' values}, as one {metric:
+    value} per trial."""
+    return [dict(zip(point, values)) for values in zip(*point.values())]
 
 
 def same_fields(stacked, alone):
@@ -192,7 +194,7 @@ def test_sum_mse_rows_are_single_calls(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_mse_floor_is_the_contamination_free_formula(name):
     cfg, seeds, ls = point_stack(trial_configs(name))
-    for t, row in enumerate(harness._chunk_mse([cfg], seeds, ["sum_mse_lb"], ls)[0]):
+    for t, row in enumerate(trial_rows(harness._chunk_mse([cfg], seeds, ["sum_mse_lb"], ls)[0])):
         s = cfg.pilot_len * cfg.max_power_d2d * np.diag(ls.v_d[t])
         want = float(cfg.d2drx_antennas * np.sum(1.0 - s / (s + cfg.noise_power)))
         assert row["sum_mse_lb"].hex() == want.hex()
@@ -203,7 +205,7 @@ def test_chunk_mse_draws_each_trials_schedules_from_its_seed():
     # point config are those of each trial's own config alone
     cfgs = trial_configs("silent first member", trials=6, configs=MC_CONFIGS)
     cfg, seeds, ls = point_stack(cfgs)
-    rows = harness._chunk_mse([cfg], seeds, ["sum_mse_rps", "sum_mse_es"], ls)[0]
+    rows = trial_rows(harness._chunk_mse([cfg], seeds, ["sum_mse_rps", "sum_mse_es"], ls)[0])
     for row, cfg_t in zip(rows, cfgs):
         ls_t = compute_large_scale(generate_topology(cfg_t), cfg_t)
         assert row["sum_mse_rps"].hex() == float(sum_mse(ls_t, random_assignment(cfg_t), cfg_t)).hex()
@@ -390,7 +392,8 @@ def hex_rows(results):
 
 def bounds_mc_alone(cfg):
     """One trial's row: a chunk of that trial alone at its own config."""
-    return _chunk_bounds_mc([cfg], [cfg.rng_seed], MC_METRICS, harness._large_scale(cfg, [cfg.rng_seed]))[0][0]
+    return trial_rows(_chunk_bounds_mc([cfg], [cfg.rng_seed], MC_METRICS,
+                                       harness._large_scale(cfg, [cfg.rng_seed]))[0])[0]
 
 
 @pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1])
@@ -400,7 +403,7 @@ def test_chunk_bounds_mc_matches_each_trial_alone(monkeypatch, name, budget):
     cfgs = trial_configs(name, 7, MC_CONFIGS)
     alone = [bounds_mc_alone(cfg) for cfg in cfgs]
     cfg, seeds, ls = point_stack(cfgs)
-    assert hex_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0]) == hex_rows(alone)
+    assert hex_rows(trial_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0])) == hex_rows(alone)
 
 
 def mc_sums_alone(cfg, attempt):
@@ -448,7 +451,7 @@ def test_degenerate_row_is_redrawn_alone(monkeypatch):
     degenerate_draws(monkeypatch, {cfgs[4].rng_seed}, {0})
     want[4].update(redrawn)
     cfg, seeds, ls = point_stack(cfgs)
-    assert hex_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0]) == hex_rows(want)
+    assert hex_rows(trial_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0])) == hex_rows(want)
 
 
 GROUPS = {"bs_antennas": [64, 128, 256], "pilot_len": [6, 10, 25]}
@@ -471,7 +474,7 @@ def test_group_rows_match_each_point_alone(monkeypatch, variable, budget):
     degenerate_draws(monkeypatch, {bad.rng_seed}, {0}, at=lambda cfg: getattr(cfg, variable) == values[1])
     points = [apply_sweep(SystemConfig(rng_seed=21), variable, v) for v in values]
     got = _chunk_bounds_mc(points, seeds, MC_METRICS, harness._large_scale(points[0], seeds))
-    assert [hex_rows(point) for point in got] == [hex_rows(p) for p in want]
+    assert [hex_rows(trial_rows(point)) for point in got] == [hex_rows(p) for p in want]
 
 
 def test_group_draws_each_trials_normals_once(monkeypatch):
