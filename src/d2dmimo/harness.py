@@ -17,25 +17,30 @@ one chunk of trials at every point of a group.  It carries each point's
 config, built once and keeping the root seed, and the chunk's trial
 seeds, which every draw reads.  It draws each trial's
 topology from its own substream and the chunk's large-scale gains once,
-then runs the points in sweep order on those gains, each pushing all the
+then runs the points in sweep order on those gains, pushing all the
 chunk's trials through the analytic layers from PSA onward (PSA,
 estimation coefficients, cancellation sets, rate coefficients and
 bounds) as one stack with a leading trial axis, and the power-control
-recipes solve each point's stack in lockstep.  A Monte Carlo recipe
-then keeps, of each point's analytic stack, only its MonteCarloPlan: the
-terms of the Monte Carlo layers that do not depend on the fast fading,
-formed once per point for the receiver sides the metrics read (the BS for
-sum_se_cell, the D2D-Rxs for sum_se_d2d).  The Monte Carlo layers (fast
-fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the chunk sized
-by a byte budget, each on its rows of the plan, and do only the
-draw-dependent work of those sides.  A trial's fading and pilot-noise
-normals depend on its seed, not on the sweep value, and a point of a
-smaller size reads a prefix of them, so each sub-stack draws every trial's
-normals once, from the trial's own substreams, at the group's largest
-counts, and the points read their prefixes in sweep order.  The estimation recipe
-scores each scheduler's assignments for the whole chunk in one sum_mse
-call; random assignments are drawn and exhaustive searches run per
-trial, on each trial's slice of the stack.  Every trial gets the bits it
+recipes solve each point's stack in lockstep.  Points whose configs agree on
+scenario.SCHEDULE_FIELDS (the fields PSA, the power profile, the estimation
+coefficients, the cancellation sets and the Monte Carlo plan read) share one
+result of those layers, and those that also agree on the antenna counts one
+set of rate coefficients: a sweep of bs_antennas schedules once per chunk,
+and one of coherence_len or sinr_target also forms its rate coefficients
+once.  A Monte Carlo recipe then keeps, of the analytic stacks, only one
+MonteCarloPlan per schedule: the terms of the Monte Carlo layers that do not
+depend on the fast fading, for the receiver sides the metrics read (the BS
+for sum_se_cell, the D2D-Rxs for sum_se_d2d).  The Monte Carlo layers (fast
+fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the chunk, as many
+trials as a byte budget holds of those sides' fading, each on its rows of
+the plan, and do only the draw-dependent work of those sides.  A trial's
+fading and pilot-noise normals depend on its seed, not on the sweep value,
+and a point of a smaller size reads a prefix of them, so each sub-stack
+draws every trial's normals once, from the trial's own substreams, at the
+group's largest counts, and the points read their prefixes in sweep order.
+The estimation recipe scores each scheduler's assignments for the whole
+chunk in one sum_mse call; random assignments are drawn and exhaustive
+searches run per trial, on each trial's slice of the stack.  Every trial gets the bits it
 would get alone, so the outputs do not depend on chunking or grouping.
 A chunk returns, per point, {metric: values of the trials that report it,
 in trial order}; a trial the joint power control finds infeasible reports
@@ -64,11 +69,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .scenario import (DRAW_FIELDS, SystemConfig, Topology, generate_topology, compute_large_scale,
-                       substream, trial_seed, _is_int, _is_real, TOPOLOGY, SHADOWING, FADING, NOISE,
-                       RANDOM_PILOTS)
-from .channel import (PilotAssignment, PowerProfile, estimation_coeffs, group_powers, draw_fast_fading,
-                      simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals, normals)
+from .scenario import (DRAW_FIELDS, SCHEDULE_FIELDS, SystemConfig, Topology, generate_topology,
+                       compute_large_scale, substream, trial_seed, _is_int, _is_real, TOPOLOGY, SHADOWING,
+                       FADING, NOISE, RANDOM_PILOTS)
+from .channel import (SIDES, PilotAssignment, PowerProfile, estimation_coeffs, group_powers,
+                      draw_fast_fading, simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals,
+                      normals)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan)
 from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
@@ -307,25 +313,43 @@ def _large_scale(cfg, seeds):
     return compute_large_scale(Topology.stack(topos), cfg, [substream(seed, SHADOWING) for seed in seeds])
 
 
-def _scenario_pipeline(cfg, ls):
-    """Analytic layers at config cfg and full power on a stack of trials'
-    large-scale gains ls, each result with a leading trial axis: (pa, pp,
-    powers, coeffs, sets, rc), powers being group_powers(ls, pa, pp.p_p)."""
-    pa = psa(ls, cfg)
-    pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(ls.u_c))
-    powers = group_powers(ls, pa, pp.p_p)
-    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
-    sets = select_cancellation(ls, pa, cfg)
-    rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
-    return pa, pp, powers, coeffs, sets, rc
+def _fields(cfg, names):
+    """cfg's values of the fields names, as a key."""
+    return tuple(getattr(cfg, f) for f in names)
 
 
-def _stack_size(cfg, kind):
+def _scenario_pipeline(group, ls):
+    """Analytic layers at full power at every config of group on a stack of
+    trials' large-scale gains ls: yields, per point in sweep order, (pa,
+    pp, powers, coeffs, sets, rc), each with a leading trial axis, powers
+    being group_powers(ls, pa, pp.p_p).  Points that agree on
+    SCHEDULE_FIELDS share one (pa, pp, powers, coeffs, sets), formed at the
+    first of them and dropped after the last, and a run of consecutive
+    points that also agree on the antenna counts shares one rc."""
+    keys = [_fields(cfg, SCHEDULE_FIELDS) for cfg in group]
+    last = {key: i for i, key in enumerate(keys)}
+    schedules, rate_key = {}, None
+    for i, (cfg, key) in enumerate(zip(group, keys)):
+        if key not in schedules:
+            pa = psa(ls, cfg)
+            pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(ls.u_c))
+            powers = group_powers(ls, pa, pp.p_p)
+            schedules[key] = (pa, pp, powers, estimation_coeffs(ls, pa, pp, cfg.noise_power, powers),
+                              select_cancellation(ls, pa, cfg))
+        pa, pp, _, coeffs, sets = schedule = schedules.pop(key) if last[key] == i else schedules[key]
+        if key + (cfg.bs_antennas, cfg.d2drx_antennas) != rate_key:
+            rate_key = key + (cfg.bs_antennas, cfg.d2drx_antennas)
+            rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
+        yield schedule + (rc,)
+
+
+def _stack_size(cfg, kind, sides=SIDES):
     """Trials per stack: as many draws as fit in _STACK_BYTES, at least one.
-    kind "mc" counts a trial's fast-fading normals (the bytes of its complex
-    fading), "analytic" its large-scale gains."""
+    kind "mc" counts a trial's fast-fading normals for the receiver sides
+    sides (the bytes of its complex fading), "analytic" its large-scale
+    gains."""
     n, k = cfg.n_cu, cfg.n_d2d
-    draw = 8 * fading_normals(cfg) if kind == "mc" else 8 * (n + k) * (k + 1)
+    draw = 8 * fading_normals(cfg, sides) if kind == "mc" else 8 * (n + k) * (k + 1)
     return max(1, _STACK_BYTES // draw)
 
 
@@ -353,17 +377,17 @@ _MC_TERMS = {"sum_se_cell": ("cu", cell_sinr_terms), "sum_se_d2d": ("d2d", d2d_s
 
 def _mc_rates(group, seeds, plans, metrics):
     """Monte Carlo sum rates of the trials seeds at every point of a draw
-    group, one fast-fading draw per trial and point: per point, {metric:
-    (T,) array}.  group[i] is point i's config and plans[i] its
-    MonteCarloPlan on the trials.  Sub-stacks of as many trials as
-    _stack_size(cfg, "mc") allows at every point draw each row's attempt-0
-    fading and noise normals once, at the group's largest counts for the
-    plans' sides, and each point in sweep order reads its own prefix of
-    them (see _mc_point).  The sub-stacks are sized by the group's largest
-    point, so the budget holds the shared normals too; a smaller point runs
-    in sub-stacks smaller than its own budget allows."""
-    size = min(_stack_size(cfg, "mc") for cfg in group)
+    group, one fast-fading draw per trial and point: per point, {metric: (T,)
+    array}.  group[i] is point i's config and plans[i] its MonteCarloPlan on the
+    trials, which points may share.  Sub-stacks of as many trials as
+    _stack_size(cfg, "mc", sides) allows for the plans' sides at every point
+    draw each row's attempt-0 fading and noise normals once, at the group's
+    largest counts for those sides, and each point in sweep order reads its own
+    prefix of them (see _mc_point).  The sub-stacks are sized by the group's
+    largest point, so the budget holds the shared normals too; a smaller point
+    runs in sub-stacks smaller than its own budget allows."""
     sides = plans[0].sides
+    size = min(_stack_size(cfg, "mc", sides) for cfg in group)
     counts = [max(count(cfg, sides) for cfg in group) for count in (fading_normals, noise_normals)]
     sums = [{m: np.empty(len(seeds)) for m in _MC_TERMS if m in metrics} for _ in group]
     for first in range(0, len(seeds), size):
@@ -420,25 +444,28 @@ def _mc_point(cfg, seeds, rows, drawn, plan, sums):
 def _chunk_bounds_mc(group, seeds, metrics, ls):
     """Rate bounds and Monte Carlo sum rates of the trials seeds at every
     point of a draw group (group[i]: point i's config) on the trials'
-    large-scale gains ls: per point, {metric: the trials' values}.  Each
-    point runs its analytic stack in sweep order and keeps only its
-    MonteCarloPlan, of the receiver sides the metrics read; the Monte Carlo
-    layers then run every point on each sub-stack."""
+    large-scale gains ls: per point, {metric: the trials' values}.  The
+    group's analytic stacks run once, the points in sweep order, and only a
+    MonteCarloPlan of the receiver sides the metrics read is kept, one for
+    the points that share a schedule; the Monte Carlo layers then run every
+    point on each sub-stack."""
     sides = tuple(side for m, (side, _) in _MC_TERMS.items() if m in metrics)
-    sums, plans = [], []
-    for i, cfg in enumerate(group):
+    sums, plans = [], {}   # one plan per schedule
+    for i, (cfg, (pa, pp, powers, coeffs, sets, rc)) in enumerate(zip(group, _scenario_pipeline(group, ls))):
         with _at_point(i):
-            pa, pp, powers, coeffs, sets, rc = _scenario_pipeline(cfg, ls)
             point = {}
             if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
                 r_c, r_d = rate_lower_bounds(rc, pp, cfg)
                 point = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
-            if sides:
-                plans.append(monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power, sides))
+            key = _fields(cfg, SCHEDULE_FIELDS)
+            if sides and key not in plans:
+                plans[key] = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power, sides)
         sums.append(point)
+    del pa, pp, powers, coeffs, sets, rc   # free the analytic stacks before the Monte Carlo layers
     if sides:
-        for point, rates in zip(sums, _mc_rates(group, seeds, plans, metrics)):
-            point.update(rates)
+        rates = _mc_rates(group, seeds, [plans[_fields(cfg, SCHEDULE_FIELDS)] for cfg in group], metrics)
+        for point, point_rates in zip(sums, rates):
+            point.update(point_rates)
     return [{m: point[m].tolist() for m in metrics} for point in sums]
 
 
@@ -463,24 +490,27 @@ def _chunk_mse(group, seeds, metrics, ls):
     return columns
 
 
-def _solve_jdpc(cfg, ls):
-    """Stacked rate coefficients of the draws ls at config cfg, the pre-log
-    factor, and the joint power control of all draws in lockstep.  A
-    failing solver raises a SolverError naming its rows."""
-    rc = _scenario_pipeline(cfg, ls)[-1]
-    prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-    solved = jdpc_stack(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                        tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
-    return rc, prefactor, solved
+def _solve_jdpc(group, ls):
+    """Per point of group (group[i]: point i's config): the stacked rate
+    coefficients of the draws ls, the pre-log factor, and the joint power
+    control of all draws in lockstep.  The analytic stacks run once for the
+    group, and each point solves on its own.  A failing solver raises a
+    SolverError naming its rows and point."""
+    solved = []
+    for i, (cfg, (*_, rc)) in enumerate(zip(group, _scenario_pipeline(group, ls))):
+        prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
+        with _at_point(i):
+            res = jdpc_stack(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                             tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
+        solved.append((rc, prefactor, res))
+    return solved
 
 
 def _chunk_jdpc(group, seeds, metrics, ls):
     """Joint power control, like _chunk_bounds_mc; only the feasible trials
     report their outer rounds and sum SEs at their final powers."""
     columns = []
-    for i, cfg in enumerate(group):
-        with _at_point(i):
-            rc, prefactor, res = _solve_jdpc(cfg, ls)
+    for rc, prefactor, res in _solve_jdpc(group, ls):
         ok = res.feasible
         eta_c, eta_d = bound_sinrs(rc[ok], res.q_s[ok], res.p_s[ok])
         point = {"infeasible_fraction": (~ok).astype(float),
@@ -499,12 +529,12 @@ _CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc
 def _run_chunk(task):
     """Results of a contiguous run of trials at every sweep point of one draw
     group: per point, {metric: values of the trials that report it, in
-    trial order}.  The trials' large-scale gains are drawn once and every
-    point runs on them, in sweep order, from PSA onward; the bounds recipes
-    also share each trial's Monte Carlo draw.  A runtime failure is
-    re-raised naming the sweep value it was raised at (the group's first
-    for the shared large-scale draw), trial index and trial seed, so the
-    draw can be re-run."""
+    trial order}.  The trials' large-scale gains are drawn once and every point
+    runs on them, in sweep order, from PSA onward, sharing the schedule layers
+    with the points that agree on their fields; the bounds recipes also share
+    each trial's Monte Carlo draw.  A runtime failure is re-raised naming the
+    sweep value it was raised at (the group's first for the shared large-scale
+    draw), trial index and trial seed, so the draw can be re-run."""
     group, kind, metrics, first, seeds, points = task
     try:
         return _CHUNKS[kind](group, seeds, metrics, _large_scale(group[0], seeds))
@@ -537,16 +567,17 @@ def run_experiment(spec, workers=1):
     point_cfgs = [apply_sweep(spec.config, spec.sweep_variable, v) for v in spec.sweep_values]
     groups = {}
     for i, cfg in enumerate(point_cfgs):
-        groups.setdefault(tuple(getattr(cfg, f) for f in DRAW_FIELDS), []).append(i)
+        groups.setdefault(_fields(cfg, DRAW_FIELDS), []).append(i)
     tasks, owners = [], []   # owners[j]: the sweep points task j runs
     for members in groups.values():
         # one chunk per group, or about four per worker; power control solves
         # a whole chunk in lockstep, other chunks are capped in size, and
-        # share the cap among the points when every point's Monte Carlo
-        # plan stays alive while the Monte Carlo layers run
+        # share the cap among the group's distinct Monte Carlo plans, one
+        # per schedule, which stay alive while the Monte Carlo layers run
         size = len(seeds) if workers == 1 else max(1, len(seeds) // (4 * workers))
         if kind != "jdpc":
-            share = len(members) if any(m in _MC_TERMS for m in metrics) else 1
+            share = (len({_fields(point_cfgs[i], SCHEDULE_FIELDS) for i in members})
+                     if any(m in _MC_TERMS for m in metrics) else 1)
             size = min(size, max(1, _stack_size(point_cfgs[members[0]], "analytic") // share))
         group = [point_cfgs[i] for i in members]
         points = [f"{spec.sweep_variable}={spec.sweep_values[i]!r}" for i in members]
@@ -611,7 +642,7 @@ def convergence_traces(cfg, max_draws=50):
     the first feasible trial index wins; with none, trial 0 is traced)."""
     first = None
     for t in range(max_draws):
-        rc, prefactor, joint = _solve_jdpc(cfg, _large_scale(cfg, [trial_seed(cfg.rng_seed, t)]))
+        rc, prefactor, joint = _solve_jdpc([cfg], _large_scale(cfg, [trial_seed(cfg.rng_seed, t)]))[0]
         probe = (t, rc[0], prefactor, joint[0])
         first = first or probe
         if probe[-1].feasible:

@@ -54,7 +54,7 @@ def oracle_pzf_zeros(seed=0):
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
         ls = _large_scale(cfg, [cfg.rng_seed])
-        pa, pp, powers, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+        pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline([cfg], ls))
         plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)[0]
         pa, sets = pa[0], sets[0]
         real = draw_fast_fading(cfg)

@@ -222,6 +222,14 @@ class LargeScale(TrialAxis):
 DRAW_FIELDS = ("cell_side", "n_cu", "n_d2d", "min_dist", "d2d_max_dist", "shadow_sigma_db",
                "pathloss_exp", "rng_seed")
 
+# The SystemConfig fields the schedule layers read (psa, PowerProfile.max_power,
+# group_powers, estimation_coeffs, select_cancellation and monte_carlo_plan):
+# configs that agree on them schedule, estimate and cancel alike on the same
+# gains.  select_cancellation also reads bs_antennas and d2drx_antennas, but
+# only to check feasibility, which SystemConfig.validate checks for every config.
+SCHEDULE_FIELDS = ("n_cu", "n_d2d", "pilot_len", "max_power_cu", "max_power_d2d", "noise_power",
+                   "pzf_bs", "pzf_d2d")
+
 
 def generate_topology(config, rng=None):
     """Drop the BS at the cell center, users uniformly in the square.

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -409,10 +410,11 @@ def test_no_config_is_built_per_trial(monkeypatch):
     assert counts[:2] == counts[2:]
 
 
-# two valid values of every SystemConfig field but rng_seed on fig2's config
+# valid values of every SystemConfig field but rng_seed on fig2's config;
+# pilot_len 8 clamps pzf_bs, and 12 clamps neither PZF pair
 FIELD_VALUES = {
     "n_cu": [5, 4], "n_d2d": [20, 15], "bs_antennas": [128, 64], "d2drx_antennas": [8, 6],
-    "pilot_len": [10, 8], "coherence_len": [50, 100], "noise_power": [1e-10, 1e-9],
+    "pilot_len": [10, 8, 12], "coherence_len": [50, 100], "noise_power": [1e-10, 1e-9],
     "max_power_cu": [50.0, 20.0], "max_power_d2d": [50.0, 20.0], "sinr_target": [3.2, 1.0],
     "pzf_bs": [[4, 5], [2, 3]], "pzf_d2d": [[1, 2], [1, 1]], "cell_side": [1000.0, 500.0],
     "d2d_max_dist": [100.0, 50.0], "pathloss_exp": [3.7, 3.0], "shadow_sigma_db": [8.0, 4.0],
@@ -424,21 +426,53 @@ def test_field_values_cover_every_sweepable_field():
     assert set(FIELD_VALUES) == set(SystemConfig.__dataclass_fields__) - {"rng_seed"}
 
 
+def row_bits(rows):
+    """The rows with their means and CIs in hex, so that NaN rows compare."""
+    return [(r.sweep, r.metric, float(r.mean).hex(), float(r.ci95).hex(), r.trials) for r in rows]
+
+
+# (recipe, metrics, trials, config changes): the rate bounds, the Monte Carlo
+# rates of both receiver sides, and joint power control at fig7's target,
+# where some of the two trials are feasible at every point but pilot_len=8
+# and sinr_target=3.2
+SWEEP_RECIPES = [("fig2", ["sum_se_cell_lb", "sum_se_d2d_lb"], 3, {}),
+                 ("fig1", list(harness._METRICS["bounds_mc"]), 2, {}),
+                 ("fig9", ["sum_se_d2d", "infeasible_fraction"], 2, {"sinr_target": 0.372})]
+
+
 @pytest.mark.parametrize("variable", sorted(FIELD_VALUES))
 def test_sweep_gives_the_rows_of_its_points_run_alone(variable):
-    # points that share a draw must draw the same gains alone: a field
-    # missing from DRAW_FIELDS would hand the second point the first's draw
-    spec = load_spec(SPECS / "fig2.json")
-    spec.sweep_variable, spec.trials, spec.output = variable, 3, None
-    spec.metrics = ["sum_se_cell_lb", "sum_se_d2d_lb"]
-    alone = []
-    for value in FIELD_VALUES[variable]:
-        spec.sweep_values = [value]
-        alone.append(run_experiment(spec)[0])
-    spec.sweep_values = FIELD_VALUES[variable]
-    assert run_experiment(spec)[0] == alone[0] + alone[1]
-    if variable in DRAW_FIELDS:
-        assert [r.mean for r in alone[0]] != [r.mean for r in alone[1]]
+    # points that share a draw must draw the same gains alone, and points
+    # that share a schedule the same schedule: a field missing from
+    # DRAW_FIELDS or SCHEDULE_FIELDS would hand the second point the first's
+    base = load_spec(SPECS / "fig2.json")
+    for experiment, metrics, trials, changes in SWEEP_RECIPES:
+        spec = ExperimentSpec(experiment=experiment, sweep_variable=variable, sweep_values=[], trials=trials,
+                              config=replace(base.config, **changes), metrics=metrics)
+        alone = []
+        for value in FIELD_VALUES[variable]:
+            spec.sweep_values = [value]
+            alone.append(run_experiment(spec)[0])
+        spec.sweep_values = FIELD_VALUES[variable]
+        assert row_bits(run_experiment(spec)[0]) == row_bits(sum(alone, [])), experiment
+        if variable in DRAW_FIELDS and experiment == "fig2":
+            assert [r.mean for r in alone[0]] != [r.mean for r in alone[1]]
+
+
+def count_calls(monkeypatch, names):
+    """{name: 0} for harness functions names, each counting the calls made
+    through the harness's module-level name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    return calls
 
 
 @pytest.mark.parametrize("budget", [harness._STACK_BYTES, 12_600], ids=["one chunk", "chunks of 3 at K=20"])
@@ -446,18 +480,7 @@ def test_sweep_gives_the_rows_of_its_points_run_alone(variable):
                                                     ("n_d2d", [10, 15, 20], 3)])
 def test_each_trial_is_drawn_once_per_draw_group(monkeypatch, budget, variable, values, groups):
     monkeypatch.setattr(harness, "_STACK_BYTES", budget)
-    calls = {"generate_topology": 0, "compute_large_scale": 0}
-
-    def counted(name):
-        original = getattr(harness, name)
-
-        def spy(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return spy
-
-    for name in calls:
-        monkeypatch.setattr(harness, name, counted(name))
+    calls = count_calls(monkeypatch, ["generate_topology", "compute_large_scale"])
     spec = ExperimentSpec(experiment="fig1", sweep_variable=variable, sweep_values=values, trials=7,
                           config=SystemConfig(rng_seed=3), metrics=["sum_se_cell_lb"])
     run_experiment(spec)
@@ -465,6 +488,44 @@ def test_each_trial_is_drawn_once_per_draw_group(monkeypatch, budget, variable, 
     assert calls == {"generate_topology": 7 * groups,
                      "compute_large_scale": sum(-(-7 // size) for size in sizes)}
     assert budget == harness._STACK_BYTES or calls["compute_large_scale"] > groups
+
+
+SCHEDULE_LAYERS = ["psa", "estimation_coeffs", "select_cancellation", "monte_carlo_plan", "rate_coeffs"]
+
+
+@pytest.mark.parametrize("budget", [harness._STACK_BYTES, 12_600], ids=["one chunk", "chunks of 3 at K=20"])
+@pytest.mark.parametrize("experiment,variable,values,per_chunk", [
+    ("fig1", "bs_antennas", [64, 128, 256], [1, 1, 1, 1, 3]),
+    ("fig9", "sinr_target", [0.5, 1.0, 2.0], [1, 1, 1, 0, 1]),
+    ("fig1", "pilot_len", [8, 10, 12], [3, 3, 3, 3, 3]),
+], ids=["bs_antennas", "sinr_target", "pilot_len"])
+def test_points_that_share_a_schedule_run_its_layers_once_per_chunk(
+        monkeypatch, budget, experiment, variable, values, per_chunk):
+    # per_chunk: calls of SCHEDULE_LAYERS in each chunk, which draws its
+    # trials' large-scale gains once
+    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    calls = count_calls(monkeypatch, SCHEDULE_LAYERS + ["compute_large_scale"])
+    spec = ExperimentSpec(experiment=experiment, sweep_variable=variable, sweep_values=values, trials=7,
+                          config=SystemConfig(rng_seed=3), metrics=harness.EXPERIMENTS[experiment][1])
+    run_experiment(spec)
+    chunks = calls.pop("compute_large_scale")
+    assert calls == {name: n * chunks for name, n in zip(SCHEDULE_LAYERS, per_chunk)}
+    assert budget == harness._STACK_BYTES or chunks > 1
+
+
+def test_a_pzf_clamp_splits_the_schedule(monkeypatch):
+    # at B = 8 apply_sweep clamps pzf_bs from (4, 5) to (2, 5), which leaves
+    # the BS no degree of freedom, so no rate recipe can run that point and
+    # rate_coeffs is only counted here
+    calls = count_calls(monkeypatch, SCHEDULE_LAYERS[:3])
+    monkeypatch.setattr(harness, "rate_coeffs", lambda *args: None)
+    points = [apply_sweep(SystemConfig(rng_seed=3), "bs_antennas", b) for b in (64, 8, 128)]
+    assert [cfg.pzf_bs for cfg in points] == [(4, 5), (2, 5), (4, 5)]
+    ls = harness._large_scale(points[0], [trial_seed(3, t) for t in range(4)])
+    stacks = list(harness._scenario_pipeline(points, ls))
+    assert calls == dict.fromkeys(SCHEDULE_LAYERS[:3], 2)
+    assert all(a is b for a, b in zip(stacks[0][:5], stacks[2][:5]))
+    assert [sets.bs_cancel_cu.shape[-1] for _, _, _, _, sets, _ in stacks] == [4, 2, 4]
 
 
 # configs at the limits SystemConfig.validate allows, as changes to desk_config
@@ -517,7 +578,7 @@ def test_joint_power_control_runs_one_single_trial_dpcc_per_running_trial_and_ro
 
     monkeypatch.setattr(power_control, "dpcc", spy)
     cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=12345)
-    _, _, solved = _solve_jdpc(cfg, harness._large_scale(cfg, [trial_seed(12345, t) for t in range(30)]))
+    _, _, solved = _solve_jdpc([cfg], harness._large_scale(cfg, [trial_seed(12345, t) for t in range(30)]))[0]
     infeasible = np.count_nonzero(~solved.feasible)
     assert 0 < infeasible < len(solved.feasible)
     assert all(ndim == 1 and type(feasible) is bool for ndim, feasible in calls)
@@ -553,7 +614,7 @@ def test_chunk_jdpc_columns_are_the_per_trial_metrics(group, feasible):
     columns = harness._chunk_jdpc(group, seeds, metrics, ls)
     assert [len(point["iterations"]) for point in columns] == feasible
     for cfg, point in zip(group, columns):
-        want = per_trial_jdpc_columns(*_solve_jdpc(cfg, ls), metrics)
+        want = per_trial_jdpc_columns(*_solve_jdpc([cfg], ls)[0], metrics)
         assert all(type(v) is float for m in metrics for v in point[m])
         assert {m: [v.hex() for v in point[m]] for m in metrics} == {
             m: [v.hex() for v in want[m]] for m in metrics}
@@ -575,7 +636,7 @@ def test_convergence_traces_fallback_traces_trial_0():
     cfg = desk_config(sinr_target=50.0)   # no QoS-feasible draw
     traces = convergence_traces(cfg, max_draws=2)
     assert not traces["feasible"] and traces["trial"] == 0
-    (rc,), prefactor, (joint,) = _solve_jdpc(cfg, harness._large_scale(cfg, [trial_seed(cfg.rng_seed, 0)]))
+    (rc,), prefactor, (joint,) = _solve_jdpc([cfg], harness._large_scale(cfg, [trial_seed(cfg.rng_seed, 0)]))[0]
     assert [t["objective"] for t in traces["joint"]] == joint.trace
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     q = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s

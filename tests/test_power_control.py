@@ -252,7 +252,7 @@ def _fig7_instance(n_d2d, gamma, trial):
     Where some CU's power stays capped (QoS infeasible at full D2D power),
     the budget left for the D2D pairs is tight and the multiplier binds."""
     cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=trial_seed(777, trial))
-    rc = _scenario_pipeline(cfg, _large_scale(cfg, [cfg.rng_seed]))[-1][0]
+    rc = next(_scenario_pipeline([cfg], _large_scale(cfg, [cfg.rng_seed])))[-1][0]
     cell = dpcc(rc, np.full(n_d2d, cfg.max_power_d2d), gamma, cfg.max_power_cu, tol=cfg.tol_power)
     return cfg, rc, cell.q_s
 

@@ -445,7 +445,7 @@ def test_shared_basis_keeps_the_per_cu_precision(monkeypatch, b):
     # must stay within 1e-13 of filters built in the B-dimensional space
     cfg, seeds = SystemConfig(bs_antennas=b, rng_seed=777), [trial_seed(777, t) for t in range(30)]
     ls = _large_scale(cfg, seeds)
-    pa, pp, powers, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
+    pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline([cfg], ls))
     plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, [substream(s, FADING) for s in seeds])
     obs = simulate_pilot_phase(real, plan, cfg, [substream(s, NOISE) for s in seeds])

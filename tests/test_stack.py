@@ -114,7 +114,7 @@ class TestStackedLayers:
     def test_large_scale_and_psa(self, name):
         cfgs = trial_configs(name)
         cfg, _, ls = point_stack(cfgs)
-        pa = _scenario_pipeline(cfg, ls)[0]
+        pa = next(_scenario_pipeline([cfg], ls))[0]
         chi = interference_metric(ls)
         for t, cfg in enumerate(cfgs):
             alone = compute_large_scale(generate_topology(cfg), cfg)
@@ -410,7 +410,7 @@ def mc_sums_alone(cfg, attempt):
     """The Monte Carlo sum rates of one trial's draw at one attempt, computed
     the way a trial-by-trial loop does."""
     ls = harness._large_scale(cfg, [cfg.rng_seed])
-    pa, pp, _, coeffs, sets, _ = (x[0] for x in _scenario_pipeline(cfg, ls))
+    pa, pp, _, coeffs, sets, _ = (x[0] for x in next(_scenario_pipeline([cfg], ls)))
     plan = plan_of(ls[0], pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, substream(cfg.rng_seed, FADING, attempt))
     obs = simulate_pilot_phase(real, plan, cfg, substream(cfg.rng_seed, NOISE, attempt))
@@ -550,25 +550,25 @@ def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
 
 
 def test_monte_carlo_peak_stays_within_the_stack_budget():
-    # sub-stacks of two trials at B = 256, K = 20, whose working sets peak
-    # while the MMSE estimates are formed, with the sub-stack's normals
-    # (0.46 MB) and the last estimates alive: 3.72 times the budget alone,
-    # 3.45 times in a group of B = 64, 128 and 256, whose other points'
-    # estimates are smaller but whose Monte Carlo plans all stay alive
+    # sub-stacks of two trials at B = 256, K = 20 with both receiver sides
+    # and three with the BS side alone, whose working sets peak while the
+    # MMSE estimates are formed, with the sub-stack's normals and the last
+    # estimates alive: 3.72 and 3.76 times the budget alone, 3.45 and 3.37
+    # times in a group of B = 64, 128 and 256, whose points share one plan
     seeds = [trial_seed(3, t) for t in range(10)]
-    for antennas in ([256], [64, 128, 256]):
-        group = [SystemConfig(bs_antennas=b, rng_seed=3) for b in antennas]
-        assert min(_stack_size(cfg, "mc") for cfg in group) == 2
-        ls = harness._large_scale(group[0], seeds)
-        plans = []
-        for cfg in group:
-            pa, pp, powers, coeffs, sets, _ = _scenario_pipeline(cfg, ls)
-            plans.append(monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            _mc_rates(group, seeds, plans, MC_METRICS)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * harness._STACK_BYTES, antennas
+    for sides, size in ((SIDES, 2), (("cu",), 3)):
+        metrics = [m for m, (side, _) in harness._MC_TERMS.items() if side in sides]
+        for antennas in ([256], [64, 128, 256]):
+            group = [SystemConfig(bs_antennas=b, rng_seed=3) for b in antennas]
+            assert min(_stack_size(cfg, "mc", sides) for cfg in group) == size
+            ls = harness._large_scale(group[0], seeds)
+            pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline(group, ls))
+            plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, group[0].noise_power, sides)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _mc_rates(group, seeds, [plan] * len(group), metrics)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * harness._STACK_BYTES, (sides, antennas)
