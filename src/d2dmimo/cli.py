@@ -55,9 +55,7 @@ def _apply_overrides(spec, args):
         except ValueError as exc:
             raise SpecError("seed", str(exc)) from exc
     if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise SpecError("trials", "must be an integer >= 1")
-        spec.trials = args.trials
+        spec.trials = args.trials   # run_experiment's validate_spec checks it
     if getattr(args, "workers", 1) < 1:
         raise SpecError("workers", "must be an integer >= 1")
     if args.out is not None:

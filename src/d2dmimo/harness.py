@@ -281,22 +281,20 @@ def validate_spec(spec):
 
 
 def apply_sweep(config, variable, value):
-    """Config with one field replaced; PZF degrees are clamped back into
-    their feasibility windows when the sweep moves them out (the window
-    depends on pilot_len, n_cu, and the antenna counts)."""
+    """Config with one field replaced, its PZF budgets clamped to what the
+    rate bounds need, the CU budget yielding first: b_d to tau-N and b_c to
+    min(N-1, B-2-b_d), m_d to tau-N-1 and m_c to min(N, M-2-m_d), each
+    bound at least 0.  The array gains stay positive unless b_d (m_d) alone
+    leaves none, which validate_spec rejects for the rate recipes."""
     d = config.to_dict()
     d[variable] = value
     n, tau = d["n_cu"], d["pilot_len"]
     b_c, b_d = d["pzf_bs"]
-    b_c = min(b_c, n - 1)
     b_d = min(b_d, tau - n)
-    b_c = min(b_c, d["bs_antennas"] - 1 - b_d)
-    d["pzf_bs"] = [b_c, b_d]
+    d["pzf_bs"] = [min(b_c, n - 1, max(0, d["bs_antennas"] - 2 - b_d)), b_d]
     m_c, m_d = d["pzf_d2d"]
-    m_c = min(m_c, n)
     m_d = min(m_d, tau - n - 1)
-    m_c = min(m_c, d["d2drx_antennas"] - 1 - m_d)
-    d["pzf_d2d"] = [m_c, m_d]
+    d["pzf_d2d"] = [min(m_c, n, max(0, d["d2drx_antennas"] - 2 - m_d)), m_d]
     return SystemConfig.from_dict(d)
 
 

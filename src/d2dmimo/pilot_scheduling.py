@@ -106,14 +106,17 @@ _ES_BLOCK_BYTES = 262_144   # reuse-matrix bytes of one block of candidate assig
 
 
 def search_space(config):
-    """Number of pilot assignments exhaustive_search enumerates, (tau-N)^K."""
+    """Number of pilot assignments, (tau-N)^K, which the search guard bounds;
+    exhaustive_search scores the 1/(tau-N) of them with pair 0 on pilot one."""
     return (config.pilot_len - config.n_cu) ** config.n_d2d
 
 
 def exhaustive_search(ls, config):
     """Sum-MSE-optimal assignment by enumeration; first minimizer in
     lexicographic assignment order wins ties.  Assignments are scored in
-    blocks, one sum_mse call per block."""
+    blocks, one sum_mse call per block, and only those with pair 0 on the
+    first pilot: sum_mse gives every relabelling of the pilots the same
+    bits, so swapping labels turns any other minimizer into an earlier one."""
     n_pilots, k, space = config.pilot_len - config.n_cu, config.n_d2d, search_space(config)
     if space > SEARCH_GUARD:
         raise InstanceTooLargeError(
@@ -121,8 +124,9 @@ def exhaustive_search(ls, config):
     size = max(1, _ES_BLOCK_BYTES // (8 * n_pilots * k))
     place = n_pilots ** np.arange(k - 1, -1, -1)   # pair 0 is the most significant digit
     best, best_pa = np.inf, None
-    for first in range(0, space, size):
-        index = np.arange(first, min(first + size, space))
+    scored = space // n_pilots   # the assignments whose first digit is 0
+    for first in range(0, scored, size):
+        index = np.arange(first, min(first + size, scored))
         pa = PilotAssignment(pilot_of=config.n_cu + 1 + index[:, None] // place % n_pilots,
                              n_cu=config.n_cu, pilot_len=config.pilot_len)
         vals = sum_mse(ls, pa, config)

@@ -50,7 +50,7 @@ from .scenario import TrialAxis
 
 
 class FeasibilityError(ValueError):
-    """A cancellation budget violates its feasibility window."""
+    """A cancellation budget leaves a rate bound no array gain."""
 
 
 class DegenerateSpanError(RuntimeError):
@@ -166,19 +166,6 @@ def select_cancellation(ls, pa, config):
     n = ls.u_c.shape[-1]
     b_c, b_d = config.pzf_bs
     m_c, m_d = config.pzf_d2d
-    tau = config.pilot_len
-    if not (0 <= b_c <= n - 1):
-        raise FeasibilityError(f"b_c must satisfy 0 <= b_c <= N-1 (got b_c={b_c}, N={n})")
-    if not (0 <= b_d <= tau - n):
-        raise FeasibilityError(f"b_d must satisfy 0 <= b_d <= tau-N (got b_d={b_d}, tau-N={tau - n})")
-    if b_c + b_d > config.bs_antennas - 1:
-        raise FeasibilityError(f"b_c+b_d must be <= B-1 (got {b_c + b_d} > {config.bs_antennas - 1})")
-    if not (0 <= m_c <= n):
-        raise FeasibilityError(f"m_c must satisfy 0 <= m_c <= N (got m_c={m_c}, N={n})")
-    if not (0 <= m_d <= tau - n - 1):
-        raise FeasibilityError(f"m_d must satisfy 0 <= m_d <= tau-N-1 (got m_d={m_d}, tau-N-1={tau - n - 1})")
-    if m_c + m_d > config.d2drx_antennas - 1:
-        raise FeasibilityError(f"m_c+m_d must be <= M-1 (got {m_c + m_d} > {config.d2drx_antennas - 1})")
 
     # column a ranks the other CUs for CU a; a CU never cancels itself
     gain_cu = np.repeat(ls.u_c[..., :, None], n, axis=-1)

@@ -64,13 +64,16 @@ def trial_seed(root_seed, trial):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """All scalar system parameters.
 
     Defaults give the desk-scale working point: a 1000 m square cell,
     5 cellular users, 20 D2D pairs, 128 BS antennas, 8 D2D-Rx antennas,
     17 dBm power caps, -100 dBm noise, and a 5 dB cellular SINR target.
+
+    Construction checks every field, and a config cannot change afterwards:
+    dataclasses.replace builds and checks a new one.
     """
 
     n_cu: int = 5                 # N, cellular users
@@ -99,11 +102,6 @@ class SystemConfig:
             pair = getattr(self, name)
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValueError(f"{name} must be a list of two integers (got {pair!r})")
-        self.validate()
-        self.pzf_bs = tuple(int(x) for x in self.pzf_bs)
-        self.pzf_d2d = tuple(int(x) for x in self.pzf_d2d)
-
-    def validate(self):
         for name in ("n_cu", "n_d2d", "bs_antennas", "d2drx_antennas", "pilot_len", "coherence_len"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer (got {getattr(self, name)!r})")
@@ -150,6 +148,8 @@ class SystemConfig:
         seed = self.rng_seed
         if not _is_int(seed) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer (got {seed!r})")
+        object.__setattr__(self, "pzf_bs", tuple(int(x) for x in self.pzf_bs))
+        object.__setattr__(self, "pzf_d2d", tuple(int(x) for x in self.pzf_d2d))
 
     def to_dict(self):
         # every field is a scalar or a tuple of ints, so a shallow copy is a
@@ -224,9 +224,7 @@ DRAW_FIELDS = ("cell_side", "n_cu", "n_d2d", "min_dist", "d2d_max_dist", "shadow
 
 # The SystemConfig fields the schedule layers read (psa, PowerProfile.max_power,
 # group_powers, estimation_coeffs, select_cancellation and monte_carlo_plan):
-# configs that agree on them schedule, estimate and cancel alike on the same
-# gains.  select_cancellation also reads bs_antennas and d2drx_antennas, but
-# only to check feasibility, which SystemConfig.validate checks for every config.
+# configs that agree on them schedule, estimate and cancel alike on the same gains.
 SCHEDULE_FIELDS = ("n_cu", "n_d2d", "pilot_len", "max_power_cu", "max_power_d2d", "noise_power",
                    "pzf_bs", "pzf_d2d")
 

@@ -170,6 +170,11 @@ def test_ill_formed_float_exits_1(spec_file, capsys, config):
         assert next(iter(config)) in capsys.readouterr().err
 
 
+def test_trials_below_one_exits_1(spec_file, capsys):
+    assert main(["run", spec_file(small_spec_doc()), "--trials", "0"]) == 1
+    assert capsys.readouterr().err == "spec error: trials: must be an integer >= 1\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-4"])
 def test_workers_below_one_exits_1(spec_file, capsys, workers):
     assert main(["run", spec_file(small_spec_doc()), "--workers", workers]) == 1
@@ -183,10 +188,13 @@ def test_exhaustive_search_beyond_guard_exits_1(spec_file, capsys):
     assert "sum_mse_es" in capsys.readouterr().err
 
 
+# points where b_d (or m_d) alone leaves no array gain: the sweep clamps
+# b_c (m_c) to 0, and B-b_d-1 (M-m_d-1) is still 0
 @pytest.mark.parametrize("name,config,values,bad,need", [
-    ("fig1", {}, [10], 10, "bs_antennas > b_c+b_d+1"),
-    ("fig1", {}, [64, 8], 8, "bs_antennas > b_c+b_d+1"),   # clamped to b_c+b_d = B-1 at B = 8
-    ("fig7", {"d2drx_antennas": 4}, [10, 15], 10, "d2drx_antennas > m_c+m_d+1"),
+    ("fig1", {"pilot_len": 14, "pzf_bs": [4, 9]}, [10], 10, "bs_antennas > b_c+b_d+1"),
+    ("fig1", {"pilot_len": 12, "pzf_bs": [4, 7]}, [64, 8], 8, "bs_antennas > b_c+b_d+1"),
+    ("fig7", {"d2drx_antennas": 3, "pzf_d2d": [0, 2]}, [10, 15], 10, "d2drx_antennas > m_c+m_d+1"),
+    ("fig1", {}, [64, 6], 6, "bs_antennas > b_c+b_d+1"),   # (4, 5) is clamped to (0, 5) at B = 6
 ])
 def test_sweep_value_without_array_gain_exits_1(spec_file, capsys, name, config, values, bad, need):
     doc = json.loads((REPO_ROOT / "specs" / f"{name}.json").read_text())

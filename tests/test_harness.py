@@ -66,15 +66,14 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("experiment", ["fig2", "fig7"])
     def test_swept_config_needs_positive_array_gain(self, experiment):
-        # at M = 3, pilot_len 4 leaves (m_c, m_d) = (1, 0) and pilot_len 6 leaves (1, 1)
-        spec = tiny_spec(experiment=experiment, metrics=None, sweep_values=[4, 6],
-                         config=desk_config(d2drx_antennas=3))
+        # at M = 3, pilot_len 4 leaves (m_c, m_d) = (0, 0) and pilot_len 6
+        # leaves (0, 2), where m_d alone spends every degree of freedom
+        config = desk_config(d2drx_antennas=3, pzf_d2d=(0, 2))
+        spec = tiny_spec(experiment=experiment, metrics=None, sweep_values=[4, 6], config=config)
         with pytest.raises(SpecError, match=r"sweep.values: value 6: need d2drx_antennas > m_c\+m_d\+1"):
             validate_spec(spec)
-        validate_spec(tiny_spec(experiment=experiment, metrics=None, sweep_values=[4],
-                                config=desk_config(d2drx_antennas=3)))
-        validate_spec(tiny_spec(experiment="fig3", metrics=None, sweep_values=[4, 6],
-                                config=desk_config(d2drx_antennas=3)))
+        validate_spec(tiny_spec(experiment=experiment, metrics=None, sweep_values=[4], config=config))
+        validate_spec(tiny_spec(experiment="fig3", metrics=None, sweep_values=[4, 6], config=config))
 
     def test_metrics_must_match_pipeline(self):
         with pytest.raises(SpecError, match="metrics"):
@@ -514,21 +513,30 @@ def test_points_that_share_a_schedule_run_its_layers_once_per_chunk(
 
 
 def test_a_pzf_clamp_splits_the_schedule(monkeypatch):
-    # at B = 8 apply_sweep clamps pzf_bs from (4, 5) to (2, 5), which leaves
-    # the BS no degree of freedom, so no rate recipe can run that point and
-    # rate_coeffs is only counted here
+    # at B = 8 apply_sweep clamps pzf_bs from (4, 5) to (1, 5), which leaves
+    # the BS one degree of freedom
     calls = count_calls(monkeypatch, SCHEDULE_LAYERS[:3])
-    monkeypatch.setattr(harness, "rate_coeffs", lambda *args: None)
     points = [apply_sweep(SystemConfig(rng_seed=3), "bs_antennas", b) for b in (64, 8, 128)]
-    assert [cfg.pzf_bs for cfg in points] == [(4, 5), (2, 5), (4, 5)]
+    assert [cfg.pzf_bs for cfg in points] == [(4, 5), (1, 5), (4, 5)]
     ls = harness._large_scale(points[0], [trial_seed(3, t) for t in range(4)])
     stacks = list(harness._scenario_pipeline(points, ls))
     assert calls == dict.fromkeys(SCHEDULE_LAYERS[:3], 2)
     assert all(a is b for a, b in zip(stacks[0][:5], stacks[2][:5]))
-    assert [sets.bs_cancel_cu.shape[-1] for _, _, _, _, sets, _ in stacks] == [4, 2, 4]
+    assert [sets.bs_cancel_cu.shape[-1] for _, _, _, _, sets, _ in stacks] == [4, 1, 4]
 
 
-# configs at the limits SystemConfig.validate allows, as changes to desk_config
+def test_a_clamped_point_gives_the_rows_it_gives_alone():
+    # fig1's B = 8 point runs at pzf_bs (1, 5), as above
+    spec = load_spec(SPECS / "fig1.json")
+    spec.trials, spec.output = 2, None
+    spec.sweep_values = [64, 8]
+    rows = run_experiment(spec)[0]
+    spec.sweep_values = [8]
+    alone = run_experiment(spec)[0]
+    assert row_bits([r for r in rows if r.sweep == 8]) == row_bits(alone)
+
+
+# configs at the limits a SystemConfig accepts, as changes to desk_config
 VALIDATE_LIMITS = {
     "K=1, tau=N+1, m_d=0": dict(n_d2d=1, pilot_len=4, pzf_d2d=(1, 0)),
     "B=b_c+b_d+2, M=m_c+m_d+2": dict(bs_antennas=5, d2drx_antennas=4),

@@ -11,7 +11,7 @@ from d2dmimo.pilot_scheduling import (interference_metric, sum_mse,
                                       psa, random_assignment, exhaustive_search,
                                       pilot_power_parametric, search_space, InstanceTooLargeError,
                                       _ES_BLOCK_BYTES)
-from helpers import make_ls, small_config
+from helpers import make_ls, same_bits, small_config
 
 
 def isolated_ls(rng, n, k, cross=1e-12):
@@ -103,6 +103,30 @@ class TestSumMse:
         shared = PilotAssignment(pilot_of=np.array([4, 4, 5, 5]), n_cu=3, pilot_len=6)
         moved = PilotAssignment(pilot_of=np.array([4, 6, 5, 5]), n_cu=3, pilot_len=6)
         assert sum_mse(ls, moved, cfg) < sum_mse(ls, shared, cfg)
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_the_pilots_keeps_the_bits(self, seed, k, data):
+        # exhaustive_search scores only the assignments with pair 0 on the
+        # first pilot, which rests on this
+        n_pilots = data.draw(st.integers(1, k))
+        cfg = small_config(n_d2d=k, pilot_len=3 + n_pilots, pzf_bs=(1, 1), pzf_d2d=(0, 0))
+        rng = np.random.default_rng(seed)
+        # sum_mse reads v_d only; gains across the desk-scale range, where the noise counts
+        draws = [LargeScale(u_c=np.ones(3), u_d=np.ones(k), v_c=np.ones((3, k)),
+                            v_d=10.0 ** rng.uniform(-14.0, -6.0, (k, k))) for _ in range(4)]
+        pilot_of = rng.integers(4, 4 + n_pilots, size=(4, k))
+        relabelled = 4 + rng.permutation(n_pilots)[pilot_of - 4]
+
+        def score(ls, pilot_of):
+            return sum_mse(ls, PilotAssignment(pilot_of=pilot_of, n_cu=3, pilot_len=3 + n_pilots), cfg)
+
+        # candidates of one draw, a trial stack, and one assignment alone
+        assert same_bits(score(draws[0], pilot_of), score(draws[0], relabelled))
+        stack = LargeScale.stack(draws)
+        assert same_bits(score(stack, pilot_of), score(stack, relabelled))
+        for ls, a, b in zip(draws, pilot_of, relabelled):
+            assert same_bits(score(ls, a), score(ls, b))
 
 
 class TestPsa:
@@ -197,12 +221,13 @@ class TestExhaustiveSearch:
         assert es_val <= psa_val + 1e-12
         assert psa_val <= rps_mean + 1e-12
 
-    @pytest.mark.parametrize("n_pilots,k", [(4, 7), (3, 8)])
+    @pytest.mark.parametrize("n_pilots,k", [(4, 7), (3, 9)])
     @pytest.mark.parametrize("gains", ["random", "identical pairs"])
     def test_blocks_choose_what_the_one_at_a_time_loop_chose(self, n_pilots, k, gains):
         cfg = small_config(n_d2d=k, pilot_len=3 + n_pilots, pzf_bs=(1, 1), pzf_d2d=(0, 0),
                            max_power_d2d=1.0)
-        assert search_space(cfg) > 4 * _ES_BLOCK_BYTES // (8 * n_pilots * k)   # several blocks
+        # several blocks of the assignments scored, those with pair 0 on the first pilot
+        assert search_space(cfg) // n_pilots > 3 * _ES_BLOCK_BYTES // (8 * n_pilots * k)
         for seed in range(3 if gains == "random" else 1):
             ls = make_ls(np.random.default_rng(seed), 3, k)
             if gains == "identical pairs":   # partitions with the same group sizes tie too

@@ -95,22 +95,6 @@ class TestSelectCancellation:
         for k in range(6):
             assert pa.pilot_of[k] not in sets.rx_cancel_groups[k]
 
-    def test_infeasible_budgets_rejected_with_named_bound(self):
-        rng = np.random.default_rng(6)
-        ls = make_ls(rng, 3, 6)
-        pa = assignment([4, 4, 5, 5, 6, 6])
-        cfg = small_config()
-        cfg.pzf_bs = (3, 2)   # bypass constructor validation
-        with pytest.raises(FeasibilityError, match="b_c"):
-            select_cancellation(ls, pa, cfg)
-        cfg.pzf_bs = (1, 2)
-        cfg.pzf_d2d = (1, 3)
-        with pytest.raises(FeasibilityError, match="m_d"):
-            select_cancellation(ls, pa, cfg)
-        cfg.pzf_d2d = (2, 2)
-        with pytest.raises(FeasibilityError, match=r"m_c\+m_d"):
-            select_cancellation(ls, pa, cfg)
-
 
 class TestPzfFilter:
     def test_empty_cancellation_gives_matched_filter(self):
@@ -465,7 +449,6 @@ def test_bs_filter_at_the_validate_limits(n, b_c, b_d, silent, collapse, seed):
     b_c = min(b_c, n - 1)
     cfg = small_config(n_cu=n, n_d2d=1, pilot_len=n + 1, bs_antennas=b_c + b_d + 2,
                        pzf_bs=(b_c, b_d), pzf_d2d=(0, 0), rng_seed=seed)
-    cfg.validate()
     rng = np.random.default_rng(seed)
     ls = make_ls(rng, n, 1)
     pa = assignment([n + 1], n_cu=n, pilot_len=n + 1)
@@ -636,9 +619,7 @@ class TestRateCoeffs:
         assert sigma_c_of(rc, pp.p_s) == pytest.approx(cfg.noise_power)
 
     def test_insufficient_antennas_rejected(self):
-        cfg = small_config()
-        cfg.bs_antennas = 4
-        cfg.pzf_bs = (1, 2)   # needs B > 4
+        cfg = small_config(bs_antennas=4, pzf_bs=(1, 2))   # needs B > 4
         ls, pa, pp, coeffs, sets, _, _ = full_pipeline(small_config(), seed=17)
         with pytest.raises(FeasibilityError, match="bs_antennas"):
             rate_coeffs(ls, pa, coeffs, sets, pp, cfg)

@@ -1,4 +1,4 @@
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -128,6 +128,20 @@ def test_all_gains_positive_and_finite():
 def test_config_invariants_rejected(field, value, fragment):
     with pytest.raises(ValueError, match=fragment.replace("+", r"\+")):
         small_config(**{field: value})
+
+
+def test_a_config_cannot_change_once_validated():
+    cfg = small_config()
+    with pytest.raises(FrozenInstanceError):
+        cfg.pzf_bs = (3, 2)
+    assert cfg == small_config()
+
+
+def test_replace_validates_the_new_config():
+    cfg = small_config()
+    with pytest.raises(ValueError, match="b_c"):
+        replace(cfg, pzf_bs=(3, 2))
+    assert replace(cfg, pzf_bs=[2, 1]).pzf_bs == (2, 1)   # and stores the pair as a tuple
 
 
 def test_largest_trial_seed_is_a_valid_root_seed():
