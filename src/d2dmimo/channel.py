@@ -198,6 +198,27 @@ def noise_normals(config, sides=SIDES):
     return 2 * config.pilot_len * (b + (k * m if "d2d" in sides else 0))
 
 
+def pilot_phase_bytes(config, sides=SIDES):
+    """Peak bytes one draw's simulate_pilot_phase and mmse_estimate hold for
+    the receiver sides sides beyond its normals and channels, at 16 bytes a
+    complex entry: the observations formed so far (the BS side's, 16 tau B,
+    then all of them, 8 noise_normals) and the largest temporary of the side
+    being formed.  That is the pilot product of h_d (B K) or g_d (K^2 M) with
+    its reuse-matrix sum ((tau-N)(B+K) or (tau-N)(K M+K)), which also bounds
+    the gather by pilot column in mmse_estimate, or the two noise terms
+    (2 tau B or 2 tau K M).  Change it with those two layers."""
+    b, n = config.bs_antennas, config.n_cu
+    k, m, tau = config.n_d2d, config.d2drx_antennas, config.pilot_len
+    shared = tau - n
+    peaks = []
+    if "cu" in sides:
+        peaks.append(16 * tau * b + 16 * max(b * k + shared * (b + k), 2 * tau * b))
+    if "d2d" in sides:
+        peaks.append(8 * noise_normals(config, sides)
+                     + 16 * max(k * k * m + shared * (k * m + k), 2 * tau * k * m))
+    return max(peaks)
+
+
 def normals(rng, count):
     """The first count standard normals of a generator, shape (count,), or a
     (T, count) stack of them for a list of T generators, row t from rng[t]."""

@@ -32,10 +32,11 @@ MonteCarloPlan per schedule: the terms of the Monte Carlo layers that do not
 depend on the fast fading, for the receiver sides the metrics read (the BS
 for sum_se_cell, the D2D-Rxs for sum_se_d2d).  The Monte Carlo layers (fast
 fading, pilot phase, MMSE, PZF/SINR) run on sub-stacks of the chunk, as many
-trials as a byte budget holds of those sides' fading, each on its rows of
-the plan, and do only the draw-dependent work of those sides.  A trial's
-fading and pilot-noise normals depend on its seed, not on the sweep value,
-and a point of a smaller size reads a prefix of them, so each sub-stack
+trials as a peak-byte budget holds of those sides' working set (the normals,
+the fading or estimates, the observations and the largest temporary), each
+on its rows of the plan, and do only the draw-dependent work of those sides.
+A trial's fading and pilot-noise normals depend on its seed, not on the sweep
+value, and a point of a smaller size reads a prefix of them, so each sub-stack
 draws every trial's normals once, from the trial's own substreams, at the
 group's largest counts, and the points read their prefixes in sweep order.
 The estimation recipe scores each scheduler's assignments for the whole
@@ -62,7 +63,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -74,9 +74,9 @@ from .scenario import (DRAW_FIELDS, SCHEDULE_FIELDS, SystemConfig, Topology, gen
                        FADING, NOISE, RANDOM_PILOTS)
 from .channel import (SIDES, PilotAssignment, PowerProfile, estimation_coeffs, group_powers,
                       draw_fast_fading, simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals,
-                      normals)
+                      normals, pilot_phase_bytes)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
-                        bound_sinrs, cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan)
+                        bound_sinrs, cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan, pzf_bytes)
 from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
 from .power_control import SolverError, jdpc_stack, dpcc, dpcd
 
@@ -109,14 +109,17 @@ EXPERIMENTS = {
 
 _ES_GUARD = 250_000   # enumeration budget for the fig3 exhaustive baseline
 
-# Bytes of channel draws one stack holds at once: the fast fading of a
-# Monte Carlo sub-stack, and the large-scale gains of a bounds_mc or mse
-# chunk.  The working sets run to a few times that: the Monte Carlo path
-# peaks while the MMSE estimates are formed, with the sub-stack's normals
-# and the last estimates alive (1.49 MB for two trials at B = 256, K = 20,
-# against 0.166 MB of fading a draw), the analytic layers at 6-8 times the
-# gains.  Larger stacks run little faster but raise the resident peak.
+# Bytes of large-scale gains a bounds_mc or mse chunk holds at once; its
+# analytic working set runs to several times that (3.4 MB traced for fig1's
+# bounds at 95 trials).  Larger stacks run little faster but raise the
+# resident peak.
 _STACK_BYTES = 400_000
+# Peak bytes of a Monte Carlo sub-stack's working set, _mc_trial_bytes a
+# trial.  On top comes what a sub-stack holds whatever its size, numpy's
+# index and iteration buffers (at most about 200 kB traced, for the gathers
+# of the MMSE estimates), so a sub-stack peaks at 3 MB traced: no more than
+# an analytic chunk reaches.
+_MC_STACK_BYTES = 2_800_000
 
 
 @dataclass
@@ -342,13 +345,31 @@ def _scenario_pipeline(group, ls):
 
 
 def _stack_size(cfg, kind, sides=SIDES):
-    """Trials per stack: as many draws as fit in _STACK_BYTES, at least one.
-    kind "mc" counts a trial's fast-fading normals for the receiver sides
-    sides (the bytes of its complex fading), "analytic" its large-scale
-    gains."""
+    """Trials per stack, at least one.  kind "analytic" fits a trial's
+    large-scale gains in _STACK_BYTES; kind "mc" fits _mc_trial_bytes(cfg,
+    sides) a trial in _MC_STACK_BYTES."""
+    if kind == "mc":
+        return max(1, _MC_STACK_BYTES // _mc_trial_bytes(cfg, sides))
     n, k = cfg.n_cu, cfg.n_d2d
-    draw = 8 * fading_normals(cfg, sides) if kind == "mc" else 8 * (n + k) * (k + 1)
-    return max(1, _STACK_BYTES // draw)
+    return max(1, _STACK_BYTES // (8 * (n + k) * (k + 1)))
+
+
+def _mc_trial_bytes(cfg, sides):
+    """Peak bytes one trial adds to a Monte Carlo sub-stack forming the
+    receiver sides sides: its normals, alive throughout, and a draw's worth
+    of complex channels (its fading, then its estimates), 8 (2F + W) bytes
+    for F = fading_normals(cfg, sides) and W = noise_normals(cfg, sides),
+    plus the larger of the peaks of the pilot phase with the MMSE estimates
+    (pilot_phase_bytes) and of the PZF filters, the observations freed
+    (pzf_bytes).  Checked with tracemalloc on _mc_rates, one to five trials
+    a sub-stack at B = 32 to 256, both sides and each alone, at K=20/tau=10,
+    K=20/tau=25, K=100/tau=30 and seven other shapes, among them b_d =
+    tau-N and b_c = N-1: every traced peak is at most the trials times this
+    plus 200 kB, within 1.5% at K=100/tau=30 with both sides (the pilot
+    phase of g_d), and fig1's K=20/tau=10, B=256 point with both sides
+    counts 544 kB a trial, 2.74 MB traced at five."""
+    fading, noise = fading_normals(cfg, sides), noise_normals(cfg, sides)
+    return 8 * (2 * fading + noise) + max(pilot_phase_bytes(cfg, sides), pzf_bytes(cfg, sides))
 
 
 def _take(stack, rows):
@@ -382,8 +403,12 @@ def _mc_rates(group, seeds, plans, metrics):
     draw each row's attempt-0 fading and noise normals once, at the group's
     largest counts for those sides, and each point in sweep order reads its own
     prefix of them (see _mc_point).  The sub-stacks are sized by the group's
-    largest point, so the budget holds the shared normals too; a smaller point
-    runs in sub-stacks smaller than its own budget allows."""
+    largest point, whose working set holds the shared normals; a smaller point
+    runs in sub-stacks smaller than its own budget allows.  A point's arrays
+    are freed before the next point forms its own, so the pages of each
+    sub-stack go back to the system and fault in again at the next (about 6%
+    of the time at K=100, one trial a sub-stack); buffers reused across
+    sub-stacks would keep them."""
     sides = plans[0].sides
     size = min(_stack_size(cfg, "mc", sides) for cfg in group)
     counts = [max(count(cfg, sides) for cfg in group) for count in (fading_normals, noise_normals)]
@@ -394,11 +419,7 @@ def _mc_rates(group, seeds, plans, metrics):
                  for purpose, count in zip((FADING, NOISE), counts)]
         for i, cfg in enumerate(group):
             with _at_point(i):
-                # the last estimates stay alive until the next are formed:
-                # freed first, their pages went back to the system and
-                # faulted back in at the next draw (4 times the page faults
-                # of a 3-point K=20 group, 1.6 times at K=100)
-                held = _mc_point(cfg, seeds, rows, drawn, plans[i], sums[i])
+                _mc_point(cfg, seeds, rows, drawn, plans[i], sums[i])
     return sums
 
 
@@ -410,8 +431,7 @@ def _mc_point(cfg, seeds, rows, drawn, plan, sums):
     forming only the receiver sides the plan holds.  A row whose draw
     leaves a degenerate PZF span (measure zero) is redrawn, at this point
     alone, from its trial's next substreams while the other rows keep their
-    draws; after 5 attempts a SolverError names it.  Returns the last
-    draw's MMSE estimates."""
+    draws; after 5 attempts a SolverError names it."""
     prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
     todo = rows
     for attempt in range(5):
@@ -435,7 +455,7 @@ def _mc_point(cfg, seeds, rows, drawn, plan, sums):
             sums[m][todo[ok]] = prefactor * np.sum(np.log2(1.0 + eta), axis=-1)
         todo = np.delete(todo, ok)
         if not todo.size:
-            return est
+            return
     raise SolverError("fast-fading draw kept a degenerate PZF span after 5 attempts", todo)
 
 
@@ -584,6 +604,8 @@ def run_experiment(spec, workers=1):
             owners.append(members)
 
     values = [{m: [] for m in metrics} for _ in point_cfgs]   # per sweep point, in trial order
+    if workers > 1:   # imported here: a one-worker run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
         for members, chunk in zip(owners, chunks):

@@ -349,6 +349,27 @@ def pzf_filter(est, plan, kind):
     return _project_out(targets, cancelled)
 
 
+def pzf_bytes(config, sides=SIDES):
+    """Peak bytes one draw's pzf_filter holds for the receiver sides sides
+    beyond its estimates, at 16 bytes a complex entry.  At the BS: 3.5
+    copies of the B x (N+b_d) basis in its batched QR, or its Q and the b_d
+    group representatives with five copies of the N targets' coordinates,
+    N (N+b_d)(b_c+b_d), in _project_out's.  At the D2D-Rxs: the
+    cancellation columns K M (N+K) with the K M (m_c+m_d) picked from them,
+    or five copies of the picked ones in _project_out's per-receiver QRs.
+    Change it with those two functions."""
+    b, n = config.bs_antennas, config.n_cu
+    k, m = config.n_d2d, config.d2drx_antennas
+    b_c, b_d = config.pzf_bs
+    m_c, m_d = config.pzf_d2d
+    peaks = []
+    if "cu" in sides:
+        peaks += [3.5 * b * (n + b_d), b * (n + 2 * b_d) + 5 * n * (n + b_d) * (b_c + b_d)]
+    if "d2d" in sides:
+        peaks += [k * m * (n + k + m_c + m_d), k * m * (1 + 5 * (m_c + m_d))]
+    return int(16 * max(peaks))
+
+
 @dataclass
 class SinrTerms(TrialAxis):
     """Per-link post-filter breakdown; every field is an array over links."""

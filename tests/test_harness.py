@@ -2,6 +2,9 @@ import copy
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -250,6 +253,17 @@ class TestRunExperiment:
             assert a.metric == b.metric and a.sweep == b.sweep
             assert abs(a.mean - b.mean) <= 1e-12 * max(1.0, abs(a.mean))
             assert abs(a.ci95 - b.ci95) <= 1e-12 * max(1.0, abs(a.ci95))
+
+    def test_import_loads_no_process_pool(self):
+        # a one-worker run never starts processes, so the package leaves the
+        # process-pool modules unloaded until a run asks for workers
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        modules = ("multiprocessing", "concurrent.futures", "concurrent.futures.process")
+        probe = f"import sys, d2dmimo; print([m for m in {modules!r} if m in sys.modules])"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
 
     def test_ci_shrinks_with_sqrt_trials(self):
         spec_small = tiny_spec(sweep_values=[6], trials=64)

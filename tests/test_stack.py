@@ -390,6 +390,14 @@ def hex_rows(results):
     return [[float(r[m]).hex() for m in MC_METRICS] for r in results]
 
 
+def set_budgets(monkeypatch, budget):
+    """budget 1 runs analytic chunks and Monte Carlo sub-stacks of one trial
+    each; harness._STACK_BYTES keeps the shipped budgets."""
+    if budget == 1:
+        monkeypatch.setattr(harness, "_STACK_BYTES", 1)
+        monkeypatch.setattr(harness, "_MC_STACK_BYTES", 1)
+
+
 def bounds_mc_alone(cfg):
     """One trial's row: a chunk of that trial alone at its own config."""
     return trial_rows(_chunk_bounds_mc([cfg], [cfg.rng_seed], MC_METRICS,
@@ -399,7 +407,7 @@ def bounds_mc_alone(cfg):
 @pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1])
 @pytest.mark.parametrize("name", ["K=40", "one pair", "rejections", "zero budgets"])
 def test_chunk_bounds_mc_matches_each_trial_alone(monkeypatch, name, budget):
-    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    set_budgets(monkeypatch, budget)
     cfgs = trial_configs(name, 7, MC_CONFIGS)
     alone = [bounds_mc_alone(cfg) for cfg in cfgs]
     cfg, seeds, ls = point_stack(cfgs)
@@ -447,7 +455,7 @@ def test_degenerate_row_is_redrawn_alone(monkeypatch):
     want = [bounds_mc_alone(cfg) for cfg in cfgs]
     first, redrawn = mc_sums_alone(cfgs[4], attempt=0), mc_sums_alone(cfgs[4], attempt=1)
     assert all(want[4][m] == first[m] != redrawn[m] for m in first)
-    assert _stack_size(cfgs[0], "mc") == 3   # trial 4 sits between trials 3 and 5
+    assert _stack_size(cfgs[0], "mc") == 7   # trial 4 sits between trials 3 and 5 of the one sub-stack
     degenerate_draws(monkeypatch, {cfgs[4].rng_seed}, {0})
     want[4].update(redrawn)
     cfg, seeds, ls = point_stack(cfgs)
@@ -457,14 +465,26 @@ def test_degenerate_row_is_redrawn_alone(monkeypatch):
 GROUPS = {"bs_antennas": [64, 128, 256], "pilot_len": [6, 10, 25]}
 
 
-@pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1])
+# the sub-stack size that puts trial 4 of 7 at that row of its sub-stack
+ROW_OF_FOUR = {"first": 4, "middle": 6, "last": 5}
+
+
+@pytest.mark.parametrize("budget", [harness._STACK_BYTES, 1, *ROW_OF_FOUR])
 @pytest.mark.parametrize("variable", sorted(GROUPS))
 def test_group_rows_match_each_point_alone(monkeypatch, variable, budget):
     # the points read prefixes of each trial's shared attempt-0 normals; a
-    # row degenerate at the middle point alone is redrawn there alone
-    monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+    # row degenerate at the middle point alone is redrawn there alone,
+    # wherever it sits in its sub-stack
     values = GROUPS[variable]
     seeds = [trial_seed(21, t) for t in range(7)]
+    points = [apply_sweep(SystemConfig(rng_seed=21), variable, v) for v in values]
+    size = ROW_OF_FOUR.get(budget)
+    if size:
+        largest = max(harness._mc_trial_bytes(cfg, SIDES) for cfg in points)
+        monkeypatch.setattr(harness, "_MC_STACK_BYTES", size * largest)
+        assert min(_stack_size(cfg, "mc") for cfg in points) == size
+    else:
+        set_budgets(monkeypatch, budget)
     group = [[apply_sweep(SystemConfig(rng_seed=s), variable, v) for s in seeds] for v in values]
     want = [[bounds_mc_alone(cfg) for cfg in cfgs] for cfgs in group]
     bad = group[1][4]
@@ -472,9 +492,17 @@ def test_group_rows_match_each_point_alone(monkeypatch, variable, budget):
     assert all(want[1][4][m] == first[m] != redrawn[m] for m in first)
     want[1][4].update(redrawn)
     degenerate_draws(monkeypatch, {bad.rng_seed}, {0}, at=lambda cfg: getattr(cfg, variable) == values[1])
-    points = [apply_sweep(SystemConfig(rng_seed=21), variable, v) for v in values]
     got = _chunk_bounds_mc(points, seeds, MC_METRICS, harness._large_scale(points[0], seeds))
     assert [hex_rows(trial_rows(point)) for point in got] == [hex_rows(p) for p in want]
+
+
+def test_uneven_sub_stacks_match_each_trial_alone():
+    # 11 trials in sub-stacks of 5, 5 and a lone last one
+    cfgs = [SystemConfig(bs_antennas=256, rng_seed=trial_seed(21, t)) for t in range(11)]
+    assert _stack_size(cfgs[0], "mc") == 5
+    cfg, seeds, ls = point_stack(cfgs)
+    got = trial_rows(_chunk_bounds_mc([cfg], seeds, MC_METRICS, ls)[0])
+    assert hex_rows(got) == hex_rows([bounds_mc_alone(cfg) for cfg in cfgs])
 
 
 def test_group_draws_each_trials_normals_once(monkeypatch):
@@ -540,7 +568,7 @@ def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
                             config=SystemConfig(n_d2d=6, bs_antennas=32, rng_seed=8), metrics=m)
              for e, m in (("fig2", list(MC_METRICS)), ("fig3", None))]
     for budget in (harness._STACK_BYTES, 1):
-        monkeypatch.setattr(harness, "_STACK_BYTES", budget)
+        set_budgets(monkeypatch, budget)
         for spec in specs:
             spec.output = str(tmp_path / str(budget) / f"{spec.experiment}.csv")
             run_experiment(spec)
@@ -549,26 +577,49 @@ def test_stacks_of_one_write_the_same_csv(monkeypatch, tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / str(harness._STACK_BYTES) / name).read_bytes()
 
 
+# (shape, antenna groups) of the memory test: fig1's K=20/tau=10; the longest
+# fig2 pilot, and the same with the most BS groups cancelled, where the BS
+# filters, not the pilot phase, set the peak; and mc_large's K=100/tau=30
+PEAK_SHAPES = [(dict(), ([256], [64, 128, 256])),
+               (dict(pilot_len=25), ([256], [64, 128, 256])),
+               (dict(pilot_len=25, pzf_bs=(4, 20)), ([256], [64, 128, 256])),
+               (dict(n_d2d=100, pilot_len=30), ([64], [128], [64, 128, 256]))]
+# numpy's index and iteration buffers, which a Monte Carlo sub-stack holds
+# whatever its size
+FIXED_BYTES = 200_000
+
+
 def test_monte_carlo_peak_stays_within_the_stack_budget():
-    # sub-stacks of two trials at B = 256, K = 20 with both receiver sides
-    # and three with the BS side alone, whose working sets peak while the
-    # MMSE estimates are formed, with the sub-stack's normals and the last
-    # estimates alive: 3.72 and 3.76 times the budget alone, 3.45 and 3.37
-    # times in a group of B = 64, 128 and 256, whose points share one plan
-    seeds = [trial_seed(3, t) for t in range(10)]
-    for sides, size in ((SIDES, 2), (("cu",), 3)):
-        metrics = [m for m, (side, _) in harness._MC_TERMS.items() if side in sides]
-        for antennas in ([256], [64, 128, 256]):
-            group = [SystemConfig(bs_antennas=b, rng_seed=3) for b in antennas]
-            assert min(_stack_size(cfg, "mc", sides) for cfg in group) == size
-            ls = harness._large_scale(group[0], seeds)
-            pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline(group, ls))
-            plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, group[0].noise_power, sides)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                _mc_rates(group, seeds, [plan] * len(group), metrics)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * harness._STACK_BYTES, (sides, antennas)
+    # every sub-stack of more than one trial, with both receiver sides or
+    # either alone, in an uneven split (its last sub-stack smaller), peaks,
+    # in the traced bytes _mc_rates allocates, at most at its trials times
+    # the per-trial model plus the fixed bytes, so at most at the 3 MB
+    # budget; mc_small's group of B = 64, 128 and 256 runs five trials a
+    # sub-stack
+    budget = harness._MC_STACK_BYTES + FIXED_BYTES
+    mc_small = [SystemConfig(bs_antennas=b) for b in (64, 128, 256)]
+    assert min(_stack_size(cfg, "mc") for cfg in mc_small) >= 5
+    checked = set()
+    for shape, groups in PEAK_SHAPES:
+        for sides in (SIDES, ("cu",), ("d2d",)):
+            metrics = [m for m, (side, _) in harness._MC_TERMS.items() if side in sides]
+            for antennas in groups:
+                group = [SystemConfig(**shape, bs_antennas=b, rng_seed=3) for b in antennas]
+                size = min(_stack_size(cfg, "mc", sides) for cfg in group)
+                if size == 1:
+                    continue
+                seeds = [trial_seed(3, t) for t in range(size + 2)]
+                ls = harness._large_scale(group[0], seeds)
+                pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline(group, ls))
+                plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, group[0].noise_power, sides)
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    _mc_rates(group, seeds, [plan] * len(group), metrics)
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+                model = size * max(harness._mc_trial_bytes(cfg, sides) for cfg in group) + FIXED_BYTES
+                assert peak <= model <= budget, (shape, sides, antennas, size, peak, model)
+                checked.add(tuple(shape.items()))
+    assert len(checked) == len(PEAK_SHAPES)   # each shape has a sub-stack of several trials
