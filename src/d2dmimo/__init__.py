@@ -19,8 +19,8 @@ from .pilot_scheduling import (interference_metric, sum_mse,
                                pilot_power_parametric, InstanceTooLargeError,
                                NonConvergenceError, ParametricPowerResult)
 from .power_control import (CellularFixedPoint, cellular_fixed_point, dpcc,
-                            dpcc_iterate, dpcd, dpcd_stack, jdpc_stack,
-                            cellular_power_budget, DpccResult, DpcdResult, JdpcResult,
+                            dpcc_iterate, dpcd, dpcd_stack, jdpc_stack, WmmseGroup,
+                            JdpcPoint, cellular_power_budget, DpccResult, DpcdResult, JdpcResult,
                             InfeasibleBudgetError, SolverError, BracketError)
 from .harness import (ExperimentSpec, ResultRow, run_experiment, load_spec,
                       spec_from_dict, validate_spec, apply_sweep, SpecError,

@@ -13,15 +13,18 @@ Sweep points whose configs agree on scenario.DRAW_FIELDS (the fields
 topology placement and large-scale gains read) form one draw group: a
 sweep of bs_antennas, pilot_len, coherence_len or sinr_target is one
 group, a sweep of n_d2d or d2d_max_dist a group per point.  A task runs
-one chunk of trials at every point of a group.  It carries each point's
-config, built once and keeping the root seed, and the chunk's trial
-seeds, which every draw reads.  It draws each trial's
-topology from its own substream and the chunk's large-scale gains once,
-then runs the points in sweep order on those gains, pushing all the
-chunk's trials through the analytic layers from PSA onward (PSA,
+one chunk of trials at every point of a group; a power-control task runs
+one chunk at every point of every group.  A task carries each point's
+config, built once (by the spec's validation) and keeping the root seed,
+and the chunk's trial seeds, which every draw reads.  Per group it draws
+each trial's topology from its own substream and the chunk's large-scale
+gains once, then runs the points in sweep order on those gains, pushing
+all the chunk's trials through the analytic layers from PSA onward (PSA,
 estimation coefficients, cancellation sets, rate coefficients and
-bounds) as one stack with a leading trial axis, and the power-control
-recipes solve each point's stack in lockstep.  Points whose configs agree on
+bounds) as one stack with a leading trial axis.  A power-control task
+draws its groups largest first and keeps only each point's rate
+coefficients before the next group draws, then solves every point's stack
+in one joint solve, in lockstep (see power_control).  Points whose configs agree on
 scenario.SCHEDULE_FIELDS (the fields PSA, the power profile, the estimation
 coefficients, the cancellation sets and the Monte Carlo plan read) share one
 result of those layers, and those that also agree on the antenna counts one
@@ -78,7 +81,7 @@ from .channel import (SIDES, PilotAssignment, PowerProfile, estimation_coeffs, g
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan, pzf_bytes)
 from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
-from .power_control import SolverError, jdpc_stack, dpcc, dpcd
+from .power_control import JdpcPoint, SolverError, jdpc_stack, dpcc, dpcd
 
 
 class SpecError(ValueError):
@@ -132,12 +135,16 @@ class ExperimentSpec:
     output: str | None = None
     metrics: list | None = None
 
-    def resolved_metrics(self):
+    def resolved_metrics(self, spaces=None):
+        """The metrics a run records: the spec's, or its experiment's
+        defaults, with fig3's exhaustive-search baseline where every point's
+        search space (spaces, or search_spaces() when None) is at most
+        _ES_GUARD."""
         if self.metrics is not None:
             return list(self.metrics)
         kind, defaults = EXPERIMENTS[self.experiment]
         metrics = list(defaults)
-        if self.experiment == "fig3" and max(self.search_spaces()) <= _ES_GUARD:
+        if self.experiment == "fig3" and max(self.search_spaces() if spaces is None else spaces) <= _ES_GUARD:
             metrics.insert(1, "sum_mse_es")
         return metrics
 
@@ -242,6 +249,13 @@ def _check_sweep_numbers(values):
 
 
 def validate_spec(spec):
+    _validated(spec)
+    return spec
+
+
+def _validated(spec):
+    """Check spec as validate_spec does; returns its sweep points' configs,
+    each built once, and its resolved metrics."""
     _check_types(spec)
     if spec.experiment not in EXPERIMENTS:
         raise SpecError("experiment", f"unknown experiment {spec.experiment!r}; "
@@ -264,23 +278,25 @@ def validate_spec(spec):
     if names == []:   # a run would solve every point and report nothing
         raise SpecError("metrics", "must be a nonempty list or null")
     kind, _ = EXPERIMENTS[spec.experiment]
+    cfgs = []
     for v in spec.sweep_values:
         try:
-            cfg = apply_sweep(spec.config, spec.sweep_variable, v)
+            cfgs.append(apply_sweep(spec.config, spec.sweep_variable, v))
             if kind != "mse":   # the PZF rate bounds need a positive array gain
-                pzf_dof(cfg)
+                pzf_dof(cfgs[-1])
         except (TypeError, ValueError) as exc:
             raise SpecError("sweep.values", f"value {v!r}: {exc}") from exc
     allowed = set(_METRICS[kind])
-    metrics = spec.resolved_metrics()
+    spaces = [search_space(cfg) for cfg in cfgs]
+    metrics = spec.resolved_metrics(spaces)
     for m in metrics:
         if m not in allowed:
             raise SpecError("metrics", f"{m!r} is not produced by {spec.experiment!r} "
                                        f"(allowed: {', '.join(sorted(allowed))})")
-    if "sum_mse_es" in metrics and max(spec.search_spaces()) > SEARCH_GUARD:
-        raise SpecError("metrics", f"sum_mse_es enumerates {max(spec.search_spaces())} pilot "
+    if "sum_mse_es" in metrics and max(spaces) > SEARCH_GUARD:
+        raise SpecError("metrics", f"sum_mse_es enumerates {max(spaces)} pilot "
                                    f"assignments at some sweep point, above the guard {SEARCH_GUARD}")
-    return spec
+    return cfgs, metrics
 
 
 def apply_sweep(config, variable, value):
@@ -350,8 +366,13 @@ def _stack_size(cfg, kind, sides=SIDES):
     sides) a trial in _MC_STACK_BYTES."""
     if kind == "mc":
         return max(1, _MC_STACK_BYTES // _mc_trial_bytes(cfg, sides))
+    return max(1, _STACK_BYTES // _trial_gain_bytes(cfg))
+
+
+def _trial_gain_bytes(cfg):
+    """Bytes of one trial's large-scale gains at config cfg."""
     n, k = cfg.n_cu, cfg.n_d2d
-    return max(1, _STACK_BYTES // (8 * (n + k) * (k + 1)))
+    return 8 * (n + k) * (k + 1)
 
 
 def _mc_trial_bytes(cfg, sides):
@@ -381,8 +402,8 @@ def _take(stack, rows):
 
 @contextmanager
 def _at_point(i):
-    """Tag a SolverError raised inside with i, the index in its draw group
-    of the sweep point that raised it."""
+    """Tag a SolverError raised inside with i, the index among its task's
+    points of the sweep point that raised it."""
     try:
         yield
     except SolverError as exc:
@@ -508,27 +529,41 @@ def _chunk_mse(group, seeds, metrics, ls):
     return columns
 
 
-def _solve_jdpc(group, ls):
-    """Per point of group (group[i]: point i's config): the stacked rate
-    coefficients of the draws ls, the pre-log factor, and the joint power
-    control of all draws in lockstep.  The analytic stacks run once for the
-    group, and each point solves on its own.  A failing solver raises a
-    SolverError naming its rows and point."""
-    solved = []
-    for i, (cfg, (*_, rc)) in enumerate(zip(group, _scenario_pipeline(group, ls))):
-        prefactor = 1.0 - cfg.pilot_len / cfg.coherence_len
-        with _at_point(i):
-            res = jdpc_stack(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                             tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, prefactor=prefactor)
-        solved.append((rc, prefactor, res))
-    return solved
+def _solve_jdpc(groups, seeds):
+    """Joint power control of the trials seeds at every point of the draw
+    groups groups (groups[g][i]: point i's config in group g): per point, in
+    order, its stacked rate coefficients, pre-log factor and JdpcResult.  Each
+    group in turn draws its trials' large-scale gains and forms its points'
+    rate coefficients, keeping only those, the group of the largest gains
+    first, so that its analytic peak comes before any coefficients are held;
+    then one jdpc_stack solves every point in lockstep.  A failing step
+    raises a SolverError naming its rows and its point's index among the
+    groups' points (a placement failure: its group's first point)."""
+    rcs = [None] * len(groups)
+    for g in sorted(range(len(groups)), key=lambda g: -_trial_gain_bytes(groups[g][0])):
+        with _at_point(sum(len(group) for group in groups[:g])):
+            rcs[g] = _rate_coeffs(groups[g], seeds)
+    points = [JdpcPoint(rc, cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                        prefactor=1.0 - cfg.pilot_len / cfg.coherence_len,
+                        tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse)
+              for group, group_rcs in zip(groups, rcs) for cfg, rc in zip(group, group_rcs)]
+    return [(pt.rc, pt.prefactor, res) for pt, res in zip(points, jdpc_stack(points))]
 
 
-def _chunk_jdpc(group, seeds, metrics, ls):
-    """Joint power control, like _chunk_bounds_mc; only the feasible trials
-    report their outer rounds and sum SEs at their final powers."""
+def _rate_coeffs(group, seeds):
+    """Rate coefficients at full power of the trials seeds at every point of
+    a draw group, each stacked, with the group's large-scale gains and
+    schedule stacks freed."""
+    return [stacks[-1] for stacks in _scenario_pipeline(group, _large_scale(group[0], seeds))]
+
+
+def _chunk_jdpc(groups, seeds, metrics):
+    """Joint power control of the trials seeds at every point of the draw
+    groups groups, solved together: per point, in order, {metric: the
+    trials' values}; only the feasible trials report their outer rounds and
+    sum SEs at their final powers."""
     columns = []
-    for rc, prefactor, res in _solve_jdpc(group, ls):
+    for rc, prefactor, res in _solve_jdpc(groups, seeds):
         ok = res.feasible
         eta_c, eta_d = bound_sinrs(rc[ok], res.q_s[ok], res.p_s[ok])
         point = {"infeasible_fraction": (~ok).astype(float),
@@ -539,26 +574,34 @@ def _chunk_jdpc(group, seeds, metrics, ls):
     return columns
 
 
-# pipeline kind -> chunk(group, seeds, metrics, ls): per point of the draw
-# group, {metric: values of the trials that report it, in trial order}
-_CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse, "jdpc": _chunk_jdpc}
+# pipeline kind -> chunk(group, seeds, metrics, ls) of one draw group: per
+# point of the group, {metric: values of the trials that report it, in trial
+# order}.  A jdpc chunk (_chunk_jdpc) runs every draw group, to solve all
+# points together.
+_CHUNKS = {"bounds_mc": _chunk_bounds_mc, "mse": _chunk_mse}
 
 
 def _run_chunk(task):
-    """Results of a contiguous run of trials at every sweep point of one draw
-    group: per point, {metric: values of the trials that report it, in
-    trial order}.  The trials' large-scale gains are drawn once and every point
-    runs on them, in sweep order, from PSA onward, sharing the schedule layers
-    with the points that agree on their fields; the bounds recipes also share
-    each trial's Monte Carlo draw.  A runtime failure is re-raised naming the
-    sweep value it was raised at (the group's first for the shared large-scale
-    draw), trial index and trial seed, so the draw can be re-run."""
-    group, kind, metrics, first, seeds, points = task
+    """Results of a contiguous run of trials at every sweep point of the
+    task's draw groups (one, but for joint power control): per point, in the
+    groups' order, {metric: values of the trials that report it, in trial
+    order}.  Each group draws its trials' large-scale gains once and its
+    points run on them, in sweep order, from PSA onward, sharing the schedule
+    layers with the points that agree on their fields; the bounds recipes
+    also share each trial's Monte Carlo draw, and the power-control recipes
+    solve all the groups' points in one joint solve.  A runtime failure is
+    re-raised naming the sweep value it was raised at (the group's first for
+    a shared large-scale draw), trial index and trial seed, so the draw can
+    be re-run."""
+    groups, kind, metrics, first, seeds, points = task
     try:
+        if kind == "jdpc":
+            return _chunk_jdpc(groups, seeds, metrics)
+        (group,) = groups
         return _CHUNKS[kind](group, seeds, metrics, _large_scale(group[0], seeds))
     except SolverError as exc:
         where = "; ".join(f"trial {first + r} (seed {seeds[r]})" for r in exc.rows)
-        raise RuntimeError(f"{points[getattr(exc, 'point', 0)]}, {where}: {exc.args[0]}") from exc
+        raise RuntimeError(f"{points[exc.point]}, {where}: {exc.args[0]}") from exc
 
 
 def _aggregate(values):
@@ -575,20 +618,22 @@ def _aggregate(values):
 def run_experiment(spec, workers=1):
     """Execute the spec; returns (rows, manifest) and writes CSV + manifest
     when spec.output is set."""
-    validate_spec(spec)
+    point_cfgs, metrics = _validated(spec)
     kind, _ = EXPERIMENTS[spec.experiment]
-    metrics = spec.resolved_metrics()
     root = spec.config.rng_seed
     seeds = [trial_seed(root, t) for t in range(spec.trials)]
 
     # sweep points whose configs agree on DRAW_FIELDS share each trial's draw
-    point_cfgs = [apply_sweep(spec.config, spec.sweep_variable, v) for v in spec.sweep_values]
     groups = {}
     for i, cfg in enumerate(point_cfgs):
         groups.setdefault(_fields(cfg, DRAW_FIELDS), []).append(i)
+    # a task runs one draw group, or for power control every group, whose
+    # points it solves together
+    labels = [f"{spec.sweep_variable}={v!r}" for v in spec.sweep_values]
     tasks, owners = [], []   # owners[j]: the sweep points task j runs
-    for members in groups.values():
-        # one chunk per group, or about four per worker; power control solves
+    for task_groups in [list(groups.values())] if kind == "jdpc" else [[g] for g in groups.values()]:
+        members = [i for g in task_groups for i in g]
+        # one chunk per task, or about four per worker; power control solves
         # a whole chunk in lockstep, other chunks are capped in size, and
         # share the cap among the group's distinct Monte Carlo plans, one
         # per schedule, which stay alive while the Monte Carlo layers run
@@ -597,10 +642,10 @@ def run_experiment(spec, workers=1):
             share = (len({_fields(point_cfgs[i], SCHEDULE_FIELDS) for i in members})
                      if any(m in _MC_TERMS for m in metrics) else 1)
             size = min(size, max(1, _stack_size(point_cfgs[members[0]], "analytic") // share))
-        group = [point_cfgs[i] for i in members]
-        points = [f"{spec.sweep_variable}={spec.sweep_values[i]!r}" for i in members]
+        cfgs = [[point_cfgs[i] for i in g] for g in task_groups]
         for first in range(0, len(seeds), size):
-            tasks.append((group, kind, tuple(metrics), first, seeds[first:first + size], points))
+            tasks.append((cfgs, kind, tuple(metrics), first, seeds[first:first + size],
+                          [labels[i] for i in members]))
             owners.append(members)
 
     values = [{m: [] for m in metrics} for _ in point_cfgs]   # per sweep point, in trial order
@@ -662,7 +707,7 @@ def convergence_traces(cfg, max_draws=50):
     the first feasible trial index wins; with none, trial 0 is traced)."""
     first = None
     for t in range(max_draws):
-        rc, prefactor, joint = _solve_jdpc([cfg], _large_scale(cfg, [trial_seed(cfg.rng_seed, t)]))[0]
+        rc, prefactor, joint = _solve_jdpc([[cfg]], [trial_seed(cfg.rng_seed, t)])[0]
         probe = (t, rc[0], prefactor, joint[0])
         first = first or probe
         if probe[-1].feasible:

@@ -10,18 +10,22 @@ Three solvers:
   * jdpc_stack - the outer loop alternating the two until the D2D sum
             spectral efficiency stabilizes.
 
-The WMMSE and joint solvers work on stacks of same-size instances
-(dpcd_stack, jdpc_stack): the power-control recipes hand all trials of a
-sweep point to one call, which pays each numpy call once per iteration
-for the whole stack, and a converged instance leaves the stack.  A joint
-stack keeps its powers and results in arrays and computes each quantity
-of a round but the cellular step (dpcc, per instance) with one stacked
-call.  Each instance does the arithmetic it would do alone, in the same
-order, so its bits do not depend on the stack; dpcd is a stack of one, and
-so is jdpc_stack(rc[None], ...)[0].  A WMMSE stack down to one instance
-drops its trial axis and runs that instance's 1-D arrays through the same
-loop.  jdpc_stack records no WMMSE objective trace, so its inner loop
-computes no objective; dpcd always records one.
+The WMMSE and joint solvers work on stacks (dpcd_stack, jdpc_stack): the
+power-control recipes hand all trials of every sweep point of a chunk to
+one jdpc_stack call, which runs the points in lockstep, round by round, and
+solves the D2D step of every running trial of every point with one ragged
+WMMSE loop.  That loop takes a list of same-size groups (WmmseGroup), holds
+the running rows' per-pair arrays flat, group after group, and pays each
+elementwise numpy call once per iteration for all of them; each group runs
+its matrix products, stop test and multiplier bisection on its own
+contiguous (T, K) views, and a converged instance leaves the stack.  A
+joint stack keeps each point's powers and results in arrays and computes
+each quantity of a round but the cellular step (dpcc, per instance) with
+one stacked call per point.  Each instance does the arithmetic it would do
+alone, in the same order, so its bits depend neither on its stack nor on
+the other points; dpcd is a stack of one.  jdpc_stack records no WMMSE
+objective trace, so its inner loop computes no objective; dpcd always
+records one.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .receivers import _dot, _matvec, _vecmat, bound_sinrs, sigma_c_of, sigma_d_of
+from .receivers import RateCoeffs, _dot, _vecmat, bound_sinrs, sigma_c_of, sigma_d_of
 from .scenario import TrialAxis
 
 
@@ -44,9 +48,10 @@ class SolverError(RuntimeError):
     """A solver (or another per-trial step of a stacked computation) failed on
     some rows of the stack it was given, listed in ``rows``."""
 
-    def __init__(self, message, rows=()):
+    def __init__(self, message, rows=(), point=0):
         super().__init__(message)
         self.rows = [int(r) for r in rows]
+        self.point = point           # index of the point the rows belong to, of a list of points
 
     def __str__(self):
         return f"{self.args[0]} (stack rows {self.rows})" if self.rows else str(self.args[0])
@@ -136,114 +141,206 @@ class DpcdResult:
     multiplier: float                # final lambda
 
 
-def _f_update(denom, num, cap):
-    """Clipped sqrt powers and powers of a WMMSE step; a silent pair
-    (num = 0) stays at 0."""
-    f_new = np.minimum(cap, num / np.maximum(denom, 1e-300))
-    return f_new, f_new * f_new
+def _f_update(denom, num, cap, f=None, p=None):
+    """Clipped sqrt powers and powers of a WMMSE step, into f and p when
+    given; a silent pair (num = 0) stays at 0."""
+    f = np.maximum(denom, 1e-300, out=f)
+    np.divide(num, f, out=f)
+    np.minimum(cap, f, out=f)
+    return f, np.multiply(f, f, out=p)
 
 
-def _active(state, n):
-    """Loop state and row operations (matvec, vecmat, dot, zero multiplier)
-    of n active rows: a lone row drops the trial axis and uses plain matmuls."""
-    if n == 1:
-        return [a[0] for a in state], (np.matmul, np.matmul, np.matmul, 0.0)
-    return state, (_matvec, _vecmat, _dot, np.zeros(n))
+@dataclass
+class WmmseGroup:
+    """T same-size WMMSE instances of K pairs: row t maximizes the D2D sum
+    rate with coefficients phi_d[t], psi_d[t] and cellular-plus-noise terms
+    sigma_d[t] subject to the caps p_max (broadcast to (T, K)) and the budget
+    sum_k p_k varphi_d[t, k] <= zeta[t] >= 0, from full power unless p_init[t]
+    warm-starts it, until the sum of |change of log w| over its pairs is at
+    most tol_wmmse; the budget multiplier is bisected to bisect_rtol."""
+
+    phi_d: np.ndarray                # (T, K)
+    psi_d: np.ndarray                # (T, K, K)
+    varphi_d: np.ndarray             # (T, K)
+    sigma_d: np.ndarray              # (T, K)
+    zeta: np.ndarray                 # (T,)
+    p_max: object                    # broadcast to (T, K)
+    p_init: np.ndarray | None = None  # (T, K)
+    tol_wmmse: float = 1e-3
+    bisect_rtol: float = 1e-3
 
 
-def dpcd_stack(phi_d, psi_d, varphi_d, sigma_d, zeta, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3,
-               max_iter=50_000, p_init=None, record_trace=True):
-    """Weighted-MMSE D2D power control of T same-size instances in lockstep.
+class _Block:
+    """The running rows of one WmmseGroup in a ragged WMMSE stack: their
+    per-row arrays, and (set by _lay_out) their views of the stack's flat
+    arrays."""
 
-    Row t maximizes the D2D sum rate with coefficients phi_d[t], psi_d[t]
-    and cellular-plus-noise terms sigma_d[t] (all (T, K), psi_d (T, K, K))
-    subject to per-pair caps p_max (broadcast to (T, K)) and the budget
-    sum_k p_k varphi_d[t, k] <= zeta[t] >= 0.  It starts from full power
-    unless p_init[t] warm-starts it (the surrogate is monotone from any
-    start).  The returned powers never violate the budget: the multiplier
-    bisection keeps the feasible side.
+    def __init__(self, index, group, ids):
+        self.index, self.ids, self.rows = index, ids, np.arange(ids.size)   # ids: rows in the whole stack
+        self.k = np.shape(group.phi_d)[-1]
+        self.psi_d = np.asarray(group.psi_d, dtype=float)
+        self.varphi_d = np.asarray(group.varphi_d, dtype=float)
+        self.traces = [[] for _ in range(ids.size)]
+
+    def keep(self, keep):
+        self.ids, self.rows, self.psi_d, self.varphi_d = (
+            a[keep] for a in (self.ids, self.rows, self.psi_d, self.varphi_d))
+
+
+# the work arrays of a ragged WMMSE stack, one value per pair or per row
+_PAIR_WORK = ("nu", "w", "w_nu2", "num", "base", "mv", "p", "rx", "cross", "diff", "log_w_new")
+_ROW_WORK = ("used", "lam", "sums", "over", "done")
+
+
+def _lay_out(blocks, pairs, rows):
+    """Fresh work arrays for the running rows of blocks, _PAIR_WORK then
+    _ROW_WORK (over and done bool), returned in that order; and each block's
+    (T, K) view of every per-pair array, work or pairs[name], (T,) view of
+    every per-row array, work or rows[name], and the operands of its matrix
+    products.  Those are _matvec's, _dot's and _vecmat's operand shapes,
+    viewed once here, so that the loop's np.matmul calls are the helpers'
+    calls and give every row the bits of the 1-D call."""
+    n, t = next(iter(pairs.values())).size, next(iter(rows.values())).size
+    work = ([np.empty(n) for _ in _PAIR_WORK] + [np.empty(t) for _ in _ROW_WORK[:3]]
+            + [np.empty(t, dtype=bool) for _ in _ROW_WORK[3:]])
+    pairs = dict(zip(_PAIR_WORK, work), **pairs)
+    rows = dict(zip(_ROW_WORK, work[len(_PAIR_WORK):]), **rows)
+    at = row = 0
+    for b in blocks:
+        t, n = b.ids.size, b.ids.size * b.k
+        for name, a in pairs.items():
+            setattr(b, name, a[at:at + n].reshape(t, b.k))
+        for name, a in rows.items():
+            setattr(b, name, a[row:row + t])
+        b.w_nu2_col, b.mv_col, b.varphi_d_col = b.w_nu2[..., None], b.mv[..., None], b.varphi_d[..., None]
+        b.p_row, b.cross_row, b.used_1x1 = b.p[:, None, :], b.cross[:, None, :], b.used[:, None, None]
+        at, row = at + n, row + t
+    return work
+
+
+def dpcd_stack(groups, max_iter=50_000, record_trace=True):
+    """Weighted-MMSE D2D power control of a ragged stack in lockstep: the
+    rows of groups, a list of WmmseGroups of any sizes, run together until
+    each row's own stop rule holds.  The returned powers never violate the
+    budget: the multiplier bisection keeps the feasible side.
 
     Every row does the same floating-point operations in the same order as
-    it would alone, so its result does not depend on the other rows.  The
-    loop computes the multiplier-independent terms once per iteration and
-    reuses the objective's products as the next iteration's denominators;
-    a row leaves the stack when its stop rule holds.  Once one row is left,
-    or the stack starts with one, the loop drops the trial axis: the same
-    statements run on that row's 1-D arrays with plain matmuls, whose bits
-    the stacked helpers give every row.  With record_trace (the default)
-    each row's objective_trace holds its D2D sum rate after every
-    iteration; without it the loop computes no objective and the traces
-    are empty.  Returns one DpcdResult per row; a row that does not
+    it would alone, so its result depends neither on the other rows of its
+    group nor on the other groups.  The running rows' arrays are held flat,
+    group after group, so each elementwise step of an iteration is one numpy
+    call for the whole stack, into buffers kept until a row leaves; each
+    group runs its matrix products (_matvec, _dot and _vecmat, which give
+    every row the bits of the 1-D call), its rows' stop-test sums and the
+    multiplier bisection of its binding rows on its contiguous views of
+    those arrays.  The loop computes the multiplier-independent terms once
+    per iteration and reuses the objective's products as the next
+    iteration's denominators; a row leaves the stack when its stop rule
+    holds.  With record_trace (the default) each row's objective_trace holds
+    its D2D sum rate after every iteration; without it the loop computes no
+    objective and the traces are empty.
+
+    Returns, per group, one DpcdResult per row.  A row that does not
     converge or cannot bracket its multiplier raises a SolverError naming
-    the rows that failed.
+    the rows that failed by their index in the stack, the groups' rows one
+    group after another.
     """
-    t, k = phi_d.shape
-    zeta = np.asarray(zeta, dtype=float)
-    sqrt_phi = np.sqrt(phi_d)
-    f_cap = np.sqrt(np.broadcast_to(np.asarray(p_max, dtype=float), (t, k)))
+    results = [[None] * len(g.zeta) for g in groups]
+    blocks, at = [], 0
+    for i, g in enumerate(groups):
+        if len(g.zeta):
+            blocks.append(_Block(i, g, np.arange(at, at + len(g.zeta))))
+        at += len(g.zeta)
+    if not blocks:
+        return results
+    live = [groups[b.index] for b in blocks]
 
-    f = f_cap.copy() if p_init is None else np.sqrt(np.asarray(p_init, dtype=float))
-    p = f * f
-    total = p * phi_d + _vecmat(p, psi_d) + sigma_d
-    rows = np.arange(t)              # stack row of each active row
-    lone = t == 1
-    state, (matvec, vecmat, dot, no_lam) = _active(
-        (f, total, np.zeros((t, k)), sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta), t)
-    f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta = state
-    traces = [[] for _ in range(t)]
-    results = [None] * t
+    def flat(arrays):
+        return np.concatenate([np.ravel(a) for a in arrays])
 
-    def finish(r, p_r, lam_r):
-        results[r] = DpcdResult(p_s=p_r.copy(), objective_trace=traces[r], iterations=it,
-                                multiplier=float(lam_r))
+    caps = [np.sqrt(np.broadcast_to(np.asarray(g.p_max, dtype=float), np.shape(g.phi_d))) for g in live]
+    f_cap, phi_d = flat(caps), flat([np.asarray(g.phi_d, dtype=float) for g in live])
+    f = flat([cap if g.p_init is None else np.sqrt(np.asarray(g.p_init, dtype=float))
+              for g, cap in zip(live, caps)])
+    sigma_d = flat([np.asarray(g.sigma_d, dtype=float) for g in live])
+    sqrt_phi, log_w, total = np.sqrt(phi_d), np.zeros(f.size), np.empty(f.size)
+    zeta = flat([np.asarray(g.zeta, dtype=float) for g in live])
+    tol = flat([np.full(len(g.zeta), g.tol_wmmse) for g in live])
+    pair_count = flat([np.full(len(g.zeta), b.k) for g, b in zip(live, blocks)]).astype(int)
+
+    (nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new, used, lam, sums, over, done) = _lay_out(
+        blocks, dict(f=f, f_cap=f_cap, total=total, sigma_d=sigma_d), dict(zeta=zeta))
+    np.multiply(f, f, out=p)
+    np.multiply(p, phi_d, out=rx)
+    for b in blocks:
+        np.matmul(b.p_row, b.psi_d, out=b.cross_row)     # _vecmat(p, psi_d)
+    np.add(rx, cross, out=total)
+    np.add(total, sigma_d, out=total)
 
     for it in range(1, max_iter + 1):
-        nu = f * sqrt_phi / total
-        w = 1.0 / (1.0 - nu * f * sqrt_phi)
-        w_nu2 = w * nu ** 2
-        num = w * nu * sqrt_phi
-        base = w_nu2 * phi_d + matvec(psi_d, w_nu2)
+        np.multiply(f, sqrt_phi, out=nu)
+        np.divide(nu, total, out=nu)
+        np.multiply(nu, f, out=w)
+        np.multiply(w, sqrt_phi, out=w)
+        np.subtract(1.0, w, out=w)
+        np.divide(1.0, w, out=w)
+        np.square(nu, out=w_nu2)
+        np.multiply(w, w_nu2, out=w_nu2)
+        np.multiply(w, nu, out=num)
+        np.multiply(num, sqrt_phi, out=num)
+        for b in blocks:
+            np.matmul(b.psi_d, b.w_nu2_col, out=b.mv_col)     # _matvec(psi_d, w_nu2)
+        np.multiply(w_nu2, phi_d, out=base)
+        np.add(base, mv, out=base)
 
-        lam = no_lam
-        f, p = _f_update(base, num, f_cap)
-        used = dot(p, varphi_d)
-        if lone:
-            if used > zeta:
-                f, p, lam = (a[0] for a in _bisect_multiplier(
-                    base[None], num[None], f_cap[None], varphi_d[None], zeta[None], bisect_rtol,
-                    rows))
-        else:
-            bind = (used > zeta).nonzero()[0]
-            if bind.size:
-                lam = np.zeros(rows.size)
-                f[bind], p[bind], lam[bind] = _bisect_multiplier(
-                    base[bind], num[bind], f_cap[bind], varphi_d[bind], zeta[bind], bisect_rtol,
-                    rows[bind])
-        rx = p * phi_d
-        cross = vecmat(p, psi_d)
-        if record_trace:
-            objective = np.log2(1.0 + rx / (cross + sigma_d)).sum(axis=-1)
-            for r, value in zip(rows.tolist(), np.reshape(objective, -1).tolist()):
-                traces[r].append(value)
-        total = rx + cross + sigma_d
-        log_w_old, log_w = log_w, np.log(w)
-        done = np.abs(log_w - log_w_old).sum(axis=-1) <= tol_wmmse
-        if lone:
-            if done:
-                finish(rows[0], p, lam)
-                return results
-        elif done.any():
-            for i in done.nonzero()[0]:
-                finish(rows[i], p[i], lam[i])
-            keep = ~done
-            if not keep.any():
-                return results
-            rows, *state = (a[keep] for a in (rows, f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d,
-                                               varphi_d, sigma_d, zeta))
-            lone = rows.size == 1
-            state, (matvec, vecmat, dot, no_lam) = _active(state, rows.size)
-            f, total, log_w, sqrt_phi, f_cap, phi_d, psi_d, varphi_d, sigma_d, zeta = state
-    raise SolverError(f"dpcd did not converge in {max_iter} iterations", rows)
+        _f_update(base, num, f_cap, f, p)
+        for b in blocks:
+            np.matmul(b.p_row, b.varphi_d_col, out=b.used_1x1)     # _dot(p, varphi_d)
+        if np.greater(used, zeta, out=over).nonzero()[0].size:
+            for b in blocks:
+                bind = b.over.nonzero()[0]
+                if bind.size:
+                    b.f[bind], b.p[bind], b.lam[bind] = _bisect_multiplier(
+                        b.base[bind], b.num[bind], b.f_cap[bind], b.varphi_d[bind], b.zeta[bind],
+                        groups[b.index].bisect_rtol, b.ids[bind])
+        np.multiply(p, phi_d, out=rx)
+        for b in blocks:
+            np.matmul(b.p_row, b.psi_d, out=b.cross_row)
+            if record_trace:
+                objective = np.log2(1.0 + b.rx / (b.cross + b.sigma_d)).sum(axis=-1)
+                for r, value in zip(b.rows.tolist(), objective.tolist()):
+                    b.traces[r].append(value)
+        np.add(rx, cross, out=total)
+        np.add(total, sigma_d, out=total)
+        np.log(w, out=log_w_new)
+        np.subtract(log_w_new, log_w, out=diff)
+        np.abs(diff, out=diff)
+        log_w, log_w_new = log_w_new, log_w
+        for b in blocks:
+            np.add.reduce(b.diff, axis=-1, out=b.sums)
+        if not np.less_equal(sums, tol, out=done).nonzero()[0].size:
+            continue
+
+        for b in blocks:
+            finished = b.done.nonzero()[0]
+            if finished.size:
+                for i in finished.tolist():
+                    r = b.rows[i]
+                    results[b.index][r] = DpcdResult(
+                        p_s=b.p[i].copy(), objective_trace=b.traces[r], iterations=it,
+                        multiplier=float(b.lam[i]) if b.over[i] else 0.0)
+                b.keep(~b.done)
+        keep = ~done
+        if not keep.any():
+            return results
+        by_pair = np.repeat(keep, pair_count)
+        f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d = (
+            a[by_pair] for a in (f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d))
+        zeta, tol, pair_count = zeta[keep], tol[keep], pair_count[keep]
+        blocks = [b for b in blocks if b.ids.size]
+        (nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new, used, lam, sums, over, done) = _lay_out(
+            blocks, dict(f=f, f_cap=f_cap, total=total, sigma_d=sigma_d), dict(zeta=zeta))
+    raise SolverError(f"dpcd did not converge in {max_iter} iterations",
+                      np.concatenate([b.ids for b in blocks]))
 
 
 def _bisect_multiplier(base, num, cap, vd, zeta, bisect_rtol, rows):
@@ -310,9 +407,9 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     if zeta < 0.0:
         raise InfeasibleBudgetError(f"cellular QoS leaves no D2D budget (zeta = {zeta:.3e})")
     p_init = None if p_init is None else np.asarray(p_init, dtype=float)[None]
-    return dpcd_stack(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
-                      sigma_d_of(rc, q_s)[None], [zeta], p_max, tol_wmmse=tol_wmmse,
-                      bisect_rtol=bisect_rtol, max_iter=max_iter, p_init=p_init)[0]
+    group = WmmseGroup(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None], sigma_d_of(rc, q_s)[None],
+                       [zeta], p_max, p_init, tol_wmmse=tol_wmmse, bisect_rtol=bisect_rtol)
+    return dpcd_stack([group], max_iter=max_iter)[0][0]
 
 
 @dataclass
@@ -331,72 +428,135 @@ class JdpcResult(TrialAxis):
         return self.se[:self.outer_iterations - (not self.feasible)].tolist()
 
 
-def jdpc_stack(rc, gamma, q_max, p_max, tol_power=1e-3, tol_wmmse=1e-3,
-               outer_cap=10, prefactor=1.0, p_init=None):
-    """Alternate dpcc and dpcd on a stack of same-size instances, rate
-    coefficients rc with a leading axis of T, until each one's D2D sum SE
-    stabilizes; returns one JdpcResult stack, row t for instance t.
+@dataclass
+class JdpcPoint:
+    """One point of a joint power-control solve: rate coefficients rc of T
+    instances (a leading trial axis), their SINR target gamma and power caps,
+    the pre-log factor of their sum SEs, the tolerances of the outer loop and
+    the cellular step (tol_power, also the multiplier bisection's) and of
+    the WMMSE loop, and p_init (T, K), warm-start D2D powers."""
+
+    rc: RateCoeffs
+    gamma: float
+    q_max: float
+    p_max: object
+    prefactor: float = 1.0
+    tol_power: float = 1e-3
+    tol_wmmse: float = 1e-3
+    p_init: np.ndarray | None = None
+
+
+def jdpc_stack(points, outer_cap=10):
+    """Alternate dpcc and dpcd on every instance of points, a list of
+    JdpcPoints, until each one's D2D sum SE stabilizes; returns one
+    JdpcResult stack per point, row t for its instance t.
 
     The D2D powers start at their caps (the inner WMMSE initializer) unless
-    p_init (T, K) warm-starts them; later rounds warm-start the WMMSE from
-    the current powers, which is what makes the sum-SE trace
-    non-decreasing: the refreshed cellular powers can only lower the
-    interference floor at every D2D receiver, and the warm-started
-    surrogate is monotone from there.  An instance ends infeasible
-    (feasible=False) once dpcc at the current D2D powers misses a target
-    or leaves a negative budget zeta; round 1 runs at the starting powers,
-    so full D2D power can end a draw that silent D2D would keep feasible
-    (ROADMAP item 7).
+    p_init warm-starts them; later rounds warm-start the WMMSE from the
+    current powers, which is what makes the sum-SE trace non-decreasing: the
+    refreshed cellular powers can only lower the interference floor at every
+    D2D receiver, and the warm-started surrogate is monotone from there.  An
+    instance ends infeasible (feasible=False) once dpcc at the current D2D
+    powers misses a target or leaves a negative budget zeta; round 1 runs at
+    the starting powers, so full D2D power can end a draw that silent D2D
+    would keep feasible (ROADMAP item 7).
 
-    Powers are arrays, q (T, N) and p (T, K).  Each round runs dpcc on each
-    running instance's own coefficients, then the budgets, the D2D
-    interference floors, one dpcd_stack and the sum SEs of the rest as one
-    stacked call each, so every instance gets the bits it would get alone.
-    A failing inner solver raises a SolverError naming the failing rows of rc.
+    The points run in lockstep, round by round.  Powers are arrays, q (T, N)
+    and p (T, K) per point.  Each round runs, per point, dpcc on each running
+    instance's own coefficients, then the budgets and the D2D interference
+    floors as one stacked call each; then one ragged dpcd_stack over the
+    running instances of every point, those of equal K and tolerances in one
+    group; then, per point, the sum SEs and the stop test as one stacked call
+    each.  Every instance gets the bits it would get alone.  A failing inner
+    solver raises a SolverError naming the failing rows of one point's rc,
+    and that point (the first in order, where several fail at once).
     """
-    t, n = rc.phi_c.shape
-    k = rc.phi_d.shape[-1]
-    p_max_vec = np.broadcast_to(np.asarray(p_max, dtype=float), (k,))
-    p = np.tile(p_max_vec, (t, 1)) if p_init is None else np.array(p_init, dtype=float)
-    q = np.zeros((t, n))
-    res = JdpcResult(q_s=q, p_s=p, outer_iterations=np.zeros(t, dtype=int),
-                     feasible=np.ones(t, dtype=bool), se=np.zeros((t, outer_cap)))
+    out, active = [], []
+    for pt in points:
+        t, n = pt.rc.phi_c.shape
+        cap = np.broadcast_to(np.asarray(pt.p_max, dtype=float), (pt.rc.phi_d.shape[-1],))
+        p = np.tile(cap, (t, 1)) if pt.p_init is None else np.array(pt.p_init, dtype=float)
+        out.append(JdpcResult(q_s=np.zeros((t, n)), p_s=p, outer_iterations=np.zeros(t, dtype=int),
+                              feasible=np.ones(t, dtype=bool), se=np.zeros((t, outer_cap))))
+        active.append(np.arange(t))   # rows still running
 
-    def finish(rows, outer, feasible):
-        res.outer_iterations[rows] = outer
-        res.feasible[rows] = feasible
+    def finish(j, rows, outer, feasible):
+        out[j].outer_iterations[rows] = outer
+        out[j].feasible[rows] = feasible
 
-    active = np.arange(t)            # rows still running
     for outer in range(1, outer_cap + 1):
-        qos = np.empty(active.size, dtype=bool)
-        for i, r in enumerate(active.tolist()):
-            try:
-                cell = dpcc(rc[r], p[r], gamma, q_max, tol=tol_power)
-            except RuntimeError as exc:
-                raise SolverError(str(exc), [r]) from exc
-            q[r], qos[i] = cell.q_s, cell.feasible
-        finish(active[~qos], outer, False)
-        active = active[qos]
-        if k == 0:                   # no pairs: the sum SE is 0 and every instance stops
+        solving = {}   # (K, tolerances) -> [(point, its running rows' coefficients, their budgets)]
+        for j, (pt, res) in enumerate(zip(points, out)):
+            rows = active[j]
+            if not rows.size:
+                continue
+            qos = np.empty(rows.size, dtype=bool)
+            for i, r in enumerate(rows.tolist()):
+                try:
+                    cell = dpcc(pt.rc[r], res.p_s[r], pt.gamma, pt.q_max, tol=pt.tol_power)
+                except RuntimeError as exc:
+                    raise SolverError(str(exc), [r], point=j) from exc
+                res.q_s[r], qos[i] = cell.q_s, cell.feasible
+            finish(j, rows[~qos], outer, False)
+            rows = rows[qos]
+            k = res.p_s.shape[-1]
+            if k == 0:               # no pairs: the sum SE is 0 and every instance stops
+                finish(j, rows, outer, True)
+                active[j] = rows[:0]
+                continue
+            sub = pt.rc[rows]
+            zeta = cellular_power_budget(sub, res.q_s[rows], pt.gamma)
+            short = zeta < 0.0
+            if short.any():
+                finish(j, rows[short], outer, False)
+                rows, sub, zeta = rows[~short], sub[~short], zeta[~short]
+            active[j] = rows
+            if rows.size:
+                solving.setdefault((k, pt.tol_wmmse, pt.tol_power), []).append((j, sub, zeta))
+        if not solving:
             break
-        sub = rc[active]
-        zeta = cellular_power_budget(sub, q[active], gamma)
-        short = zeta < 0.0
-        finish(active[short], outer, False)
-        active, sub, zeta = active[~short], sub[~short], zeta[~short]
-        if not active.size:
-            break
+        entries = [e for same in solving.values() for e in same]
         try:
-            d2d = dpcd_stack(sub.phi_d, sub.psi_d, sub.varphi_d, sigma_d_of(sub, q[active]), zeta,
-                             p_max_vec, tol_wmmse=tol_wmmse, bisect_rtol=tol_power,
-                             p_init=p[active], record_trace=False)
+            solved = dpcd_stack([_wmmse_group(same, points, out, active) for same in solving.values()],
+                                record_trace=False)
         except SolverError as exc:
-            raise type(exc)(exc.args[0], active[exc.rows]) from exc
-        p[active] = [r.p_s for r in d2d]
-        _, eta_d = bound_sinrs(sub, q[active], p[active])
-        se = res.se[active, outer - 1] = prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
-        done = (outer >= 2) & (np.abs(se - res.se[active, outer - 2]) < tol_power)
-        finish(active[done], outer, True)
-        active = active[~done]
-    finish(active, outer, True)
-    return res
+            owner = [(j, r) for j, _, _ in entries for r in active[j]]
+            failed = [owner[i] for i in exc.rows]
+            first = min(j for j, _ in failed)
+            raise type(exc)(exc.args[0], [r for j, r in failed if j == first], point=first) from exc
+        powers = [r.p_s for rows in solved for r in rows]
+        at = 0
+        for j, sub, _ in entries:
+            rows, res = active[j], out[j]
+            res.p_s[rows] = powers[at:at + rows.size]
+            at += rows.size
+            _, eta_d = bound_sinrs(sub, res.q_s[rows], res.p_s[rows])
+            se = res.se[rows, outer - 1] = points[j].prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
+            done = (outer >= 2) & (np.abs(se - res.se[rows, outer - 2]) < points[j].tol_power)
+            finish(j, rows[done], outer, True)
+            active[j] = rows[~done]
+    for j, rows in enumerate(active):
+        finish(j, rows, outer, True)
+    return out
+
+
+def _wmmse_group(entries, points, out, active):
+    """One WmmseGroup of the running rows of same-size points of equal
+    tolerances, entries [(point index, coefficients of its running rows,
+    their budgets)], warm-started from the points' current powers.  Where
+    points merge, each one's psi_d becomes a view of the group's, so the
+    stack holds one copy of it."""
+    j, sub, _ = entries[0]
+    pt, k = points[j], sub.phi_d.shape[-1]
+    cat = (lambda arrays: arrays[0]) if len(entries) == 1 else np.concatenate
+    group = WmmseGroup(
+        *(cat([getattr(sub, name) for _, sub, _ in entries]) for name in ("phi_d", "psi_d", "varphi_d")),
+        cat([sigma_d_of(sub, out[j].q_s[active[j]]) for j, sub, _ in entries]),
+        cat([zeta for _, _, zeta in entries]),
+        cat([np.broadcast_to(points[j].p_max, (zeta.size, k)) for j, _, zeta in entries]),
+        cat([out[j].p_s[active[j]] for j, _, _ in entries]), tol_wmmse=pt.tol_wmmse, bisect_rtol=pt.tol_power)
+    if len(entries) > 1:
+        at = 0
+        for _, sub, zeta in entries:
+            sub.psi_d, at = group.psi_d[at:at + zeta.size], at + zeta.size
+    return group

@@ -17,7 +17,7 @@ from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
                                d2d_sinr_terms, monte_carlo_plan)
 from d2dmimo.pilot_scheduling import (psa, random_assignment, exhaustive_search,
                                       sum_mse, pilot_power_parametric)
-from d2dmimo.power_control import (cellular_fixed_point, dpcc_iterate, dpcd, jdpc_stack,
+from d2dmimo.power_control import (JdpcPoint, cellular_fixed_point, dpcc_iterate, dpcd, jdpc_stack,
                                    cellular_power_budget)
 from d2dmimo.harness import ExperimentSpec, run_experiment
 
@@ -249,9 +249,9 @@ def test_criterion_6_joint_loop_convergence():
     converged within 5 outer rounds (full-size claim: 3)."""
     cfg = SystemConfig(sinr_target=0.372, rng_seed=14)   # N=5 K=20 B=128 M=8
     ls, pa, pp, coeffs, sets, rc = _full_pipeline(cfg)
-    res = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
-                     tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse,
-                     prefactor=1 - cfg.pilot_len / cfg.coherence_len)[0]
+    res = jdpc_stack([JdpcPoint(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+                                tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse,
+                                prefactor=1 - cfg.pilot_len / cfg.coherence_len)])[0][0]
     diffs = np.diff(res.trace)
     monotone = bool(np.all(diffs >= -1e-9))
     ok = res.feasible and monotone and res.outer_iterations <= 5

@@ -327,9 +327,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name,variable,values", [
         ("fig7", "n_d2d", [10, 15]),                        # a draw per sweep point
         ("fig9", "sinr_target", [0.1, 0.2, 0.372, 0.7, 1.3]),   # one draw for all points
-    ], ids=["fig7-n_d2d", "fig9-sinr_target"])
+        ("fig6", "d2d_max_dist", [25.0, 100.0, 200.0]),     # a draw per point, all of equal K
+    ], ids=["fig7-n_d2d", "fig9-sinr_target", "fig6-d2d_max_dist"])
     def test_jdpc_csv_bytes_independent_of_workers(self, tmp_path, name, variable, values):
-        # 16 trials: one stack of 16 per draw group, or chunks of 2 with two workers
+        # 16 trials: one joint solve of 16 trials at every point, or chunks of 2 with two workers
         spec = ExperimentSpec(experiment=name, sweep_variable=variable, sweep_values=values,
                               trials=16, config=SystemConfig(sinr_target=0.372, rng_seed=5))
         for workers in (1, 2):
@@ -360,6 +361,13 @@ class TestRunExperiment:
             run_experiment(spec)
         assert str(err.value) == (f"n_d2d=10, trial 2 (seed {trial_seed(777, 2)}): "
                                   "dpcd did not converge in 1000 iterations")
+        # solved in one joint solve with the first point's draw group, whose
+        # trials need at most 518 iterations a round, the failing row at the
+        # later sweep value is named by that value
+        spec.sweep_values = [15, 10]
+        with pytest.raises(RuntimeError) as later:
+            run_experiment(spec)
+        assert str(later.value) == str(err.value)
 
     def test_failing_shared_draw_names_the_first_point_of_its_group(self):
         # no D2D-Rx fits 100 m from its Tx inside a 10 m cell
@@ -421,6 +429,27 @@ def test_no_config_is_built_per_trial(monkeypatch):
             run_experiment(spec)
             counts.append(len(built))
     assert counts[:2] == counts[2:]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3", "fig7"])
+def test_a_validation_builds_each_point_config_once(monkeypatch, name):
+    # validate_spec builds each sweep point's config once, checks it and
+    # reads the search spaces from it, and run_experiment runs on those
+    built = []
+    init = SystemConfig.__post_init__
+
+    def spy(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", spy)
+    spec = load_spec(SPECS / f"{name}.json")
+    assert len(built) == 1 + len(spec.sweep_values)   # the base config, then each point's
+    spec.trials, spec.output = 1, None
+    for check in (validate_spec, run_experiment):
+        built.clear()
+        check(spec)
+        assert len(built) == len(spec.sweep_values), check.__name__
 
 
 # valid values of every SystemConfig field but rng_seed on fig2's config;
@@ -600,7 +629,7 @@ def test_joint_power_control_runs_one_single_trial_dpcc_per_running_trial_and_ro
 
     monkeypatch.setattr(power_control, "dpcc", spy)
     cfg = SystemConfig(n_d2d=n_d2d, sinr_target=gamma, rng_seed=12345)
-    _, _, solved = _solve_jdpc([cfg], harness._large_scale(cfg, [trial_seed(12345, t) for t in range(30)]))[0]
+    _, _, solved = _solve_jdpc([[cfg]], [trial_seed(12345, t) for t in range(30)])[0]
     infeasible = np.count_nonzero(~solved.feasible)
     assert 0 < infeasible < len(solved.feasible)
     assert all(ndim == 1 and type(feasible) is bool for ndim, feasible in calls)
@@ -631,12 +660,11 @@ def per_trial_jdpc_columns(rc, prefactor, res, metrics):
 ], ids=["fig7", "feasible and none"])
 def test_chunk_jdpc_columns_are_the_per_trial_metrics(group, feasible):
     seeds = [trial_seed(group[0].rng_seed, t) for t in range(8)]
-    ls = harness._large_scale(group[0], seeds)
     metrics = harness._METRICS["jdpc"]
-    columns = harness._chunk_jdpc(group, seeds, metrics, ls)
+    columns = harness._chunk_jdpc([group], seeds, metrics)
     assert [len(point["iterations"]) for point in columns] == feasible
     for cfg, point in zip(group, columns):
-        want = per_trial_jdpc_columns(*_solve_jdpc([cfg], ls)[0], metrics)
+        want = per_trial_jdpc_columns(*_solve_jdpc([[cfg]], seeds)[0], metrics)
         assert all(type(v) is float for m in metrics for v in point[m])
         assert {m: [v.hex() for v in point[m]] for m in metrics} == {
             m: [v.hex() for v in want[m]] for m in metrics}
@@ -658,7 +686,7 @@ def test_convergence_traces_fallback_traces_trial_0():
     cfg = desk_config(sinr_target=50.0)   # no QoS-feasible draw
     traces = convergence_traces(cfg, max_draws=2)
     assert not traces["feasible"] and traces["trial"] == 0
-    (rc,), prefactor, (joint,) = _solve_jdpc([cfg], harness._large_scale(cfg, [trial_seed(cfg.rng_seed, 0)]))[0]
+    (rc,), prefactor, (joint,) = _solve_jdpc([[cfg]], [trial_seed(cfg.rng_seed, 0)])[0]
     assert [t["objective"] for t in traces["joint"]] == joint.trace
     p0 = np.full(cfg.n_d2d, cfg.max_power_d2d)
     q = dpcc(rc, p0, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s

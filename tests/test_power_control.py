@@ -1,4 +1,5 @@
 import functools
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -12,10 +13,20 @@ from d2dmimo.pilot_scheduling import psa
 from d2dmimo import power_control
 from d2dmimo.power_control import (CellularFixedPoint, cellular_fixed_point,
                                    cellular_power_budget, dpcc, dpcc_iterate, dpcd, dpcd_stack,
-                                   jdpc_stack, InfeasibleBudgetError, BracketError,
-                                   SolverError)
+                                   jdpc_stack, JdpcPoint, WmmseGroup, InfeasibleBudgetError,
+                                   BracketError, SolverError)
 from d2dmimo.harness import _large_scale, _scenario_pipeline
 from helpers import small_config
+
+
+def jdpc_point(rc, gamma, q_max, p_max, outer_cap=10, **kw):
+    """jdpc_stack on one point, JdpcPoint(rc, gamma, q_max, p_max, **kw): its JdpcResult stack."""
+    return jdpc_stack([JdpcPoint(rc, gamma, q_max, p_max, **kw)], outer_cap=outer_cap)[0]
+
+
+def wmmse_group(*args, max_iter=50_000, record_trace=True, **kw):
+    """dpcd_stack on one group, WmmseGroup(*args, **kw): its rows' DpcdResults."""
+    return dpcd_stack([WmmseGroup(*args, **kw)], max_iter=max_iter, record_trace=record_trace)[0]
 
 
 def pipeline_rc(cfg):
@@ -274,7 +285,7 @@ def _dpcd_case(name):
         # also runs the bisection
         silent = name == "silent pair warm start"
         cfg, rc, _ = _fig7_instance(10, 0.372, 7 if silent else 4)
-        first = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+        first = jdpc_point(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                            tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1)[0]
         p_init = first.p_s.copy()
         q_s = dpcc(rc, p_init, cfg.sinr_target, cfg.max_power_cu, tol=cfg.tol_power).q_s
@@ -309,7 +320,7 @@ class TestJdpc:
                         phi_d=np.zeros(0), psi_d=np.zeros((0, 0)),
                         cu_to_rx_weight=np.zeros((2, 0)),
                         noise_power=1.0)
-        res = jdpc_stack(rc[None], gamma=1.5, q_max=10.0, p_max=np.zeros(0))[0]
+        res = jdpc_point(rc[None], gamma=1.5, q_max=10.0, p_max=np.zeros(0))[0]
         assert res.feasible
         assert res.outer_iterations == 1
         assert res.trace == [0.0]
@@ -330,7 +341,7 @@ class TestJdpc:
             rc = synthetic_rc([phi_c], [[u_eps]], [varphi_d], [phi_d],
                               [[psi_self]], [[w]], n0=n0)
             gamma, q_max, p_max = 1.8, 6.0, 3.0
-            res = jdpc_stack(rc[None], gamma, q_max, p_max, tol_power=1e-9, tol_wmmse=1e-9)[0]
+            res = jdpc_point(rc[None], gamma, q_max, p_max, tol_power=1e-9, tol_wmmse=1e-9)[0]
             assert res.feasible
             qs = np.linspace(1e-6, q_max, 400)
             ps = np.linspace(0, p_max, 400)
@@ -350,7 +361,7 @@ class TestJdpc:
         cfg = SystemConfig(sinr_target=0.372, rng_seed=14)
         rc = pipeline_rc(cfg)
         prefactor = 1 - cfg.pilot_len / cfg.coherence_len
-        res = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+        res = jdpc_point(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                          tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse,
                          prefactor=prefactor)[0]
         assert res.feasible
@@ -360,7 +371,7 @@ class TestJdpc:
 
     def test_infeasible_propagates_as_flag(self):
         rc = synthetic_rc([1.0], [[0.0]], [1.0], [1.0], [[0.1]], [[0.05]], n0=1.0)
-        res = jdpc_stack(rc[None], gamma=100.0, q_max=1.0, p_max=1.0)[0]
+        res = jdpc_point(rc[None], gamma=100.0, q_max=1.0, p_max=1.0)[0]
         assert not res.feasible
 
 
@@ -395,7 +406,7 @@ def _stack_case():
         cfg, rc, _ = _fig7_instance(10, 0.372, trial)
         p_init = np.full(10, cfg.max_power_d2d)
         if trial == 7:
-            p_init = jdpc_stack(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+            p_init = jdpc_point(rc[None], cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                                 tol_power=cfg.tol_power, tol_wmmse=cfg.tol_wmmse, outer_cap=1).p_s[0]
             p_init[3] = 0.0
         rcs.append(rc)
@@ -419,11 +430,11 @@ class TestStackedSolvers:
 
         def spy(*a, **k):
             out = stack_dpcd(*a, **k)
-            multipliers.append([r.multiplier for r in out])
+            multipliers.append([r.multiplier for r in out[0]])
             return out
 
         monkeypatch.setattr(power_control, "dpcd_stack", spy)
-        stacked = jdpc_stack(RateCoeffs.stack(rcs), *args, p_init=warm, **kw)
+        stacked = jdpc_point(RateCoeffs.stack(rcs), *args, p_init=warm, **kw)
         monkeypatch.undo()
         assert stacked.feasible.tolist() == [True, False, True, True, True, True, True]
         assert stacked.outer_iterations.tolist() == [3, 1, 4, 2, 10, 5, 2]
@@ -432,14 +443,14 @@ class TestStackedSolvers:
         assert [len(m) for m in multipliers] == [6, 6, 4, 3, 2, 1, 1, 1, 1, 1]
         for r, (rc, p_init) in enumerate(zip(rcs, warm)):
             res = stacked[r]
-            assert _same_result(res, jdpc_stack(rc[None], *args, p_init=p_init[None], **kw)[0])
+            assert _same_result(res, jdpc_point(rc[None], *args, p_init=p_init[None], **kw)[0])
             q, p, outer, trace, feasible = reference_jdpc(rc, *args, p_init=p_init, **kw)
             assert (res.q_s.tobytes(), res.p_s.tobytes(), res.outer_iterations, res.trace,
                     res.feasible) == (q.tobytes(), p.tobytes(), outer, trace, feasible)
 
     def test_jdpc_stack_keeps_each_rows_rounds_in_arrays(self):
         cfg, rcs, warm, kw = _stack_case()
-        res = jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+        res = jdpc_point(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                          p_init=warm, **kw)
         assert (res.q_s.shape, res.p_s.shape, res.se.shape) == ((7, 5), (7, 10), (7, 10))
         assert res.outer_iterations.dtype.kind == "i" and res.feasible.dtype == bool
@@ -459,11 +470,11 @@ class TestStackedSolvers:
                         phi_d=np.zeros((2, 0)), psi_d=np.zeros((2, 0, 0)),
                         cu_to_rx_weight=np.zeros((2, 2, 0)),
                         noise_power=1.0)
-        res = jdpc_stack(rc, gamma=1.5, q_max=10.0, p_max=np.zeros(0))
+        res = jdpc_point(rc, gamma=1.5, q_max=10.0, p_max=np.zeros(0))
         assert (res.q_s.shape, res.p_s.shape, res.se.shape) == ((2, 2), (2, 0), (2, 10))
         assert res.feasible.tolist() == [True, True] and res.outer_iterations.tolist() == [1, 1]
         for r in range(2):
-            assert _same_result(res[r], jdpc_stack(rc[r][None], gamma=1.5, q_max=10.0, p_max=np.zeros(0))[0])
+            assert _same_result(res[r], jdpc_point(rc[r][None], gamma=1.5, q_max=10.0, p_max=np.zeros(0))[0])
             assert res[r].trace == [0.0]
             eta_c, _ = bound_sinrs(rc[r], res.q_s[r], res.p_s[r])
             assert np.allclose(eta_c, 1.5, rtol=1e-2)
@@ -474,7 +485,7 @@ class TestStackedSolvers:
         rcs = [case[0] for case in cases]
         warm = [case[4]["p_init"] for case in cases]
         p_max = cases[0][3]
-        stacked = dpcd_stack(
+        stacked = wmmse_group(
             *(np.array([getattr(rc, f) for rc in rcs]) for f in ("phi_d", "psi_d", "varphi_d")),
             np.array([sigma_d_of(rc, q_s) for rc, q_s, *_ in cases]),
             [cellular_power_budget(rc, q_s, gamma) for rc, q_s, gamma, *_ in cases], p_max,
@@ -496,9 +507,9 @@ class TestStackedSolvers:
         sigma_d = np.array([sigma_d_of(rc, q) for rc, q in zip(rcs, qs)])
         zeta = [cellular_power_budget(rc, q, cfg.sinr_target) for rc, q in zip(rcs, qs)]
         with pytest.raises(SolverError, match=r"did not converge in 50 iterations \(stack rows \[1\]\)") as err:
-            dpcd_stack(*stack, sigma_d, zeta, cfg.max_power_d2d, max_iter=50)
+            wmmse_group(*stack, sigma_d, zeta, cfg.max_power_d2d, max_iter=50)
         assert err.value.rows == [1]
-        solved = dpcd_stack(*stack, sigma_d, zeta, cfg.max_power_d2d, max_iter=500)
+        solved = wmmse_group(*stack, sigma_d, zeta, cfg.max_power_d2d, max_iter=500)
         assert [r.iterations for r in solved] == [9, 442, 2]
 
     def test_jdpc_stack_names_failing_rows_in_its_own_order(self, monkeypatch):
@@ -507,7 +518,7 @@ class TestStackedSolvers:
         monkeypatch.setattr(power_control, "dpcd_stack",
                             functools.partial(dpcd_stack, max_iter=50))
         with pytest.raises(SolverError) as err:
-            jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
+            jdpc_point(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
         assert err.value.rows == [2]   # trial 1 is QoS-infeasible and never reaches dpcd
 
 
@@ -531,7 +542,8 @@ def _matches_reference(res, rc, q_s, gamma, p_max, **kw):
 
 
 class TestLoneRow:
-    """Once one row is left, dpcd_stack runs it without the trial axis."""
+    """A row left alone in its group runs through the same stacked matrix
+    products, which give it the bits of the 1-D call."""
 
     def test_stacked_helpers_give_each_row_the_bits_of_the_1d_matmul(self):
         from d2dmimo.receivers import _dot, _matvec, _vecmat
@@ -548,12 +560,25 @@ class TestLoneRow:
                     assert mv[t].tobytes() == (a_s[t] @ x_s[t]).tobytes(), (k, t)
                     assert vm[t].tobytes() == (x_s[t] @ a_s[t]).tobytes(), (k, t)
                     assert d[t].tobytes() == (x_s[t] @ y_s[t]).tobytes(), (k, t)
+                # the WMMSE loop's form: operands and results are views of flat
+                # arrays that hold other groups' rows before them
+                n = x_s.size
+                flat = np.empty(3 * n + 2)
+                xv, out = flat[1:n + 1].reshape(x_s.shape), flat[n + 2:2 * n + 2].reshape(x_s.shape)
+                xv[...] = x_s
+                np.matmul(a_s, xv[..., None], out=out[..., None])
+                assert out.tobytes() == mv.tobytes()
+                np.matmul(xv[:, None, :], a_s, out=out[:, None, :])
+                assert out.tobytes() == vm.tobytes()
+                used = flat[2 * n + 2:2 * n + 2 + len(x_s)]
+                np.matmul(xv[:, None, :], y_s[..., None], out=used[:, None, None])
+                assert used.tobytes() == d.tobytes()
 
     def test_row_running_alone_for_thousands_of_iterations(self):
         # trials 10, 2, 3 and 4 need 2, 5376, 9 and 1000 iterations: two rows
         # share the stack for 1000 iterations, then row 1 runs 4376 alone
         args, kw, rows = _first_round_stack([(10, 0.372, t) for t in (10, 2, 3, 4)])
-        stacked = dpcd_stack(*args, **kw)
+        stacked = wmmse_group(*args, **kw)
         assert [r.iterations for r in stacked] == [2, 5376, 9, 1000]
         for res, (rc, q_s, gamma) in zip(stacked, rows):
             assert _matches_reference(res, rc, q_s, gamma, args[-1], **kw)
@@ -570,7 +595,7 @@ class TestLoneRow:
             return bisect(base, *a)
 
         monkeypatch.setattr(power_control, "_bisect_multiplier", spy)
-        stacked = dpcd_stack(*args, **kw)
+        stacked = wmmse_group(*args, **kw)
         assert [r.iterations for r in stacked] == [2, 684, 9]
         assert bisected == [[1]] * 684 and stacked[1].multiplier > 0.0
         for res, (rc, q_s, gamma) in zip(stacked, rows):
@@ -580,7 +605,7 @@ class TestLoneRow:
     def test_stack_of_one(self, name):
         rc, q_s, gamma, p_max, kw, positive = _dpcd_case(name)
         p_init = kw.pop("p_init", None)
-        res, = dpcd_stack(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
+        res, = wmmse_group(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None],
                           sigma_d_of(rc, q_s)[None], [cellular_power_budget(rc, q_s, gamma)], p_max,
                           p_init=None if p_init is None else p_init[None], **kw)
         assert _matches_reference(res, rc, q_s, gamma, p_max, p_init=p_init, **kw)
@@ -591,7 +616,7 @@ class TestLoneRow:
         # from iteration 10 and fails at 50
         args, kw, _ = _first_round_stack([(10, 0.372, t) for t in (3, 10, 0)])
         with pytest.raises(SolverError) as err:
-            dpcd_stack(*args, max_iter=50, **kw)
+            wmmse_group(*args, max_iter=50, **kw)
         assert err.value.rows == [2]
         # trial 1 is QoS-infeasible, so dpcd solves rc rows 1-3 and its row 2 is rc row 3
         rcs = [_fig7_instance(10, 0.372, trial)[1] for trial in (1, 10, 3, 0)]
@@ -599,16 +624,103 @@ class TestLoneRow:
         monkeypatch.setattr(power_control, "dpcd_stack",
                             functools.partial(dpcd_stack, max_iter=50))
         with pytest.raises(SolverError) as err:
-            jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
+            jdpc_point(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d)
         assert err.value.rows == [3]
+
+
+def _fig7_rc(n_d2d, trials):
+    """Rate coefficients of fig7 draws of root seed 777 at n_d2d pairs, stacked."""
+    cfg = SystemConfig(n_d2d=n_d2d, sinr_target=0.372, rng_seed=777)
+    return next(_scenario_pipeline([cfg], _large_scale(cfg, [trial_seed(777, t) for t in trials])))[-1]
+
+
+def _merge_points():
+    """JdpcPoints whose joint solve runs every path of the ragged WMMSE loop:
+    fig7 draws at K = 10, 15 and 20 (each with QoS-infeasible trials), equal-K
+    points on the K = 10 draws that differ in gamma (fig9; at 0.7 budgets bind)
+    or in the prefactor (fig8), a point without pairs, and a one-pair point
+    whose row 0 does not interfere with its CU, so dpcc, which converges from
+    below, meets the target within its slack and leaves zeta < 0."""
+    cfg = SystemConfig()
+    rc10, rc15, rc20 = _fig7_rc(10, range(10)), _fig7_rc(15, range(6)), _fig7_rc(20, range(6))
+    caps = dict(q_max=cfg.max_power_cu, p_max=cfg.max_power_d2d, tol_power=cfg.tol_power,
+                tol_wmmse=cfg.tol_wmmse)
+    no_pairs = RateCoeffs(phi_c=np.array([[5.0, 4.0], [2.5, 4.0]]), varphi_c=np.array([[[0.1, 0.2], [0.3, 0.1]]] * 2),
+                          varphi_d=np.zeros((2, 0)), phi_d=np.zeros((2, 0)), psi_d=np.zeros((2, 0, 0)),
+                          cu_to_rx_weight=np.zeros((2, 2, 0)), noise_power=1.0)
+    short = RateCoeffs.stack([synthetic_rc([5.0], [[0.1]], [varphi_d], [2.0], [[0.05]], [[0.02]])
+                              for varphi_d in (0.0, 0.5)])
+    return [JdpcPoint(rc10, 0.372, prefactor=0.8, **caps), JdpcPoint(rc15, 0.372, prefactor=0.8, **caps),
+            JdpcPoint(rc10, 0.7, prefactor=0.8, **caps), JdpcPoint(rc20, 0.372, prefactor=0.8, **caps),
+            JdpcPoint(rc10, 0.372, prefactor=0.6, **caps), JdpcPoint(no_pairs, 1.5, 10.0, np.zeros(0)),
+            JdpcPoint(short, 1.8, 6.0, 3.0)]
+
+
+def _hex(res):
+    return [a.tobytes().hex() for a in (res.q_s, res.p_s, res.se, res.outer_iterations, res.feasible)]
+
+
+class TestJointSolveOverPoints:
+    def test_each_point_gets_the_bits_it_gets_alone(self, monkeypatch):
+        points = _merge_points()
+        calls, bisected = [], []
+        solve, bisect = power_control.dpcd_stack, power_control._bisect_multiplier
+
+        def solve_spy(groups, **kw):
+            out = solve(groups, **kw)
+            calls.append([sorted(r.iterations for r in rows) for rows in out])
+            return out
+
+        def bisect_spy(base, *args):
+            bisected.append(len(args[-1]))
+            return bisect(base, *args)
+
+        monkeypatch.setattr(power_control, "dpcd_stack", solve_spy)
+        monkeypatch.setattr(power_control, "_bisect_multiplier", bisect_spy)
+        merged = jdpc_stack(points)
+        monkeypatch.undo()
+        # round 1 solves the rows of the three K = 10 points as one group, then
+        # K = 15, K = 20 and the one-pair point's row 1 (its row 0 is short)
+        assert [len(its) for its in calls[0]] == [23, 2, 1, 1]
+        assert bisected and all(n > 0 for n in bisected)
+        # a group down to one row: its slowest row runs on after the others leave
+        assert any(len(its) > 1 and its[-1] > its[-2] for group in calls for its in group)
+        for pt, res in zip(points, merged):
+            assert _hex(res) == _hex(jdpc_stack([pt])[0])
+        assert [np.count_nonzero(~res.feasible) for res in merged[:5]] == [2, 4, 3, 5, 2]
+        assert merged[5].feasible.all() and (merged[5].outer_iterations == 1).all()
+        short = points[-1].rc
+        assert dpcc(short[0], np.full(1, 3.0), 1.8, 6.0).feasible
+        assert cellular_power_budget(short[0], merged[-1].q_s[0], 1.8) < 0.0
+        assert merged[-1].feasible.tolist() == [False, True]
+        assert merged[-1].outer_iterations[0] == 1 and merged[-1][0].trace == []
+
+    def test_a_failing_row_is_named_by_its_point_and_row(self, monkeypatch):
+        # at 300 WMMSE iterations the fig7 points fail in round 1, each on
+        # the rows it fails on alone; the others converge
+        points = _merge_points()
+        monkeypatch.setattr(power_control, "dpcd_stack", functools.partial(dpcd_stack, max_iter=300))
+        alone = []
+        for pt in points:
+            with pytest.raises(SolverError) if pt.rc.phi_d.shape[-1] >= 10 else nullcontext() as err:
+                jdpc_stack([pt])
+            alone.append(err and (err.value.point, err.value.rows))
+        assert alone == [(0, [0, 2, 4, 7]), (0, [0, 2]), (0, [0, 2, 4, 7]), (0, [2]), (0, [0, 2, 4, 7]),
+                         None, None]
+        for order, named in (([5, 6, 3], (2, [2])),          # the only failing point, last
+                             ([1, 0, 2], (0, [0, 2])),       # of several, the first
+                             ([3, 4, 0], (0, [2]))):
+            with pytest.raises(SolverError) as err:
+                jdpc_stack([points[i] for i in order])
+            assert (err.value.point, err.value.rows) == named
 
 
 class TestRecordTrace:
     def test_untraced_run_keeps_every_other_bit(self):
         args, kw, _ = _first_round_stack([(10, 0.372, 10), (10, 1.0, 3), (10, 0.372, 0),
                                           (10, 0.372, 4)])
-        traced = dpcd_stack(*args, **kw)
-        bare = dpcd_stack(*args, record_trace=False, **kw)
+        traced = wmmse_group(*args, **kw)
+        bare = wmmse_group(*args, record_trace=False, **kw)
         assert [len(r.objective_trace) for r in traced] == [2, 684, 442, 1000]
         for a, b in zip(traced, bare):
             assert b.objective_trace == []
@@ -623,10 +735,10 @@ class TestRecordTrace:
         def spy(*a, **k):
             asked.append(k.get("record_trace", True))
             out = stack_dpcd(*a, **k)
-            assert all(r.objective_trace == [] for r in out)
+            assert all(r.objective_trace == [] for rows in out for r in rows)
             return out
 
         monkeypatch.setattr(power_control, "dpcd_stack", spy)
-        jdpc_stack(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
+        jdpc_point(RateCoeffs.stack(rcs), cfg.sinr_target, cfg.max_power_cu, cfg.max_power_d2d,
                    p_init=warm, **kw)
         assert asked and not any(asked)
