@@ -15,9 +15,10 @@ Pilot groups have one representation, the binary reuse matrix
 O = PilotAssignment.to_matrix() of shape (tau - N, K), and every function
 works on all links at once: the pilot phase sums each group's signals into
 its pilot column with one product against O, group_powers gives the
-received power of every group at the BS and every D2D-Rx, and the MMSE
-estimate of a D2D link is its pilot's observation column scaled by a
-per-link coefficient, so same-pilot estimates are exactly collinear.
+received power of every group at the BS and every D2D-Rx, estimation_coeffs
+alone adds N0 to form each pilot column's received power, and the MMSE
+estimate of a D2D link is its pilot's observation column over that power
+times a per-link amplitude, so same-pilot estimates are exactly collinear.
 
 The Monte Carlo path reads every term that does not depend on the draw
 from a receivers.MonteCarloPlan, built once per sweep point:
@@ -158,10 +159,11 @@ class PilotObservation(TrialAxis):
 @dataclass
 class EstimationCoeffs(TrialAxis):
     """Estimation-quality coefficients (estimate variance delta/mu, error
-    variance eps = 1 - delta).
+    variance eps = 1 - delta) and y_var_bs[j], y_var_rx[j, k]: the per-entry
+    variance of pilot j+1's observation column at the BS and at D2D-Rx k.
 
-    mu_d[i, k] refers to the link D2D-Tx i -> D2D-Rx k; its denominator
-    sums the received pilot power of pair i's own pilot group at Rx k,
+    mu_d[i, k] refers to the link D2D-Tx i -> D2D-Rx k; its denominator is
+    pair i's column variance at Rx k, the power of its whole pilot group,
     which is what makes mu the per-entry variance of the estimate.
     """
 
@@ -173,6 +175,8 @@ class EstimationCoeffs(TrialAxis):
     eps_dd: np.ndarray
     mu_c: np.ndarray      # (N, K)
     eps_cd: np.ndarray
+    y_var_bs: np.ndarray  # (tau,)
+    y_var_rx: np.ndarray  # (tau, K)
 
 
 # The receiver sides a Monte Carlo draw can form: "cu" at the BS, "d2d" at
@@ -291,30 +295,31 @@ def group_powers(ls, pa, p_p):
     return den_bs, den_rx
 
 
-def estimation_coeffs(ls, pa, pp, n0, powers=None):
-    """Closed-form estimate/error variances for every estimated link.
-    powers is group_powers(ls, pa, pp.p_p), computed here unless the caller
-    already has it."""
+def estimation_coeffs(ls, pa, pp, n0):
+    """Closed-form estimate/error variances for every estimated link, over
+    the received power of every pilot column, formed here only."""
     for a in (ls.u_c, ls.u_d, ls.v_c, ls.v_d):
         if not np.all(np.isfinite(a)):
             raise ValueError("large-scale gains must be finite")
 
-    sc = pp.q_p * ls.u_c
-    delta_c = sc / (sc + n0)
-
-    den_bs, den_rx = group_powers(ls, pa, pp.p_p) if powers is None else powers
-    group = pa.pilot_of - pa.n_cu - 1
-    delta_d = pp.p_p * ls.u_d / (np.take_along_axis(den_bs, group, axis=-1) + n0)
-    mu_d = (pp.p_p[..., :, None] * ls.v_d) / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0)
-
-    scd = pp.q_p[..., :, None] * ls.v_c
-    mu_c = scd / (scd + n0)
+    sc, scd = pp.q_p * ls.u_c, pp.q_p[..., :, None] * ls.v_c
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    y_var_bs = np.concatenate([sc, den_bs], axis=-1)
+    y_var_bs += n0   # in place: one chunk-sized temporary fewer
+    y_var_rx = np.concatenate([scd, den_rx], axis=-2)
+    y_var_rx += n0
+    col = pa.pilot_of - 1
+    delta_c = sc / y_var_bs[..., :pa.n_cu]
+    delta_d = pp.p_p * ls.u_d / np.take_along_axis(y_var_bs, col, axis=-1)
+    mu_d = (pp.p_p[..., :, None] * ls.v_d) / np.take_along_axis(y_var_rx, col[..., :, None], axis=-2)
+    mu_c = scd / y_var_rx[..., :pa.n_cu, :]
 
     return EstimationCoeffs(
         delta_c=delta_c, eps_c=1.0 - delta_c,
         delta_d=delta_d, eps_d=1.0 - delta_d,
         mu_d=mu_d, eps_dd=1.0 - mu_d,
         mu_c=mu_c, eps_cd=1.0 - mu_c,
+        y_var_bs=y_var_bs, y_var_rx=y_var_rx,
     )
 
 

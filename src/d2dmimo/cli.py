@@ -7,7 +7,7 @@ Subcommands:
   oracle <name|all>     run a brute-force oracle suite
   list                  show experiments, metrics, and oracle names
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation error or unreadable spec, 2 runtime error.
 """
 from __future__ import annotations
 
@@ -106,6 +106,9 @@ def main(argv=None):
         spec = load_spec(args.spec)
     except FileNotFoundError:
         print(f"error: spec file not found: {args.spec}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot read spec file {args.spec}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

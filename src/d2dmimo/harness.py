@@ -20,7 +20,8 @@ and the chunk's trial seeds, which every draw reads.  Per group it draws
 each trial's topology from its own substream and the chunk's large-scale
 gains once, then runs the points in sweep order on those gains, pushing
 all the chunk's trials through the analytic layers from PSA onward (PSA,
-estimation coefficients, cancellation sets, rate coefficients and
+estimation coefficients with the pilot columns' received powers that the
+Monte Carlo plan below reads, cancellation sets, rate coefficients and
 bounds) as one stack with a leading trial axis.  A power-control task
 draws its groups largest first and keeps only each point's rate
 coefficients before the next group draws, then solves every point's stack
@@ -75,13 +76,13 @@ from . import __version__
 from .scenario import (DRAW_FIELDS, SCHEDULE_FIELDS, SystemConfig, Topology, generate_topology,
                        compute_large_scale, substream, trial_seed, _is_int, _is_real, TOPOLOGY, SHADOWING,
                        FADING, NOISE, RANDOM_PILOTS)
-from .channel import (SIDES, PilotAssignment, PowerProfile, estimation_coeffs, group_powers,
-                      draw_fast_fading, simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals,
-                      normals, pilot_phase_bytes)
+from .channel import (SIDES, PilotAssignment, PowerProfile, estimation_coeffs, draw_fast_fading,
+                      simulate_pilot_phase, mmse_estimate, fading_normals, noise_normals, normals,
+                      pilot_phase_bytes)
 from .receivers import (DegenerateSpanError, select_cancellation, pzf_dof, rate_coeffs, rate_lower_bounds,
                         bound_sinrs, cell_sinr_terms, d2d_sinr_terms, monte_carlo_plan, pzf_bytes)
 from .pilot_scheduling import SEARCH_GUARD, psa, random_assignment, exhaustive_search, search_space, sum_mse
-from .power_control import JdpcPoint, SolverError, jdpc_stack, dpcc, dpcd
+from .power_control import InfeasibleBudgetError, JdpcPoint, SolverError, jdpc_stack, dpcc, dpcd
 
 
 class SpecError(ValueError):
@@ -232,10 +233,10 @@ def _check_types(spec):
 
 
 def load_spec(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError("spec", f"not valid JSON: {exc}") from exc
     return spec_from_dict(doc)
 
@@ -338,9 +339,8 @@ def _fields(cfg, names):
 def _scenario_pipeline(group, ls):
     """Analytic layers at full power at every config of group on a stack of
     trials' large-scale gains ls: yields, per point in sweep order, (pa,
-    pp, powers, coeffs, sets, rc), each with a leading trial axis, powers
-    being group_powers(ls, pa, pp.p_p).  Points that agree on
-    SCHEDULE_FIELDS share one (pa, pp, powers, coeffs, sets), formed at the
+    pp, coeffs, sets, rc), each with a leading trial axis.  Points that
+    agree on SCHEDULE_FIELDS share one (pa, pp, coeffs, sets), formed at the
     first of them and dropped after the last, and a run of consecutive
     points that also agree on the antenna counts shares one rc."""
     keys = [_fields(cfg, SCHEDULE_FIELDS) for cfg in group]
@@ -350,10 +350,9 @@ def _scenario_pipeline(group, ls):
         if key not in schedules:
             pa = psa(ls, cfg)
             pp = PowerProfile.stack([PowerProfile.max_power(cfg)] * len(ls.u_c))
-            powers = group_powers(ls, pa, pp.p_p)
-            schedules[key] = (pa, pp, powers, estimation_coeffs(ls, pa, pp, cfg.noise_power, powers),
+            schedules[key] = (pa, pp, estimation_coeffs(ls, pa, pp, cfg.noise_power),
                               select_cancellation(ls, pa, cfg))
-        pa, pp, _, coeffs, sets = schedule = schedules.pop(key) if last[key] == i else schedules[key]
+        pa, pp, coeffs, sets = schedule = schedules.pop(key) if last[key] == i else schedules[key]
         if key + (cfg.bs_antennas, cfg.d2drx_antennas) != rate_key:
             rate_key = key + (cfg.bs_antennas, cfg.d2drx_antennas)
             rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
@@ -490,7 +489,7 @@ def _chunk_bounds_mc(group, seeds, metrics, ls):
     point on each sub-stack."""
     sides = tuple(side for m, (side, _) in _MC_TERMS.items() if m in metrics)
     sums, plans = [], {}   # one plan per schedule
-    for i, (cfg, (pa, pp, powers, coeffs, sets, rc)) in enumerate(zip(group, _scenario_pipeline(group, ls))):
+    for i, (cfg, (pa, pp, coeffs, sets, rc)) in enumerate(zip(group, _scenario_pipeline(group, ls))):
         with _at_point(i):
             point = {}
             if "sum_se_cell_lb" in metrics or "sum_se_d2d_lb" in metrics:
@@ -498,9 +497,9 @@ def _chunk_bounds_mc(group, seeds, metrics, ls):
                 point = {"sum_se_cell_lb": r_c.sum(axis=-1), "sum_se_d2d_lb": r_d.sum(axis=-1)}
             key = _fields(cfg, SCHEDULE_FIELDS)
             if sides and key not in plans:
-                plans[key] = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power, sides)
+                plans[key] = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power, sides)
         sums.append(point)
-    del pa, pp, powers, coeffs, sets, rc   # free the analytic stacks before the Monte Carlo layers
+    del pa, pp, coeffs, sets, rc   # free the analytic stacks before the Monte Carlo layers
     if sides:
         rates = _mc_rates(group, seeds, [plans[_fields(cfg, SCHEDULE_FIELDS)] for cfg in group], metrics)
         for point, point_rates in zip(sums, rates):
@@ -649,9 +648,11 @@ def run_experiment(spec, workers=1):
             owners.append(members)
 
     values = [{m: [] for m in metrics} for _ in point_cfgs]   # per sweep point, in trial order
-    if workers > 1:   # imported here: a one-worker run loads no multiprocessing
+    # a fork-started pool launches all its workers at the first submit: never more than the tasks
+    pool_size = min(workers, len(tasks))
+    if pool_size > 1:   # imported here: a one-worker run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
         chunks = map(_run_chunk, tasks) if pool is None else pool.map(_run_chunk, tasks)
         for members, chunk in zip(owners, chunks):
             for i, point_values in zip(members, chunk):
@@ -704,7 +705,9 @@ def convergence_traces(cfg, max_draws=50):
     convergence figures): inner fixed-point and WMMSE passes of the first
     outer round, plus the outer-loop trace.  Draws trial substreams of
     cfg.rng_seed until a QoS-feasible instance appears (deterministic:
-    the first feasible trial index wins; with none, trial 0 is traced)."""
+    the first feasible trial index wins; with none, trial 0 is traced).  A
+    traced trial whose cellular powers leave the D2D pairs no budget gets an
+    empty D2D trace: as in the joint loop, no WMMSE pass runs."""
     first = None
     for t in range(max_draws):
         rc, prefactor, joint = _solve_jdpc([[cfg]], [trial_seed(cfg.rng_seed, t)])[0]
@@ -722,10 +725,13 @@ def convergence_traces(cfg, max_draws=50):
          "residual": None if i == 0 else float(np.max(np.abs(q - cell.trace[i - 1])))}
         for i, q in enumerate(cell.trace)
     ]
-    d2d = dpcd(rc, cell.q_s, cfg.sinr_target, cfg.max_power_d2d,
-               tol_wmmse=cfg.tol_wmmse, bisect_rtol=cfg.tol_power)
+    try:
+        d2d = dpcd(rc, cell.q_s, cfg.sinr_target, cfg.max_power_d2d,
+                   tol_wmmse=cfg.tol_wmmse, bisect_rtol=cfg.tol_power).objective_trace
+    except InfeasibleBudgetError:
+        d2d = []
     d2d_trace = [{"iteration": i + 1, "objective": prefactor * obj, "residual": None}
-                 for i, obj in enumerate(d2d.objective_trace)]
+                 for i, obj in enumerate(d2d)]
     joint_trace = [{"iteration": i + 1, "objective": obj, "residual": None}
                    for i, obj in enumerate(joint.trace)]
     return {"cellular": cell_trace, "d2d": d2d_trace, "joint": joint_trace,

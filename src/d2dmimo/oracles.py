@@ -54,8 +54,8 @@ def oracle_pzf_zeros(seed=0):
     for s in range(10):
         cfg = _small_config(seed * 100 + s)
         ls = _large_scale(cfg, [cfg.rng_seed])
-        pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline([cfg], ls))
-        plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)[0]
+        pa, pp, coeffs, sets, _ = next(_scenario_pipeline([cfg], ls))
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)[0]
         pa, sets = pa[0], sets[0]
         real = draw_fast_fading(cfg)
         obs = simulate_pilot_phase(real, plan, cfg)

@@ -20,7 +20,8 @@ closed-form bounds.
 The Monte Carlo path splits its work at the draw.  monte_carlo_plan forms,
 once per sweep point and for the receiver sides some metric reads, every
 term that does not depend on the fast fading: the pilot amplitudes and
-MMSE scalings the channel module reads, each cancelled group's
+MMSE scalings the channel module reads (the amplitudes over the pilot
+column powers of the estimation coefficients), each cancelled group's
 representative and span flag, the columns every filter cancels, the kept
 masks with their diagonals cleared, the interference weights and the
 error-plus-noise floors.  pzf_filter, cell_sinr_terms and d2d_sinr_terms
@@ -264,25 +265,21 @@ def _first_members(o, groups):
     return first, spans
 
 
-def monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, n0, sides=SIDES):
+def monte_carlo_plan(ls, pa, pp, coeffs, sets, n0, sides=SIDES):
     """The draw-independent Monte Carlo terms of the receiver sides sides
-    (see MonteCarloPlan); powers is group_powers(ls, pa, pp.p_p).  Row t of
-    the plan has the bits of the plan built on row t's inputs alone.
+    (see MonteCarloPlan), its MMSE scalings over the column powers of coeffs.
+    Row t of the plan has the bits of the plan built on row t's inputs alone.
 
     At the BS a cancelled pilot group is represented by its first member
     with a nonzero MMSE coefficient (p_p u_d > 0), and a group without one
     spans nothing; at a D2D-Rx by its first member.
     """
-    n = pa.n_cu
-    den_bs, den_rx = powers
-    o = pa.to_matrix()
-    group = pa.pilot_of - n - 1
+    n, o, col = pa.n_cu, pa.to_matrix(), pa.pilot_of - 1
     terms = dict.fromkeys(MonteCarloPlan.__dataclass_fields__)
-    terms.update(sides=tuple(sides), o=o, col=pa.pilot_of - 1)
+    terms.update(sides=tuple(sides), o=o, col=col)
     if "cu" in sides:
-        sc = pp.q_p * ls.u_c
-        pilot_c, pilot_d = np.sqrt(sc), np.sqrt(pp.p_p * ls.u_d)
-        mmse_d = pilot_d / (np.take_along_axis(den_bs, group, axis=-1) + n0)
+        pilot_c, pilot_d = np.sqrt(pp.q_p * ls.u_c), np.sqrt(pp.p_p * ls.u_d)
+        mmse_d = pilot_d / np.take_along_axis(coeffs.y_var_bs, col, axis=-1)
         first, spans = _first_members(o.astype(bool) & (mmse_d != 0)[..., None, :],
                                       sets.bs_cancel_groups[..., None, :] - n - 1)
         cancel_cu = sets.bs_cancel_cu
@@ -290,7 +287,7 @@ def monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, n0, sides=SIDES):
                  + np.sum(pp.p_s * ls.u_d * coeffs.eps_d, axis=-1)
                  + n0)
         terms.update(
-            pilot_c=pilot_c, pilot_d=pilot_d, mmse_c=pilot_c / (sc + n0), mmse_d=mmse_d,
+            pilot_c=pilot_c, pilot_d=pilot_d, mmse_c=pilot_c / coeffs.y_var_bs[..., :n], mmse_d=mmse_d,
             bs_first=first, bs_spans=spans,
             bs_picked=np.concatenate([cancel_cu, np.broadcast_to(
                 n + np.arange(first.shape[-1]), cancel_cu.shape[:-1] + first.shape[-1:])], axis=-1),
@@ -299,12 +296,11 @@ def monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, n0, sides=SIDES):
             w_c=pp.q_s * ls.u_c, w_dc=pp.p_s * ls.u_d,
             alpha_c=np.repeat(alpha[..., None], n, axis=-1))
     if "d2d" in sides:
-        scd = pp.q_p[..., :, None] * ls.v_c
-        pilot_rc, pilot_rd = np.sqrt(scd), np.sqrt(pp.p_p[..., :, None] * ls.v_d)
+        pilot_rc, pilot_rd = np.sqrt(pp.q_p[..., :, None] * ls.v_c), np.sqrt(pp.p_p[..., :, None] * ls.v_d)
         first, spans = _first_members(o.astype(bool), sets.rx_cancel_groups - n - 1)
         terms.update(
-            pilot_rc=pilot_rc, pilot_rd=pilot_rd, mmse_rc=pilot_rc / (scd + n0),
-            mmse_rd=pilot_rd / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0),
+            pilot_rc=pilot_rc, pilot_rd=pilot_rd, mmse_rc=pilot_rc / coeffs.y_var_rx[..., :n, :],
+            mmse_rd=pilot_rd / np.take_along_axis(coeffs.y_var_rx, col[..., :, None], axis=-2),
             rx_picked=np.concatenate([sets.rx_cancel_cu, n + first], axis=-1), rx_spans=spans,
             rx_kept_d=_unset_diagonal(sets.rx_kept_pairs(pa)), rx_kept_cu=sets.rx_kept_cu(n),
             w_rd=pp.p_s[..., :, None] * ls.v_d, w_rc=pp.q_s[..., :, None] * ls.v_c,

@@ -11,7 +11,7 @@ import numpy as np
 
 from d2dmimo.scenario import SystemConfig, generate_topology, compute_large_scale, substream
 from d2dmimo.channel import (PilotAssignment, PowerProfile, draw_fast_fading,
-                             estimation_coeffs, simulate_pilot_phase, mmse_estimate, group_powers)
+                             estimation_coeffs, simulate_pilot_phase, mmse_estimate)
 from d2dmimo.receivers import (RateCoeffs, select_cancellation, rate_coeffs,
                                rate_lower_bounds, pzf_filter, cell_sinr_terms,
                                d2d_sinr_terms, monte_carlo_plan)
@@ -61,8 +61,7 @@ def test_criterion_1_bound_validity():
         rates_d = np.empty((trials, k))
         rng_f = substream(cfg.rng_seed, 50)
         rng_z = substream(cfg.rng_seed, 51)
-        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets,
-                                cfg.noise_power)
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
         for t in range(trials):
             real = draw_fast_fading(cfg, rng_f)
             obs = simulate_pilot_phase(real, plan, cfg, rng_z)
@@ -106,8 +105,7 @@ def test_criterion_2_mmse_statistics():
     rng_z = substream(11, 1)
     var_acc = np.zeros(3)
     inv_s = np.zeros(3)
-    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets,
-                            cfg.noise_power)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     for _ in range(draws):
         real = draw_fast_fading(cfg, rng_f)
         obs = simulate_pilot_phase(real, plan, cfg, rng_z)

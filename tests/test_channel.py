@@ -5,16 +5,15 @@ from hypothesis import given, settings, strategies as st
 from d2dmimo.scenario import LargeScale, substream, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, _cn, draw_fast_fading, fading_normals,
                              noise_normals, normals, estimation_coeffs, simulate_pilot_phase,
-                             mmse_estimate, group_powers)
+                             mmse_estimate)
 from d2dmimo.receivers import monte_carlo_plan, select_cancellation
 from helpers import assignment, make_ls, same_bits, small_config
 
 
 def plan_of(ls, pa, pp, cfg):
     """The Monte Carlo plan of both receiver sides of one draw or a stack."""
-    powers = group_powers(ls, pa, pp.p_p)
-    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
-    return monte_carlo_plan(ls, pa, pp, powers, coeffs, select_cancellation(ls, pa, cfg), cfg.noise_power)
+    coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+    return monte_carlo_plan(ls, pa, pp, coeffs, select_cancellation(ls, pa, cfg), cfg.noise_power)
 
 
 def reference_cn(rng, shape):

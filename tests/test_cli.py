@@ -137,6 +137,36 @@ def test_missing_file_exits_1(capsys):
     assert main(["validate", "/nonexistent/spec.json"]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "trace"])
+def test_spec_path_that_is_a_directory_exits_1(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read spec file {tmp_path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "trace"])
+def test_spec_file_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: spec: not valid JSON: ") and err.count("\n") == 1
+
+
+def test_trace_at_an_unreachable_target_writes_an_empty_d2d_trace(spec_file, tmp_path, capsys):
+    # no draw meets gamma = 1000, and trial 0's cellular powers leave the
+    # pairs no budget: the joint loop ends that row without a WMMSE pass
+    doc = json.loads((REPO_ROOT / "specs" / "fig45.json").read_text())
+    doc["config"]["sinr_target"] = 1000.0
+    doc["sweep"]["values"] = [1000.0]
+    out = tmp_path / "t.json"
+    assert main(["trace", spec_file(doc), "--out", str(out)]) == 0
+    traces = json.loads(out.read_text())
+    assert traces["feasible"] is False and traces["trial"] == 0
+    assert traces["d2d"] == [] and traces["cellular"]
+    assert "feasible=False" in capsys.readouterr().out
+
+
 def test_bad_config_field_message(spec_file, capsys):
     doc = small_spec_doc()
     doc["config"]["pilot_len"] = 99

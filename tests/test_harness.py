@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from d2dmimo import harness, power_control
+from d2dmimo import channel, harness, power_control, receivers
 from d2dmimo.cli import main
 from d2dmimo.receivers import bound_sinrs, rate_lower_bounds
 from d2dmimo.scenario import DRAW_FIELDS, SystemConfig, trial_seed
@@ -253,6 +253,34 @@ class TestRunExperiment:
             assert a.metric == b.metric and a.sweep == b.sweep
             assert abs(a.mean - b.mean) <= 1e-12 * max(1.0, abs(a.mean))
             assert abs(a.ci95 - b.ci95) <= 1e-12 * max(1.0, abs(a.ci95))
+
+    @pytest.mark.parametrize("trials,pools", [(2, [2]), (1, [])])
+    def test_a_pool_never_forks_more_workers_than_tasks(self, monkeypatch, tmp_path, trials, pools):
+        # a fork-started pool launches all its workers at the first submit;
+        # an in-process stand-in records the sizes asked for, so no process starts
+        import concurrent.futures
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = tiny_spec(trials=trials)
+        for workers in (1, 64):
+            spec.output = str(tmp_path / f"w{workers}" / "fig2.csv")
+            run_experiment(spec, workers=workers)
+        assert sizes == pools
+        assert (tmp_path / "w1" / "fig2.csv").read_bytes() == (tmp_path / "w64" / "fig2.csv").read_bytes()
 
     def test_import_loads_no_process_pool(self):
         # a one-worker run never starts processes, so the package leaves the
@@ -555,6 +583,20 @@ def test_points_that_share_a_schedule_run_its_layers_once_per_chunk(
     assert budget == harness._STACK_BYTES or chunks > 1
 
 
+def test_group_powers_run_twice_per_schedule(monkeypatch):
+    # once for the pilot column powers (estimation_coeffs), once for the
+    # cancellation ranking (select_cancellation); the Monte Carlo plan reads
+    # the former
+    calls, original = [], channel.group_powers
+    for module in (channel, receivers):
+        monkeypatch.setattr(module, "group_powers", lambda *args: calls.append(1) or original(*args))
+    chunks = count_calls(monkeypatch, ["compute_large_scale"])
+    spec = ExperimentSpec(experiment="fig1", sweep_variable="bs_antennas", sweep_values=[64, 128, 256],
+                          trials=7, config=SystemConfig(rng_seed=3))
+    run_experiment(spec)
+    assert len(calls) == 2 * chunks["compute_large_scale"]
+
+
 def test_a_pzf_clamp_splits_the_schedule(monkeypatch):
     # at B = 8 apply_sweep clamps pzf_bs from (4, 5) to (1, 5), which leaves
     # the BS one degree of freedom
@@ -564,8 +606,8 @@ def test_a_pzf_clamp_splits_the_schedule(monkeypatch):
     ls = harness._large_scale(points[0], [trial_seed(3, t) for t in range(4)])
     stacks = list(harness._scenario_pipeline(points, ls))
     assert calls == dict.fromkeys(SCHEDULE_LAYERS[:3], 2)
-    assert all(a is b for a, b in zip(stacks[0][:5], stacks[2][:5]))
-    assert [sets.bs_cancel_cu.shape[-1] for _, _, _, _, sets, _ in stacks] == [4, 1, 4]
+    assert all(a is b for a, b in zip(stacks[0][:4], stacks[2][:4]))
+    assert [sets.bs_cancel_cu.shape[-1] for _, _, _, sets, _ in stacks] == [4, 1, 4]
 
 
 def test_a_clamped_point_gives_the_rows_it_gives_alone():

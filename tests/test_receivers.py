@@ -6,7 +6,7 @@ from d2dmimo import receivers
 from d2dmimo.scenario import SystemConfig, LargeScale, substream, trial_seed, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, EstimatedChannels,
                              EstimationCoeffs, draw_fast_fading, estimation_coeffs,
-                             simulate_pilot_phase, mmse_estimate, group_powers)
+                             simulate_pilot_phase, mmse_estimate)
 from d2dmimo.pilot_scheduling import random_assignment
 from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, CancellationSets,
                                select_cancellation, pzf_filter, cell_sinr_terms,
@@ -24,7 +24,7 @@ def full_pipeline(cfg, seed=0):
                       q_s=rng.uniform(0.2, 1, cfg.n_cu), p_s=rng.uniform(0.2, 1, cfg.n_d2d))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg), plan, cfg)
     return ls, pa, pp, coeffs, sets, plan, est
 
@@ -34,8 +34,7 @@ def unit_plan(pa, sets):
     n, k = pa.n_cu, pa.n_d2d
     ls = LargeScale(u_c=np.ones(n), u_d=np.ones(k), v_c=np.ones((n, k)), v_d=np.ones((k, k)))
     pp = PowerProfile(q_p=np.ones(n), p_p=np.ones(k), q_s=np.ones(n), p_s=np.ones(k))
-    powers = group_powers(ls, pa, pp.p_p)
-    return monte_carlo_plan(ls, pa, pp, powers, estimation_coeffs(ls, pa, pp, 1.0, powers), sets, 1.0)
+    return monte_carlo_plan(ls, pa, pp, estimation_coeffs(ls, pa, pp, 1.0), sets, 1.0)
 
 
 class TestSelectCancellation:
@@ -162,9 +161,8 @@ class TestPzfFilter:
         pp = PowerProfile(q_p=np.ones(3), p_p=np.ones(4), q_s=np.ones(3), p_s=np.ones(4))
         sets = select_cancellation(ls, pa, cfg)
         assert sets.bs_cancel_groups.tolist() == [4]
-        powers = group_powers(ls, pa, pp.p_p)
-        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
-        plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
         obs = simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg)
         est = mmse_estimate(obs, plan, cfg)
         beta = pzf_filter(est, plan, "cu")[0]
@@ -271,7 +269,7 @@ def _edge_case(name):
                       q_s=rng.uniform(0.2, 1, cfg.n_cu), p_s=rng.uniform(0.2, 1, cfg.n_d2d))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg), plan, cfg)
     if name == "zero estimate columns":
         # the first cancelled BS group and the first cancelled CU at Rx 0
@@ -333,9 +331,8 @@ class TestBatchedPzfEdgeCases:
         first, live = np.flatnonzero(pa.pilot_of == sets.bs_cancel_groups[0])
         pp = PowerProfile.max_power(cfg)
         pp.p_p[first] = 0.0
-        powers = group_powers(ls, pa, pp.p_p)
-        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power, powers)
-        plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
         est = mmse_estimate(simulate_pilot_phase(real, plan, cfg), plan, cfg)
         assert not est.h_d[:, first].any()
         beta = pzf_filter(est, plan, "cu")
@@ -368,7 +365,7 @@ def _shared_basis_draws(name, seeds):
     ls, pa, pp = LargeScale.stack(ls), PilotAssignment.stack(pa), PowerProfile.stack(pp)
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, [substream(seed, FADING) for seed in seeds])
     obs = simulate_pilot_phase(real, plan, cfg, [substream(seed, NOISE) for seed in seeds])
     return cfg, ls, pa, pp, coeffs, sets, plan, mmse_estimate(obs, plan, cfg)
@@ -429,8 +426,8 @@ def test_shared_basis_keeps_the_per_cu_precision(monkeypatch, b):
     # must stay within 1e-13 of filters built in the B-dimensional space
     cfg, seeds = SystemConfig(bs_antennas=b, rng_seed=777), [trial_seed(777, t) for t in range(30)]
     ls = _large_scale(cfg, seeds)
-    pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline([cfg], ls))
-    plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, cfg.noise_power)
+    pa, pp, coeffs, sets, _ = next(_scenario_pipeline([cfg], ls))
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, [substream(s, FADING) for s in seeds])
     obs = simulate_pilot_phase(real, plan, cfg, [substream(s, NOISE) for s in seeds])
     est = mmse_estimate(obs, plan, cfg)
@@ -456,7 +453,7 @@ def test_bs_filter_at_the_validate_limits(n, b_c, b_d, silent, collapse, seed):
                       q_s=rng.uniform(0.2, 1, n), p_s=rng.uniform(0.2, 1, 1))
     coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
     sets = select_cancellation(ls, pa, cfg)
-    plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     est = mmse_estimate(simulate_pilot_phase(draw_fast_fading(cfg), plan, cfg), plan, cfg)
     if collapse:
         est.h_c[:, n - 1] = 2.0 * est.h_c[:, sets.bs_cancel_cu[n - 1]].sum(axis=1)
@@ -482,13 +479,14 @@ class TestInstantaneousSinr:
             delta_d=np.ones(1), eps_d=np.zeros(1),
             mu_d=np.ones((1, 1)), eps_dd=np.zeros((1, 1)),
             mu_c=np.ones((1, 1)), eps_cd=np.zeros((1, 1)),
+            y_var_bs=np.array([1.7 + 0.3, 1e-12 + 0.3]), y_var_rx=np.array([[1.0 + 0.3], [1.0 + 0.3]]),
         )
         ls = LargeScale(u_c=np.array([1.7]), u_d=np.array([1e-12]),
                         v_c=np.ones((1, 1)), v_d=np.ones((1, 1)))
         pa = PilotAssignment(pilot_of=np.array([2]), n_cu=1, pilot_len=2)
         pp = PowerProfile(q_p=np.ones(1), p_p=np.ones(1), q_s=np.array([0.9]), p_s=np.zeros(1))
         sets = select_cancellation(ls, pa, cfg)
-        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
         eta = cell_sinr_terms(est, plan).sinr[0]
         expected = 0.9 * 1.7 * np.linalg.norm(h) ** 2 / 0.3
         assert eta == pytest.approx(expected, rel=1e-12)
@@ -515,13 +513,14 @@ class TestInstantaneousSinr:
             delta_d=np.ones(1), eps_d=np.zeros(1),
             mu_d=np.array([[mu]]), eps_dd=np.array([[1 - mu]]),
             mu_c=np.ones((1, 1)), eps_cd=np.zeros((1, 1)),
+            y_var_bs=np.array([1.0 + 0.2, 1.0 + 0.2]), y_var_rx=np.array([[1e-12 + 0.2], [2.0 + 0.2]]),
         )
         ls = LargeScale(u_c=np.array([1.0]), u_d=np.array([1.0]),
                         v_c=np.full((1, 1), 1e-12), v_d=np.array([[2.0]]))
         pa = PilotAssignment(pilot_of=np.array([2]), n_cu=1, pilot_len=2)
         pp = PowerProfile(q_p=np.ones(1), p_p=np.ones(1), q_s=np.zeros(1), p_s=np.array([0.5]))
         sets = select_cancellation(ls, pa, cfg)
-        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, cfg.noise_power)
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
         eta = d2d_sinr_terms(est, plan).sinr[0]
         alpha = 0.5 * 2.0 * (1 - mu) + cfg.noise_power
         expected = 0.5 * 2.0 * np.linalg.norm(g) ** 2 / alpha
@@ -611,6 +610,7 @@ class TestRateCoeffs:
             delta_d=np.ones(6), eps_d=np.zeros(6),
             mu_d=np.ones((6, 6)), eps_dd=np.zeros((6, 6)),
             mu_c=np.ones((3, 6)), eps_cd=np.zeros((3, 6)),
+            y_var_bs=np.ones(6), y_var_rx=np.ones((6, 6)),   # rate_coeffs reads no column power
         )
         sets = select_cancellation(ls, pa, cfg)
         rc = rate_coeffs(ls, pa, perfect, sets, pp, cfg)
@@ -685,8 +685,7 @@ class TestRateLowerBounds:
         sets = select_cancellation(ls, pa, cfg)
         rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
         r_c_lb, r_d_lb = rate_lower_bounds(rc, pp, cfg)
-        plan = monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets,
-                                cfg.noise_power)
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
         prefactor = 1 - cfg.pilot_len / cfg.coherence_len
         draws = 600
         rates_c = np.zeros((draws, 3))

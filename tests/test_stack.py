@@ -131,6 +131,7 @@ class TestStackedLayers:
             assert (pa.to_matrix().sum(axis=-1) == 0).any()   # some pilot is empty
         den = group_powers(ls, pa, pp.p_p)
         coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+        assert {"y_var_bs", "y_var_rx"} <= {f for f, v in vars(coeffs).items() if isinstance(v, np.ndarray)}
         sets = select_cancellation(ls, pa, cfg)
         rc = rate_coeffs(ls, pa, coeffs, sets, pp, cfg)
         etas = bound_sinrs(rc, pp.q_s, pp.p_s)
@@ -144,7 +145,7 @@ class TestStackedLayers:
             alone["sets"] = select_cancellation(ls_t, pa_t, cfg)
             alone["rc"] = rate_coeffs(ls_t, pa_t, alone["coeffs"], alone["sets"], pp_t, cfg)
             assert all(same_bits(a[t], b) for a, b in zip(den, alone["den"]))
-            assert same_fields(coeffs[t], alone["coeffs"])
+            assert same_fields(coeffs[t], alone["coeffs"])   # the column powers among them
             assert same_fields(sets[t], alone["sets"])
             n = cfg.n_cu
             for mask, want in ((sets.bs_kept_cu(n), alone["sets"].bs_kept_cu(n)),
@@ -284,11 +285,6 @@ def mc_inputs(name, trials):
     return cfgs, ls, pa, pp, coeffs, select_cancellation(ls, pa, cfgs[0])
 
 
-def plan_of(ls, pa, pp, coeffs, sets, n0, sides=SIDES):
-    """The Monte Carlo plan of the analytic inputs, with their group powers."""
-    return monte_carlo_plan(ls, pa, pp, group_powers(ls, pa, pp.p_p), coeffs, sets, n0, sides)
-
-
 def streams(cfgs, purpose, attempt=0):
     return [substream(cfg.rng_seed, purpose, attempt) for cfg in cfgs]
 
@@ -302,7 +298,7 @@ def silent_rows(pp):
 def test_monte_carlo_layers(name, trials):
     cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, trials)
     cfg = cfgs[0]
-    plan = plan_of(ls, pa, pp, coeffs, sets, cfg.noise_power)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, streams(cfgs, FADING))
     obs = simulate_pilot_phase(real, plan, cfg, streams(cfgs, NOISE))
     est = mmse_estimate(obs, plan, cfg)
@@ -315,7 +311,7 @@ def test_monte_carlo_layers(name, trials):
     else:
         beta_d2d, d2d = pzf_filter(est, plan, "d2d"), d2d_sinr_terms(est, plan)
     for t, cfg_t in enumerate(cfgs):
-        plan_t = plan_of(ls[t], pa[t], pp[t], coeffs[t], sets[t], cfg_t.noise_power)
+        plan_t = monte_carlo_plan(ls[t], pa[t], pp[t], coeffs[t], sets[t], cfg_t.noise_power)
         real_t = draw_fast_fading(cfg_t, substream(cfg_t.rng_seed, FADING, 0))
         obs_t = simulate_pilot_phase(real_t, plan_t, cfg_t, substream(cfg_t.rng_seed, NOISE, 0))
         est_t = mmse_estimate(obs_t, plan_t, cfg_t)
@@ -350,14 +346,14 @@ def test_plan_rows_are_the_plan_of_those_rows(name, sides):
     # a contiguous run (a view), scattered rows (a copy) and single rows
     cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, 6)
     n0 = cfgs[0].noise_power
-    plan = plan_of(ls, pa, pp, coeffs, sets, n0, sides)
+    plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, n0, sides)
     # the 11 D2D-Rx terms or the 12 BS terms are left out
     assert sum(value is None for value in vars(plan).values()) == {("cu",): 11, ("d2d",): 12}.get(sides, 0)
     for rows in (np.arange(1, 4), np.array([0, 3, 5])):
-        want = plan_of(ls[rows], pa[rows], pp[rows], coeffs[rows], sets[rows], n0, sides)
+        want = monte_carlo_plan(ls[rows], pa[rows], pp[rows], coeffs[rows], sets[rows], n0, sides)
         assert same_plan(harness._take(plan, rows), want)
     for t in range(6):
-        assert same_plan(plan[t], plan_of(ls[t], pa[t], pp[t], coeffs[t], sets[t], n0, sides))
+        assert same_plan(plan[t], monte_carlo_plan(ls[t], pa[t], pp[t], coeffs[t], sets[t], n0, sides))
 
 
 @pytest.mark.parametrize("name", sorted(MC_CONFIGS))
@@ -369,13 +365,13 @@ def test_one_side_has_the_bits_of_both(name):
     cfg = cfgs[0]
     assert fading_normals(cfg, ("cu",)) < fading_normals(cfg, ("d2d",)) == fading_normals(cfg)
     assert noise_normals(cfg, ("cu",)) < noise_normals(cfg, ("d2d",)) == noise_normals(cfg)
-    both = plan_of(ls, pa, pp, coeffs, sets, cfg.noise_power)
+    both = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)
     obs = simulate_pilot_phase(draw_fast_fading(cfg, streams(cfgs, FADING)), both, cfg, streams(cfgs, NOISE))
     est = mmse_estimate(obs, both, cfg)
     for side, (y, y_other), (formed, left), terms in (
             ("cu", ("y_bs", "y_rx"), (("h_c", "h_d"), ("g_d", "g_c")), cell_sinr_terms),
             ("d2d", ("y_rx", "y_bs"), (("g_d", "g_c"), ("h_c", "h_d")), d2d_sinr_terms)):
-        plan = plan_of(ls, pa, pp, coeffs, sets, cfg.noise_power, (side,))
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power, (side,))
         real = draw_fast_fading(cfg, streams(cfgs, FADING), (side,))
         obs_side = simulate_pilot_phase(real, plan, cfg, streams(cfgs, NOISE))
         est_side = mmse_estimate(obs_side, plan, cfg)
@@ -384,6 +380,55 @@ def test_one_side_has_the_bits_of_both(name):
         assert all(getattr(est_side, f) is None for f in left)
         if side == "cu" or not silent_rows(pp):   # a silent pair's D2D target raises
             assert same_fields(terms(est_side, plan), terms(est, both))
+
+
+def reference_column_powers(ls, pa, pp, n0):
+    """[q_p u_c | group powers] + n0 at the BS and [q_p v_c | group powers]
+    + n0 at every D2D-Rx."""
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    return (np.concatenate([pp.q_p * ls.u_c, den_bs], axis=-1) + n0,
+            np.concatenate([pp.q_p[..., :, None] * ls.v_c, den_rx], axis=-2) + n0)
+
+
+def reference_mmse_scalings(ls, pa, pp, n0):
+    """The MMSE scalings straight from group_powers, N0 added after the
+    gather: the reference the plan's scalings match bit for bit."""
+    den_bs, den_rx = group_powers(ls, pa, pp.p_p)
+    group = pa.pilot_of - pa.n_cu - 1
+    sc, scd = pp.q_p * ls.u_c, pp.q_p[..., :, None] * ls.v_c
+    pilot_c, pilot_d = np.sqrt(sc), np.sqrt(pp.p_p * ls.u_d)
+    pilot_rc, pilot_rd = np.sqrt(scd), np.sqrt(pp.p_p[..., :, None] * ls.v_d)
+    return {"cu": {"mmse_c": pilot_c / (sc + n0),
+                   "mmse_d": pilot_d / (np.take_along_axis(den_bs, group, axis=-1) + n0)},
+            "d2d": {"mmse_rc": pilot_rc / (scd + n0),
+                    "mmse_rd": pilot_rd / (np.take_along_axis(den_rx, group[..., :, None], axis=-2) + n0)}}
+
+
+@pytest.mark.parametrize("name", sorted(MC_CONFIGS))
+def test_column_powers_are_the_group_powers_plus_noise(name):
+    cfgs, ls, pa, pp, coeffs, _ = mc_inputs(name, 6)
+    n0 = cfgs[0].noise_power
+    want = reference_column_powers(ls, pa, pp, n0)
+    assert all(same_bits(got, w) for got, w in zip((coeffs.y_var_bs, coeffs.y_var_rx), want))
+    for t in range(6):
+        alone = estimation_coeffs(ls[t], pa[t], pp[t], n0)
+        want = reference_column_powers(ls[t], pa[t], pp[t], n0)
+        assert all(same_bits(got, w) for got, w in zip((alone.y_var_bs, alone.y_var_rx), want))
+
+
+@pytest.mark.parametrize("sides", [("cu", "d2d"), ("cu",), ("d2d",)])
+@pytest.mark.parametrize("name", sorted(MC_CONFIGS))
+def test_mmse_scalings_divide_by_the_column_powers(name, sides):
+    # the plan's scalings have the bits of the group-power formulas, on the
+    # stack and on each row alone
+    cfgs, ls, pa, pp, coeffs, sets = mc_inputs(name, 6)
+    n0 = cfgs[0].noise_power
+    for rows in [slice(None)] + list(range(6)):
+        plan = monte_carlo_plan(ls[rows], pa[rows], pp[rows], coeffs[rows], sets[rows], n0, sides)
+        for side, scalings in reference_mmse_scalings(ls[rows], pa[rows], pp[rows], n0).items():
+            for field, want in scalings.items():
+                got = getattr(plan, field)
+                assert same_bits(got, want) if side in sides else got is None
 
 
 def hex_rows(results):
@@ -418,8 +463,8 @@ def mc_sums_alone(cfg, attempt):
     """The Monte Carlo sum rates of one trial's draw at one attempt, computed
     the way a trial-by-trial loop does."""
     ls = harness._large_scale(cfg, [cfg.rng_seed])
-    pa, pp, _, coeffs, sets, _ = (x[0] for x in next(_scenario_pipeline([cfg], ls)))
-    plan = plan_of(ls[0], pa, pp, coeffs, sets, cfg.noise_power)
+    pa, pp, coeffs, sets, _ = (x[0] for x in next(_scenario_pipeline([cfg], ls)))
+    plan = monte_carlo_plan(ls[0], pa, pp, coeffs, sets, cfg.noise_power)
     real = draw_fast_fading(cfg, substream(cfg.rng_seed, FADING, attempt))
     obs = simulate_pilot_phase(real, plan, cfg, substream(cfg.rng_seed, NOISE, attempt))
     est = mmse_estimate(obs, plan, cfg)
@@ -610,8 +655,8 @@ def test_monte_carlo_peak_stays_within_the_stack_budget():
                     continue
                 seeds = [trial_seed(3, t) for t in range(size + 2)]
                 ls = harness._large_scale(group[0], seeds)
-                pa, pp, powers, coeffs, sets, _ = next(_scenario_pipeline(group, ls))
-                plan = monte_carlo_plan(ls, pa, pp, powers, coeffs, sets, group[0].noise_power, sides)
+                pa, pp, coeffs, sets, _ = next(_scenario_pipeline(group, ls))
+                plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, group[0].noise_power, sides)
                 tracemalloc.start()
                 try:
                     before = tracemalloc.get_traced_memory()[0]
