@@ -56,8 +56,6 @@ def _apply_overrides(spec, args):
             raise SpecError("seed", str(exc)) from exc
     if getattr(args, "trials", None) is not None:
         spec.trials = args.trials   # run_experiment's validate_spec checks it
-    if getattr(args, "workers", 1) < 1:
-        raise SpecError("workers", "must be an integer >= 1")
     if args.out is not None:
         spec.output = args.out
     return spec

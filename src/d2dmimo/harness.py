@@ -616,7 +616,11 @@ def _aggregate(values):
 
 def run_experiment(spec, workers=1):
     """Execute the spec; returns (rows, manifest) and writes CSV + manifest
-    when spec.output is set."""
+    when spec.output is set.  Runs on at most workers processes, and never
+    on more than the host's CPUs."""
+    if not _is_int(workers) or workers < 1:
+        raise SpecError("workers", "must be an integer >= 1")
+    workers = min(workers, os.cpu_count() or 1)   # the pool that can start: chunks are sized by it
     point_cfgs, metrics = _validated(spec)
     kind, _ = EXPERIMENTS[spec.experiment]
     root = spec.config.rng_seed

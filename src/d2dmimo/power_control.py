@@ -17,15 +17,20 @@ solves the D2D step of every running trial of every point with one ragged
 WMMSE loop.  That loop takes a list of same-size groups (WmmseGroup), holds
 the running rows' per-pair arrays flat, group after group, and pays each
 elementwise numpy call once per iteration for all of them; each group runs
-its matrix products, stop test and multiplier bisection on its own
-contiguous (T, K) views, and a converged instance leaves the stack.  A
-joint stack keeps each point's powers and results in arrays and computes
-each quantity of a round but the cellular step (dpcc, per instance) with
-one stacked call per point.  Each instance does the arithmetic it would do
-alone, in the same order, so its bits depend neither on its stack nor on
-the other points; dpcd is a stack of one.  jdpc_stack records no WMMSE
-objective trace, so its inner loop computes no objective; dpcd always
-records one.
+its matrix products and stop-test sums on operands laid out once, not once
+an iteration, and its multiplier bisection on its own contiguous (T, K)
+views.  The loop's body is bare numpy calls into kept buffers: the ufuncs
+are bound to locals, the clip is done inline, and only a binding row's
+multiplier bisection calls a Python function.  A converged instance leaves the stack; the rest move to the front of the
+buffers, and only the groups from the first that lost a row on are laid
+out anew.  Results are stacks too: DpcdResult and JdpcResult hold each
+row's powers and counts in arrays with a leading trial axis.  A joint
+stack computes each quantity of a round but the cellular step (dpcc, per
+instance) with one stacked call per point.  Each instance does the
+arithmetic it would do alone, in the same order, so its bits depend
+neither on its stack nor on the other points; dpcd is a stack of one.
+jdpc_stack records no WMMSE objective trace, so its inner loop computes no
+objective; dpcd always records one.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -76,13 +81,10 @@ class CellularFixedPoint:
 
 def cellular_fixed_point(rc, p_s, gamma, q_max):
     """Build the fixed-point data for given D2D powers and targets."""
-    n = rc.phi_c.size
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (n,))
-    caps = np.broadcast_to(np.asarray(q_max, dtype=float), (n,)).copy()
-    sigma_c = sigma_c_of(rc, p_s)
+    gamma = np.asarray(gamma, dtype=float)
     f = (gamma / rc.phi_c)[:, None] * rc.varphi_c.T   # row n: gamma_n varphi_{a n} / phi_n
-    theta = gamma * sigma_c / rc.phi_c
-    return CellularFixedPoint(F=f, theta=theta, caps=caps)
+    theta = gamma * sigma_c_of(rc, p_s) / rc.phi_c
+    return CellularFixedPoint(F=f, theta=theta, caps=np.full(rc.phi_c.shape, q_max, dtype=float))
 
 
 @dataclass
@@ -102,12 +104,13 @@ def dpcc_iterate(fp, tol=1e-3, record_trace=False):
     target holds (equivalently, no cap binds) within 10*tol relative at
     the fixed point.
     """
-    q = np.zeros_like(fp.theta)
+    f, theta, caps = fp.F, fp.theta, fp.caps
+    q = np.zeros(theta.shape)
     trace = [q.copy()] if record_trace else []
     residual = np.inf
     for it in range(1, 200_001):
-        q_next = np.minimum(fp.caps, fp.interference(q))
-        residual = float(np.max(np.abs(q_next - q))) if q.size else 0.0
+        q_next = np.minimum(caps, f @ q + theta)     # caps, Delta(q)
+        residual = float(np.abs(q_next - q).max()) if q.size else 0.0
         q = q_next
         if record_trace:
             trace.append(q.copy())
@@ -115,8 +118,8 @@ def dpcc_iterate(fp, tol=1e-3, record_trace=False):
             break
     else:
         raise RuntimeError(f"dpcc did not converge in {it} iterations (residual {residual:.3e})")
-    delta = fp.interference(q)
-    feasible = bool(np.all(delta <= q + 10.0 * tol * np.maximum(delta, 1e-300)))
+    delta = f @ q + theta
+    feasible = bool((delta <= q + 10.0 * tol * np.maximum(delta, 1e-300)).all())
     return DpccResult(q_s=q, iterations=it, feasible=feasible, residual=residual, trace=trace)
 
 
@@ -134,20 +137,22 @@ def cellular_power_budget(rc, q_s, gamma):
 
 
 @dataclass
-class DpcdResult:
-    p_s: np.ndarray
-    objective_trace: list            # sum-rate surrogate per iteration, bits/s/Hz
-    iterations: int
-    multiplier: float                # final lambda
+class DpcdResult(TrialAxis):
+    """WMMSE D2D power control of a stack; result[t] is row t."""
+
+    p_s: np.ndarray                  # (T, K)
+    objective_trace: np.ndarray      # (T,) object: per row, a list of its sum-rate surrogates, bits/s/Hz
+    iterations: np.ndarray           # (T,) int
+    multiplier: np.ndarray           # (T,) final lambda
 
 
-def _f_update(denom, num, cap, f=None, p=None):
-    """Clipped sqrt powers and powers of a WMMSE step, into f and p when
-    given; a silent pair (num = 0) stays at 0."""
-    f = np.maximum(denom, 1e-300, out=f)
+def _f_update(denom, num, cap):
+    """Clipped sqrt powers and powers of a WMMSE step; a silent pair
+    (num = 0) stays at 0."""
+    f = np.maximum(denom, 1e-300)
     np.divide(num, f, out=f)
     np.minimum(cap, f, out=f)
-    return f, np.multiply(f, f, out=p)
+    return f, f * f
 
 
 @dataclass
@@ -172,50 +177,44 @@ class WmmseGroup:
 
 class _Block:
     """The running rows of one WmmseGroup in a ragged WMMSE stack: their
-    per-row arrays, and (set by _lay_out) their views of the stack's flat
-    arrays."""
+    per-row arrays, the group's result stack, and (set by _lay_out) their
+    place in the stack's flat arrays, pairs of the per-pair ones and span of
+    the per-row ones, and the operands of their calls of a WMMSE step."""
 
-    def __init__(self, index, group, ids):
-        self.index, self.ids, self.rows = index, ids, np.arange(ids.size)   # ids: rows in the whole stack
+    def __init__(self, group, ids, result):
+        self.ids, self.rows = ids, np.arange(ids.size)   # rows in the whole stack, and in the group
         self.k = np.shape(group.phi_d)[-1]
         self.psi_d = np.asarray(group.psi_d, dtype=float)
         self.varphi_d = np.asarray(group.varphi_d, dtype=float)
-        self.traces = [[] for _ in range(ids.size)]
+        self.bisect_rtol, self.result = group.bisect_rtol, result
 
     def keep(self, keep):
         self.ids, self.rows, self.psi_d, self.varphi_d = (
             a[keep] for a in (self.ids, self.rows, self.psi_d, self.varphi_d))
 
+    def view(self, a):
+        """The block's (T, K) view of a flat per-pair array."""
+        return a[self.pairs].reshape(self.ids.size, self.k)
 
-# the work arrays of a ragged WMMSE stack, one value per pair or per row
-_PAIR_WORK = ("nu", "w", "w_nu2", "num", "base", "mv", "p", "rx", "cross", "diff", "log_w_new")
-_ROW_WORK = ("used", "lam", "sums", "over", "done")
 
-
-def _lay_out(blocks, pairs, rows):
-    """Fresh work arrays for the running rows of blocks, _PAIR_WORK then
-    _ROW_WORK (over and done bool), returned in that order; and each block's
-    (T, K) view of every per-pair array, work or pairs[name], (T,) view of
-    every per-row array, work or rows[name], and the operands of its matrix
-    products.  Those are _matvec's, _dot's and _vecmat's operand shapes,
-    viewed once here, so that the loop's np.matmul calls are the helpers'
-    calls and give every row the bits of the 1-D call."""
-    n, t = next(iter(pairs.values())).size, next(iter(rows.values())).size
-    work = ([np.empty(n) for _ in _PAIR_WORK] + [np.empty(t) for _ in _ROW_WORK[:3]]
-            + [np.empty(t, dtype=bool) for _ in _ROW_WORK[3:]])
-    pairs = dict(zip(_PAIR_WORK, work), **pairs)
-    rows = dict(zip(_ROW_WORK, work[len(_PAIR_WORK):]), **rows)
-    at = row = 0
-    for b in blocks:
-        t, n = b.ids.size, b.ids.size * b.k
-        for name, a in pairs.items():
-            setattr(b, name, a[at:at + n].reshape(t, b.k))
-        for name, a in rows.items():
-            setattr(b, name, a[row:row + t])
-        b.w_nu2_col, b.mv_col, b.varphi_d_col = b.w_nu2[..., None], b.mv[..., None], b.varphi_d[..., None]
-        b.p_row, b.cross_row, b.used_1x1 = b.p[:, None, :], b.cross[:, None, :], b.used[:, None, None]
-        at, row = at + n, row + t
-    return work
+def _lay_out(blocks, first, w_nu2, mv, p, cross, used, diff, sums):
+    """Place blocks[first:] one after another behind blocks[:first] in the
+    stack's flat arrays, and set each one's ops: the operands of its four
+    calls of a WMMSE step, _matvec(psi_d, w_nu2) into mv, _dot(p, varphi_d)
+    into used and _vecmat(p, psi_d) into cross as np.matmul operands, and
+    the stop test's row sums of diff into sums.  Those are the helpers'
+    operand shapes, viewed once here, so that the loop's np.matmul calls
+    are the helpers' calls and give every row the bits of the 1-D call."""
+    at, row = (blocks[first - 1].pairs.stop, blocks[first - 1].span.stop) if first else (0, 0)
+    for b in blocks[first:]:
+        m = b.ids.size
+        b.pairs, b.span = slice(at, at + m * b.k), slice(row, row + m)
+        p_row = b.view(p)[:, None, :]
+        b.ops = ((b.psi_d, b.view(w_nu2)[..., None], b.view(mv)[..., None]),
+                 (p_row, b.varphi_d[..., None], used[b.span][:, None, None]),
+                 (p_row, b.psi_d, b.view(cross)[:, None, :]),
+                 (b.view(diff), sums[b.span]))
+        at, row = at + m * b.k, row + m
 
 
 def dpcd_stack(groups, max_iter=50_000, record_trace=True):
@@ -227,32 +226,39 @@ def dpcd_stack(groups, max_iter=50_000, record_trace=True):
     Every row does the same floating-point operations in the same order as
     it would alone, so its result depends neither on the other rows of its
     group nor on the other groups.  The running rows' arrays are held flat,
-    group after group, so each elementwise step of an iteration is one numpy
-    call for the whole stack, into buffers kept until a row leaves; each
-    group runs its matrix products (_matvec, _dot and _vecmat, which give
-    every row the bits of the 1-D call), its rows' stop-test sums and the
-    multiplier bisection of its binding rows on its contiguous views of
-    those arrays.  The loop computes the multiplier-independent terms once
-    per iteration and reuses the objective's products as the next
-    iteration's denominators; a row leaves the stack when its stop rule
-    holds.  With record_trace (the default) each row's objective_trace holds
-    its D2D sum rate after every iteration; without it the loop computes no
-    objective and the traces are empty.
+    group after group, in the leading part of buffers allocated once, so
+    each elementwise step of an iteration is one numpy call for the whole
+    stack; each group runs its matrix products (_matvec, _dot and _vecmat,
+    which give every row the bits of the 1-D call) and its rows' stop-test
+    sums on operands laid out once (_lay_out), and the multiplier bisection
+    of its binding rows on its contiguous views of those arrays.  The loop
+    computes the multiplier-independent terms once per iteration and reuses
+    the objective's products as the next iteration's denominators.  A row
+    leaves the stack when its stop rule holds: the running rows move to the
+    front, and only the groups from the first that lost a row on are laid
+    out anew.  With record_trace (the default) each row's objective_trace
+    holds its D2D sum rate after every iteration; without it the loop
+    computes no objective and the traces are empty.
 
-    Returns, per group, one DpcdResult per row.  A row that does not
-    converge or cannot bracket its multiplier raises a SolverError naming
-    the rows that failed by their index in the stack, the groups' rows one
-    group after another.
+    Returns one DpcdResult stack per group.  A row that does not converge or
+    cannot bracket its multiplier raises a SolverError naming the rows that
+    failed by their index in the stack, the groups' rows one group after
+    another.
     """
-    results = [[None] * len(g.zeta) for g in groups]
-    blocks, at = [], 0
-    for i, g in enumerate(groups):
-        if len(g.zeta):
-            blocks.append(_Block(i, g, np.arange(at, at + len(g.zeta))))
-        at += len(g.zeta)
+    results, blocks, at = [], [], 0
+    for g in groups:
+        t = len(g.zeta)
+        traces = np.empty(t, dtype=object)
+        for i in range(t):
+            traces[i] = []
+        results.append(DpcdResult(p_s=np.zeros(np.shape(g.phi_d)), objective_trace=traces,
+                                  iterations=np.zeros(t, dtype=int), multiplier=np.zeros(t)))
+        if t:
+            blocks.append(_Block(g, np.arange(at, at + t), results[-1]))
+        at += t
     if not blocks:
         return results
-    live = [groups[b.index] for b in blocks]
+    live = [g for g in groups if len(g.zeta)]
 
     def flat(arrays):
         return np.concatenate([np.ravel(a) for a in arrays])
@@ -266,79 +272,100 @@ def dpcd_stack(groups, max_iter=50_000, record_trace=True):
     zeta = flat([np.asarray(g.zeta, dtype=float) for g in live])
     tol = flat([np.full(len(g.zeta), g.tol_wmmse) for g in live])
     pair_count = flat([np.full(len(g.zeta), b.k) for g, b in zip(live, blocks)]).astype(int)
+    add, subtract, multiply, divide, maximum, minimum = (
+        np.add, np.subtract, np.multiply, np.divide, np.maximum, np.minimum)
+    reciprocal, square, absolute, log, greater, less_equal, matmul, row_sum = (
+        np.reciprocal, np.square, np.absolute, np.log, np.greater, np.less_equal, np.matmul, np.add.reduce)
+    one, tiny = np.array(1.0), np.array(1e-300)   # 0-d: numpy converts a Python float on every call
 
-    (nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new, used, lam, sums, over, done) = _lay_out(
-        blocks, dict(f=f, f_cap=f_cap, total=total, sigma_d=sigma_d), dict(zeta=zeta))
-    np.multiply(f, f, out=p)
-    np.multiply(p, phi_d, out=rx)
-    for b in blocks:
-        np.matmul(b.p_row, b.psi_d, out=b.cross_row)     # _vecmat(p, psi_d)
-    np.add(rx, cross, out=total)
-    np.add(total, sigma_d, out=total)
+    n, t = f.size, zeta.size
+    nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new = (np.empty(n) for _ in range(11))
+    used, lam, sums = np.empty(t), np.empty(t), np.empty(t)
+    over, done = np.empty(t, dtype=bool), np.empty(t, dtype=bool)
+    _lay_out(blocks, 0, w_nu2, mv, p, cross, used, diff, sums)
+    matvec_ops, dot_ops, vecmat_ops, sum_ops = zip(*(b.ops for b in blocks))
+    multiply(f, f, out=p)
+    multiply(p, phi_d, out=rx)
+    for a, x, out in vecmat_ops:
+        matmul(a, x, out=out)
+    add(rx, cross, out=total)
+    add(total, sigma_d, out=total)
 
     for it in range(1, max_iter + 1):
-        np.multiply(f, sqrt_phi, out=nu)
-        np.divide(nu, total, out=nu)
-        np.multiply(nu, f, out=w)
-        np.multiply(w, sqrt_phi, out=w)
-        np.subtract(1.0, w, out=w)
-        np.divide(1.0, w, out=w)
-        np.square(nu, out=w_nu2)
-        np.multiply(w, w_nu2, out=w_nu2)
-        np.multiply(w, nu, out=num)
-        np.multiply(num, sqrt_phi, out=num)
-        for b in blocks:
-            np.matmul(b.psi_d, b.w_nu2_col, out=b.mv_col)     # _matvec(psi_d, w_nu2)
-        np.multiply(w_nu2, phi_d, out=base)
-        np.add(base, mv, out=base)
-
-        _f_update(base, num, f_cap, f, p)
-        for b in blocks:
-            np.matmul(b.p_row, b.varphi_d_col, out=b.used_1x1)     # _dot(p, varphi_d)
-        if np.greater(used, zeta, out=over).nonzero()[0].size:
+        multiply(f, sqrt_phi, out=nu)
+        divide(nu, total, out=nu)
+        multiply(nu, f, out=w)
+        multiply(w, sqrt_phi, out=w)
+        subtract(one, w, out=w)
+        reciprocal(w, out=w)
+        square(nu, out=w_nu2)
+        multiply(w, w_nu2, out=w_nu2)
+        multiply(w, nu, out=num)
+        multiply(num, sqrt_phi, out=num)
+        for a, x, out in matvec_ops:
+            matmul(a, x, out=out)
+        multiply(w_nu2, phi_d, out=base)
+        add(base, mv, out=base)
+        maximum(base, tiny, out=f)     # _f_update into f and p
+        divide(num, f, out=f)
+        minimum(f_cap, f, out=f)
+        multiply(f, f, out=p)
+        for a, x, out in dot_ops:
+            matmul(a, x, out=out)
+        if greater(used, zeta, out=over).nonzero()[0].size:
             for b in blocks:
-                bind = b.over.nonzero()[0]
+                bind = over[b.span].nonzero()[0]
                 if bind.size:
-                    b.f[bind], b.p[bind], b.lam[bind] = _bisect_multiplier(
-                        b.base[bind], b.num[bind], b.f_cap[bind], b.varphi_d[bind], b.zeta[bind],
-                        groups[b.index].bisect_rtol, b.ids[bind])
-        np.multiply(p, phi_d, out=rx)
-        for b in blocks:
-            np.matmul(b.p_row, b.psi_d, out=b.cross_row)
-            if record_trace:
-                objective = np.log2(1.0 + b.rx / (b.cross + b.sigma_d)).sum(axis=-1)
-                for r, value in zip(b.rows.tolist(), objective.tolist()):
-                    b.traces[r].append(value)
-        np.add(rx, cross, out=total)
-        np.add(total, sigma_d, out=total)
-        np.log(w, out=log_w_new)
-        np.subtract(log_w_new, log_w, out=diff)
-        np.abs(diff, out=diff)
+                    b.view(f)[bind], b.view(p)[bind], lam[b.span][bind] = _bisect_multiplier(
+                        b.view(base)[bind], b.view(num)[bind], b.view(f_cap)[bind], b.varphi_d[bind],
+                        zeta[b.span][bind], b.bisect_rtol, b.ids[bind])
+        multiply(p, phi_d, out=rx)
+        for a, x, out in vecmat_ops:
+            matmul(a, x, out=out)
+        if record_trace:
+            for b in blocks:
+                objective = np.log2(1.0 + b.view(rx) / (b.view(cross) + b.view(sigma_d))).sum(axis=-1)
+                for trace, value in zip(b.result.objective_trace[b.rows], objective.tolist()):
+                    trace.append(value)
+        add(rx, cross, out=total)
+        add(total, sigma_d, out=total)
+        log(w, out=log_w_new)
+        subtract(log_w_new, log_w, out=diff)
+        absolute(diff, out=diff)
         log_w, log_w_new = log_w_new, log_w
-        for b in blocks:
-            np.add.reduce(b.diff, axis=-1, out=b.sums)
-        if not np.less_equal(sums, tol, out=done).nonzero()[0].size:
+        for x, out in sum_ops:
+            row_sum(x, axis=-1, out=out)
+        if not less_equal(sums, tol, out=done).nonzero()[0].size:
             continue
 
-        for b in blocks:
-            finished = b.done.nonzero()[0]
+        changed = len(blocks)   # the first block that loses rows
+        for i, b in enumerate(blocks):
+            finished = done[b.span].nonzero()[0]
             if finished.size:
-                for i in finished.tolist():
-                    r = b.rows[i]
-                    results[b.index][r] = DpcdResult(
-                        p_s=b.p[i].copy(), objective_trace=b.traces[r], iterations=it,
-                        multiplier=float(b.lam[i]) if b.over[i] else 0.0)
-                b.keep(~b.done)
+                rows, res = b.rows[finished], b.result
+                res.p_s[rows] = b.view(p)[finished]
+                res.iterations[rows] = it
+                res.multiplier[rows] = np.where(over[b.span][finished], lam[b.span][finished], 0.0)
+                b.keep(~done[b.span])
+                changed = min(changed, i)
         keep = ~done
         if not keep.any():
             return results
         by_pair = np.repeat(keep, pair_count)
-        f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d = (
-            a[by_pair] for a in (f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d))
-        zeta, tol, pair_count = zeta[keep], tol[keep], pair_count[keep]
+        n, t = np.count_nonzero(by_pair), np.count_nonzero(keep)
+        for a in (f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d):
+            a[:n] = a[by_pair]
+        for a in (zeta, tol, pair_count):
+            a[:t] = a[keep]
+        (f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d,
+         nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new) = (
+            a[:n] for a in (f, total, log_w, sqrt_phi, f_cap, phi_d, sigma_d,
+                            nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new))
+        zeta, tol, pair_count, used, lam, sums, over, done = (
+            a[:t] for a in (zeta, tol, pair_count, used, lam, sums, over, done))
         blocks = [b for b in blocks if b.ids.size]
-        (nu, w, w_nu2, num, base, mv, p, rx, cross, diff, log_w_new, used, lam, sums, over, done) = _lay_out(
-            blocks, dict(f=f, f_cap=f_cap, total=total, sigma_d=sigma_d), dict(zeta=zeta))
+        _lay_out(blocks, changed, w_nu2, mv, p, cross, used, diff, sums)
+        matvec_ops, dot_ops, vecmat_ops, sum_ops = zip(*(b.ops for b in blocks))
     raise SolverError(f"dpcd did not converge in {max_iter} iterations",
                       np.concatenate([b.ids for b in blocks]))
 
@@ -409,7 +436,9 @@ def dpcd(rc, q_s, gamma, p_max, tol_wmmse=1e-3, bisect_rtol=1e-3, max_iter=50_00
     p_init = None if p_init is None else np.asarray(p_init, dtype=float)[None]
     group = WmmseGroup(rc.phi_d[None], rc.psi_d[None], rc.varphi_d[None], sigma_d_of(rc, q_s)[None],
                        [zeta], p_max, p_init, tol_wmmse=tol_wmmse, bisect_rtol=bisect_rtol)
-    return dpcd_stack([group], max_iter=max_iter)[0][0]
+    res = dpcd_stack([group], max_iter=max_iter)[0][0]
+    res.iterations, res.multiplier = int(res.iterations), float(res.multiplier)
+    return res
 
 
 @dataclass
@@ -471,7 +500,7 @@ def jdpc_stack(points, outer_cap=10):
     solver raises a SolverError naming the failing rows of one point's rc,
     and that point (the first in order, where several fail at once).
     """
-    out, active = [], []
+    out, active, alone = [], [], []
     for pt in points:
         t, n = pt.rc.phi_c.shape
         cap = np.broadcast_to(np.asarray(pt.p_max, dtype=float), (pt.rc.phi_d.shape[-1],))
@@ -479,6 +508,7 @@ def jdpc_stack(points, outer_cap=10):
         out.append(JdpcResult(q_s=np.zeros((t, n)), p_s=p, outer_iterations=np.zeros(t, dtype=int),
                               feasible=np.ones(t, dtype=bool), se=np.zeros((t, outer_cap))))
         active.append(np.arange(t))   # rows still running
+        alone.append([pt.rc[r] for r in range(t)])   # each instance's coefficients, for dpcc
 
     def finish(j, rows, outer, feasible):
         out[j].outer_iterations[rows] = outer
@@ -486,14 +516,14 @@ def jdpc_stack(points, outer_cap=10):
 
     for outer in range(1, outer_cap + 1):
         solving = {}   # (K, tolerances) -> [(point, its running rows' coefficients, their budgets)]
-        for j, (pt, res) in enumerate(zip(points, out)):
+        for j, (pt, res, instances) in enumerate(zip(points, out, alone)):
             rows = active[j]
             if not rows.size:
                 continue
             qos = np.empty(rows.size, dtype=bool)
             for i, r in enumerate(rows.tolist()):
                 try:
-                    cell = dpcc(pt.rc[r], res.p_s[r], pt.gamma, pt.q_max, tol=pt.tol_power)
+                    cell = dpcc(instances[r], res.p_s[r], pt.gamma, pt.q_max, tol=pt.tol_power)
                 except RuntimeError as exc:
                     raise SolverError(str(exc), [r], point=j) from exc
                 res.q_s[r], qos[i] = cell.q_s, cell.feasible
@@ -524,17 +554,17 @@ def jdpc_stack(points, outer_cap=10):
             failed = [owner[i] for i in exc.rows]
             first = min(j for j, _ in failed)
             raise type(exc)(exc.args[0], [r for j, r in failed if j == first], point=first) from exc
-        powers = [r.p_s for rows in solved for r in rows]
-        at = 0
-        for j, sub, _ in entries:
-            rows, res = active[j], out[j]
-            res.p_s[rows] = powers[at:at + rows.size]
-            at += rows.size
-            _, eta_d = bound_sinrs(sub, res.q_s[rows], res.p_s[rows])
-            se = res.se[rows, outer - 1] = points[j].prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
-            done = (outer >= 2) & (np.abs(se - res.se[rows, outer - 2]) < points[j].tol_power)
-            finish(j, rows[done], outer, True)
-            active[j] = rows[~done]
+        for same, solution in zip(solving.values(), solved):
+            at = 0
+            for j, sub, _ in same:
+                rows, res = active[j], out[j]
+                res.p_s[rows] = solution.p_s[at:at + rows.size]
+                at += rows.size
+                _, eta_d = bound_sinrs(sub, res.q_s[rows], res.p_s[rows])
+                se = res.se[rows, outer - 1] = points[j].prefactor * np.log2(1.0 + eta_d).sum(axis=-1)
+                done = (outer >= 2) & (np.abs(se - res.se[rows, outer - 2]) < points[j].tol_power)
+                finish(j, rows[done], outer, True)
+                active[j] = rows[~done]
     for j, rows in enumerate(active):
         finish(j, rows, outer, True)
     return out

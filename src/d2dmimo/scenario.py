@@ -251,14 +251,15 @@ def generate_topology(config, rng=None):
     while pair < k:
         d, ang = rng.uniform(low, high, size=(k, 2)).T
         # cand[a, i]: attempt base + a applied to pair i
-        cand = tx + (d[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1))[:, None, :]
-        inside = np.all((cand >= 0.0) & (cand <= side), axis=2).T.tolist()
+        cand = tx + (d[:, None] * np.array([np.cos(ang), np.sin(ang)]).T)[:, None, :]
+        inside = ((cand >= 0.0) & (cand <= side)).all(axis=2).T.tolist()
         placed, taken = [], []
         while pair < k:
-            a, row = max(first - base, 0), inside[pair]
-            while a < k and not row[a]:
-                a += 1
-            if a == k or base + a - first >= 10000:
+            try:
+                a = inside[pair].index(True, max(first - base, 0))
+            except ValueError:   # no in-cell attempt left in this block
+                break
+            if base + a - first >= 10000:
                 break
             placed.append(pair)
             taken.append(a)

@@ -254,16 +254,17 @@ class TestRunExperiment:
             assert abs(a.mean - b.mean) <= 1e-12 * max(1.0, abs(a.mean))
             assert abs(a.ci95 - b.ci95) <= 1e-12 * max(1.0, abs(a.ci95))
 
-    @pytest.mark.parametrize("trials,pools", [(2, [2]), (1, [])])
-    def test_a_pool_never_forks_more_workers_than_tasks(self, monkeypatch, tmp_path, trials, pools):
-        # a fork-started pool launches all its workers at the first submit;
-        # an in-process stand-in records the sizes asked for, so no process starts
+    @staticmethod
+    def _recording_pool(monkeypatch, cpus):
+        """Stand in for the process pool on a host of cpus CPUs: an in-process
+        pool that records the size and task count of every pool asked for,
+        so no process starts."""
         import concurrent.futures
-        sizes = []
+        pools = []
 
         class RecordingPool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                pools.append([max_workers, 0])
 
             def __enter__(self):
                 return self
@@ -272,15 +273,40 @@ class TestRunExperiment:
                 return False
 
             def map(self, fn, tasks):
+                tasks = list(tasks)
+                pools[-1][1] = len(tasks)
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        return pools
+
+    @pytest.mark.parametrize("trials,pools", [(2, [2]), (1, [])])
+    def test_a_pool_never_forks_more_workers_than_tasks(self, monkeypatch, tmp_path, trials, pools):
+        # a fork-started pool launches all its workers at the first submit
+        asked = self._recording_pool(monkeypatch, cpus=64)
         spec = tiny_spec(trials=trials)
         for workers in (1, 64):
             spec.output = str(tmp_path / f"w{workers}" / "fig2.csv")
             run_experiment(spec, workers=workers)
-        assert sizes == pools
+        assert [size for size, _ in asked] == pools
         assert (tmp_path / "w1" / "fig2.csv").read_bytes() == (tmp_path / "w64" / "fig2.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus,pools", [(2, [[2, 8]]), (None, [])])
+    def test_chunks_are_sized_by_the_pool_that_starts(self, monkeypatch, cpus, pools):
+        # 500 workers asked on a host of 2 CPUs (or of an unknown count, taken
+        # as 1) start the pool the host runs, about four chunks a worker,
+        # not one task and one process per trial
+        asked = self._recording_pool(monkeypatch, cpus)
+        spec = tiny_spec(sweep_values=[6], trials=40)
+        rows, _ = run_experiment(spec, workers=500)
+        assert asked == pools
+        assert rows == run_experiment(spec, workers=1)[0]
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2"])
+    def test_workers_below_one_or_not_an_integer_is_a_spec_error(self, workers):
+        with pytest.raises(SpecError, match="workers: must be an integer >= 1"):
+            run_experiment(tiny_spec(), workers=workers)
 
     def test_import_loads_no_process_pool(self):
         # a one-worker run never starts processes, so the package leaves the

@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from d2dmimo import receivers
 from d2dmimo.scenario import SystemConfig, LargeScale, substream, trial_seed, FADING, NOISE
 from d2dmimo.channel import (PilotAssignment, PowerProfile, EstimatedChannels,
                              EstimationCoeffs, draw_fast_fading, estimation_coeffs,
-                             simulate_pilot_phase, mmse_estimate)
+                             fading_normals, noise_normals, simulate_pilot_phase, mmse_estimate)
 from d2dmimo.pilot_scheduling import random_assignment
 from d2dmimo.receivers import (FeasibilityError, DegenerateSpanError, CancellationSets,
                                select_cancellation, pzf_filter, cell_sinr_terms,
@@ -704,3 +706,29 @@ class TestRateLowerBounds:
         se_d = rates_d.std(axis=0) / np.sqrt(draws)
         assert np.all(rates_c.mean(axis=0) >= r_c_lb - 2.576 * se_c)
         assert np.all(rates_d.mean(axis=0) >= r_d_lb - 2.576 * se_d)
+
+    @pytest.mark.parametrize("pzf_bs, pzf_d2d", [((0, 0), (0, 0)), ((1, 2), (1, 1)), ((2, 3), (1, 2))])
+    def test_bound_sinr_is_the_harmonic_mean_of_monte_carlo_sinrs(self, pzf_bs, pzf_d2d):
+        # each link's Monte Carlo SINR is its bound numerator times X over
+        # terms independent of X ~ Gamma(dof), so E[1/SINR_k] = 1/eta_k
+        # exactly (Jensen's bound on 1/SINR): eta_k * mean(1/SINR_k) must
+        # be 1 within a Bonferroni z-bound over the 27 links of the 3 cases
+        cfg = small_config(bs_antennas=32, d2drx_antennas=8, pzf_bs=pzf_bs, pzf_d2d=pzf_d2d,
+                           noise_power=0.05)
+        ls = make_ls(np.random.default_rng(21), cfg.n_cu, cfg.n_d2d)
+        pa = assignment([4, 4, 5, 5, 6, 6])
+        pp = PowerProfile(q_p=np.full(3, 4.0), p_p=np.full(6, 4.0), q_s=np.ones(3), p_s=np.ones(6))
+        coeffs = estimation_coeffs(ls, pa, pp, cfg.noise_power)
+        sets = select_cancellation(ls, pa, cfg)
+        etas = bound_sinrs(rate_coeffs(ls, pa, coeffs, sets, pp, cfg), pp.q_s, pp.p_s)
+        draws = 3000
+        plan = monte_carlo_plan(ls, pa, pp, coeffs, sets, cfg.noise_power)[None][np.zeros(draws, dtype=int)]
+        rng = np.random.default_rng(99)
+        real = draw_fast_fading(cfg, rng.standard_normal((draws, fading_normals(cfg))))
+        obs = simulate_pilot_phase(real, plan, cfg, rng.standard_normal((draws, noise_normals(cfg))))
+        est = mmse_estimate(obs, plan, cfg)
+        z_max = NormalDist().inv_cdf(1 - 1e-3 / (2 * 3 * 9))   # family-wise 1e-3, two-sided
+        for eta, terms in zip(etas, (cell_sinr_terms, d2d_sinr_terms)):
+            ratio = eta / terms(est, plan).sinr
+            z = (ratio.mean(axis=0) - 1.0) / (ratio.std(axis=0, ddof=1) / np.sqrt(draws))
+            assert np.all(np.abs(z) < z_max), z
