@@ -21,16 +21,16 @@ its matrix products and stop-test sums on operands laid out once, not once
 an iteration, and its multiplier bisection on its own contiguous (T, K)
 views.  The loop's body is bare numpy calls into kept buffers: the ufuncs
 are bound to locals, the clip is done inline, and only a binding row's
-multiplier bisection calls a Python function.  A converged instance leaves the stack; the rest move to the front of the
-buffers, and only the groups from the first that lost a row on are laid
-out anew.  Results are stacks too: DpcdResult and JdpcResult hold each
-row's powers and counts in arrays with a leading trial axis.  A joint
-stack computes each quantity of a round but the cellular step (dpcc, per
-instance) with one stacked call per point.  Each instance does the
-arithmetic it would do alone, in the same order, so its bits depend
-neither on its stack nor on the other points; dpcd is a stack of one.
-jdpc_stack records no WMMSE objective trace, so its inner loop computes no
-objective; dpcd always records one.
+multiplier bisection calls a Python function.  A converged instance leaves
+the stack; the rest move to the front of the buffers, and only the groups
+from the first that lost a row on are laid out anew.  Results are stacks
+too: DpcdResult and JdpcResult hold each row's powers and counts in arrays
+with a leading trial axis.  A joint stack computes each quantity of a round
+but the cellular step (dpcc, per instance) with one stacked call per point.
+Each instance does the arithmetic it would do alone, in the same order, so
+its bits depend neither on its stack nor on the other points; dpcd is a
+stack of one.  jdpc_stack records no WMMSE objective trace, so its inner
+loop computes no objective; dpcd always records one.
 
 All solvers work purely on RateCoeffs aggregates, so they are decoupled
 from scenario generation and accept degenerate sizes (e.g. no D2D pairs).
@@ -109,7 +109,7 @@ def dpcc_iterate(fp, tol=1e-3, record_trace=False):
     trace = [q.copy()] if record_trace else []
     residual = np.inf
     for it in range(1, 200_001):
-        q_next = np.minimum(caps, f @ q + theta)     # caps, Delta(q)
+        q_next = np.minimum(caps, f @ q + theta)
         residual = float(np.abs(q_next - q).max()) if q.size else 0.0
         q = q_next
         if record_trace:
@@ -272,6 +272,10 @@ def dpcd_stack(groups, max_iter=50_000, record_trace=True):
     zeta = flat([np.asarray(g.zeta, dtype=float) for g in live])
     tol = flat([np.full(len(g.zeta), g.tol_wmmse) for g in live])
     pair_count = flat([np.full(len(g.zeta), b.k) for g, b in zip(live, blocks)]).astype(int)
+    # the loop's numpy calls, bound once; each ufunc writes into its last
+    # argument, a positional out (about 30 ns a call cheaper than out=),
+    # but np.maximum and np.minimum, whose positional out numpy deprecates
+    # and serves at twice the cost of the call
     add, subtract, multiply, divide, maximum, minimum = (
         np.add, np.subtract, np.multiply, np.divide, np.maximum, np.minimum)
     reciprocal, square, absolute, log, greater, less_equal, matmul, row_sum = (
@@ -284,58 +288,58 @@ def dpcd_stack(groups, max_iter=50_000, record_trace=True):
     over, done = np.empty(t, dtype=bool), np.empty(t, dtype=bool)
     _lay_out(blocks, 0, w_nu2, mv, p, cross, used, diff, sums)
     matvec_ops, dot_ops, vecmat_ops, sum_ops = zip(*(b.ops for b in blocks))
-    multiply(f, f, out=p)
-    multiply(p, phi_d, out=rx)
+    multiply(f, f, p)
+    multiply(p, phi_d, rx)
     for a, x, out in vecmat_ops:
-        matmul(a, x, out=out)
-    add(rx, cross, out=total)
-    add(total, sigma_d, out=total)
+        matmul(a, x, out)
+    add(rx, cross, total)
+    add(total, sigma_d, total)
 
     for it in range(1, max_iter + 1):
-        multiply(f, sqrt_phi, out=nu)
-        divide(nu, total, out=nu)
-        multiply(nu, f, out=w)
-        multiply(w, sqrt_phi, out=w)
-        subtract(one, w, out=w)
-        reciprocal(w, out=w)
-        square(nu, out=w_nu2)
-        multiply(w, w_nu2, out=w_nu2)
-        multiply(w, nu, out=num)
-        multiply(num, sqrt_phi, out=num)
+        multiply(f, sqrt_phi, nu)
+        divide(nu, total, nu)
+        multiply(nu, f, w)
+        multiply(w, sqrt_phi, w)
+        subtract(one, w, w)
+        reciprocal(w, w)
+        square(nu, w_nu2)
+        multiply(w, w_nu2, w_nu2)
+        multiply(w, nu, num)
+        multiply(num, sqrt_phi, num)
         for a, x, out in matvec_ops:
-            matmul(a, x, out=out)
-        multiply(w_nu2, phi_d, out=base)
-        add(base, mv, out=base)
-        maximum(base, tiny, out=f)     # _f_update into f and p
-        divide(num, f, out=f)
+            matmul(a, x, out)
+        multiply(w_nu2, phi_d, base)
+        add(base, mv, base)
+        maximum(base, tiny, out=f)     # the clip of _f_update, into f and p
+        divide(num, f, f)
         minimum(f_cap, f, out=f)
-        multiply(f, f, out=p)
+        multiply(f, f, p)
         for a, x, out in dot_ops:
-            matmul(a, x, out=out)
-        if greater(used, zeta, out=over).nonzero()[0].size:
+            matmul(a, x, out)
+        if greater(used, zeta, over).nonzero()[0].size:
             for b in blocks:
                 bind = over[b.span].nonzero()[0]
                 if bind.size:
                     b.view(f)[bind], b.view(p)[bind], lam[b.span][bind] = _bisect_multiplier(
                         b.view(base)[bind], b.view(num)[bind], b.view(f_cap)[bind], b.varphi_d[bind],
                         zeta[b.span][bind], b.bisect_rtol, b.ids[bind])
-        multiply(p, phi_d, out=rx)
+        multiply(p, phi_d, rx)
         for a, x, out in vecmat_ops:
-            matmul(a, x, out=out)
+            matmul(a, x, out)
         if record_trace:
             for b in blocks:
                 objective = np.log2(1.0 + b.view(rx) / (b.view(cross) + b.view(sigma_d))).sum(axis=-1)
                 for trace, value in zip(b.result.objective_trace[b.rows], objective.tolist()):
                     trace.append(value)
-        add(rx, cross, out=total)
-        add(total, sigma_d, out=total)
-        log(w, out=log_w_new)
-        subtract(log_w_new, log_w, out=diff)
-        absolute(diff, out=diff)
+        add(rx, cross, total)
+        add(total, sigma_d, total)
+        log(w, log_w_new)
+        subtract(log_w_new, log_w, diff)
+        absolute(diff, diff)
         log_w, log_w_new = log_w_new, log_w
         for x, out in sum_ops:
             row_sum(x, axis=-1, out=out)
-        if not less_equal(sums, tol, out=done).nonzero()[0].size:
+        if not less_equal(sums, tol, done).nonzero()[0].size:
             continue
 
         changed = len(blocks)   # the first block that loses rows
